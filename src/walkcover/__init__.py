@@ -21,6 +21,7 @@ from .errors import (
     DisconnectedNetwork,
     EdgeNotIncident,
     EmptyInput,
+    ExactSolveFailed,
     InfeasibleParameters,
     InvalidDepth,
     InvalidSplit,

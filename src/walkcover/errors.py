@@ -65,3 +65,7 @@ class NetworkFormatError(WalkcoverError):
 
 class StateSpaceTooLarge(WalkcoverError):
     """An exact solve would need more states than the configured cap."""
+
+
+class ExactSolveFailed(WalkcoverError):
+    """An exact block solve was singular or missed its residual bound."""

@@ -45,6 +45,11 @@ __all__ = [
 
 Z_95 = 1.96
 
+# Relative allowance added to every verdict's slack, as a multiple of
+# max(1, |target|): a zero-variance estimate and an exact target that differ
+# only by floating-point rounding must still agree.
+ROUNDING_ALLOWANCE = 1e-12
+
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent, scheduling-invariant stream for one trial.
@@ -224,12 +229,14 @@ def verify(
 
     ``equality`` passes when the mean sits within ``slack_sigmas`` standard
     errors of the target; ``upper_bound`` passes when the mean does not
-    exceed the target by more than the slack.  Targets are expected to come
-    from the exact layer, never from constants baked into callers.
+    exceed the target by more than the slack.  Both kinds widen the slack by
+    ``ROUNDING_ALLOWANCE * max(1, |target|)`` for rounding.  Targets are
+    expected to come from the exact layer, never from constants baked into
+    callers.
     """
     if kind not in ("equality", "upper_bound"):
         raise ValueError(f"unknown comparison kind {kind!r}")
-    slack = slack_sigmas * report.stderr
+    slack = slack_sigmas * report.stderr + ROUNDING_ALLOWANCE * max(1.0, abs(target))
     if kind == "equality":
         passed = abs(report.mean - target) <= slack
     else:

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from walkcover.closedform import commute_time, refined_commutes
 from walkcover.errors import StepBudgetExceeded
 from walkcover.estimate import (
     CSV_HEADER,
+    EstimateReport,
     estimate,
     estimate_refined,
     estimate_vertex_cover,
@@ -93,6 +96,22 @@ def test_verify_equality_logic():
     assert not verify(rep, 1.5, "upper_bound").passed
     with pytest.raises(ValueError):
         verify(rep, 2.0, "sideways")
+
+
+def test_verify_allows_rounding_only():
+    # A zero-variance estimate one ulp from its exact target differs by
+    # rounding alone and must pass; one off by 1e-6 must still fail.
+    target = 24.0
+
+    def report(mean):
+        return EstimateReport("r", TimingModel.L_SQUARED, 10, 1, mean, 0.0, (mean, mean))
+
+    for kind in ("equality", "upper_bound"):
+        assert verify(report(math.nextafter(target, math.inf)), target, kind).passed
+        assert not verify(report(target + 1e-6), target, kind).passed
+    assert verify(report(math.nextafter(target, -math.inf)), target, "equality").passed
+    assert not verify(report(target - 1e-6), target, "equality").passed
+    assert verify(report(math.nextafter(0.0, 1.0)), 0.0, "equality").passed
 
 
 def test_verify_slack_scaling():

@@ -1,9 +1,14 @@
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from walkcover import cli, exact
 from walkcover.closedform import commute_time
-from walkcover.errors import StateSpaceTooLarge
+from walkcover.errors import ExactSolveFailed, StateSpaceTooLarge, VertexOutOfRange
 from walkcover.exact import exact_stop_time
-from walkcover.generators import binary_tree, loop, parallel_pair, path, triangle
+from walkcover.generators import binary_tree, from_spec, loop, parallel_pair, path, triangle
 from walkcover.netmodel import Orientation, build_network
 from walkcover.walker import (
     ArcCoverReturn,
@@ -13,6 +18,7 @@ from walkcover.walker import (
     FirstPassage,
     TimingModel,
     VertexCover,
+    run,
 )
 
 import oracles
@@ -61,13 +67,39 @@ def test_agrees_with_independent_oracle(model):
         net = random_net(seed, max_n=4, lengths=(0.4, 2.0))
         if len(net.edges) > 8:
             continue
+        far = net.vertex_count - 1
+        dirs = tuple((e + seed) % 2 for e in range(len(net.edges)))
         pairs = [
             (EdgeCoverReturn(0), oracles.edge_cover_return_oracle(net, 0, key)),
             (ArcCoverReturn(0), oracles.arc_cover_return_oracle(net, 0, key)),
             (VertexCover(0, True), oracles.vertex_cover_oracle(net, 0, True, key)),
+            (
+                DirectedCoverReturn(0, Orientation(dirs)),
+                oracles.directed_cover_return_oracle(net, 0, dirs, key),
+            ),
+            (FirstPassage(far), oracles.hitting_time(net, 0, far, key)),
         ]
         for rule, want in pairs:
             assert exact_stop_time(net, 0, rule, model) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", list(TimingModel))
+@pytest.mark.parametrize(
+    "spec, rule, factor",
+    [
+        ("random:n=12,m=14,seed=1", EdgeCoverReturn(0), 2),
+        ("random:n=14,m=16,seed=1", EdgeCoverReturn(0), 2),
+        # The nets above have more than 2**20 arc-cover states; these stay under.
+        ("random:n=7,m=8,seed=1", ArcCoverReturn(0), 3),
+        ("random:n=8,m=9,seed=1", ArcCoverReturn(0), 3),
+    ],
+)
+def test_cover_bounds_beyond_4000_states(spec, rule, factor, model):
+    net = from_spec(spec)
+    with pytest.raises(StateSpaceTooLarge):
+        exact_stop_time(net, 0, rule, model, max_states=4000)
+    m = net.total_length
+    assert 0.0 < exact_stop_time(net, 0, rule, model) <= factor * m * m
 
 
 def test_state_space_guard():
@@ -79,3 +111,39 @@ def test_state_space_guard():
 def test_anchor_checked():
     with pytest.raises(ValueError):
         exact_stop_time(triangle(), 1, EdgeCoverReturn(0))
+
+
+def test_rules_validated_as_run_validates_them():
+    with pytest.raises(VertexOutOfRange):
+        exact_stop_time(triangle(), 1, Commute(1, 1))
+    with pytest.raises(ValueError):
+        exact_stop_time(triangle(), 0, DirectedCoverReturn(0, Orientation((0,))))
+    lone = build_network(1, [])
+    for solve in (exact_stop_time, run):
+        with pytest.raises(VertexOutOfRange, match="has no incident arcs"):
+            solve(lone, 0, FirstPassage(1))
+
+
+def test_non_monotone_progress_fails_loudly(monkeypatch):
+    flip = (0, lambda p, e, d, v: p ^ 1, lambda v, p: False)
+    monkeypatch.setattr(exact, "_rule_machine", lambda rule, net: flip)
+    with pytest.raises(AssertionError, match="not monotone"):
+        exact_stop_time(triangle(), 0, Commute(0, 1))
+
+
+def test_residual_check_fails_loudly(monkeypatch, capsys):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(ExactSolveFailed, match="residual"):
+        exact_stop_time(parallel_pair(), 0, EdgeCoverReturn(0))
+    argv = ["verify", "--gen", "parallel_pair", "--check", "cre",
+            "--trials", "10", "--seed", "1", "--workers", "1"]
+    assert cli.main(argv) == 2
+    assert "residual" in capsys.readouterr().err
+
+
+def test_oracles_share_no_code_with_the_library():
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert modules and not any(m.startswith("walkcover") for m in modules)

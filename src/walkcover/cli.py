@@ -276,6 +276,8 @@ def _dispatch(args) -> int:
     net, file_orient = _load_network(args)
     if args.seed < 0:
         raise WalkcoverError("--seed must be nonnegative")
+    if args.trials < 2:
+        raise WalkcoverError("--trials must be at least 2")
     m = net.total_length
 
     if args.command == "commute":

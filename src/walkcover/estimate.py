@@ -6,11 +6,17 @@ report depends only on (seed, trials, rule, model) and never on how trials
 were scheduled across workers.  Aggregation reduces the per-trial values in
 trial order with compensated summation, which makes reports byte-identical
 for any worker count.
+
+:func:`trial_rng` is the definition of trial ``i``'s stream.  The estimator
+does not call it per trial: it derives the same PCG64 states for a whole
+block of trials in one numpy pass and loads each into one reused generator,
+which a test pins to :func:`trial_rng` state by state.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Iterable
@@ -60,6 +66,133 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
+# ---------------------------------------------------------------------------
+# Bulk stream setup.  ``_trial_states`` derives, for a whole block of trial
+# indices at once, the PCG64 (state, inc) that ``trial_rng`` would build, by
+# replaying numpy's SeedSequence hash (pool of four 32-bit words) and
+# PCG64's seeding step on uint32/uint64 arrays.  Pool words are plain ints
+# while they depend on the seed alone and arrays once an index word is mixed
+# in; the helpers below accept either.
+# ---------------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+# Running hash constants: entry k is the constant before the k-th hash call.
+# SeedSequence makes 16 ``hashmix`` calls for an entropy of up to four words
+# (four more per extra word) and 8 output hashes for ``generate_state(4,
+# uint64)``.
+_HASH_A = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32 for k in range(17)]
+_HASH_B = [_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(9)]
+
+
+def _hash_a(k: int) -> int:
+    return _HASH_A[k] if k < len(_HASH_A) else _INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32
+
+
+def _hashmix(value, k: int):
+    """SeedSequence's ``hashmix`` as its ``k``-th call."""
+    value = (value ^ _hash_a(k)) * _hash_a(k + 1) & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    # Each product is masked first so that an int operand stays in uint32
+    # range when the other operand is an array.
+    result =((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative int, low word first, as SeedSequence
+    splits each entropy entry (``0`` is one zero word)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence's ``mix_entropy`` into a pool of four words."""
+    pool = []
+    for i in range(_POOL_SIZE):
+        pool.append(_hashmix(entropy[i] if i < len(entropy) else 0, i))
+    calls = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], calls))
+                calls += 1
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, calls))
+            calls += 1
+    return pool
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b`` (uint64 array by int)."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_seed(pool: list) -> tuple[list[int], list[int]]:
+    """``generate_state(4, uint64)`` from a pool, then ``pcg64_set_seed``."""
+    out = []
+    for k in range(8):
+        value = (pool[k % _POOL_SIZE] ^ _HASH_B[k]) * _HASH_B[k + 1] & _MASK32
+        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    inc_lo = seq_lo << 1 | 1
+    # state = 0; step (state = inc); state += initstate; step again.
+    s_lo = inc_lo + init_lo
+    s_hi = inc_hi + init_hi + (s_lo < inc_lo)
+    t_lo = s_lo * _PCG_MULT_LO
+    t_hi = _mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
+    state_lo = t_lo + inc_lo
+    state_hi = t_hi + inc_hi + (state_lo < t_lo)
+    return (
+        [hi << 64 | lo for hi, lo in zip(state_hi.tolist(), state_lo.tolist())],
+        [hi << 64 | lo for hi, lo in zip(inc_hi.tolist(), inc_lo.tolist())],
+    )
+
+
+def _trial_states(seed: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """PCG64 ``(state, inc)`` of ``trial_rng(seed, i)`` for each ``i`` in
+    ``[lo, hi)``, as two lists of 128-bit ints.
+
+    The entropy of ``SeedSequence((seed, i))`` is the words of ``seed`` then
+    the words of ``i``.  Indices are taken in runs that share their words
+    above the lowest, so that word is the only array.
+    """
+    seed_words = _uint32_words(seed)
+    states: list[int] = []
+    incs: list[int] = []
+    a = lo
+    while a < hi:
+        b = min(hi, (a | _MASK32) + 1)
+        low = np.arange(a & _MASK32, (b - 1 & _MASK32) + 1, dtype=np.uint32)
+        upper = _uint32_words(a >> 32) if a > _MASK32 else []
+        run_states, run_incs = _pcg64_seed(_seed_pool(seed_words + [low] + upper))
+        states += run_states
+        incs += run_incs
+        a = b
+    return states, incs
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     """Aggregated Monte Carlo result for one rule under one timing model."""
@@ -96,13 +229,18 @@ class ComparisonVerdict:
 def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
     net, start, rule, model, seed, lo, hi, budget = args
     tables = build_tables(net, model)
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
     out: list[tuple[float, int, int]] = []
-    for i in range(lo, hi):
+    for i, state, inc in zip(range(lo, hi), *_trial_states(seed, lo, hi)):
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         try:
-            res = run(
-                net, start, rule, model, trial_rng(seed, i),
-                step_budget=budget, tables=tables,
-            )
+            res = run(net, start, rule, model, rng, step_budget=budget, tables=tables)
         except StepBudgetExceeded as exc:
             raise StepBudgetExceeded(f"trial {i}: {exc}") from None
         aux = res.auxiliary or {}

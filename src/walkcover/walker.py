@@ -98,6 +98,7 @@ class FirstPassage:
         return f"first_passage(target={self.target})"
 
     def make_tracker(self, net: Network):
+        net.check_vertex(self.target)
         return _FirstPassageTracker(self.target)
 
 
@@ -135,6 +136,7 @@ class Commute:
     def make_tracker(self, net: Network):
         if self.x == self.y:
             raise VertexOutOfRange("commute endpoints must differ")
+        net.check_vertex(self.y)
         return _CommuteTracker(self.x, self.y)
 
 

@@ -166,9 +166,25 @@ def test_usage_errors_exit_two(capsys):
     )
     assert code == 2 and "nonnegative" in err
 
+    for argv in (
+        ["commute", "--gen", "triangle", "--pair", "0", "1"],
+        ["verify", "--gen", "triangle", "--check", "commute", "--pair", "0", "1"],
+    ):
+        code, _, err = run_cli(capsys, argv + ["--trials", "1", "--seed", "1"])
+        assert code == 2 and "--trials must be at least 2" in err
+
     with pytest.raises(SystemExit) as exc:
         main(["commute", "--gen", "triangle", "--pair", "0", "1"])  # missing trials/seed
     assert exc.value.code == 2
+
+
+def test_pair_outside_the_network_exits_two(capsys):
+    # Exits at once: the walk toward an absent vertex is never started.
+    code, out, err = run_cli(
+        capsys, ["commute", "--gen", "triangle", "--pair", "0", "9",
+                 "--trials", "10", "--seed", "1"]
+    )
+    assert code == 2 and out == "" and "vertex 9 not in 0..2" in err
 
 
 def test_input_file_errors_exit_two(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import importlib
 import math
 
 import pytest
 
+from walkcover import tours
 from walkcover.closedform import commute_time, refined_commutes
 from walkcover.errors import StepBudgetExceeded
 from walkcover.estimate import (
@@ -16,10 +18,21 @@ from walkcover.estimate import (
     trial_rng,
     verify,
 )
-from walkcover.generators import parallel_pair, path, triangle
-from walkcover.netmodel import build_network
+from walkcover.generators import from_spec, parallel_pair, path, triangle
+from walkcover.netmodel import Orientation, build_network
 from walkcover.resistance import SplitSpec
-from walkcover.walker import Commute, FirstPassage, TimingModel
+from walkcover.walker import (
+    ArcCoverReturn,
+    Commute,
+    DirectedCoverReturn,
+    EdgeCoverReturn,
+    FirstPassage,
+    RefinedCommute,
+    TimingModel,
+    VertexCover,
+    build_tables,
+    run,
+)
 
 
 def test_same_seed_is_bit_identical():
@@ -170,3 +183,78 @@ def test_trial_rng_streams_are_stable_and_distinct():
     c = trial_rng(5, 1).random(4).tolist()
     assert a == b
     assert a != c
+
+
+# The module itself: the package re-exports the ``estimate`` function under
+# the same name.
+estimate_module = importlib.import_module("walkcover.estimate")
+
+# Seeds of one to seven 32-bit words; the last two give SeedSequence more
+# entropy words than its pool of four.
+STREAM_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**70 + 9, 2**100 + 3, 2**200 + 5)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_bulk_states_equal_trial_rng(seed):
+    # The last block crosses into two-word indices.
+    for lo, hi in ((0, 120), (977, 1097), (2**32 - 120, 2**32), (2**32 - 60, 2**32 + 60)):
+        states, incs = estimate_module._trial_states(seed, lo, hi)
+        assert len(states) == len(incs) == hi - lo
+        for i, state, inc in zip(range(lo, hi), states, incs):
+            expected = trial_rng(seed, i).bit_generator.state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"]), (seed, i)
+
+
+def test_negative_seed_fails_before_any_trial(monkeypatch):
+    with pytest.raises(ValueError):
+        trial_rng(-1, 0)
+    with pytest.raises(ValueError):
+        estimate_module._trial_states(-1, 0, 5)
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(estimate_module, "run", no_trials)
+    with pytest.raises(ValueError):
+        estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, 10, -1)
+
+
+def _rules():
+    tri = triangle()
+    walk = tours.construct_double_cover_walk(tri, 0)
+    orient = Orientation((0, 1, 0))
+    return [
+        (tri, 0, Commute(0, 2)),
+        (tri, 0, RefinedCommute("both", SplitSpec(tri, frozenset({0}), 0, 1))),
+        (path([0.7, 1.3, 2.1]), 0, FirstPassage(3)),
+        (parallel_pair(), 0, EdgeCoverReturn(0)),
+        (tri, 1, ArcCoverReturn(1)),
+        (tri, 0, DirectedCoverReturn(0, orient)),
+        (from_spec("random:n=6,m=8,seed=3"), 2, VertexCover(2, True)),
+        (tri, 0, tours.EpochSequence(walk, "directed", orient)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_rules())))
+@pytest.mark.parametrize("model", list(TimingModel))
+def test_estimate_equals_the_serial_rebuild(case, model):
+    """Every rule's report mean is the trial-ordered sum over ``trial_rng``."""
+    net, start, rule = _rules()[case]
+    trials, seed = 60, 2**40 + case
+    tables = build_tables(net, model)
+    serial = math.fsum(
+        run(net, start, rule, model, trial_rng(seed, i), tables=tables).stop_time
+        for i in range(trials)
+    ) / trials
+    for workers in (1, 2):
+        rep = estimate(net, start, rule, model, trials, seed, workers=workers)
+        assert rep.mean == serial, workers
+
+
+def test_fixed_seed_means_are_pinned():
+    # Values from per-trial ``trial_rng`` seeding, which bulk seeding must reproduce.
+    net = path([0.7, 1.3, 2.1])
+    rep = estimate(net, 0, Commute(0, 3), TimingModel.BROWNIAN_MEAN, 500, 2026)
+    assert (rep.mean, rep.stderr) == (33.75750666666667, 0.8338054250284405)
+    rep = estimate(net, 0, EdgeCoverReturn(0), TimingModel.L_SQUARED, 300, 2**70 + 9, workers=2)
+    assert (rep.mean, rep.stderr) == (32.648333333333326, 0.9726376759517321)

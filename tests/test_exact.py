@@ -120,8 +120,17 @@ def test_rules_validated_as_run_validates_them():
         exact_stop_time(triangle(), 0, DirectedCoverReturn(0, Orientation((0,))))
     lone = build_network(1, [])
     for solve in (exact_stop_time, run):
-        with pytest.raises(VertexOutOfRange, match="has no incident arcs"):
+        with pytest.raises(VertexOutOfRange, match="not in 0..0"):
             solve(lone, 0, FirstPassage(1))
+
+
+@pytest.mark.parametrize("rule", [FirstPassage(9), Commute(0, 9)])
+def test_rule_vertices_checked(rule):
+    """A target outside the network fails at once instead of as a singular
+    block (it was never reachable)."""
+    for net in (triangle(), from_spec("random:n=6,m=8,seed=3")):
+        with pytest.raises(VertexOutOfRange, match="vertex 9 not in"):
+            exact_stop_time(net, 0, rule)
 
 
 def test_non_monotone_progress_fails_loudly(monkeypatch):

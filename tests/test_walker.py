@@ -3,7 +3,7 @@ import math
 import pytest
 
 from walkcover.closedform import commute_time
-from walkcover.errors import StepBudgetExceeded
+from walkcover.errors import StepBudgetExceeded, VertexOutOfRange
 from walkcover.estimate import trial_rng
 from walkcover.generators import loop, parallel_pair, triangle
 from walkcover.netmodel import Orientation, build_network
@@ -213,6 +213,13 @@ def test_directed_cover_requires_oriented_traversal():
 def test_anchor_mismatch_rejected():
     with pytest.raises(ValueError):
         run(triangle(), 1, Commute(0, 1), TimingModel.L_SQUARED, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize("rule", [FirstPassage(9), Commute(0, 9), FirstPassage(-1)])
+def test_rule_vertices_checked(rule):
+    # An unreachable target would otherwise walk to the step budget.
+    with pytest.raises(VertexOutOfRange):
+        run(triangle(), 0, rule, TimingModel.L_SQUARED, trial_rng(0, 0), step_budget=10**9)
 
 
 def test_step_budget_exceeded():

@@ -182,7 +182,6 @@ def _parse_edge_ids(text: str) -> frozenset[int]:
 
 def _run_verify_check(name: str, args, net, file_orient):
     model = _model(args)
-    m = net.total_length
     if name == "commute":
         if args.pair is None:
             raise WalkcoverError("check 'commute' needs --pair")
@@ -216,20 +215,24 @@ def _run_verify_check(name: str, args, net, file_orient):
         return report, verify(report, target, "equality", args.slack)
     if name == "cre-bound":
         report = _estimate(args, net, args.root, EdgeCoverReturn(args.root))
-        return report, verify(report, 2 * m * m, "upper_bound", args.slack)
+        bound = closedform.cover_bounds(net)[0]
+        return report, verify(report, bound, "upper_bound", args.slack)
     if name == "cra-bound":
         report = _estimate(args, net, args.root, ArcCoverReturn(args.root))
-        return report, verify(report, 3 * m * m, "upper_bound", args.slack)
+        bound = closedform.cover_bounds(net)[1]
+        return report, verify(report, bound, "upper_bound", args.slack)
     if name == "dcover-bound":
         orient = _resolve_orientation(args, net, file_orient)
         report = _estimate(args, net, args.root, DirectedCoverReturn(args.root, orient))
-        return report, verify(report, 2 * m * m, "upper_bound", args.slack)
+        bound = closedform.cover_bounds(net)[0]
+        return report, verify(report, bound, "upper_bound", args.slack)
     if name == "epochs-directed":
         orient = _resolve_orientation(args, net, file_orient)
         walk = tours.construct_double_cover_walk(net, args.root)
         rule = tours.EpochSequence(walk, "directed", orient)
         report = _estimate(args, net, args.root, rule)
-        return report, verify(report, 2 * m * m, "equality", args.slack)
+        target = closedform.cover_bounds(net)[0]
+        return report, verify(report, target, "equality", args.slack)
     raise WalkcoverError(f"unknown check {name!r} (known: {', '.join(VERIFY_CHECKS)})")
 
 
@@ -278,7 +281,8 @@ def _dispatch(args) -> int:
         raise WalkcoverError("--seed must be nonnegative")
     if args.trials < 2:
         raise WalkcoverError("--trials must be at least 2")
-    m = net.total_length
+    if args.budget < 1:
+        raise WalkcoverError("--budget must be at least 1")
 
     if args.command == "commute":
         x, y = args.pair
@@ -301,16 +305,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "cover":
+        edge_bound, arc_bound = closedform.cover_bounds(net)
         if args.mode == "edge":
             rule = EdgeCoverReturn(args.root)
-            bound = 2 * m * m
+            bound = edge_bound
         elif args.mode == "arc":
             rule = ArcCoverReturn(args.root)
-            bound = 3 * m * m
+            bound = arc_bound
         else:
             orient = _resolve_orientation(args, net, file_orient)
             rule = DirectedCoverReturn(args.root, orient)
-            bound = 2 * m * m
+            bound = edge_bound
         report = _estimate(args, net, args.root, rule)
         verdict = verify(report, bound, "upper_bound", args.slack)
         _emit_items(args, [(report, verdict)])
@@ -322,7 +327,8 @@ def _dispatch(args) -> int:
             orient = _resolve_orientation(args, net, file_orient)
             rule = tours.EpochSequence(walk, "directed", orient)
             report = _estimate(args, net, args.root, rule)
-            verdict = verify(report, 2 * m * m, "equality", args.slack)
+            target = closedform.cover_bounds(net)[0]
+            verdict = verify(report, target, "equality", args.slack)
         else:
             rule = tours.EpochSequence(walk, "arc")
             report = _estimate(args, net, args.root, rule)

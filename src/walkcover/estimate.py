@@ -316,6 +316,8 @@ def estimate(
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
+    if step_budget < 1:
+        raise ValueError(f"step budget must be at least 1, got {step_budget}")
     samples = _collect(net, start, rule, model, trials, seed, step_budget, workers)
     return _aggregate(rule.label(), model, trials, seed, samples)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyInput
 from .netmodel import Arc, Network, Orientation
-from .walker import DEFAULT_STEP_BUDGET, TimingModel, WalkOutcome, run
+from .walker import DEFAULT_STEP_BUDGET, TimingModel, WalkOutcome, coverage_bits, run
 
 __all__ = [
     "ClosedWalk",
@@ -216,28 +216,18 @@ class EpochSequence:
 
 class _EpochTracker:
     def __init__(self, net: Network, walk: ClosedWalk, mode: str, orientation):
-        self.net = net
-        self.walk = walk
-        self.mode = mode
-        self.orientation = orientation
         arcs = walk.arcs
-        if mode == "arc":
-            strong = [True] * len(arcs)
-        else:
-            dirs = orientation.directions
-            strong = [a.direction == dirs[a.edge] for a in arcs]
-        self.strong = strong
+        dirs = orientation.directions if mode == "directed" else None
+        # ``bits`` is the coverage bookkeeping for the post-hoc check.  An
+        # epoch is strong exactly where its arc counts towards coverage.
+        self.bits, self.full = coverage_bits(len(net.edges), mode, dirs)
+        self.strong = [self.bits[a.edge][a.direction] != 0 for a in arcs]
         self.heads = [net.arc_head(a) for a in arcs]
         self.edges = [a.edge for a in arcs]
         self.dirs = [a.direction for a in arcs]
         self.i = 0
         self.taus: list[float] = []
-        # Coverage bookkeeping for the post-hoc check.
         self.covered = 0
-        if mode == "arc":
-            self.full = (1 << (2 * len(net.edges))) - 1
-        else:
-            self.full = (1 << len(net.edges)) - 1
 
     def _advance_weak(self, v: int, t: float) -> bool:
         """Fire every pending weak epoch already satisfied at position v."""
@@ -250,10 +240,7 @@ class _EpochTracker:
         return self._advance_weak(v, 0.0)
 
     def update(self, e: int, d: int, v: int, t: float) -> bool:
-        if self.mode == "arc":
-            self.covered |= 1 << (2 * e + d)
-        elif d == self.orientation.directions[e]:
-            self.covered |= 1 << e
+        self.covered |= self.bits[e][d]
         i = self.i
         if self.strong[i]:
             if e == self.edges[i] and d == self.dirs[i]:

@@ -15,6 +15,13 @@ Stopping rules are small frozen dataclasses; each knows how to build a
 per-trial tracker that consumes one ``(edge, direction, arrival)`` event per
 step and says when to stop.  Rules defined elsewhere (the epoch sequences in
 :mod:`walkcover.tours`) plug in through the same ``make_tracker`` hook.
+
+A tracker's ``update`` runs on every jump step, so it should do no more than
+look up and compare: trackers build their per-arc tables (such as
+:func:`coverage_bits`) once, in ``make_tracker``, rather than branching on the
+rule's options per step.  The loop in :func:`run` draws its uniforms in blocks
+of 64, 256, 1024, 4096 and then 16384, each capped at the steps left in the
+budget, so the budget is checked once per block.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import length_hint
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,7 +90,7 @@ class WalkOutcome:
 # ---------------------------------------------------------------------------
 # Stopping rules.  Each tracker exposes:
 #   start(v)            -> bool   (True if the rule is satisfied before any step)
-#   update(e, d, v, t)  -> bool   (True to stop after this arrival)
+#   update(e, d, v, t)  -> bool   (True to stop after this arrival; every step)
 #   result()            -> dict | None
 # ---------------------------------------------------------------------------
 
@@ -251,7 +259,7 @@ class EdgeCoverReturn:
         return f"cover(edge;root={self.root})"
 
     def make_tracker(self, net: Network):
-        return _MaskTracker(self.root, (1 << len(net.edges)) - 1, _edge_bit, None)
+        return _MaskTracker(self.root, *coverage_bits(len(net.edges), "edge"))
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,7 @@ class ArcCoverReturn:
         return f"cover(arc;root={self.root})"
 
     def make_tracker(self, net: Network):
-        return _MaskTracker(self.root, (1 << (2 * len(net.edges))) - 1, _arc_bit, None)
+        return _MaskTracker(self.root, *coverage_bits(len(net.edges), "arc"))
 
 
 @dataclass(frozen=True)
@@ -286,38 +294,45 @@ class DirectedCoverReturn:
     def make_tracker(self, net: Network):
         if len(self.orientation.directions) != len(net.edges):
             raise ValueError("orientation does not match the network's edge count")
-        return _MaskTracker(
-            self.root, (1 << len(net.edges)) - 1, _edge_bit, self.orientation.directions
-        )
+        bits = coverage_bits(len(net.edges), "directed", self.orientation.directions)
+        return _MaskTracker(self.root, *bits)
 
 
-def _edge_bit(e: int, d: int) -> int:
-    return 1 << e
+def coverage_bits(
+    edge_count: int, mode: str, directions: Sequence[int] | None = None
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Per-edge coverage mask bits and the full mask.
 
-
-def _arc_bit(e: int, d: int) -> int:
-    return 1 << (2 * e + d)
+    ``bits[e][d]`` is the bit that arc ``(e, d)`` covers.  ``edge`` gives
+    edge ``e`` bit ``e`` both ways, ``arc`` gives its two directions bits
+    ``2e`` and ``2e + 1``, and ``directed`` gives bit ``e`` to direction
+    ``directions[e]`` only and 0 to the other.  A tracker ORs ``bits[e][d]``
+    into its mask on every step, without branching on the mode.
+    """
+    if mode == "edge":
+        return tuple((1 << e, 1 << e) for e in range(edge_count)), (1 << edge_count) - 1
+    if mode == "arc":
+        bits = tuple((1 << 2 * e, 1 << (2 * e + 1)) for e in range(edge_count))
+        return bits, (1 << (2 * edge_count)) - 1
+    bits = tuple((0, 1 << e) if d else (1 << e, 0) for e, d in enumerate(directions))
+    return bits, (1 << edge_count) - 1
 
 
 class _MaskTracker:
     """Coverage bitmask plus a return-to-root condition."""
 
-    def __init__(self, root, full, bit, required_dirs):
+    def __init__(self, root: int, bits: tuple[tuple[int, int], ...], full: int):
         self.root = root
+        self.bits = bits
         self.full = full
         self.mask = 0
-        self.bit = bit
-        self.required = required_dirs
 
     def start(self, v: int) -> bool:
         return self.mask == self.full and v == self.root
 
     def update(self, e: int, d: int, v: int, t: float) -> bool:
-        if self.required is None:
-            self.mask |= self.bit(e, d)
-        elif d == self.required[e]:
-            self.mask |= 1 << e
-        return self.mask == self.full and v == self.root
+        self.mask |= self.bits[e][d]
+        return v == self.root and self.mask == self.full
 
     def result(self):
         return None
@@ -448,10 +463,13 @@ def run(
 ) -> WalkOutcome:
     """Simulate one trial from ``start`` until ``rule`` fires.
 
-    Raises :class:`StepBudgetExceeded` beyond ``step_budget`` jump steps; the
-    budget exists to surface misconfigured rules, never to truncate silently.
+    Raises :class:`StepBudgetExceeded` beyond ``step_budget`` jump steps, and
+    ``ValueError`` for a budget below 1; the budget exists to surface
+    misconfigured rules, never to truncate silently.
     With ``record=True`` the full event trajectory is kept on the outcome.
     """
+    if step_budget < 1:
+        raise ValueError(f"step budget must be at least 1, got {step_budget}")
     net.check_vertex(start)
     anchor = rule.anchor()
     if anchor is not None and anchor != start:
@@ -462,46 +480,45 @@ def run(
     if tables is None:
         tables = build_tables(net, model)
 
-    events: list[WalkEvent] | None = [] if record else None
     if tracker.start(start):
-        return WalkOutcome(0.0, 0, tracker.result(), tuple(events) if record else None)
+        return WalkOutcome(0.0, 0, tracker.result(), () if record else None)
 
     row = tables[start]
     if row is None:
         raise VertexOutOfRange(f"vertex {start} has no incident arcs")
     cum, meta = row
-    rand = rng.random
     update = tracker.update
+    events: list[WalkEvent] = []
+    if record:
+        update = _recording(update, events)
+    rand = rng.random
     bisect = bisect_right
     t = 0.0
-    steps = 0
-    buf: list[float] = []
-    pos = 0
-    nbuf = 0
+    done = 0  # steps taken before the current refill
     block = 64
-    while True:
-        if pos == nbuf:
-            buf = rand(block).tolist()
-            nbuf = block
-            pos = 0
-            if block < 8192:
-                block *= 4
-        u = buf[pos]
-        pos += 1
-        k = bisect(cum, u)
-        e, d, head, charge = meta[k]
-        t += charge
-        steps += 1
-        if events is not None:
-            events.append(WalkEvent(steps - 1, Arc(e, d), head, t))
-        if update(e, d, head, t):
-            return WalkOutcome(t, steps, tracker.result(), tuple(events) if record else None)
-        if steps >= step_budget:
-            raise StepBudgetExceeded(
-                f"no stop within {step_budget} steps for {rule.label()}"
-            )
-        row = tables[head]
-        cum, meta = row
+    while done < step_budget:
+        n = min(block, step_budget - done)
+        draws = iter(rand(n).tolist())
+        for u in draws:
+            e, d, head, charge = meta[bisect(cum, u)]
+            t += charge
+            if update(e, d, head, t):
+                steps = done + n - length_hint(draws)  # less the block's unread draws
+                return WalkOutcome(t, steps, tracker.result(), tuple(events) if record else None)
+            cum, meta = tables[head]
+        done += n
+        block = min(4 * block, 16384)
+    raise StepBudgetExceeded(f"no stop within {step_budget} steps for {rule.label()}")
+
+
+def _recording(update, events: list[WalkEvent]):
+    """Wrap a tracker's ``update`` so that every step also appends its event."""
+
+    def recorded(e: int, d: int, v: int, t: float) -> bool:
+        events.append(WalkEvent(len(events), Arc(e, d), v, t))
+        return update(e, d, v, t)
+
+    return recorded
 
 
 def commute_trips(

@@ -48,15 +48,20 @@ def random_split_spec(seed, lengths=(0.5, 2.0)) -> SplitSpec:
 
 
 class PresetRng:
-    """Feeds a fixed uniform prefix, then a constant; forces chosen arcs."""
+    """Feeds a fixed uniform prefix, then a constant; forces chosen arcs.
+
+    ``sizes`` records the size of every block of uniforms asked for.
+    """
 
     def __init__(self, values, pad=0.5):
         self.values = list(values)
         self.pad = pad
+        self.sizes = []
 
     def random(self, n=None):
         if n is None:
             return self.values.pop(0) if self.values else self.pad
+        self.sizes.append(n)
         out = []
         for _ in range(n):
             out.append(self.values.pop(0) if self.values else self.pad)

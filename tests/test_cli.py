@@ -4,7 +4,9 @@ import sys
 import pytest
 
 from walkcover.cli import main
-from walkcover.estimate import CSV_HEADER
+from walkcover.closedform import cover_bounds
+from walkcover.estimate import CSV_HEADER, format_number
+from walkcover.generators import from_spec
 
 
 def run_cli(capsys, argv):
@@ -62,6 +64,19 @@ def test_cover_loop_bound(capsys):
     assert row[0] == "cover(arc;root=0)"
     assert row[9] == "upper_bound" and row[10] == "true"
     assert abs(float(row[4]) - 3.0) < 0.1
+
+
+def test_bound_targets_are_the_closed_form_bounds(capsys):
+    spec = "random:n=5,m=7,seed=2"
+    edge_bound, arc_bound = cover_bounds(from_spec(spec))
+    common = ["--gen", spec, "--trials", "4", "--seed", "1", "--workers", "1"]
+    code, out, _ = run_cli(capsys, ["verify", "--check", "cre-bound,cra-bound"] + common)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[8] for row in rows] == [format_number(edge_bound), format_number(arc_bound)]
+    code, out, _ = run_cli(capsys, ["cover", "--mode", "arc"] + common)
+    assert code == 0
+    assert out.strip().split("\n")[1].split(",")[8] == format_number(arc_bound)
 
 
 def test_epochs_directed_row(capsys):
@@ -172,6 +187,16 @@ def test_usage_errors_exit_two(capsys):
     ):
         code, _, err = run_cli(capsys, argv + ["--trials", "1", "--seed", "1"])
         assert code == 2 and "--trials must be at least 2" in err
+
+    for argv in (
+        ["commute", "--gen", "triangle", "--pair", "0", "1"],
+        ["verify", "--gen", "triangle", "--check", "commute", "--pair", "0", "1"],
+    ):
+        for budget in ("0", "-5"):
+            code, out, err = run_cli(
+                capsys, argv + ["--trials", "10", "--seed", "1", "--budget", budget]
+            )
+            assert code == 2 and out == "" and "--budget must be at least 1" in err
 
     with pytest.raises(SystemExit) as exc:
         main(["commute", "--gen", "triangle", "--pair", "0", "1"])  # missing trials/seed

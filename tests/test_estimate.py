@@ -251,10 +251,61 @@ def test_estimate_equals_the_serial_rebuild(case, model):
         assert rep.mean == serial, workers
 
 
+# (mean, stderr) of 200 trials at seed 77 from vertex 1 of the network in
+# ``_pin_rules()``, per rule and timing model (L_SQUARED, BROWNIAN_MEAN).
+_PINNED = {
+    "cover(edge)": ((27.5233, 0.8514042055074539), (27.061671530758225, 0.8787907168738418)),
+    "cover(arc)": (
+        (52.892199999999995, 1.541455181372752), (52.315821505418924, 1.6391828831079498)
+    ),
+    "cover(directed)": (
+        (43.842699999999994, 1.2464154487587682), (43.14998562733267, 1.2894852120002007)
+    ),
+    "vcover": ((11.64005, 0.6071505301974918), (11.522478469241774, 0.6349360428230834)),
+    "vcover(return)": ((16.4926, 0.6923399012728302), (16.342682904148784, 0.7087570208367828)),
+    "epochs(arc)": (
+        (130.74530000000004, 3.561104341380786), (130.88298722925208, 3.7083283172746544)
+    ),
+    "epochs(directed)": (
+        (89.51819999999998, 2.401984921186652), (88.97619784827032, 2.498525539162095)
+    ),
+}
+
+
+def _pin_rules():
+    # Parallel edges, a loop and a cycle; lengths make every charge distinct.
+    net = build_network(
+        4, [(0, 1, 0.7), (1, 2, 1.3), (1, 2, 0.9), (2, 3, 2.1), (3, 0, 1.1), (2, 2, 0.6)]
+    )
+    walk = tours.construct_double_cover_walk(net, 1)
+    mixed = Orientation((0, 1, 1, 0, 1, 0))
+    return net, {
+        "cover(edge)": EdgeCoverReturn(1),
+        "cover(arc)": ArcCoverReturn(1),
+        "cover(directed)": DirectedCoverReturn(1, mixed),
+        "vcover": VertexCover(1),
+        "vcover(return)": VertexCover(1, True),
+        "epochs(arc)": tours.EpochSequence(walk, "arc"),
+        "epochs(directed)": tours.EpochSequence(walk, "directed", mixed),
+    }
+
+
 def test_fixed_seed_means_are_pinned():
-    # Values from per-trial ``trial_rng`` seeding, which bulk seeding must reproduce.
+    # Values captured from earlier releases: per-trial ``trial_rng`` seeding
+    # (which bulk seeding must reproduce) and the per-step tracker updates
+    # (which the table-driven trackers must reproduce).
     net = path([0.7, 1.3, 2.1])
     rep = estimate(net, 0, Commute(0, 3), TimingModel.BROWNIAN_MEAN, 500, 2026)
     assert (rep.mean, rep.stderr) == (33.75750666666667, 0.8338054250284405)
     rep = estimate(net, 0, EdgeCoverReturn(0), TimingModel.L_SQUARED, 300, 2**70 + 9, workers=2)
     assert (rep.mean, rep.stderr) == (32.648333333333326, 0.9726376759517321)
+    # Walks of 144 to 2268 steps, across several refills of the uniform buffer.
+    tree = from_spec("tree:3")
+    rep = estimate(tree, 0, ArcCoverReturn(0), TimingModel.BROWNIAN_MEAN, 40, 5, workers=2)
+    assert (rep.mean, rep.stderr) == (0.8730821397569499, 0.08423405227095564)
+    net, rules = _pin_rules()
+    for name, rule in rules.items():
+        models = (TimingModel.L_SQUARED, TimingModel.BROWNIAN_MEAN)
+        for model, pinned in zip(models, _PINNED[name]):
+            rep = estimate(net, 1, rule, model, 200, 77)
+            assert (rep.mean, rep.stderr) == pinned, (name, model)

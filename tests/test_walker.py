@@ -4,7 +4,7 @@ import pytest
 
 from walkcover.closedform import commute_time
 from walkcover.errors import StepBudgetExceeded, VertexOutOfRange
-from walkcover.estimate import trial_rng
+from walkcover.estimate import estimate, trial_rng
 from walkcover.generators import loop, parallel_pair, triangle
 from walkcover.netmodel import Orientation, build_network
 from walkcover.resistance import SplitSpec, via_probability
@@ -230,6 +230,54 @@ def test_step_budget_exceeded():
             PresetRng([], pad=0.0),  # forever bounce 0 <-> 1 on the lowest arc
             step_budget=50,
         )
+
+
+# Uniform blocks a walk of exactly ``budget`` steps asks for: the refill
+# schedule 64, 256, ... capped at the steps left in the budget.
+_BOUNDARY_SIZES = {1: [1], 64: [64], 65: [64, 1], 320: [64, 256]}
+
+
+@pytest.mark.parametrize("budget", sorted(_BOUNDARY_SIZES))
+def test_step_budget_boundaries(budget):
+    # Bounce 0 <-> 1 on the lowest arc, then take the last arc to 2.
+    def walk(steps, record=False):
+        rng = PresetRng([0.0] * (steps - 1) + [0.99], pad=0.0)
+        out = run(
+            triangle(), 0, FirstPassage(2), TimingModel.L_SQUARED, rng,
+            step_budget=budget, record=record,
+        )
+        assert rng.sizes == _BOUNDARY_SIZES[budget]
+        return out
+
+    out = walk(budget)
+    assert (out.stop_time, out.step_count, out.events) == (float(budget), budget, None)
+    recorded = walk(budget, record=True)
+    assert (recorded.stop_time, recorded.step_count, recorded.auxiliary) == (
+        out.stop_time, out.step_count, out.auxiliary
+    )
+    assert [ev.step_index for ev in recorded.events] == list(range(budget))
+    assert recorded.events[-1].arrival_vertex == 2
+    message = f"no stop within {budget} steps for first_passage(target=2)"
+    with pytest.raises(StepBudgetExceeded) as exc:
+        walk(budget + 1)
+    assert str(exc.value) == message
+
+
+def test_refill_schedule():
+    # Five full blocks (21824 steps), then a block capped at the 7 steps left.
+    rng = PresetRng([], pad=0.0)
+    with pytest.raises(StepBudgetExceeded):
+        run(triangle(), 0, FirstPassage(2), TimingModel.L_SQUARED, rng, step_budget=21831)
+    assert rng.sizes == [64, 256, 1024, 4096, 16384, 7]
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_step_budget_below_one_rejected(budget):
+    net = parallel_pair()
+    with pytest.raises(ValueError, match="step budget must be at least 1"):
+        run(net, 0, FirstPassage(1), TimingModel.L_SQUARED, trial_rng(0, 0), step_budget=budget)
+    with pytest.raises(ValueError, match="step budget must be at least 1"):
+        estimate(net, 0, FirstPassage(1), TimingModel.L_SQUARED, 10, 0, step_budget=budget)
 
 
 def test_first_passage_at_start_is_zero():

@@ -283,6 +283,8 @@ def _dispatch(args) -> int:
         raise WalkcoverError("--trials must be at least 2")
     if args.budget < 1:
         raise WalkcoverError("--budget must be at least 1")
+    if args.workers < 1:
+        raise WalkcoverError("--workers must be at least 1")
 
     if args.command == "commute":
         x, y = args.pair

@@ -9,8 +9,19 @@ for any worker count.
 
 :func:`trial_rng` is the definition of trial ``i``'s stream.  The estimator
 does not call it per trial: it derives the same PCG64 states for a whole
-block of trials in one numpy pass and loads each into one reused generator,
-which a test pins to :func:`trial_rng` state by state.
+block of trials in one numpy pass, which a test pins to :func:`trial_rng`
+state by state.
+
+A block of fewer than ``LOCKSTEP_MIN_LANES`` (500) trials loads each state
+into one reused generator and runs :func:`walkcover.walker.run` per trial.
+A larger block whose rule has a lockstep form (``make_lanes``: commute,
+refined commute, first passage, cover-and-return and vertex cover while
+their masks fit in 64 bits) walks all its trials in lockstep on the same
+streams, with draw k being step k, and hands the last
+``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials back to ``run`` from their
+first step.  Epoch sequences and wider masks always run per trial.  Both
+walkers give the same bits; the measurements behind the gate and the
+hand-off are with the constants below.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from multiprocessing import get_context
 from typing import Iterable
 
@@ -32,6 +44,7 @@ from .walker import (
     TimingModel,
     VertexCover,
     build_tables,
+    checked_tracker,
     run,
 )
 
@@ -143,12 +156,12 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     """High 64 bits of the 128-bit products ``a * b`` (uint64 array by int)."""
     a0, a1 = a & _MASK32, a >> 32
     b0, b1 = b & _MASK32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    low = a0 * b1 + (mid & _MASK32)
+    return a1 * b1 + (mid >> 32) + (low >> 32)
 
 
-def _pcg64_seed(pool: list) -> tuple[list[int], list[int]]:
+def _pcg64_seed(pool: list) -> tuple[np.ndarray, ...]:
     """``generate_state(4, uint64)`` from a pool, then ``pcg64_set_seed``."""
     out = []
     for k in range(8):
@@ -164,33 +177,159 @@ def _pcg64_seed(pool: list) -> tuple[list[int], list[int]]:
     t_hi = _mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
     state_lo = t_lo + inc_lo
     state_hi = t_hi + inc_hi + (state_lo < t_lo)
-    return (
-        [hi << 64 | lo for hi, lo in zip(state_hi.tolist(), state_lo.tolist())],
-        [hi << 64 | lo for hi, lo in zip(inc_hi.tolist(), inc_lo.tolist())],
-    )
+    return state_hi, state_lo, inc_hi, inc_lo
 
 
-def _trial_states(seed: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
-    """PCG64 ``(state, inc)`` of ``trial_rng(seed, i)`` for each ``i`` in
-    ``[lo, hi)``, as two lists of 128-bit ints.
+def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """PCG64 state and increment of ``trial_rng(seed, i)`` for each ``i`` in
+    ``[lo, hi)``, as four uint64 arrays: ``state_hi, state_lo, inc_hi,
+    inc_lo`` (the high and low 64 bits of each 128-bit word).
 
     The entropy of ``SeedSequence((seed, i))`` is the words of ``seed`` then
     the words of ``i``.  Indices are taken in runs that share their words
     above the lowest, so that word is the only array.
     """
     seed_words = _uint32_words(seed)
-    states: list[int] = []
-    incs: list[int] = []
+    runs = []
     a = lo
     while a < hi:
         b = min(hi, (a | _MASK32) + 1)
         low = np.arange(a & _MASK32, (b - 1 & _MASK32) + 1, dtype=np.uint32)
         upper = _uint32_words(a >> 32) if a > _MASK32 else []
-        run_states, run_incs = _pcg64_seed(_seed_pool(seed_words + [low] + upper))
-        states += run_states
-        incs += run_incs
+        runs.append(_pcg64_seed(_seed_pool(seed_words + [low] + upper)))
         a = b
-    return states, incs
+    return tuple(np.concatenate(part) for part in zip(*runs))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials whose
+# rule has a table form (``make_lanes``) walks all its trials together, one
+# numpy step over every live lane at a time, on the same streams.  Each
+# lane's PCG64 state advances by a 128-bit multiply-add on hi/lo uint64
+# arrays; its output is XSL-RR and the uniform is the top 53 bits, as
+# ``Generator.random`` computes it.  Every step draws exactly one uniform, so
+# a lane's k-th draw is its k-th step whatever the scalar walker's refill
+# schedule.  Each lane adds its charges in step order, so its clock is the
+# scalar walker's float sum.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes are
+# left, or the live lanes reach the step budget, the rest rerun from their
+# first step on the scalar walker, in trial order; their streams are the
+# same, so they give the same results (or raise the same
+# ``StepBudgetExceeded``).
+# ---------------------------------------------------------------------------
+
+# Block size from which the lockstep walker runs, and the live lanes below
+# which it hands the rest to the scalar walker.  Measured on a 2-CPU host in
+# one process, as the scalar block time over the lockstep block time (best
+# of interleaved rounds):
+#
+#   lanes                       100   200   300   400   500   700  1000  2000
+#   commute, path:1,1,1, 0-3   0.95  1.37  1.70  1.91  2.23  2.85  3.05  4.78
+#   arc cover, triangle        1.13  1.71  2.17  2.62  3.08  3.72  4.29  7.13
+#   edge cover, random:8,10    0.73  1.02  1.27  1.47  1.80  1.99  2.69  3.89
+#
+# At 500 lanes, walks of hundreds to thousands of steps gain too: arc cover
+# on tree:3 1.24, a 12-hop path commute 1.05, vertex cover with return on
+# random:n=12,m=14,seed=1 1.48.  The crossover is near 200 lanes; the gate
+# sits at 500 so that blocks of a few hundred trials (a 600-trial verify over
+# two workers, a 3000-trial run over eight) stay on the scalar walker, as
+# before, and comparing one run over several worker counts compares the two
+# walkers.  Handing off at 16 to 48 live lanes timed the same at 2000 lanes
+# (within 5%); 64 and more was slower.
+LOCKSTEP_MIN_LANES = 500
+LOCKSTEP_MIN_LIVE = 48
+
+
+def _lane_table(tables):
+    """The sampling rows as flat arrays for the lockstep walker.
+
+    ``cum`` is the padded per-vertex table of cumulative weights, one array
+    per slot, padded with 2.0: above every uniform, so the count of a row's
+    entries ``<= u`` is ``bisect_right``.  A row's last entry (1.0) or
+    padding is never counted, so the last slot is left out.  Arc
+    ``2 * edge + direction``, head and charge are indexed by ``vertex *
+    width + slot``.  None when a row is not sorted, where counting and
+    bisecting could differ.
+    """
+    width = max(len(row[0]) for row in tables if row is not None)
+    cum = np.full((width, len(tables)), 2.0)
+    arc = np.zeros(cum.size, np.intp)
+    head = np.zeros(cum.size, np.intp)
+    charge = np.zeros(cum.size)
+    for v, row in enumerate(tables):
+        if row is None:
+            continue
+        row_cum, meta = row
+        if any(a > b for a, b in zip(row_cum, row_cum[1:])):
+            return None
+        cum[: len(row_cum), v] = row_cum
+        for k, (e, d, h, c) in enumerate(meta):
+            arc[v * width + k], head[v * width + k], charge[v * width + k] = 2 * e + d, h, c
+    return list(cum[:-1]), width, arc, head, charge
+
+
+def _lockstep_setup(net, start, rule, tables, count, budget):
+    """The lanes and lane table for a lockstep block, or None to stay scalar."""
+    make_lanes = getattr(rule, "make_lanes", None)
+    if count < LOCKSTEP_MIN_LANES or make_lanes is None:
+        return None
+    tracker = checked_tracker(net, start, rule, budget)
+    if tracker.start(start) or tables[start] is None:
+        return None  # the scalar walker stops at once, or raises
+    lanes = make_lanes(net, count)
+    table = _lane_table(tables)
+    if lanes is None or table is None:
+        return None
+    return lanes, table
+
+
+def _lockstep(lanes, table, start, streams, budget, out) -> np.ndarray:
+    """Walk a block's trials in lockstep and fill ``out`` for those that stop
+    while the walker runs; return the indices of the others, in trial order.
+
+    Stopped lanes stay in the arrays, masked out of ``live``, until they are
+    a quarter of them; then every array drops them at once.
+    """
+    cum, width, arc_of, head_of, charge_of = table
+    state_hi, state_lo, inc_hi, inc_lo = streams
+    lane = np.arange(len(state_hi))
+    live = np.ones(len(lane), bool)
+    pos = np.full(len(lane), start, np.intp)
+    clock = np.zeros(len(lane))
+    left = len(lane)
+    steps = 0
+    while left >= LOCKSTEP_MIN_LIVE and steps < budget:
+        steps += 1
+        t_lo = state_lo * _PCG_MULT_LO
+        t_hi = _mulhi64(state_lo, _PCG_MULT_LO) + state_lo * _PCG_MULT_HI
+        t_hi += state_hi * _PCG_MULT_LO + inc_hi
+        state_lo = t_lo + inc_lo
+        state_hi = t_hi + (state_lo < t_lo)
+        x = state_hi ^ state_lo
+        rot = state_hi >> 58
+        u = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+        slot = pos * width
+        for column in cum:
+            slot += column[pos] <= u
+        clock += charge_of[slot]
+        pos = head_of[slot]
+        stop = lanes.update(arc_of[slot], pos)
+        stop &= live
+        if not stop.any():
+            continue
+        counts = lanes.counts[stop].tolist() if lanes.counts is not None else repeat(-1)
+        done = lane[stop].tolist()
+        for j, t, c in zip(done, clock[stop].tolist(), counts):
+            out[j] = (t, steps, c)
+        live ^= stop
+        left -= len(done)
+        if 4 * left < 3 * len(lane):
+            lane, pos, clock = lane[live], pos[live], clock[live]
+            state_hi, state_lo, inc_hi, inc_lo = (
+                state_hi[live], state_lo[live], inc_hi[live], inc_lo[live]
+            )
+            lanes.keep(live)
+            live = np.ones(left, bool)
+    return lane[live]
 
 
 @dataclass(frozen=True)
@@ -229,27 +368,33 @@ class ComparisonVerdict:
 def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
     net, start, rule, model, seed, lo, hi, budget = args
     tables = build_tables(net, model)
+    streams = _trial_states(seed, lo, hi)
+    out: list = [None] * (hi - lo)
+    rest = np.arange(hi - lo)
+    setup = _lockstep_setup(net, start, rule, tables, hi - lo, budget)
+    if setup is not None:
+        rest = _lockstep(*setup, start, streams, budget, out)
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
-    out: list[tuple[float, int, int]] = []
-    for i, state, inc in zip(range(lo, hi), *_trial_states(seed, lo, hi)):
+    state_hi, state_lo, inc_hi, inc_lo = (a[rest].tolist() for a in streams)
+    for j, s_hi, s_lo, i_hi, i_lo in zip(rest.tolist(), state_hi, state_lo, inc_hi, inc_lo):
         bit_gen.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
         try:
             res = run(net, start, rule, model, rng, step_budget=budget, tables=tables)
         except StepBudgetExceeded as exc:
-            raise StepBudgetExceeded(f"trial {i}: {exc}") from None
+            raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
         aux = res.auxiliary or {}
-        out.append((res.stop_time, res.step_count, aux.get("commute_count", -1)))
+        out[j] = (res.stop_time, res.step_count, aux.get("commute_count", -1))
     return lo, out
 
 
 def _collect(net, start, rule, model, trials, seed, budget, workers):
-    workers = max(1, min(int(workers), trials))
+    workers = min(int(workers), trials)
     if workers == 1:
         _, block = _trial_block((net, start, rule, model, seed, 0, trials, budget))
         return block
@@ -259,11 +404,12 @@ def _collect(net, start, rule, model, trials, seed, budget, workers):
         for k in range(workers)
         if bounds[k] < bounds[k + 1]
     ]
-    with get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_trial_block, jobs)
     ordered: list[tuple[float, int, int]] = []
-    for _, block in sorted(parts, key=lambda p: p[0]):
-        ordered.extend(block)
+    with get_context("fork").Pool(workers) as pool:
+        # Blocks are read in trial order, so a failure raises the lowest
+        # failing block's error, as one worker would, not the first to fail.
+        for _, block in pool.imap(_trial_block, jobs):
+            ordered.extend(block)
     return ordered
 
 
@@ -307,7 +453,8 @@ def estimate(
         model: timing model charged per traversal.
         trials: number of independent trials, at least 2.
         seed: master seed; trial ``i`` uses the ``(seed, i)`` stream.
-        workers: process fan-out; the report is identical for any value.
+        workers: process fan-out, at least 1; the report is identical for
+            any value.
         step_budget: per-trial hard cap, propagated with the trial index on
             failure.
 
@@ -318,6 +465,8 @@ def estimate(
         raise ValueError("need at least 2 trials for a standard error")
     if step_budget < 1:
         raise ValueError(f"step budget must be at least 1, got {step_budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     samples = _collect(net, start, rule, model, trials, seed, step_budget, workers)
     return _aggregate(rule.label(), model, trials, seed, samples)
 

@@ -22,6 +22,19 @@ look up and compare: trackers build their per-arc tables (such as
 rule's options per step.  The loop in :func:`run` draws its uniforms in blocks
 of 64, 256, 1024, 4096 and then 16384, each capped at the steps left in the
 budget, so the budget is checked once per block.
+
+Every step draws exactly one uniform, so a trial's k-th draw is its k-th
+step whatever the block sizes.  The estimator relies on that: a block of at
+least ``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep on the
+same streams, one numpy step over all its trials at a time, and reruns its
+last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials here, from
+their first step.  For that, a rule with a table form also has
+``make_lanes``, which builds its progress for many trials at once as arrays
+(see the section below); commute, refined commute, first passage,
+cover-and-return and vertex cover have one while their masks fit in 64
+bits.  Epoch sequences and wider masks run only on :func:`run`.  The
+measured table behind the gate and the hand-off is in
+:mod:`walkcover.estimate`.
 """
 
 from __future__ import annotations
@@ -109,6 +122,11 @@ class FirstPassage:
         net.check_vertex(self.target)
         return _FirstPassageTracker(self.target)
 
+    def make_lanes(self, net: Network, count: int):
+        heads = _arc_heads(net)
+        return _TableLanes(np.zeros((1, len(heads)), np.intp), heads[None] == self.target,
+                           None, count)
+
 
 class _FirstPassageTracker:
     def __init__(self, target: int):
@@ -146,6 +164,13 @@ class Commute:
             raise VertexOutOfRange("commute endpoints must differ")
         net.check_vertex(self.y)
         return _CommuteTracker(self.x, self.y)
+
+    def make_lanes(self, net: Network, count: int):
+        # State 0 is the trip out to y, state 1 the trip back to x.
+        heads = _arc_heads(net)
+        nxt = np.array([heads == self.y, np.ones_like(heads)], np.intp)
+        back = np.array([np.zeros_like(heads), heads == self.x], np.int64)
+        return _TableLanes(nxt, back == 1, back, count)
 
 
 class _CommuteTracker:
@@ -201,6 +226,30 @@ class RefinedCommute:
         if self.spec.network != net:
             raise ValueError("split spec belongs to a different network")
         return _RefinedTracker(self.kind, self.spec.x, self.spec.y, self.spec.a_edges)
+
+    def make_lanes(self, net: Network, count: int):
+        # State bits: 1 on the trip back to x, 2 the trip out went through A,
+        # 4 and 8 the ``both`` kind's seen-forward and seen-backward flags.
+        x, y, kind = self.spec.x, self.spec.y, self.kind
+        heads = _arc_heads(net).tolist()
+        in_a = [arc.edge in self.spec.a_edges for arc in net.arcs()]
+        nxt = np.zeros((16, len(heads)), np.intp)
+        back = np.zeros((16, len(heads)), np.int64)
+        stop = np.zeros((16, len(heads)), bool)
+        for s in range(16):
+            for arc, (head, a) in enumerate(zip(heads, in_a)):
+                if not s & 1:
+                    nxt[s, arc] = s | 1 | 2 * a if head == y else s
+                elif head != x:
+                    nxt[s, arc] = s
+                else:
+                    f = bool(s & 2)
+                    seen = s & 12 | 4 * f | 8 * a
+                    nxt[s, arc] = seen
+                    back[s, arc] = 1
+                    stop[s, arc] = {"forward": f, "backward": a, "either": f or a,
+                                    "both": seen == 12}[kind]
+        return _TableLanes(nxt, stop, back, count)
 
 
 class _RefinedTracker:
@@ -261,6 +310,9 @@ class EdgeCoverReturn:
     def make_tracker(self, net: Network):
         return _MaskTracker(self.root, *coverage_bits(len(net.edges), "edge"))
 
+    def make_lanes(self, net: Network, count: int):
+        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "edge"), count)
+
 
 @dataclass(frozen=True)
 class ArcCoverReturn:
@@ -276,6 +328,9 @@ class ArcCoverReturn:
 
     def make_tracker(self, net: Network):
         return _MaskTracker(self.root, *coverage_bits(len(net.edges), "arc"))
+
+    def make_lanes(self, net: Network, count: int):
+        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "arc"), count)
 
 
 @dataclass(frozen=True)
@@ -296,6 +351,10 @@ class DirectedCoverReturn:
             raise ValueError("orientation does not match the network's edge count")
         bits = coverage_bits(len(net.edges), "directed", self.orientation.directions)
         return _MaskTracker(self.root, *bits)
+
+    def make_lanes(self, net: Network, count: int):
+        bits = coverage_bits(len(net.edges), "directed", self.orientation.directions)
+        return _cover_lanes(self.root, *bits, count)
 
 
 def coverage_bits(
@@ -354,6 +413,14 @@ class VertexCover:
     def make_tracker(self, net: Network):
         return _VertexTracker(self.root, net.vertex_count, self.with_return)
 
+    def make_lanes(self, net: Network, count: int):
+        if net.vertex_count > 64:
+            return None
+        bits = [1 << head for head in _arc_heads(net).tolist()]
+        full = (1 << net.vertex_count) - 1
+        return _MaskLanes(bits, full, self.root if self.with_return else None,
+                          1 << self.root, count)
+
 
 class _VertexTracker:
     def __init__(self, root: int, n: int, with_return: bool):
@@ -376,6 +443,79 @@ class _VertexTracker:
 
     def result(self):
         return None
+
+
+# ---------------------------------------------------------------------------
+# Lockstep progress.  A rule with a table form also has
+# ``make_lanes(net, count)``, which builds the progress of ``count`` trials as
+# arrays for the estimator's lockstep walker (:mod:`walkcover.estimate`), or
+# returns None when the rule's progress does not fit (a mask over 64 bits).
+# Arcs are numbered ``2 * edge + direction``, as in ``net.arcs()``.  Lanes
+# expose:
+#   update(arc, head) -> bool array  (True where the lane stops on this step)
+#   keep(mask)                        (drop the lanes where mask is False)
+#   counts                            (commute counts per lane, or None)
+# Rules without ``make_lanes`` (the epoch sequences) run on the scalar walker.
+# ---------------------------------------------------------------------------
+
+
+def _arc_heads(net: Network) -> np.ndarray:
+    return np.array([net.arc_head(arc) for arc in net.arcs()], np.intp)
+
+
+class _TableLanes:
+    """Progress as a small state number, advanced by per-(state, arc) tables.
+
+    ``back`` counts commutes: 1 where the step completes one.
+    """
+
+    def __init__(self, nxt: np.ndarray, stop: np.ndarray, back: np.ndarray | None, count: int):
+        self.arcs = nxt.shape[1]
+        self.next = nxt.ravel()
+        self.stop = stop.ravel()
+        self.back = None if back is None else back.ravel()
+        self.state = np.zeros(count, np.intp)
+        self.counts = None if back is None else np.zeros(count, np.int64)
+
+    def update(self, arc: np.ndarray, head: np.ndarray) -> np.ndarray:
+        key = self.state * self.arcs + arc
+        self.state = self.next[key]
+        if self.back is not None:
+            self.counts += self.back[key]
+        return self.stop[key]
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.state = self.state[mask]
+        if self.counts is not None:
+            self.counts = self.counts[mask]
+
+
+class _MaskLanes:
+    """A coverage mask per lane, plus a return to ``root`` unless it is None."""
+
+    counts = None
+
+    def __init__(self, bits: Sequence[int], full: int, root: int | None, initial: int, count: int):
+        self.bits = np.array(bits, np.uint64)
+        self.full = np.uint64(full)
+        self.root = root
+        self.mask = np.full(count, initial, np.uint64)
+
+    def update(self, arc: np.ndarray, head: np.ndarray) -> np.ndarray:
+        self.mask |= self.bits[arc]
+        done = self.mask == self.full
+        if self.root is not None:
+            done &= head == self.root
+        return done
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.mask = self.mask[mask]
+
+
+def _cover_lanes(root: int, bits, full: int, count: int) -> _MaskLanes | None:
+    if full.bit_length() > 64:
+        return None
+    return _MaskLanes([b for pair in bits for b in pair], full, root, 0, count)
 
 
 # Any object with anchor()/label()/make_tracker(); the concrete rule set also
@@ -450,6 +590,17 @@ def step(
     return Arc(e, d), head, charge
 
 
+def checked_tracker(net: Network, start: int, rule, step_budget: int):
+    """Check a trial's arguments as :func:`run` does; return a fresh tracker."""
+    if step_budget < 1:
+        raise ValueError(f"step budget must be at least 1, got {step_budget}")
+    net.check_vertex(start)
+    anchor = rule.anchor()
+    if anchor is not None and anchor != start:
+        raise ValueError(f"rule {rule.label()} is anchored at {anchor}, not {start}")
+    return rule.make_tracker(net)
+
+
 def run(
     net: Network,
     start: int,
@@ -468,15 +619,9 @@ def run(
     misconfigured rules, never to truncate silently.
     With ``record=True`` the full event trajectory is kept on the outcome.
     """
-    if step_budget < 1:
-        raise ValueError(f"step budget must be at least 1, got {step_budget}")
-    net.check_vertex(start)
-    anchor = rule.anchor()
-    if anchor is not None and anchor != start:
-        raise ValueError(f"rule {rule.label()} is anchored at {anchor}, not {start}")
+    tracker = checked_tracker(net, start, rule, step_budget)
     if rng is None:
         rng = np.random.default_rng()
-    tracker = rule.make_tracker(net)
     if tables is None:
         tables = build_tables(net, model)
 

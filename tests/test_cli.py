@@ -198,6 +198,16 @@ def test_usage_errors_exit_two(capsys):
             )
             assert code == 2 and out == "" and "--budget must be at least 1" in err
 
+    for argv in (
+        ["commute", "--gen", "triangle", "--pair", "0", "1"],
+        ["verify", "--gen", "triangle", "--check", "commute", "--pair", "0", "1"],
+    ):
+        for workers in ("0", "-3"):
+            code, out, err = run_cli(
+                capsys, argv + ["--trials", "10", "--seed", "1", "--workers", workers]
+            )
+            assert code == 2 and out == "" and "--workers must be at least 1" in err
+
     with pytest.raises(SystemExit) as exc:
         main(["commute", "--gen", "triangle", "--pair", "0", "1"])  # missing trials/seed
     assert exc.value.code == 2

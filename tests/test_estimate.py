@@ -18,7 +18,7 @@ from walkcover.estimate import (
     trial_rng,
     verify,
 )
-from walkcover.generators import from_spec, parallel_pair, path, triangle
+from walkcover.generators import from_spec, parallel_pair, path, star, triangle
 from walkcover.netmodel import Orientation, build_network
 from walkcover.resistance import SplitSpec
 from walkcover.walker import (
@@ -27,6 +27,7 @@ from walkcover.walker import (
     DirectedCoverReturn,
     EdgeCoverReturn,
     FirstPassage,
+    REFINED_KINDS,
     RefinedCommute,
     TimingModel,
     VertexCover,
@@ -144,6 +145,25 @@ def test_budget_failure_names_the_trial():
             net, 0, FirstPassage(4), TimingModel.L_SQUARED, 10, 2, step_budget=3
         )
     assert "trial 0" in str(exc.value)
+    # Above the lockstep gate, lanes that reach the budget rerun on the scalar
+    # walker in trial order.  The messages were captured from the scalar
+    # walker.  At 2 workers the second block fails at its first trial, sooner
+    # than the first block does; the report still names the lowest trial.
+    net, rules = _table_rules()
+    for budget, first in ((60, 0), (80, 13)):
+        for workers in (1, 2):
+            with pytest.raises(StepBudgetExceeded) as exc:
+                estimate(net, 1, rules["cover(arc)"], TimingModel.L_SQUARED, 2000, 1789,
+                         workers=workers, step_budget=budget)
+            assert str(exc.value) == (
+                f"trial {first}: no stop within {budget} steps for cover(arc;root=1)"
+            )
+
+
+def test_workers_below_one_rejected():
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, 10, 1, workers=workers)
 
 
 def test_render_csv_shape():
@@ -198,10 +218,11 @@ STREAM_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**70 + 9, 2**100 + 3, 2**200
 def test_bulk_states_equal_trial_rng(seed):
     # The last block crosses into two-word indices.
     for lo, hi in ((0, 120), (977, 1097), (2**32 - 120, 2**32), (2**32 - 60, 2**32 + 60)):
-        states, incs = estimate_module._trial_states(seed, lo, hi)
-        assert len(states) == len(incs) == hi - lo
-        for i, state, inc in zip(range(lo, hi), states, incs):
+        words = [a.tolist() for a in estimate_module._trial_states(seed, lo, hi)]
+        assert [len(w) for w in words] == [hi - lo] * 4
+        for i, s_hi, s_lo, i_hi, i_lo in zip(range(lo, hi), *words):
             expected = trial_rng(seed, i).bit_generator.state["state"]
+            state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
             assert (state, inc) == (expected["state"], expected["inc"]), (seed, i)
 
 
@@ -290,6 +311,68 @@ def _pin_rules():
     }
 
 
+def _table_rules():
+    """Every rule with a table form, from vertex 1 of ``_pin_rules()``'s network."""
+    net, rules = _pin_rules()
+    spec = SplitSpec(net, frozenset({1}), 1, 2)
+    table = {"commute": Commute(1, 3), "first_passage": FirstPassage(3)}
+    table.update((f"refined({kind})", RefinedCommute(kind, spec)) for kind in REFINED_KINDS)
+    table.update((name, rule) for name, rule in rules.items() if not name.startswith("epochs"))
+    return net, table
+
+
+# (mean, stderr, aux_means) of 2000 trials at seed 1789 from vertex 1 of
+# ``_table_rules()``'s network, per rule and timing model (L_SQUARED,
+# BROWNIAN_MEAN), captured from the scalar walker.  At ``workers=1`` and
+# ``workers=2`` these blocks are above the lockstep gate.
+_PINNED_LOCKSTEP = {
+    "commute": (
+        (14.28933, 0.18755717534277722, {"steps": 13.4925, "commutes": 1.0}),
+        (14.2359548541406, 0.1916860390698937, {"steps": 13.4925, "commutes": 1.0}),
+    ),
+    "refined(either)": (
+        (10.72861, 0.21805703719367744, {"steps": 10.249, "commutes": 1.723}),
+        (10.758609856700927, 0.21590335065203095, {"steps": 10.249, "commutes": 1.723}),
+    ),
+    "refined(forward)": (
+        (18.21596, 0.37639759591993555, {"steps": 17.307, "commutes": 2.898}),
+        (18.22321841565969, 0.3750881186492146, {"steps": 17.307, "commutes": 2.898}),
+    ),
+    "refined(backward)": (
+        (16.614489999999996, 0.3429004918246645, {"steps": 15.778, "commutes": 2.6765}),
+        (16.59568044095677, 0.34100196263728244, {"steps": 15.778, "commutes": 2.6765}),
+    ),
+    "refined(both)": (
+        (24.10184, 0.40940852039923115, {"steps": 22.836, "commutes": 3.8515}),
+        (24.06028899991554, 0.4083698504875173, {"steps": 22.836, "commutes": 3.8515}),
+    ),
+    "first_passage": (
+        (8.992569999999999, 0.1590999342931858, {"steps": 9.851}),
+        (8.93665697860412, 0.17430474306135793, {"steps": 9.851}),
+    ),
+    "cover(edge)": (
+        (27.014829999999996, 0.29036368000988766, {"steps": 25.6825}),
+        (27.022195800484617, 0.3111148682185677, {"steps": 25.6825}),
+    ),
+    "cover(arc)": (
+        (51.94784999999999, 0.48211577271221767, {"steps": 49.2025}),
+        (51.84203740155943, 0.5165427281149051, {"steps": 49.2025}),
+    ),
+    "cover(directed)": (
+        (43.174009999999996, 0.4448179079641158, {"steps": 41.0195}),
+        (43.14863674643271, 0.4720367777389854, {"steps": 41.0195}),
+    ),
+    "vcover": (
+        (11.08456, 0.15374788017572555, {"steps": 11.335}),
+        (11.036194822334489, 0.163100078763352, {"steps": 11.335}),
+    ),
+    "vcover(return)": (
+        (15.41156, 0.18382799337634725, {"steps": 14.5995}),
+        (15.376103148514746, 0.1859626947765948, {"steps": 14.5995}),
+    ),
+}
+
+
 def test_fixed_seed_means_are_pinned():
     # Values captured from earlier releases: per-trial ``trial_rng`` seeding
     # (which bulk seeding must reproduce) and the per-step tracker updates
@@ -309,3 +392,93 @@ def test_fixed_seed_means_are_pinned():
         for model, pinned in zip(models, _PINNED[name]):
             rep = estimate(net, 1, rule, model, 200, 77)
             assert (rep.mean, rep.stderr) == pinned, (name, model)
+    net, rules = _table_rules()
+    assert set(rules) == set(_PINNED_LOCKSTEP)
+    for name, rule in rules.items():
+        for model, pinned in zip(TimingModel, _PINNED_LOCKSTEP[name]):
+            for workers in (1, 2):
+                rep = estimate(net, 1, rule, model, 2000, 1789, workers=workers)
+                assert (rep.mean, rep.stderr, rep.aux_means) == pinned, (name, model, workers)
+
+
+def _lockstep_cases():
+    """(network, start, rule) for every table-form rule, on ``_table_rules()``'s
+    network (parallel edges, a loop) and on small networks."""
+    net, rules = _table_rules()
+    cases = [(net, 1, rule) for rule in rules.values()]
+    tri, pair = triangle(), parallel_pair()
+    cases += [
+        (tri, 2, Commute(2, 0)),
+        (pair, 0, RefinedCommute("both", SplitSpec(pair, frozenset({0}), 0, 1))),
+        (path([0.7, 1.3, 2.1]), 3, FirstPassage(0)),
+        (pair, 1, EdgeCoverReturn(1)),
+        (tri, 0, DirectedCoverReturn(0, Orientation((1, 0, 1)))),
+        (from_spec("random:n=6,m=8,seed=3"), 4, VertexCover(4, True)),
+    ]
+    return cases
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """One entry per call the estimator makes to ``run``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(estimate_module, "run", counted)
+    return calls
+
+
+def _block_against_runs(run_calls, net, start, rule, model, seed, lo, hi):
+    """``_trial_block``'s samples against one ``run`` per trial on
+    ``trial_rng``; returns how many trials the block ran on ``run``."""
+    run_calls.clear()
+    _, block = estimate_module._trial_block((net, start, rule, model, seed, lo, hi, 10**9))
+    calls = len(run_calls)
+    tables = build_tables(net, model)
+    assert len(block) == hi - lo
+    for i, sample in zip(range(lo, hi), block):
+        res = run(net, start, rule, model, trial_rng(seed, i), tables=tables)
+        aux = res.auxiliary or {}
+        expected = (res.stop_time, res.step_count, aux.get("commute_count", -1))
+        assert sample == expected, (rule, model, i)
+    return calls
+
+
+@pytest.mark.parametrize("case", range(len(_lockstep_cases())))
+@pytest.mark.parametrize("model", list(TimingModel))
+def test_lockstep_block_equals_per_trial_runs(run_calls, case, model):
+    """Below the gate every trial runs on ``run``; at and above it the
+    lockstep walker takes all but a tail of fewer than ``LOCKSTEP_MIN_LIVE``
+    trials, and each trial's (stop time, steps, commutes) is bit-identical.
+    Each block straddles 2**32, where trial indices gain a second word."""
+    net, start, rule = _lockstep_cases()[case]
+    gate = estimate_module.LOCKSTEP_MIN_LANES
+    for count in (gate - 1, gate, 2 * gate + 37):
+        lo = 2**32 - count // 2
+        scalar = _block_against_runs(run_calls, net, start, rule, model, 41 + case, lo, lo + count)
+        if count < gate:
+            assert scalar == count
+        else:
+            assert scalar < estimate_module.LOCKSTEP_MIN_LIVE
+
+
+def test_lockstep_masks_fit_in_64_bits(run_calls):
+    # Arc cover of 32 edges needs 64 mask bits and runs in lockstep; 33 edges
+    # need 66 and run every trial on the scalar walker.
+    gate = estimate_module.LOCKSTEP_MIN_LANES
+    for arms, lockstep in ((32, True), (33, False)):
+        calls = _block_against_runs(run_calls, star(arms), 0, ArcCoverReturn(0),
+                                    TimingModel.BROWNIAN_MEAN, 8, 0, gate)
+        assert (calls < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else calls == gate
+
+
+def test_lockstep_path_is_taken(run_calls):
+    net = triangle()
+    estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 2000, 3)
+    assert 0 < len(run_calls) < estimate_module.LOCKSTEP_MIN_LIVE
+    run_calls.clear()
+    estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 100, 3)
+    assert len(run_calls) == 100

@@ -15,19 +15,28 @@ state by state.
 A block of fewer than ``LOCKSTEP_MIN_LANES`` (500) trials loads each state
 into one reused generator and runs :func:`walkcover.walker.run` per trial.
 A larger block whose rule has a lockstep form (``make_lanes``: commute,
-refined commute, first passage, cover-and-return and vertex cover while
-their masks fit in 64 bits) walks all its trials in lockstep on the same
-streams, with draw k being step k, and hands the last
+refined commute, first passage, epoch sequences, and cover-and-return and
+vertex cover while their masks fit in 64 bits) walks all its trials in
+lockstep on the same streams, with draw k being step k, and hands the last
 ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials back to ``run`` from their
-first step.  Epoch sequences and wider masks always run per trial.  Both
-walkers give the same bits; the measurements behind the gate and the
-hand-off are with the constants below.
+first step.  Wider masks always run per trial.  Both walkers give the same
+bits; the measurements behind the gate and the hand-off are with the
+constants below.
+
+``workers`` is an upper bound.  The estimator forks only when a pilot of
+its first trials (a sixteenth of them, at most ``FORK_PILOT`` = 32)
+predicts at least ``FORK_MIN_STEPS`` (2^19) steps for the rest, and never
+runs more processes than the CPUs it may use.  Otherwise it walks every
+trial in the calling process, as one block, which walks in lockstep when
+the estimate has at least ``LOCKSTEP_MIN_LANES`` trials, pilot included.
+The fork threshold is measured too, in the table with its constants.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from itertools import repeat
 from multiprocessing import get_context
@@ -202,8 +211,9 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials whose
-# rule has a table form (``make_lanes``) walks all its trials together, one
+# Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials (or
+# what follows the pilot of an in-process estimate of that many) whose rule
+# has a table form (``make_lanes``) walks all its trials together, one
 # numpy step over every live lane at a time, on the same streams.  Each
 # lane's PCG64 state advances by a 128-bit multiply-add on hi/lo uint64
 # arrays; its output is XSL-RR and the uniform is the top 53 bits, as
@@ -230,11 +240,12 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # At 500 lanes, walks of hundreds to thousands of steps gain too: arc cover
 # on tree:3 1.24, a 12-hop path commute 1.05, vertex cover with return on
 # random:n=12,m=14,seed=1 1.48.  The crossover is near 200 lanes; the gate
-# sits at 500 so that blocks of a few hundred trials (a 600-trial verify over
-# two workers, a 3000-trial run over eight) stay on the scalar walker, as
-# before, and comparing one run over several worker counts compares the two
-# walkers.  Handing off at 16 to 48 live lanes timed the same at 2000 lanes
-# (within 5%); 64 and more was slower.
+# sits at 500 so that blocks of a few hundred trials stay on the scalar
+# walker, where the lockstep walker's per-step numpy calls are not yet paid
+# for.  An estimate that stays in one process is one block, so a 600-trial
+# ``verify`` walks in lockstep at any ``--workers``; a forked block is
+# gated on its own size.  Handing off at 16 to 48 live lanes timed the same
+# at 2000 lanes (within 5%); 64 and more was slower.
 LOCKSTEP_MIN_LANES = 500
 LOCKSTEP_MIN_LIVE = 48
 
@@ -270,7 +281,7 @@ def _lane_table(tables):
 def _lockstep_setup(net, start, rule, tables, count, budget):
     """The lanes and lane table for a lockstep block, or None to stay scalar."""
     make_lanes = getattr(rule, "make_lanes", None)
-    if count < LOCKSTEP_MIN_LANES or make_lanes is None:
+    if make_lanes is None:
         return None
     tracker = checked_tracker(net, start, rule, budget)
     if tracker.start(start) or tables[start] is None:
@@ -366,12 +377,14 @@ class ComparisonVerdict:
 
 
 def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
-    net, start, rule, model, seed, lo, hi, budget = args
+    """Trials ``[lo, hi)`` as (stop time, steps, commutes), in lockstep when
+    ``lockstep`` is set and the rule has a lockstep form."""
+    net, start, rule, model, seed, lo, hi, budget, lockstep = args
     tables = build_tables(net, model)
     streams = _trial_states(seed, lo, hi)
     out: list = [None] * (hi - lo)
     rest = np.arange(hi - lo)
-    setup = _lockstep_setup(net, start, rule, tables, hi - lo, budget)
+    setup = _lockstep_setup(net, start, rule, tables, hi - lo, budget) if lockstep else None
     if setup is not None:
         rest = _lockstep(*setup, start, streams, budget, out)
     bit_gen = np.random.PCG64(0)
@@ -393,24 +406,81 @@ def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
     return lo, out
 
 
+# ---------------------------------------------------------------------------
+# Fan-out.  Starting a pool costs about 16 ms, and at the sizes ``verify``
+# runs that is more than a second process saves.  So at ``workers > 1`` the
+# parent first walks a pilot of the lowest trials, a sixteenth of them (at
+# least 1, at most ``FORK_PILOT``), predicts the rest as
+# (trials left) x (mean pilot steps), and forks only when that reaches
+# ``FORK_MIN_STEPS``; otherwise it walks the rest itself, as one block, in
+# lockstep when the whole estimate has at least ``LOCKSTEP_MIN_LANES``
+# trials.  When it forks, it walks the first of ``workers`` blocks itself
+# while ``workers - 1`` processes walk the others, and it never counts more
+# workers than the CPUs this process may run on.
+#
+# Measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) as the time at 1
+# worker over the time at 2 with the fork forced, median of 9 interleaved
+# rounds, by predicted steps.  Star:40 arc cover needs 80 mask bits, so it
+# is scalar throughout; the other two walk in lockstep in one process from
+# 500 trials, while each forked block stays scalar below 500:
+#
+#   steps                         2^16  2^17  2^18  2^19  2^20  2^21
+#   arc cover, star:40            0.74  0.81  0.92  1.61  1.69  1.76
+#   edge cover, random:8,10       0.57  0.67  0.69  0.82  1.17  1.33
+#   arc cover, tree:3             0.75  1.06  1.22  1.02  0.94  1.10
+#
+# Scalar work gains from 2^19 steps on; short lockstep walks break even
+# near 2^20, and long ones (674 steps a trial on tree:3) near 2^19 and
+# barely gain above it.  The gate sits at 2^19, where scalar work starts
+# to gain 1.6x, at the price of up to about 20% on short lockstep walks
+# between 2^19 and 2^20 steps.  The checks of a 600-trial ``verify`` predict at most
+# about 62,000 steps, so they stay in one process.  A pilot of 32 trials
+# predicts a cover walk's total within about 10% (one trial's steps have a
+# standard deviation about half their mean), and its trials are part of the
+# estimate.  One process walks it, so it is kept to a sixteenth of the
+# trials: 48 cover walks of about 376,000 steps on a depth-6 binary tree
+# fork after 3 trials, rather than after 32 with only 16 left to share.
+FORK_PILOT = 32
+FORK_MIN_STEPS = 2**19
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _collect(net, start, rule, model, trials, seed, budget, workers):
-    workers = min(int(workers), trials)
-    if workers == 1:
-        _, block = _trial_block((net, start, rule, model, seed, 0, trials, budget))
-        return block
-    bounds = [round(trials * k / workers) for k in range(workers + 1)]
-    jobs = [
-        (net, start, rule, model, seed, bounds[k], bounds[k + 1], budget)
-        for k in range(workers)
-        if bounds[k] < bounds[k + 1]
-    ]
-    ordered: list[tuple[float, int, int]] = []
-    with get_context("fork").Pool(workers) as pool:
+    def job(lo, hi, lockstep):
+        return (net, start, rule, model, seed, lo, hi, budget, lockstep)
+
+    workers = min(workers, _usable_cpus())
+    pilot, samples = 0, []
+    if workers > 1:
+        pilot = min(FORK_PILOT, max(1, trials // 16))
+        samples = _trial_block(job(0, pilot, False))[1]
+        left = trials - pilot
+        if left > 1 and left * math.fsum(s[1] for s in samples) / pilot >= FORK_MIN_STEPS:
+            return samples + _fan_out(job, pilot, trials, min(workers, left))
+    if pilot < trials:
+        samples += _trial_block(job(pilot, trials, trials >= LOCKSTEP_MIN_LANES))[1]
+    return samples
+
+
+def _fan_out(job, lo, hi, workers):
+    """Trials ``[lo, hi)`` in ``workers`` blocks: the parent walks the first
+    while a pool of ``workers - 1`` processes walks the others."""
+    bounds = [lo + round((hi - lo) * k / workers) for k in range(workers + 1)]
+    jobs = [job(a, b, b - a >= LOCKSTEP_MIN_LANES) for a, b in zip(bounds, bounds[1:])]
+    with get_context("fork").Pool(workers - 1) as pool:
         # Blocks are read in trial order, so a failure raises the lowest
         # failing block's error, as one worker would, not the first to fail.
-        for _, block in pool.imap(_trial_block, jobs):
-            ordered.extend(block)
-    return ordered
+        others = pool.imap(_trial_block, jobs[1:])
+        samples = _trial_block(jobs[0])[1]
+        for _, block in others:
+            samples += block
+    return samples
 
 
 def _aggregate(rule_label, model, trials, seed, samples) -> EstimateReport:
@@ -453,8 +523,10 @@ def estimate(
         model: timing model charged per traversal.
         trials: number of independent trials, at least 2.
         seed: master seed; trial ``i`` uses the ``(seed, i)`` stream.
-        workers: process fan-out, at least 1; the report is identical for
-            any value.
+        workers: the most processes to walk on, at least 1.  The estimate
+            forks only when its pilot predicts enough steps to pay for it,
+            and never runs more processes than the CPUs it may use.  The
+            report is identical for any value.
         step_budget: per-trial hard cap, propagated with the trial index on
             failure.
 

@@ -23,13 +23,21 @@ strong condition everywhere and covers both directions of every edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import EmptyInput
 from .netmodel import Arc, Network, Orientation
-from .walker import DEFAULT_STEP_BUDGET, TimingModel, WalkOutcome, coverage_bits, run
+from .walker import (
+    DEFAULT_STEP_BUDGET,
+    TimingModel,
+    WalkOutcome,
+    _arc_heads,
+    _TableLanes,
+    coverage_bits,
+    run,
+)
 
 __all__ = [
     "ClosedWalk",
@@ -203,56 +211,95 @@ class EpochSequence:
         return f"epochs({self.mode};root={self.walk.root})"
 
     def make_tracker(self, net: Network):
-        if self.mode not in ("arc", "directed"):
-            raise ValueError(f"unknown epoch mode {self.mode!r}")
-        if self.mode == "directed":
-            if self.orientation is None:
-                raise ValueError("directed mode needs an orientation")
-            if len(self.orientation.directions) != len(net.edges):
-                raise ValueError("orientation does not match the network")
-        validate_closed_walk(net, self.walk)
-        return _EpochTracker(net, self.walk, self.mode, self.orientation)
+        return _EpochTracker(self._plan(net))
+
+    def make_lanes(self, net: Network, count: int):
+        # State s is the epoch index ``first + s``; the last state, index
+        # 2E, is where a lane stops, and stays put after that.
+        plan = self._plan(net)
+        first, final = plan.first, len(plan.heads)
+        arc_heads = _arc_heads(net)
+        arc_ids = np.arange(len(arc_heads))
+        nxt = np.repeat(np.arange(final - first + 1, dtype=np.intp)[:, None], len(arc_ids), 1)
+        for s, i in enumerate(range(first, final)):
+            fires = arc_ids == plan.arcs[i] if plan.strong[i] else arc_heads == plan.heads[i]
+            nxt[s, fires] = plan.after[i] - first
+        return _TableLanes(nxt, nxt == final - first, None, count)
+
+    def _plan(self, net: Network) -> "_EpochPlan":
+        """The rule's tables on ``net``, checked and built once per network."""
+        plan = self.__dict__.get("_cached_plan")
+        if plan is None or plan.net is not net:
+            plan = _EpochPlan(net, self.walk, self.mode, self.orientation)
+            object.__setattr__(self, "_cached_plan", plan)
+        return plan
 
 
-class _EpochTracker:
+class _EpochPlan:
+    """An epoch rule's per-position tables on one network, shared by its trials.
+
+    Arcs are numbered ``2 * edge + direction``.  Epoch ``i`` fires on a step
+    along ``arcs[i]`` when it is strong and on any arrival at ``heads[i]``
+    when it is weak.  Either way the walker then stands at ``heads[i]``, so
+    the pending weak epochs that fire with it depend on ``i`` alone:
+    ``after[i]`` is the index once they have.  ``first`` is the index after
+    the weak epochs satisfied at the root before any step.
+    """
+
     def __init__(self, net: Network, walk: ClosedWalk, mode: str, orientation):
-        arcs = walk.arcs
+        if mode not in ("arc", "directed"):
+            raise ValueError(f"unknown epoch mode {mode!r}")
+        if mode == "directed":
+            if orientation is None:
+                raise ValueError("directed mode needs an orientation")
+            if len(orientation.directions) != len(net.edges):
+                raise ValueError("orientation does not match the network")
+        validate_closed_walk(net, walk)
         dirs = orientation.directions if mode == "directed" else None
         # ``bits`` is the coverage bookkeeping for the post-hoc check.  An
         # epoch is strong exactly where its arc counts towards coverage.
+        self.net = net
         self.bits, self.full = coverage_bits(len(net.edges), mode, dirs)
-        self.strong = [self.bits[a.edge][a.direction] != 0 for a in arcs]
-        self.heads = [net.arc_head(a) for a in arcs]
-        self.edges = [a.edge for a in arcs]
-        self.dirs = [a.direction for a in arcs]
-        self.i = 0
-        self.taus: list[float] = []
+        self.strong = [self.bits[a.edge][a.direction] != 0 for a in walk.arcs]
+        self.heads = [net.arc_head(a) for a in walk.arcs]
+        self.arcs = [2 * a.edge + a.direction for a in walk.arcs]
+        self.after = [self._weak_run(i + 1, v) for i, v in enumerate(self.heads)]
+        self.first = self._weak_run(0, walk.root)
+
+    def _weak_run(self, i: int, v: int) -> int:
+        """The index after the weak epochs from ``i`` on that ``v`` satisfies."""
+        while i < len(self.heads) and not self.strong[i] and self.heads[i] == v:
+            i += 1
+        return i
+
+
+class _EpochTracker:
+    def __init__(self, plan: _EpochPlan):
+        self.bits, self.full = plan.bits, plan.full
+        self.strong, self.heads, self.arcs, self.after = (
+            plan.strong, plan.heads, plan.arcs, plan.after
+        )
+        # The walk starts at the root (the rule is anchored there), where the
+        # first weak epochs fire at time 0.
+        self.i = plan.first
+        self.taus = [0.0] * plan.first
         self.covered = 0
 
-    def _advance_weak(self, v: int, t: float) -> bool:
-        """Fire every pending weak epoch already satisfied at position v."""
-        while self.i < len(self.heads) and not self.strong[self.i] and self.heads[self.i] == v:
-            self.taus.append(t)
-            self.i += 1
-        return self.i == len(self.heads)
-
     def start(self, v: int) -> bool:
-        return self._advance_weak(v, 0.0)
+        return self.i == len(self.heads)
 
     def update(self, e: int, d: int, v: int, t: float) -> bool:
         self.covered |= self.bits[e][d]
         i = self.i
         if self.strong[i]:
-            if e == self.edges[i] and d == self.dirs[i]:
-                self.taus.append(t)
-                self.i = i + 1
-                return self._advance_weak(v, t)
+            if 2 * e + d != self.arcs[i]:
+                return False
+        elif v != self.heads[i]:
             return False
-        if v == self.heads[i]:
-            self.taus.append(t)
-            self.i = i + 1
-            return self._advance_weak(v, t)
-        return False
+        j = self.after[i]
+        self.taus += [t] * (j - i)
+        self.i = j
+        return j == len(self.heads)
 
     def result(self):
         ok = self.covered == self.full
@@ -270,11 +317,18 @@ def epoch_times(
     tables=None,
 ) -> EpochRecord:
     """Simulate one epoch run along ``walk`` and decompose it per edge."""
-    rule = EpochSequence(walk, mode, orientation)
+    rule = _epoch_rule(walk, mode, orientation)
     out = run(
         net, walk.root, rule, model, rng, step_budget=step_budget, tables=tables
     )
     return record_from_outcome(walk, out)
+
+
+@lru_cache(maxsize=8)
+def _epoch_rule(walk: ClosedWalk, mode: str, orientation) -> EpochSequence:
+    """One rule per (walk, mode, orientation), so that repeated
+    :func:`epoch_times` calls on one network share its plan."""
+    return EpochSequence(walk, mode, orientation)
 
 
 def record_from_outcome(walk: ClosedWalk, outcome: WalkOutcome) -> EpochRecord:

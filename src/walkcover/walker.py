@@ -14,12 +14,15 @@ timing models:
 Stopping rules are small frozen dataclasses; each knows how to build a
 per-trial tracker that consumes one ``(edge, direction, arrival)`` event per
 step and says when to stop.  Rules defined elsewhere (the epoch sequences in
-:mod:`walkcover.tours`) plug in through the same ``make_tracker`` hook.
+:mod:`walkcover.tours`) plug in through the same ``make_tracker`` and
+``make_lanes`` hooks.
 
 A tracker's ``update`` runs on every jump step, so it should do no more than
 look up and compare: trackers build their per-arc tables (such as
 :func:`coverage_bits`) once, in ``make_tracker``, rather than branching on the
-rule's options per step.  The loop in :func:`run` draws its uniforms in blocks
+rule's options per step.  Where those tables cost more than a short trial,
+the rule builds them once per network and its trackers share them, as the
+epoch sequences do.  The loop in :func:`run` draws its uniforms in blocks
 of 64, 256, 1024, 4096 and then 16384, each capped at the steps left in the
 budget, so the budget is checked once per block.
 
@@ -30,10 +33,10 @@ same streams, one numpy step over all its trials at a time, and reruns its
 last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials here, from
 their first step.  For that, a rule with a table form also has
 ``make_lanes``, which builds its progress for many trials at once as arrays
-(see the section below); commute, refined commute, first passage,
-cover-and-return and vertex cover have one while their masks fit in 64
-bits.  Epoch sequences and wider masks run only on :func:`run`.  The
-measured table behind the gate and the hand-off is in
+(see the section below); commute, refined commute, first passage and the
+epoch sequences of :mod:`walkcover.tours` always have one, cover-and-return
+and vertex cover while their masks fit in 64 bits.  Wider masks run only on
+:func:`run`.  The measured table behind the gate and the hand-off is in
 :mod:`walkcover.estimate`.
 """
 
@@ -455,7 +458,8 @@ class _VertexTracker:
 #   update(arc, head) -> bool array  (True where the lane stops on this step)
 #   keep(mask)                        (drop the lanes where mask is False)
 #   counts                            (commute counts per lane, or None)
-# Rules without ``make_lanes`` (the epoch sequences) run on the scalar walker.
+# The epoch sequences in :mod:`walkcover.tours` build :class:`_TableLanes`
+# too, with the epoch index as the state.
 # ---------------------------------------------------------------------------
 
 

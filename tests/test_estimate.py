@@ -43,8 +43,12 @@ def test_same_seed_is_bit_identical():
     assert a == b
 
 
-def test_worker_partitioning_does_not_change_the_report():
+def test_worker_partitioning_does_not_change_the_report(monkeypatch):
+    # Forced to fork on a host taken to have 8 CPUs, 2 and 5 workers split
+    # the trials after the pilot into 2 and 5 blocks.
     net = triangle()
+    monkeypatch.setattr(estimate_module, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 8)
     reports = [
         estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 600, 7, workers=w)
         for w in (1, 2, 5)
@@ -138,7 +142,7 @@ def test_verify_slack_scaling():
     assert verify(rep, off, "upper_bound", slack_sigmas=3.0).passed
 
 
-def test_budget_failure_names_the_trial():
+def test_budget_failure_names_the_trial(monkeypatch):
     net = path([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(StepBudgetExceeded) as exc:
         estimate(
@@ -147,8 +151,8 @@ def test_budget_failure_names_the_trial():
     assert "trial 0" in str(exc.value)
     # Above the lockstep gate, lanes that reach the budget rerun on the scalar
     # walker in trial order.  The messages were captured from the scalar
-    # walker.  At 2 workers the second block fails at its first trial, sooner
-    # than the first block does; the report still names the lowest trial.
+    # walker.  These estimates predict too few steps to fork, so at 2 workers
+    # the parent walks the pilot and then the rest in lockstep.
     net, rules = _table_rules()
     for budget, first in ((60, 0), (80, 13)):
         for workers in (1, 2):
@@ -158,6 +162,32 @@ def test_budget_failure_names_the_trial():
             assert str(exc.value) == (
                 f"trial {first}: no stop within {budget} steps for cover(arc;root=1)"
             )
+    # Above the fork threshold the lowest failing trial may fall in the pilot,
+    # in the block the parent walks or in the forked one.  Star:40 arc cover
+    # needs 80 mask bits and walks scalar blocks; the path commute's forked
+    # blocks of 2984 trials walk in lockstep.
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
+    pools = _count_pools(monkeypatch)
+    cases = (
+        (star(40), ArcCoverReturn(0), 2000,
+         ((500, 23, "pilot"), (600, 130, "parent"), (816, 1587, "child"))),
+        (path([1.0] * 8), Commute(0, 8), 6000,
+         ((280, 1, "pilot"), (460, 1125, "parent"), (550, 3833, "child"))),
+    )
+    pilot = estimate_module.FORK_PILOT
+    for net, rule, trials, failures in cases:
+        half = pilot + (trials - pilot) // 2
+        for budget, first, where in failures:
+            assert where == ("pilot" if first < pilot else "parent" if first < half else "child")
+            for workers in (1, 2):
+                pools.clear()
+                with pytest.raises(StepBudgetExceeded) as exc:
+                    estimate(net, 0, rule, TimingModel.L_SQUARED, trials, 3,
+                             workers=workers, step_budget=budget)
+                assert str(exc.value) == (
+                    f"trial {first}: no stop within {budget} steps for {rule.label()}"
+                )
+                assert pools == ([1] if workers == 2 and where != "pilot" else [])
 
 
 def test_workers_below_one_rejected():
@@ -317,14 +347,14 @@ def _table_rules():
     spec = SplitSpec(net, frozenset({1}), 1, 2)
     table = {"commute": Commute(1, 3), "first_passage": FirstPassage(3)}
     table.update((f"refined({kind})", RefinedCommute(kind, spec)) for kind in REFINED_KINDS)
-    table.update((name, rule) for name, rule in rules.items() if not name.startswith("epochs"))
+    table.update(rules)
     return net, table
 
 
 # (mean, stderr, aux_means) of 2000 trials at seed 1789 from vertex 1 of
 # ``_table_rules()``'s network, per rule and timing model (L_SQUARED,
 # BROWNIAN_MEAN), captured from the scalar walker.  At ``workers=1`` and
-# ``workers=2`` these blocks are above the lockstep gate.
+# ``workers=2`` these estimates are above the lockstep gate.
 _PINNED_LOCKSTEP = {
     "commute": (
         (14.28933, 0.18755717534277722, {"steps": 13.4925, "commutes": 1.0}),
@@ -370,6 +400,14 @@ _PINNED_LOCKSTEP = {
         (15.41156, 0.18382799337634725, {"steps": 14.5995}),
         (15.376103148514746, 0.1859626947765948, {"steps": 14.5995}),
     ),
+    "epochs(arc)": (
+        (132.77890000000002, 1.0873094497495939, {"steps": 125.8865}),
+        (132.68336846713012, 1.0982302682806702, {"steps": 125.8865}),
+    ),
+    "epochs(directed)": (
+        (89.08515999999997, 0.7968019110983389, {"steps": 84.684}),
+        (89.10372781554038, 0.8084012839396804, {"steps": 84.684}),
+    ),
 }
 
 
@@ -414,7 +452,15 @@ def _lockstep_cases():
         (pair, 1, EdgeCoverReturn(1)),
         (tri, 0, DirectedCoverReturn(0, Orientation((1, 0, 1)))),
         (from_spec("random:n=6,m=8,seed=3"), 4, VertexCover(4, True)),
+        (tri, 0, tours.EpochSequence(tours.construct_double_cover_walk(tri, 0), "arc")),
     ]
+    # A loop at the root walked against its orientation first: a weak epoch
+    # that fires before the first step.
+    looped = build_network(3, [(0, 0, 0.6), (0, 1, 1.0), (1, 2, 1.3), (2, 0, 0.9)])
+    walk = tours.construct_double_cover_walk(looped, 0)
+    rule = tours.EpochSequence(walk, "directed", Orientation((1, 0, 0, 1)))
+    assert rule._plan(looped).first > 0
+    cases.append((looped, 0, rule))
     return cases
 
 
@@ -433,9 +479,12 @@ def run_calls(monkeypatch):
 
 def _block_against_runs(run_calls, net, start, rule, model, seed, lo, hi):
     """``_trial_block``'s samples against one ``run`` per trial on
-    ``trial_rng``; returns how many trials the block ran on ``run``."""
+    ``trial_rng``, gated for lockstep on the block's size; returns how many
+    trials the block ran on ``run``."""
     run_calls.clear()
-    _, block = estimate_module._trial_block((net, start, rule, model, seed, lo, hi, 10**9))
+    lockstep = hi - lo >= estimate_module.LOCKSTEP_MIN_LANES
+    job = (net, start, rule, model, seed, lo, hi, 10**9, lockstep)
+    _, block = estimate_module._trial_block(job)
     calls = len(run_calls)
     tables = build_tables(net, model)
     assert len(block) == hi - lo
@@ -475,10 +524,80 @@ def test_lockstep_masks_fit_in_64_bits(run_calls):
         assert (calls < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else calls == gate
 
 
-def test_lockstep_path_is_taken(run_calls):
+def test_lockstep_path_is_taken(run_calls, monkeypatch):
     net = triangle()
     estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 2000, 3)
     assert 0 < len(run_calls) < estimate_module.LOCKSTEP_MIN_LIVE
     run_calls.clear()
     estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 100, 3)
     assert len(run_calls) == 100
+    # Epoch sequences have a lockstep form too.
+    net, rules = _pin_rules()
+    run_calls.clear()
+    estimate(net, 1, rules["epochs(directed)"], TimingModel.L_SQUARED, 2000, 3)
+    assert 0 < len(run_calls) < estimate_module.LOCKSTEP_MIN_LIVE
+    # An estimate at the gate stays in one process at 2 workers: it walks
+    # its pilot on ``run``, and the rest in lockstep as one block, although
+    # the rest alone is below the gate.
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
+    gate = estimate_module.LOCKSTEP_MIN_LANES
+    run_calls.clear()
+    estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, gate, 3, workers=2)
+    pilot = gate // 16
+    assert pilot <= len(run_calls) < pilot + estimate_module.LOCKSTEP_MIN_LIVE
+
+
+def _count_pools(monkeypatch):
+    """One entry per pool the estimator starts: its process count."""
+    pools = []
+    get_context = estimate_module.get_context
+
+    class Context:
+        def __init__(self, method):
+            self.context = get_context(method)
+
+        def Pool(self, processes):
+            pools.append(processes)
+            return self.context.Pool(processes)
+
+    monkeypatch.setattr(estimate_module, "get_context", Context)
+    return pools
+
+
+def test_small_estimates_start_no_pool(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(estimate_module, "get_context", no_pool)
+    net = triangle()
+    for trials in (2, 40, 600, 3000):
+        for workers in (2, 8):
+            rep = estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, trials, 7,
+                           workers=workers)
+            assert rep == estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, trials, 7)
+
+
+def test_large_estimates_fork_and_match_one_worker(monkeypatch):
+    # Both predict more than ``FORK_MIN_STEPS`` steps after the pilot: arc
+    # cover on star:40 walks scalar blocks, and the path commute's forked
+    # blocks of 2984 trials walk in lockstep.  At most as many processes as
+    # CPUs run: the parent and, at any ``workers`` above 1, one child.
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
+    pools = _count_pools(monkeypatch)
+    cases = ((star(40), ArcCoverReturn(0), 2000), (path([1.0] * 8), Commute(0, 8), 6000))
+    for net, rule, trials in cases:
+        for model in TimingModel:
+            one = estimate(net, 0, rule, model, trials, 7)
+            for workers in (2, 8):
+                pools.clear()
+                assert estimate(net, 0, rule, model, trials, 7, workers=workers) == one
+                assert pools == [1], (rule, model, workers)
+
+
+def test_worker_count_is_capped_by_usable_cpus(monkeypatch):
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(estimate_module, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(estimate_module, "get_context", None)  # any pool would fail
+    rep = estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, 100, 7, workers=4)
+    assert rep == estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, 100, 7)

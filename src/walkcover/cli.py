@@ -13,6 +13,7 @@ Exit codes: 0 on success (for ``verify``: all verdicts passing), 1 when a
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -285,6 +286,8 @@ def _dispatch(args) -> int:
         raise WalkcoverError("--budget must be at least 1")
     if args.workers < 1:
         raise WalkcoverError("--workers must be at least 1")
+    if not (math.isfinite(args.slack) and args.slack >= 0):
+        raise WalkcoverError("--slack must be a finite number of at least 0")
 
     if args.command == "commute":
         x, y = args.pair

@@ -12,15 +12,18 @@ does not call it per trial: it derives the same PCG64 states for a whole
 block of trials in one numpy pass, which a test pins to :func:`trial_rng`
 state by state.
 
-A block of fewer than ``LOCKSTEP_MIN_LANES`` (500) trials loads each state
-into one reused generator and runs :func:`walkcover.walker.run` per trial.
-A larger block whose rule has a lockstep form (``make_lanes``: commute,
-refined commute, first passage, epoch sequences, and cover-and-return and
-vertex cover while their masks fit in 64 bits) walks all its trials in
-lockstep on the same streams, with draw k being step k, and hands the last
-``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials back to ``run`` from their
-first step.  Wider masks always run per trial.  Both walkers give the same
-bits; the measurements behind the gate and the hand-off are with the
+Trials walk on the rule's lane tables (``make_lanes``: commute, refined
+commute, first passage, epoch sequences, cover-and-return and vertex
+cover), and :func:`walkcover.walker.run` is the reference they are tested
+against, trial by trial.  A block of fewer than ``LOCKSTEP_MIN_LANES``
+(500) trials loads each state into one reused generator and walks each
+trial in the lanes' fused loop, with no per-step method call.  A larger
+block walks all its trials in lockstep on the same streams, with draw k
+being step k, while its masks fit in 64 bits, and hands the last
+``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the fused loop from
+their first step.  Rules without lane tables, and walks that stop before
+their first step, run every trial on ``run``.  All three walkers give the
+same bits; the measurements behind the gate and the hand-off are with the
 constants below.
 
 ``workers`` is an upper bound.  The estimator forks only when a pilot of
@@ -212,8 +215,8 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 
 # ---------------------------------------------------------------------------
 # Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials (or
-# what follows the pilot of an in-process estimate of that many) whose rule
-# has a table form (``make_lanes``) walks all its trials together, one
+# what follows the pilot of an in-process estimate of that many) whose rule's
+# lanes serve it (``lockstep``) walks all its trials together, one
 # numpy step over every live lane at a time, on the same streams.  Each
 # lane's PCG64 state advances by a 128-bit multiply-add on hi/lo uint64
 # arrays; its output is XSL-RR and the uniform is the top 53 bits, as
@@ -222,30 +225,31 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # schedule.  Each lane adds its charges in step order, so its clock is the
 # scalar walker's float sum.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes are
 # left, or the live lanes reach the step budget, the rest rerun from their
-# first step on the scalar walker, in trial order; their streams are the
+# first step on the fused scalar loop, in trial order; their streams are the
 # same, so they give the same results (or raise the same
 # ``StepBudgetExceeded``).
 # ---------------------------------------------------------------------------
 
 # Block size from which the lockstep walker runs, and the live lanes below
-# which it hands the rest to the scalar walker.  Measured on a 2-CPU host in
-# one process, as the scalar block time over the lockstep block time (best
-# of interleaved rounds):
+# which it hands the rest to the fused scalar loop.  Measured on a 2-CPU
+# host (Xeon, Python 3.11, numpy 2.4) in one process, as the fused block
+# time over the lockstep block time (best of 7 interleaved rounds):
 #
 #   lanes                       100   200   300   400   500   700  1000  2000
-#   commute, path:1,1,1, 0-3   0.95  1.37  1.70  1.91  2.23  2.85  3.05  4.78
-#   arc cover, triangle        1.13  1.71  2.17  2.62  3.08  3.72  4.29  7.13
-#   edge cover, random:8,10    0.73  1.02  1.27  1.47  1.80  1.99  2.69  3.89
+#   commute, path:1,1,1, 0-3   0.80  1.00  1.11  1.39  1.60  1.92  2.56  3.55
+#   arc cover, triangle        0.84  1.21  1.45  1.76  1.95  2.74  3.13  4.74
+#   edge cover, random:8,10    0.57  0.72  0.94  1.05  1.17  1.45  1.76  2.62
 #
-# At 500 lanes, walks of hundreds to thousands of steps gain too: arc cover
-# on tree:3 1.24, a 12-hop path commute 1.05, vertex cover with return on
-# random:n=12,m=14,seed=1 1.48.  The crossover is near 200 lanes; the gate
-# sits at 500 so that blocks of a few hundred trials stay on the scalar
-# walker, where the lockstep walker's per-step numpy calls are not yet paid
-# for.  An estimate that stays in one process is one block, so a 600-trial
-# ``verify`` walks in lockstep at any ``--workers``; a forked block is
-# gated on its own size.  Handing off at 16 to 48 live lanes timed the same
-# at 2000 lanes (within 5%); 64 and more was slower.
+# At 500 lanes, walks of hundreds to thousands of steps gain less or lose:
+# arc cover on tree:3 0.82, a 12-hop path commute 0.94, vertex cover with
+# return on random:n=12,m=14,seed=1 1.35.  The crossover is near 200 lanes
+# on 2-20-step walks and near 350 on the 56-step edge cover; the gate sits
+# at 500 so that blocks of a few hundred trials stay on the fused loop,
+# where the lockstep walker's per-step numpy calls are not yet paid for.  An
+# estimate that stays in one process is one block, so a 600-trial
+# ``verify`` walks in lockstep at any ``--workers``; a forked block is gated
+# on its own size.  Handing off at 16 to 128 live lanes timed within about
+# 10% of each other at 2000 lanes, with no consistent best; 256 was slower.
 LOCKSTEP_MIN_LANES = 500
 LOCKSTEP_MIN_LIVE = 48
 
@@ -278,19 +282,30 @@ def _lane_table(tables):
     return list(cum[:-1]), width, arc, head, charge
 
 
-def _lockstep_setup(net, start, rule, tables, count, budget):
-    """The lanes and lane table for a lockstep block, or None to stay scalar."""
+def _lanes(net, start, rule, tables, budget):
+    """The rule's lane tables, checked as ``run`` checks a trial, or None to
+    walk every trial on ``run``: the rule has no table form, or ``run``
+    stops before the first step or raises there."""
     make_lanes = getattr(rule, "make_lanes", None)
     if make_lanes is None:
         return None
     tracker = checked_tracker(net, start, rule, budget)
     if tracker.start(start) or tables[start] is None:
-        return None  # the scalar walker stops at once, or raises
-    lanes = make_lanes(net, count)
-    table = _lane_table(tables)
-    if lanes is None or table is None:
         return None
-    return lanes, table
+    return make_lanes(net)
+
+
+def _walker(net, start, rule, model, tables, lanes):
+    """``walk(rng, budget) -> (stop time, steps, commutes)`` for one trial:
+    the fused walk on the rule's lane tables, or ``run`` without them."""
+    if lanes is not None:
+        return lanes.walker(tables, start, rule.label())
+
+    def walk(rng, budget):
+        res = run(net, start, rule, model, rng, step_budget=budget, tables=tables)
+        return res.stop_time, res.step_count, (res.auxiliary or {}).get("commute_count", -1)
+
+    return walk
 
 
 def _lockstep(lanes, table, start, streams, budget, out) -> np.ndarray:
@@ -378,15 +393,18 @@ class ComparisonVerdict:
 
 def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
     """Trials ``[lo, hi)`` as (stop time, steps, commutes), in lockstep when
-    ``lockstep`` is set and the rule has a lockstep form."""
+    ``lockstep`` is set and the rule's lanes serve it."""
     net, start, rule, model, seed, lo, hi, budget, lockstep = args
     tables = build_tables(net, model)
     streams = _trial_states(seed, lo, hi)
     out: list = [None] * (hi - lo)
     rest = np.arange(hi - lo)
-    setup = _lockstep_setup(net, start, rule, tables, hi - lo, budget) if lockstep else None
-    if setup is not None:
-        rest = _lockstep(*setup, start, streams, budget, out)
+    lanes = _lanes(net, start, rule, tables, budget)
+    table = _lane_table(tables) if lockstep and lanes is not None and lanes.lockstep else None
+    if table is not None:
+        lanes.begin(hi - lo)
+        rest = _lockstep(lanes, table, start, streams, budget, out)
+    walk = _walker(net, start, rule, model, tables, lanes)
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
     state_hi, state_lo, inc_hi, inc_lo = (a[rest].tolist() for a in streams)
@@ -398,11 +416,9 @@ def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
             "uinteger": 0,
         }
         try:
-            res = run(net, start, rule, model, rng, step_budget=budget, tables=tables)
+            out[j] = walk(rng, budget)
         except StepBudgetExceeded as exc:
             raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
-        aux = res.auxiliary or {}
-        out[j] = (res.stop_time, res.step_count, aux.get("commute_count", -1))
     return lo, out
 
 
@@ -421,25 +437,28 @@ def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
 # Measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) as the time at 1
 # worker over the time at 2 with the fork forced, median of 9 interleaved
 # rounds, by predicted steps.  Star:40 arc cover needs 80 mask bits, so it
-# is scalar throughout; the other two walk in lockstep in one process from
-# 500 trials, while each forked block stays scalar below 500:
+# walks the fused loop throughout; the other two walk in lockstep in one
+# process from 500 trials, while each forked block walks the fused loop
+# below 500:
 #
 #   steps                         2^16  2^17  2^18  2^19  2^20  2^21
-#   arc cover, star:40            0.74  0.81  0.92  1.61  1.69  1.76
-#   edge cover, random:8,10       0.57  0.67  0.69  0.82  1.17  1.33
-#   arc cover, tree:3             0.75  1.06  1.22  1.02  0.94  1.10
+#   arc cover, star:40            0.65  0.90  0.76  1.37  1.59  1.79
+#   edge cover, random:8,10       0.64  0.72  0.74  0.88  1.11  1.13
+#   arc cover, tree:3             0.62  0.87  1.13  1.32  0.92  0.99
 #
-# Scalar work gains from 2^19 steps on; short lockstep walks break even
-# near 2^20, and long ones (674 steps a trial on tree:3) near 2^19 and
-# barely gain above it.  The gate sits at 2^19, where scalar work starts
-# to gain 1.6x, at the price of up to about 20% on short lockstep walks
-# between 2^19 and 2^20 steps.  The checks of a 600-trial ``verify`` predict at most
-# about 62,000 steps, so they stay in one process.  A pilot of 32 trials
-# predicts a cover walk's total within about 10% (one trial's steps have a
-# standard deviation about half their mean), and its trials are part of the
-# estimate.  One process walks it, so it is kept to a sixteenth of the
-# trials: 48 cover walks of about 376,000 steps on a depth-6 binary tree
-# fork after 3 trials, rather than after 32 with only 16 left to share.
+# The host's second CPU is shared: two pure-Python processes ran 1.2-1.8x
+# as fast as one around these rounds.  Scalar work gains from 2^19 steps
+# on; short lockstep walks break even near 2^20, and long ones (687 steps a
+# trial on tree:3) swing between 0.9 and 1.3 from 2^18 on.  The gate sits
+# at 2^19, where scalar work starts to gain about 1.4x, at the price of
+# about 10% on short lockstep walks between 2^19 and 2^20 steps.  The checks of a 600-trial
+# ``verify`` predict at most about 62,000 steps, so they stay in one
+# process.  A pilot of 32 trials predicts a cover walk's total within about
+# 10% (one trial's steps have a standard deviation about half their mean),
+# and its trials are part of the estimate.  One process walks it, so it is
+# kept to a sixteenth of the trials: 48 cover walks of about 376,000 steps
+# on a depth-6 binary tree fork after 3 trials, rather than after 32 with
+# only 16 left to share.
 FORK_PILOT = 32
 FORK_MIN_STEPS = 2**19
 
@@ -593,10 +612,12 @@ def verify(
     exceed the target by more than the slack.  Both kinds widen the slack by
     ``ROUNDING_ALLOWANCE * max(1, |target|)`` for rounding.  Targets are
     expected to come from the exact layer, never from constants baked into
-    callers.
+    callers.  ``slack_sigmas`` must be a finite number of at least 0.
     """
     if kind not in ("equality", "upper_bound"):
         raise ValueError(f"unknown comparison kind {kind!r}")
+    if not (math.isfinite(slack_sigmas) and slack_sigmas >= 0):
+        raise ValueError(f"slack must be a finite number of at least 0, got {slack_sigmas}")
     slack = slack_sigmas * report.stderr + ROUNDING_ALLOWANCE * max(1.0, abs(target))
     if kind == "equality":
         passed = abs(report.mean - target) <= slack

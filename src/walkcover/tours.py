@@ -213,7 +213,7 @@ class EpochSequence:
     def make_tracker(self, net: Network):
         return _EpochTracker(self._plan(net))
 
-    def make_lanes(self, net: Network, count: int):
+    def make_lanes(self, net: Network):
         # State s is the epoch index ``first + s``; the last state, index
         # 2E, is where a lane stops, and stays put after that.
         plan = self._plan(net)
@@ -224,7 +224,7 @@ class EpochSequence:
         for s, i in enumerate(range(first, final)):
             fires = arc_ids == plan.arcs[i] if plan.strong[i] else arc_heads == plan.heads[i]
             nxt[s, fires] = plan.after[i] - first
-        return _TableLanes(nxt, nxt == final - first, None, count)
+        return _TableLanes(nxt, nxt == final - first, None)
 
     def _plan(self, net: Network) -> "_EpochPlan":
         """The rule's tables on ``net``, checked and built once per network."""

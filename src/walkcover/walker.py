@@ -26,17 +26,22 @@ epoch sequences do.  The loop in :func:`run` draws its uniforms in blocks
 of 64, 256, 1024, 4096 and then 16384, each capped at the steps left in the
 budget, so the budget is checked once per block.
 
-Every step draws exactly one uniform, so a trial's k-th draw is its k-th
-step whatever the block sizes.  The estimator relies on that: a block of at
-least ``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep on the
-same streams, one numpy step over all its trials at a time, and reruns its
-last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials here, from
-their first step.  For that, a rule with a table form also has
-``make_lanes``, which builds its progress for many trials at once as arrays
-(see the section below); commute, refined commute, first passage and the
-epoch sequences of :mod:`walkcover.tours` always have one, cover-and-return
-and vertex cover while their masks fit in 64 bits.  Wider masks run only on
-:func:`run`.  The measured table behind the gate and the hand-off is in
+:func:`run` with its trackers is the reference definition of every rule,
+and the only walker for recorded trajectories, auxiliary payloads (epoch
+times, commute arcs) and rules without a table form.  A rule with a table
+form also has ``make_lanes``, which builds its progress as tables over
+(state, arc) or as coverage bits (see the section below): commute, refined
+commute, first passage, cover-and-return, vertex cover and the epoch
+sequences of :mod:`walkcover.tours`.  The estimator walks its trials on
+those tables alone, in two ways that the tests hold to :func:`run` trial by
+trial.  A trial walked on its own runs a fused loop over rows that fold the
+rule's state into the vertex, with no per-step method call.  A block of at
+least ``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep, one
+numpy step over all its trials at a time, while its masks fit in 64 bits,
+and hands its last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials
+to the fused loop from their first step.  Every step draws exactly one
+uniform, so a trial's k-th draw is its k-th step in all three walkers.  The
+measured tables behind the gate and the hand-off are in
 :mod:`walkcover.estimate`.
 """
 
@@ -125,10 +130,9 @@ class FirstPassage:
         net.check_vertex(self.target)
         return _FirstPassageTracker(self.target)
 
-    def make_lanes(self, net: Network, count: int):
+    def make_lanes(self, net: Network):
         heads = _arc_heads(net)
-        return _TableLanes(np.zeros((1, len(heads)), np.intp), heads[None] == self.target,
-                           None, count)
+        return _TableLanes(np.zeros((1, len(heads)), np.intp), heads[None] == self.target, None)
 
 
 class _FirstPassageTracker:
@@ -168,12 +172,12 @@ class Commute:
         net.check_vertex(self.y)
         return _CommuteTracker(self.x, self.y)
 
-    def make_lanes(self, net: Network, count: int):
+    def make_lanes(self, net: Network):
         # State 0 is the trip out to y, state 1 the trip back to x.
         heads = _arc_heads(net)
         nxt = np.array([heads == self.y, np.ones_like(heads)], np.intp)
         back = np.array([np.zeros_like(heads), heads == self.x], np.int64)
-        return _TableLanes(nxt, back == 1, back, count)
+        return _TableLanes(nxt, back == 1, back)
 
 
 class _CommuteTracker:
@@ -230,7 +234,7 @@ class RefinedCommute:
             raise ValueError("split spec belongs to a different network")
         return _RefinedTracker(self.kind, self.spec.x, self.spec.y, self.spec.a_edges)
 
-    def make_lanes(self, net: Network, count: int):
+    def make_lanes(self, net: Network):
         # State bits: 1 on the trip back to x, 2 the trip out went through A,
         # 4 and 8 the ``both`` kind's seen-forward and seen-backward flags.
         x, y, kind = self.spec.x, self.spec.y, self.kind
@@ -252,7 +256,7 @@ class RefinedCommute:
                     back[s, arc] = 1
                     stop[s, arc] = {"forward": f, "backward": a, "either": f or a,
                                     "both": seen == 12}[kind]
-        return _TableLanes(nxt, stop, back, count)
+        return _TableLanes(nxt, stop, back)
 
 
 class _RefinedTracker:
@@ -313,8 +317,8 @@ class EdgeCoverReturn:
     def make_tracker(self, net: Network):
         return _MaskTracker(self.root, *coverage_bits(len(net.edges), "edge"))
 
-    def make_lanes(self, net: Network, count: int):
-        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "edge"), count)
+    def make_lanes(self, net: Network):
+        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "edge"))
 
 
 @dataclass(frozen=True)
@@ -332,8 +336,8 @@ class ArcCoverReturn:
     def make_tracker(self, net: Network):
         return _MaskTracker(self.root, *coverage_bits(len(net.edges), "arc"))
 
-    def make_lanes(self, net: Network, count: int):
-        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "arc"), count)
+    def make_lanes(self, net: Network):
+        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "arc"))
 
 
 @dataclass(frozen=True)
@@ -355,9 +359,9 @@ class DirectedCoverReturn:
         bits = coverage_bits(len(net.edges), "directed", self.orientation.directions)
         return _MaskTracker(self.root, *bits)
 
-    def make_lanes(self, net: Network, count: int):
+    def make_lanes(self, net: Network):
         bits = coverage_bits(len(net.edges), "directed", self.orientation.directions)
-        return _cover_lanes(self.root, *bits, count)
+        return _cover_lanes(self.root, *bits)
 
 
 def coverage_bits(
@@ -416,13 +420,10 @@ class VertexCover:
     def make_tracker(self, net: Network):
         return _VertexTracker(self.root, net.vertex_count, self.with_return)
 
-    def make_lanes(self, net: Network, count: int):
-        if net.vertex_count > 64:
-            return None
+    def make_lanes(self, net: Network):
         bits = [1 << head for head in _arc_heads(net).tolist()]
         full = (1 << net.vertex_count) - 1
-        return _MaskLanes(bits, full, self.root if self.with_return else None,
-                          1 << self.root, count)
+        return _MaskLanes(bits, full, self.root if self.with_return else None, 1 << self.root)
 
 
 class _VertexTracker:
@@ -449,12 +450,16 @@ class _VertexTracker:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep progress.  A rule with a table form also has
-# ``make_lanes(net, count)``, which builds the progress of ``count`` trials as
-# arrays for the estimator's lockstep walker (:mod:`walkcover.estimate`), or
-# returns None when the rule's progress does not fit (a mask over 64 bits).
-# Arcs are numbered ``2 * edge + direction``, as in ``net.arcs()``.  Lanes
-# expose:
+# Lane tables.  A rule with a table form also has ``make_lanes(net)``, which
+# builds its progress as tables over arcs, numbered ``2 * edge + direction``
+# as in ``net.arcs()``.  The estimator (:mod:`walkcover.estimate`) walks on
+# them in two ways.  Lanes expose:
+#   walker(tables, start, label) -> walk(rng, budget)
+#       one trial at a time in a fused loop: (stop time, steps, commutes),
+#       with commutes -1 for rules that do not count them, and the same
+#       StepBudgetExceeded as ``run``
+#   lockstep                          (True where the lockstep walker serves)
+#   begin(count)                      (start ``count`` lockstep lanes)
 #   update(arc, head) -> bool array  (True where the lane stops on this step)
 #   keep(mask)                        (drop the lanes where mask is False)
 #   counts                            (commute counts per lane, or None)
@@ -467,19 +472,39 @@ def _arc_heads(net: Network) -> np.ndarray:
     return np.array([net.arc_head(arc) for arc in net.arcs()], np.intp)
 
 
+def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
+    return StepBudgetExceeded(f"no stop within {step_budget} steps for {label}")
+
+
+def _refills(rand, budget: int):
+    """A trial's uniforms in blocks of 64, 256, 1024, 4096 and then 16384,
+    each capped at the steps left in ``budget``: yields the steps taken by
+    the end of each block and an iterator over its draws."""
+    done, block = 0, 64
+    while done < budget:
+        n = min(block, budget - done)
+        done += n
+        yield done, iter(rand(n).tolist())
+        block = min(4 * block, 16384)
+
+
 class _TableLanes:
     """Progress as a small state number, advanced by per-(state, arc) tables.
 
     ``back`` counts commutes: 1 where the step completes one.
     """
 
-    def __init__(self, nxt: np.ndarray, stop: np.ndarray, back: np.ndarray | None, count: int):
+    lockstep = True
+
+    def __init__(self, nxt: np.ndarray, stop: np.ndarray, back: np.ndarray | None):
         self.arcs = nxt.shape[1]
         self.next = nxt.ravel()
         self.stop = stop.ravel()
         self.back = None if back is None else back.ravel()
+
+    def begin(self, count: int) -> None:
         self.state = np.zeros(count, np.intp)
-        self.counts = None if back is None else np.zeros(count, np.int64)
+        self.counts = None if self.back is None else np.zeros(count, np.int64)
 
     def update(self, arc: np.ndarray, head: np.ndarray) -> np.ndarray:
         key = self.state * self.arcs + arc
@@ -493,21 +518,80 @@ class _TableLanes:
         if self.counts is not None:
             self.counts = self.counts[mask]
 
+    def walker(self, tables, start: int, label: str):
+        """Fused walks on rows indexed by ``state * vertices + vertex``.
+
+        A row holds the vertex's ``cum`` list, the charge of each slot and
+        the row each slot leads to.  A step that completes a commute leads
+        to that row less ``size``, the row count, which Python's negative
+        indexing reads as the same row; a step that stops leads below
+        ``-size``, to ``-size - 1`` less its commute.  So one sign test per
+        step finds both.
+        """
+        n, states = len(tables), len(self.next) // self.arcs
+        size = states * n
+        nxt, stop = self.next.reshape(states, -1), self.stop.reshape(states, -1)
+        back = np.zeros_like(nxt) if self.back is None else self.back.reshape(states, -1)
+        vertices, arcs, heads = [], [], []
+        for row in tables:
+            cum, meta = row or (None, ())
+            vertices.append((cum, [c for _, _, _, c in meta], len(arcs), len(arcs) + len(meta)))
+            arcs += [2 * e + d for e, d, _, _ in meta]
+            heads += [h for _, _, h, _ in meta]
+        b = back[:, arcs]
+        to = nxt[:, arcs] * n + heads - size * b
+        ends = stop[:, arcs]
+        to[ends] = -size - 1 - b[ends]
+        rows = [(cum, charges, row_to[a:z]) for row_to in to.tolist()
+                for cum, charges, a, z in vertices]
+        counted = self.back is not None
+
+        def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
+            cum, charges, row_to = rows[start]
+            bisect = bisect_right
+            t = 0.0
+            commutes = 0
+            for end, draws in _refills(rng.random, budget):
+                for u in draws:
+                    k = bisect(cum, u)
+                    t += charges[k]
+                    x = row_to[k]
+                    if x < 0:
+                        if x < -size:
+                            commutes -= size + 1 + x
+                            return t, end - length_hint(draws), commutes if counted else -1
+                        commutes += 1
+                    cum, charges, row_to = rows[x]
+            raise _no_stop(budget, label)
+
+        return walk
+
 
 class _MaskLanes:
-    """A coverage mask per lane, plus a return to ``root`` unless it is None."""
+    """A coverage mask per lane, plus a return to ``root`` unless it is None.
+
+    ``bits[arc]`` is the bit that arc sets.  The masks are Python ints on the
+    fused walker, so any width works there; the lockstep walker takes masks
+    of at most 64 bits.
+    """
 
     counts = None
 
-    def __init__(self, bits: Sequence[int], full: int, root: int | None, initial: int, count: int):
-        self.bits = np.array(bits, np.uint64)
-        self.full = np.uint64(full)
+    def __init__(self, bits: Sequence[int], full: int, root: int | None, initial: int):
+        self.bits = list(bits)
+        self.full = full
         self.root = root
-        self.mask = np.full(count, initial, np.uint64)
+        self.initial = initial
+        self.lockstep = full.bit_length() <= 64
+
+    def begin(self, count: int) -> None:
+        self.lane_bits = np.array(self.bits, np.uint64)
+        self.lane_full = np.uint64(self.full)
+        self.mask = np.full(count, self.initial, np.uint64)
 
     def update(self, arc: np.ndarray, head: np.ndarray) -> np.ndarray:
-        self.mask |= self.bits[arc]
-        done = self.mask == self.full
+        self.mask |= self.lane_bits[arc]
+        done = self.mask == self.lane_full
         if self.root is not None:
             done &= head == self.root
         return done
@@ -515,11 +599,44 @@ class _MaskLanes:
     def keep(self, mask: np.ndarray) -> None:
         self.mask = self.mask[mask]
 
+    def walker(self, tables, start: int, label: str):
+        """Fused walks on per-vertex rows: the vertex's ``cum`` list, and per
+        slot its charge, its bit and its head, then whether the walk may stop
+        at the vertex (the root, or anywhere without a return)."""
+        bits, full, initial = self.bits, self.full, self.initial
+        rows = [None] * len(tables)
+        for v, row in enumerate(tables):
+            if row is None:
+                continue
+            cum, meta = row
+            rows[v] = (
+                cum,
+                [c for _, _, _, c in meta],
+                [bits[2 * e + d] for e, d, _, _ in meta],
+                [h for _, _, h, _ in meta],
+                self.root is None or v == self.root,
+            )
 
-def _cover_lanes(root: int, bits, full: int, count: int) -> _MaskLanes | None:
-    if full.bit_length() > 64:
-        return None
-    return _MaskLanes([b for pair in bits for b in pair], full, root, 0, count)
+        def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
+            cum, charges, arc_bits, heads, home = rows[start]
+            bisect = bisect_right
+            t = 0.0
+            mask = initial
+            for end, draws in _refills(rng.random, budget):
+                for u in draws:
+                    k = bisect(cum, u)
+                    t += charges[k]
+                    mask |= arc_bits[k]
+                    cum, charges, arc_bits, heads, home = rows[heads[k]]
+                    if home and mask == full:
+                        return t, end - length_hint(draws), -1
+            raise _no_stop(budget, label)
+
+        return walk
+
+
+def _cover_lanes(root: int, bits, full: int) -> _MaskLanes:
+    return _MaskLanes([b for pair in bits for b in pair], full, root, 0)
 
 
 # Any object with anchor()/label()/make_tracker(); the concrete rule set also
@@ -640,24 +757,17 @@ def run(
     events: list[WalkEvent] = []
     if record:
         update = _recording(update, events)
-    rand = rng.random
     bisect = bisect_right
     t = 0.0
-    done = 0  # steps taken before the current refill
-    block = 64
-    while done < step_budget:
-        n = min(block, step_budget - done)
-        draws = iter(rand(n).tolist())
+    for end, draws in _refills(rng.random, step_budget):
         for u in draws:
             e, d, head, charge = meta[bisect(cum, u)]
             t += charge
             if update(e, d, head, t):
-                steps = done + n - length_hint(draws)  # less the block's unread draws
+                steps = end - length_hint(draws)  # less the block's unread draws
                 return WalkOutcome(t, steps, tracker.result(), tuple(events) if record else None)
             cum, meta = tables[head]
-        done += n
-        block = min(4 * block, 16384)
-    raise StepBudgetExceeded(f"no stop within {step_budget} steps for {rule.label()}")
+    raise _no_stop(step_budget, rule.label())
 
 
 def _recording(update, events: list[WalkEvent]):

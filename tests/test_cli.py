@@ -208,6 +208,17 @@ def test_usage_errors_exit_two(capsys):
             )
             assert code == 2 and out == "" and "--workers must be at least 1" in err
 
+    for argv in (
+        ["commute", "--gen", "triangle", "--pair", "0", "1"],
+        ["verify", "--gen", "triangle", "--check", "commute", "--pair", "0", "1"],
+    ):
+        for slack in ("-1", "nan", "inf"):
+            code, out, err = run_cli(
+                capsys, argv + ["--trials", "10", "--seed", "1", "--slack", slack]
+            )
+            assert code == 2 and out == ""
+            assert "--slack must be a finite number of at least 0" in err
+
     with pytest.raises(SystemExit) as exc:
         main(["commute", "--gen", "triangle", "--pair", "0", "1"])  # missing trials/seed
     assert exc.value.code == 2

@@ -1,5 +1,8 @@
+import collections
 import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +117,16 @@ def test_verify_equality_logic():
     assert not verify(rep, 1.5, "upper_bound").passed
     with pytest.raises(ValueError):
         verify(rep, 2.0, "sideways")
+
+
+def test_verify_rejects_meaningless_slack():
+    rep = EstimateReport("r", TimingModel.L_SQUARED, 10, 1, 2.0, 0.5, (1.02, 2.98))
+    for slack in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        for kind in ("equality", "upper_bound"):
+            with pytest.raises(ValueError, match="slack must be a finite number of at least 0"):
+                verify(rep, 2.0, kind, slack)
+    assert verify(rep, 2.0, "equality", 0.0).passed
+    assert not verify(rep, 2.1, "equality", 0.0).passed
 
 
 def test_verify_allows_rounding_only():
@@ -238,6 +251,7 @@ def test_trial_rng_streams_are_stable_and_distinct():
 # The module itself: the package re-exports the ``estimate`` function under
 # the same name.
 estimate_module = importlib.import_module("walkcover.estimate")
+walker_module = importlib.import_module("walkcover.walker")
 
 # Seeds of one to seven 32-bit words; the last two give SeedSequence more
 # entropy words than its pool of four.
@@ -266,6 +280,8 @@ def test_negative_seed_fails_before_any_trial(monkeypatch):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(estimate_module, "run", no_trials)
+    for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
+        monkeypatch.setattr(lanes, "walker", no_trials)
     with pytest.raises(ValueError):
         estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, 10, -1)
 
@@ -465,86 +481,202 @@ def _lockstep_cases():
 
 
 @pytest.fixture
-def run_calls(monkeypatch):
-    """One entry per call the estimator makes to ``run``."""
-    calls = []
+def walks(monkeypatch):
+    """Trials the estimator walks, per walker: ``run``, and ``fused`` for the
+    fused loop on the rule's lane tables."""
+    counts = collections.Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_run(*args, **kwargs):
+        counts["run"] += 1
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(estimate_module, "run", counted)
-    return calls
+    monkeypatch.setattr(estimate_module, "run", counted_run)
+    for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
+
+        def counted_walker(self, *args, make=lanes.walker):
+            walk = make(self, *args)
+
+            def counted(*trial):
+                counts["fused"] += 1
+                return walk(*trial)
+
+            return counted
+
+        monkeypatch.setattr(lanes, "walker", counted_walker)
+    return counts
 
 
-def _block_against_runs(run_calls, net, start, rule, model, seed, lo, hi):
+def _expected_sample(net, start, rule, model, tables, rng, budget=10**9):
+    res = run(net, start, rule, model, rng, step_budget=budget, tables=tables)
+    return res.stop_time, res.step_count, (res.auxiliary or {}).get("commute_count", -1)
+
+
+def _block_against_runs(walks, net, start, rule, model, seed, lo, hi):
     """``_trial_block``'s samples against one ``run`` per trial on
     ``trial_rng``, gated for lockstep on the block's size; returns how many
-    trials the block ran on ``run``."""
-    run_calls.clear()
+    trials the block walked on the fused loop and how many on ``run``."""
+    walks.clear()
     lockstep = hi - lo >= estimate_module.LOCKSTEP_MIN_LANES
     job = (net, start, rule, model, seed, lo, hi, 10**9, lockstep)
     _, block = estimate_module._trial_block(job)
-    calls = len(run_calls)
+    fused, scalar = walks["fused"], walks["run"]
     tables = build_tables(net, model)
     assert len(block) == hi - lo
     for i, sample in zip(range(lo, hi), block):
-        res = run(net, start, rule, model, trial_rng(seed, i), tables=tables)
-        aux = res.auxiliary or {}
-        expected = (res.stop_time, res.step_count, aux.get("commute_count", -1))
+        expected = _expected_sample(net, start, rule, model, tables, trial_rng(seed, i))
         assert sample == expected, (rule, model, i)
-    return calls
+    return fused, scalar
 
 
 @pytest.mark.parametrize("case", range(len(_lockstep_cases())))
 @pytest.mark.parametrize("model", list(TimingModel))
-def test_lockstep_block_equals_per_trial_runs(run_calls, case, model):
-    """Below the gate every trial runs on ``run``; at and above it the
-    lockstep walker takes all but a tail of fewer than ``LOCKSTEP_MIN_LIVE``
-    trials, and each trial's (stop time, steps, commutes) is bit-identical.
-    Each block straddles 2**32, where trial indices gain a second word."""
+def test_lockstep_block_equals_per_trial_runs(walks, case, model):
+    """Below the gate every trial walks on the fused loop; at and above it
+    the lockstep walker takes all but a tail of fewer than
+    ``LOCKSTEP_MIN_LIVE`` trials, which the fused loop walks.  No trial runs
+    on ``run``, and each trial's (stop time, steps, commutes) is
+    bit-identical to it.  Each block straddles 2**32, where trial indices
+    gain a second word."""
     net, start, rule = _lockstep_cases()[case]
     gate = estimate_module.LOCKSTEP_MIN_LANES
     for count in (gate - 1, gate, 2 * gate + 37):
         lo = 2**32 - count // 2
-        scalar = _block_against_runs(run_calls, net, start, rule, model, 41 + case, lo, lo + count)
+        fused, scalar = _block_against_runs(walks, net, start, rule, model, 41 + case,
+                                            lo, lo + count)
+        assert scalar == 0
         if count < gate:
-            assert scalar == count
+            assert fused == count
         else:
-            assert scalar < estimate_module.LOCKSTEP_MIN_LIVE
+            assert fused < estimate_module.LOCKSTEP_MIN_LIVE
 
 
-def test_lockstep_masks_fit_in_64_bits(run_calls):
+def _fused_cases():
+    """(network, start, rule) for the fused loop: every rule of ``_rules()``
+    and ``_lockstep_cases()``, vertex cover without a return, and masks
+    wider than 64 bits."""
+    lolli = from_spec("lollipop:7")
+    return _rules() + _lockstep_cases() + [
+        (lolli, 6, VertexCover(6)),
+        (star(33), 0, ArcCoverReturn(0)),
+        (star(70), 3, VertexCover(3, True)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_fused_cases())))
+@pytest.mark.parametrize("model", list(TimingModel))
+def test_fused_block_equals_per_trial_runs(walks, case, model):
+    """A block of 37 trials, below the gate and straddling 2**32, walks every
+    trial on the fused loop, bit-identical to ``run``."""
+    net, start, rule = _fused_cases()[case]
+    lo = 2**32 - 18
+    assert _block_against_runs(walks, net, start, rule, model, 7 + case, lo, lo + 37) == (37, 0)
+
+
+def test_fused_budget_failures_match_run(walks):
+    """At budgets of one draw, one refill block of 64 and one draw into the
+    second block, the fused loop names the lowest failing trial and raises
+    the message ``run`` raises."""
+    net, rules = _table_rules()
+    trials, seed = 60, 5
+    cases = [(net, 1, rule) for rule in rules.values()]
+    cases += [(star(33), 0, ArcCoverReturn(0)), (triangle(), 0, VertexCover(0))]
+    failed = collections.Counter()
+    for net, start, rule in cases:
+        for model in TimingModel:
+            tables = build_tables(net, model)
+            for budget in (1, 64, 65):
+                expected = None
+                for i in range(trials):
+                    try:
+                        rng = trial_rng(seed, i)
+                        _expected_sample(net, start, rule, model, tables, rng, budget)
+                    except StepBudgetExceeded as exc:
+                        expected = f"trial {i}: {exc}"
+                        failed[budget] += 1
+                        break
+                walks.clear()
+                if expected is None:
+                    estimate(net, start, rule, model, trials, seed, step_budget=budget)
+                else:
+                    with pytest.raises(StepBudgetExceeded) as exc:
+                        estimate(net, start, rule, model, trials, seed, step_budget=budget)
+                    assert str(exc.value) == expected, (rule, model, budget)
+                assert walks["run"] == 0 and walks["fused"] > 0
+    assert failed[1] == 2 * len(cases) and failed[64] and failed[65], failed
+
+
+def test_lockstep_masks_fit_in_64_bits(walks):
     # Arc cover of 32 edges needs 64 mask bits and runs in lockstep; 33 edges
-    # need 66 and run every trial on the scalar walker.
+    # need 66 and walk every trial on the fused loop.
     gate = estimate_module.LOCKSTEP_MIN_LANES
     for arms, lockstep in ((32, True), (33, False)):
-        calls = _block_against_runs(run_calls, star(arms), 0, ArcCoverReturn(0),
-                                    TimingModel.BROWNIAN_MEAN, 8, 0, gate)
-        assert (calls < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else calls == gate
+        fused, scalar = _block_against_runs(walks, star(arms), 0, ArcCoverReturn(0),
+                                            TimingModel.BROWNIAN_MEAN, 8, 0, gate)
+        assert scalar == 0
+        assert (fused < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else fused == gate
 
 
-def test_lockstep_path_is_taken(run_calls, monkeypatch):
+class _TrackerOnly:
+    """A commute with no table form, so the estimator walks it on ``run``."""
+
+    def __init__(self, x, y):
+        self.rule = Commute(x, y)
+
+    def anchor(self):
+        return self.rule.anchor()
+
+    def label(self):
+        return self.rule.label()
+
+    def make_tracker(self, net):
+        return self.rule.make_tracker(net)
+
+
+def test_lockstep_path_is_taken(walks, monkeypatch):
     net = triangle()
     estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 2000, 3)
-    assert 0 < len(run_calls) < estimate_module.LOCKSTEP_MIN_LIVE
-    run_calls.clear()
+    assert walks["run"] == 0 and 0 < walks["fused"] < estimate_module.LOCKSTEP_MIN_LIVE
+    walks.clear()
     estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 100, 3)
-    assert len(run_calls) == 100
+    assert walks == {"fused": 100}
+    # Rules without lane tables, and walks that stop before their first
+    # step, run every trial on ``run``.
+    walks.clear()
+    rep = estimate(net, 0, _TrackerOnly(0, 1), TimingModel.L_SQUARED, 2000, 3)
+    assert walks == {"run": 2000}
+    assert rep == estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 2000, 3)
+    for net in (build_network(1, []), build_network(1, [(0, 0, 1.0)])):
+        walks.clear()
+        rep = estimate(net, 0, VertexCover(0, True), TimingModel.L_SQUARED, 600, 3)
+        assert walks == {"run": 600} and rep.aux_means == {"steps": 0.0}
     # Epoch sequences have a lockstep form too.
     net, rules = _pin_rules()
-    run_calls.clear()
+    walks.clear()
     estimate(net, 1, rules["epochs(directed)"], TimingModel.L_SQUARED, 2000, 3)
-    assert 0 < len(run_calls) < estimate_module.LOCKSTEP_MIN_LIVE
+    assert walks["run"] == 0 and 0 < walks["fused"] < estimate_module.LOCKSTEP_MIN_LIVE
     # An estimate at the gate stays in one process at 2 workers: it walks
-    # its pilot on ``run``, and the rest in lockstep as one block, although
-    # the rest alone is below the gate.
+    # its pilot on the fused loop, and the rest in lockstep as one block,
+    # although the rest alone is below the gate.
     monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
     gate = estimate_module.LOCKSTEP_MIN_LANES
-    run_calls.clear()
+    walks.clear()
     estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, gate, 3, workers=2)
     pilot = gate // 16
-    assert pilot <= len(run_calls) < pilot + estimate_module.LOCKSTEP_MIN_LIVE
+    assert walks["run"] == 0
+    assert pilot <= walks["fused"] < pilot + estimate_module.LOCKSTEP_MIN_LIVE
+
+
+def test_traced_names_resolve():
+    """The benchmark's tracer patches these estimator names by name; each must
+    still be there, or a traced run fails with an ``AttributeError``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(mod, attr) for mod, attr, _ in spans.COUNTER_TARGETS]
+    targets.append(("walkcover.estimate", "_trial_block"))
+    for mod, attr in targets:
+        assert callable(getattr(importlib.import_module(mod), attr)), (mod, attr)
 
 
 def _count_pools(monkeypatch):

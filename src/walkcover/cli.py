@@ -22,7 +22,6 @@ from .errors import WalkcoverError
 from .estimate import (
     CSV_HEADER,
     estimate as run_estimate,
-    estimate_vertex_cover,
     format_number,
     render_csv,
     render_text,
@@ -46,19 +45,6 @@ from .walker import (
     TimingModel,
     VertexCover,
 )
-
-VERIFY_CHECKS = (
-    "commute",
-    "refined",
-    "cre",
-    "cra",
-    "vcover",
-    "cre-bound",
-    "cra-bound",
-    "dcover-bound",
-    "epochs-directed",
-)
-
 
 def _add_common(sub: argparse.ArgumentParser, stochastic: bool) -> None:
     src = sub.add_argument_group("network source (exactly one)")
@@ -181,60 +167,114 @@ def _parse_edge_ids(text: str) -> frozenset[int]:
         raise WalkcoverError(f"bad edge id list {text!r}") from None
 
 
-def _run_verify_check(name: str, args, net, file_orient):
-    model = _model(args)
-    if name == "commute":
-        if args.pair is None:
-            raise WalkcoverError("check 'commute' needs --pair")
-        x, y = args.pair
-        report = _estimate(args, net, x, Commute(x, y))
-        target = closedform.commute_time(net, x, y)
-        return report, verify(report, target, "equality", args.slack)
-    if name == "refined":
-        if args.pair is None or args.a_edges is None:
-            raise WalkcoverError("check 'refined' needs --pair and --a-edges")
-        x, y = args.pair
-        spec = SplitSpec(net, _parse_edge_ids(args.a_edges), x, y)
-        report = _estimate(args, net, x, RefinedCommute(args.kind, spec))
-        vals = closedform.refined_commutes(spec)
-        target = getattr(vals, f"t_{args.kind}")
-        return report, verify(report, target, "equality", args.slack)
-    if name == "cre":
-        rule = EdgeCoverReturn(args.root)
-        report = _estimate(args, net, args.root, rule)
-        target = exact.exact_stop_time(net, args.root, rule, model)
-        return report, verify(report, target, "equality", args.slack)
-    if name == "cra":
-        rule = ArcCoverReturn(args.root)
-        report = _estimate(args, net, args.root, rule)
-        target = exact.exact_stop_time(net, args.root, rule, model)
-        return report, verify(report, target, "equality", args.slack)
-    if name == "vcover":
-        rule = VertexCover(args.root, args.with_return)
-        report = _estimate(args, net, args.root, rule)
-        target = exact.exact_stop_time(net, args.root, rule, model)
-        return report, verify(report, target, "equality", args.slack)
-    if name == "cre-bound":
-        report = _estimate(args, net, args.root, EdgeCoverReturn(args.root))
-        bound = closedform.cover_bounds(net)[0]
-        return report, verify(report, bound, "upper_bound", args.slack)
-    if name == "cra-bound":
-        report = _estimate(args, net, args.root, ArcCoverReturn(args.root))
-        bound = closedform.cover_bounds(net)[1]
-        return report, verify(report, bound, "upper_bound", args.slack)
-    if name == "dcover-bound":
-        orient = _resolve_orientation(args, net, file_orient)
-        report = _estimate(args, net, args.root, DirectedCoverReturn(args.root, orient))
-        bound = closedform.cover_bounds(net)[0]
-        return report, verify(report, bound, "upper_bound", args.slack)
-    if name == "epochs-directed":
-        orient = _resolve_orientation(args, net, file_orient)
-        walk = tours.construct_double_cover_walk(net, args.root)
-        rule = tours.EpochSequence(walk, "directed", orient)
-        report = _estimate(args, net, args.root, rule)
-        target = closedform.cover_bounds(net)[0]
-        return report, verify(report, target, "equality", args.slack)
-    raise WalkcoverError(f"unknown check {name!r} (known: {', '.join(VERIFY_CHECKS)})")
+# Checks.  Each builds ``(start, rule, target, kind)`` from the parsed
+# arguments, the network and the file's orientation: ``target`` is a thunk
+# for the value the estimate is held to, or None for no verdict, and
+# ``kind`` is the verdict's ``equality`` or ``upper_bound``.
+
+
+def _commute(args, net, file_orient):
+    if args.pair is None:
+        raise WalkcoverError("check 'commute' needs --pair")
+    x, y = args.pair
+    return x, Commute(x, y), lambda: closedform.commute_time(net, x, y), "equality"
+
+
+def _refined(args, net, file_orient):
+    if args.pair is None or args.a_edges is None:
+        raise WalkcoverError("check 'refined' needs --pair and --a-edges")
+    x, y = args.pair
+    spec = SplitSpec(net, _parse_edge_ids(args.a_edges), x, y)
+    target = lambda: getattr(closedform.refined_commutes(spec), f"t_{args.kind}")  # noqa: E731
+    return x, RefinedCommute(args.kind, spec), target, "equality"
+
+
+def _exact(make_rule):
+    """A check of ``make_rule(args, net, file_orient)`` from the root, held
+    to its exact solve."""
+
+    def check(args, net, file_orient):
+        rule = make_rule(args, net, file_orient)
+        target = lambda: exact.exact_stop_time(net, args.root, rule, _model(args))  # noqa: E731
+        return args.root, rule, target, "equality"
+
+    return check
+
+
+def _bound(make_rule, which):
+    """A check of ``make_rule(args, net, file_orient)`` from the root, held
+    below ``closedform.cover_bounds(net)[which]``."""
+
+    def check(args, net, file_orient):
+        rule = make_rule(args, net, file_orient)
+        return args.root, rule, lambda: closedform.cover_bounds(net)[which], "upper_bound"
+
+    return check
+
+
+def _epochs(mode):
+    """Epochs along the root's double-cover walk; directed ones end, in
+    expectation, at exactly the edge bound 2m^2, and arc ones have no target."""
+
+    def check(args, net, file_orient):
+        order = getattr(args, "order", "ascending")
+        walk = tours.construct_double_cover_walk(net, args.root, order)
+        if mode == "arc":
+            return args.root, tours.EpochSequence(walk, "arc"), None, None
+        rule = tours.EpochSequence(walk, "directed", _resolve_orientation(args, net, file_orient))
+        return args.root, rule, lambda: closedform.cover_bounds(net)[0], "equality"
+
+    return check
+
+
+def _edge(args, net, file_orient):
+    return EdgeCoverReturn(args.root)
+
+
+def _arc(args, net, file_orient):
+    return ArcCoverReturn(args.root)
+
+
+def _directed(args, net, file_orient):
+    return DirectedCoverReturn(args.root, _resolve_orientation(args, net, file_orient))
+
+
+def _vertex(args, net, file_orient):
+    return VertexCover(args.root, args.with_return)
+
+
+CHECKS = {
+    "commute": _commute,
+    "refined": _refined,
+    "cre": _exact(_edge),
+    "cra": _exact(_arc),
+    "vcover": _exact(_vertex),
+    "cre-bound": _bound(_edge, 0),
+    "cra-bound": _bound(_arc, 1),
+    "dcover-bound": _bound(_directed, 0),
+    "epochs-directed": _epochs("directed"),
+}
+VERIFY_CHECKS = tuple(CHECKS)
+
+
+def _command_check(args, net, file_orient):
+    """The check a measuring command reports: its ``verify`` check, or, for
+    ``vcover`` and ``epochs --mode arc``, a check with no target."""
+    if args.command == "vcover":
+        start, rule, _, _ = CHECKS["vcover"](args, net, file_orient)
+        return start, rule, None, None
+    if args.command == "cover":
+        name = {"edge": "cre-bound", "arc": "cra-bound", "directed": "dcover-bound"}[args.mode]
+        return CHECKS[name](args, net, file_orient)
+    if args.command == "epochs":
+        return _epochs(args.mode)(args, net, file_orient)
+    return CHECKS[args.command](args, net, file_orient)
+
+
+def _run_check(args, net, start, rule, target, kind):
+    """Estimate first, then compute the target and the verdict."""
+    report = _estimate(args, net, start, rule)
+    return report, None if target is None else verify(report, target(), kind, args.slack)
 
 
 def _write(args, payload: str) -> None:
@@ -289,75 +329,21 @@ def _dispatch(args) -> int:
     if not (math.isfinite(args.slack) and args.slack >= 0):
         raise WalkcoverError("--slack must be a finite number of at least 0")
 
-    if args.command == "commute":
-        x, y = args.pair
-        report = _estimate(args, net, x, Commute(x, y))
-        verdict = verify(
-            report, closedform.commute_time(net, x, y), "equality", args.slack
-        )
-        _emit_items(args, [(report, verdict)])
-        return 0
-
-    if args.command == "refined":
-        x, y = args.pair
-        spec = SplitSpec(net, _parse_edge_ids(args.a_edges), x, y)
-        report = _estimate(args, net, x, RefinedCommute(args.kind, spec))
-        vals = closedform.refined_commutes(spec)
-        verdict = verify(
-            report, getattr(vals, f"t_{args.kind}"), "equality", args.slack
-        )
-        _emit_items(args, [(report, verdict)])
-        return 0
-
-    if args.command == "cover":
-        edge_bound, arc_bound = closedform.cover_bounds(net)
-        if args.mode == "edge":
-            rule = EdgeCoverReturn(args.root)
-            bound = edge_bound
-        elif args.mode == "arc":
-            rule = ArcCoverReturn(args.root)
-            bound = arc_bound
-        else:
-            orient = _resolve_orientation(args, net, file_orient)
-            rule = DirectedCoverReturn(args.root, orient)
-            bound = edge_bound
-        report = _estimate(args, net, args.root, rule)
-        verdict = verify(report, bound, "upper_bound", args.slack)
-        _emit_items(args, [(report, verdict)])
-        return 0
-
-    if args.command == "epochs":
-        walk = tours.construct_double_cover_walk(net, args.root, args.order)
-        if args.mode == "directed":
-            orient = _resolve_orientation(args, net, file_orient)
-            rule = tours.EpochSequence(walk, "directed", orient)
-            report = _estimate(args, net, args.root, rule)
-            target = closedform.cover_bounds(net)[0]
-            verdict = verify(report, target, "equality", args.slack)
-        else:
-            rule = tours.EpochSequence(walk, "arc")
-            report = _estimate(args, net, args.root, rule)
-            verdict = None
-        _emit_items(args, [(report, verdict)])
-        return 0
-
-    if args.command == "vcover":
-        report = estimate_vertex_cover(
-            net, args.root, args.with_return, _model(args), args.trials, args.seed,
-            workers=args.workers, step_budget=args.budget,
-        )
-        _emit_items(args, [(report, None)])
-        return 0
-
     if args.command == "verify":
         names = [n.strip() for n in args.check.split(",") if n.strip()]
         if not names:
             raise WalkcoverError("--check got an empty list")
-        items = [_run_verify_check(name, args, net, file_orient) for name in names]
+        for name in names:
+            if name not in CHECKS:
+                raise WalkcoverError(
+                    f"unknown check {name!r} (known: {', '.join(VERIFY_CHECKS)})"
+                )
+        items = [_run_check(args, net, *CHECKS[name](args, net, file_orient)) for name in names]
         _emit_items(args, items)
         return 0 if all(v.passed for _, v in items) else 1
 
-    raise WalkcoverError(f"unknown command {args.command!r}")
+    _emit_items(args, [_run_check(args, net, *_command_check(args, net, file_orient))])
+    return 0
 
 
 def main(argv=None) -> int:

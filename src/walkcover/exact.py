@@ -1,20 +1,23 @@
 """Exact expected stop times by absorbing-chain block solve.
 
-The expected stop time of a walk under any of the passage or cover rules
-solves one linear system over states ``(position, rule progress)``.
-Progress is a phase for passage rules and a coverage bitmask for cover
-rules, and it only grows: a step either keeps it or moves it to a strict
-superset.  So the system is block triangular, one block per reachable
-progress value ``p`` holding the positions that share it.  Blocks are
-solved supersets first (descending popcount), each as
+The expected stop time of a walk under a stopping rule solves one linear
+system over states ``(position, rule progress)``.  Progress, and when a
+step stops the walk, come from the rule's lane tables (``make_lanes`` in
+:mod:`walkcover.walker`), the definition the estimator walks on.  Progress
+is a coverage bitmask or a state number, and a step either keeps it or
+raises its rank (the lanes' ``rank``: popcount, or the state number).  So
+the system is block triangular, one block per reachable progress value
+``p`` holding the positions that share it.  Blocks are solved in
+descending rank, each as
 
     (I - P_pp) x_p = r + sum_q P_pq x_q
 
-where every ``q`` is a strict superset of ``p`` whose block is already
-solved, so no solve is larger than n x n for n vertices.  A transition that
-shrinks or swaps progress raises, rather than giving a wrong answer.  Every
-block checks its residual ``|Ax - b|_inf <= 1e-9 max(1, |b|_inf)`` and
-raises :class:`ExactSolveFailed` when it does not hold.
+where every ``q`` is a progress value of higher rank whose block is already
+solved, so no solve is larger than n x n for n vertices.  A step to a block
+that is not yet solved (progress that falls or swaps, as a refined
+commute's does) raises, rather than giving a wrong answer.  Every block
+checks its residual ``|Ax - b|_inf <= 1e-9 max(1, |b|_inf)`` and raises
+:class:`ExactSolveFailed` when it does not hold.
 
 The state count still grows exponentially in the edge count, so the
 breadth-first enumeration of reachable states stops at ``MAX_STATES``
@@ -35,16 +38,7 @@ import numpy as np
 
 from .errors import ExactSolveFailed, StateSpaceTooLarge, VertexOutOfRange
 from .netmodel import Network
-from .walker import (
-    ArcCoverReturn,
-    Commute,
-    DirectedCoverReturn,
-    EdgeCoverReturn,
-    FirstPassage,
-    TimingModel,
-    VertexCover,
-    build_tables,
-)
+from .walker import TimingModel, build_tables, checked_tracker
 
 __all__ = ["exact_stop_time", "MAX_STATES"]
 
@@ -58,44 +52,6 @@ RESIDUAL_TOLERANCE = 1e-9
 _BATCH = 1024
 
 
-def _rule_machine(rule, net: Network):
-    """Return (initial_payload, transition, absorbing-after-arrival)."""
-    if isinstance(rule, FirstPassage):
-        return 0, (lambda p, e, d, v: 0), (lambda v, p: v == rule.target)
-    if isinstance(rule, Commute):
-        def trans(p, e, d, v):
-            return 1 if (p == 0 and v == rule.y) else p
-        return 0, trans, (lambda v, p: p == 1 and v == rule.x)
-    if isinstance(rule, EdgeCoverReturn):
-        full = (1 << len(net.edges)) - 1
-        return (
-            0,
-            (lambda p, e, d, v: p | (1 << e)),
-            (lambda v, p: p == full and v == rule.root),
-        )
-    if isinstance(rule, ArcCoverReturn):
-        full = (1 << (2 * len(net.edges))) - 1
-        return (
-            0,
-            (lambda p, e, d, v: p | (1 << (2 * e + d))),
-            (lambda v, p: p == full and v == rule.root),
-        )
-    if isinstance(rule, DirectedCoverReturn):
-        full = (1 << len(net.edges)) - 1
-        dirs = rule.orientation.directions
-        return (
-            0,
-            (lambda p, e, d, v: p | (1 << e) if d == dirs[e] else p),
-            (lambda v, p: p == full and v == rule.root),
-        )
-    if isinstance(rule, VertexCover):
-        full = (1 << net.vertex_count) - 1
-        def absorbing(v, p):
-            return p == full and ((not rule.with_return) or v == rule.root)
-        return 0, (lambda p, e, d, v: p | (1 << v)), absorbing
-    raise TypeError(f"no exact solver for rule type {type(rule).__name__}")
-
-
 def exact_stop_time(
     net: Network,
     start: int,
@@ -105,43 +61,43 @@ def exact_stop_time(
 ) -> float:
     """Expected stop time of ``rule`` from ``start``, solved exactly.
 
-    Supports the passage and cover rules (not refined commutes, which have
-    closed forms, and not epoch sequences).  Rules are validated as
-    :func:`walkcover.walker.run` validates them.  Raises
-    :class:`StateSpaceTooLarge` when the reachable state count exceeds
-    ``max_states`` and :class:`ExactSolveFailed` when a block solve fails
-    its residual check.
+    Supports every rule with lane tables whose progress never returns to a
+    lower rank; a refined commute's does, and its solve raises
+    ``AssertionError``.  A rule without lane tables raises ``TypeError``.
+    Rules are validated as :func:`walkcover.walker.run` validates them.
+    Raises :class:`StateSpaceTooLarge` when the reachable state count
+    exceeds ``max_states`` and :class:`ExactSolveFailed` when a block solve
+    fails its residual check.
     """
-    net.check_vertex(start)
-    anchor = rule.anchor()
-    if anchor is not None and anchor != start:
-        raise ValueError(f"rule {rule.label()} is anchored at {anchor}, not {start}")
-    rule.make_tracker(net)
-    payload0, transition, absorbing = _rule_machine(rule, net)
-    if isinstance(rule, VertexCover):
-        payload0 = 1 << start
-    if isinstance(rule, FirstPassage) and start == rule.target:
+    tracker = checked_tracker(net, start, rule)
+    make_lanes = getattr(rule, "make_lanes", None)
+    if make_lanes is None:
+        raise TypeError(f"no exact solver for rule type {type(rule).__name__}")
+    if tracker.start(start):
         return 0.0
-    if absorbing(start, payload0) and not isinstance(rule, (FirstPassage, Commute)):
-        return 0.0
-
+    lanes = make_lanes(net)
+    step = lanes.stepper()
     steps = _step_rows(build_tables(net, model))
-    blocks = _reachable_blocks(steps, start, payload0, transition, absorbing, max_states)
+    blocks = _reachable_blocks(steps, start, lanes.initial, step, max_states)
     solved: dict[int, list[float]] = {}
-    # Blocks of equal rank never feed each other, so blocks of one rank and
-    # one size are solved together, stacked in batches of at most _BATCH.
-    order = sorted(blocks, key=lambda p: (-p.bit_count(), len(blocks[p])))
-    for (rank, _), group in groupby(order, lambda p: (p.bit_count(), len(blocks[p]))):
+    # Blocks of equal rank and size are solved together, stacked in batches
+    # of at most _BATCH; _assemble checks that none reads an unsolved block.
+    rank = lanes.rank
+    order = sorted(blocks, key=lambda p: (-rank(p), len(blocks[p])))
+    for (r, _), group in groupby(order, lambda p: (rank(p), len(blocks[p]))):
         group = list(group)
         for lo in range(0, len(group), _BATCH):
             batch = group[lo : lo + _BATCH]
-            mat, rhs = _assemble(batch, blocks, steps, solved, transition, absorbing)
-            solved.update(zip(batch, _solve_stack(mat, rhs, rank).tolist()))
-    return solved[payload0][0]
+            mat, rhs = _assemble(batch, blocks, steps, solved, step)
+            solved.update(zip(batch, _solve_stack(mat, rhs, r).tolist()))
+    return solved[lanes.initial][0]
 
 
 def _step_rows(tables):
-    """Per vertex: ``(mean one-step charge, [(edge, dir, head, prob)])``, or None."""
+    """Per vertex: ``(mean one-step charge, [(arc, head, prob)])``, or None.
+
+    Arcs are numbered ``2 * edge + direction``, as the lane tables number them.
+    """
     rows = []
     for row in tables:
         if row is None:
@@ -155,30 +111,25 @@ def _step_rows(tables):
             prob = c - prev
             prev = c
             mean += prob * charge
-            arcs.append((e, d, head, prob))
+            arcs.append((2 * e + d, head, prob))
         rows.append((mean, arcs))
     return rows
 
 
-def _reachable_blocks(steps, start, payload0, transition, absorbing, max_states):
-    """Reachable non-absorbing states grouped by progress: ``{progress: {vertex: row}}``."""
-    blocks: dict[int, dict[int, int]] = {payload0: {start: 0}}
+def _reachable_blocks(steps, start, initial, step, max_states):
+    """Reachable non-stopped states grouped by progress: ``{progress: {vertex: row}}``."""
+    blocks: dict[int, dict[int, int]] = {initial: {start: 0}}
     count = 1
-    frontier = [(start, payload0)]
+    frontier = [(start, initial)]
     while frontier:
         nxt: list[tuple[int, int]] = []
         for v, p in frontier:
             row = steps[v]
             if row is None:
                 raise VertexOutOfRange(f"vertex {v} has no incident arcs")
-            for e, d, head, _ in row[1]:
-                p2 = transition(p, e, d, head)
-                if p2 != p and p2 & p != p:
-                    raise AssertionError(
-                        f"progress {p:#x} -> {p2:#x} is not monotone; the block solve "
-                        "needs every change of progress to be a strict superset"
-                    )
-                if absorbing(head, p2):
+            for arc, head, _ in row[1]:
+                p2, stops = step(p, arc, head)
+                if stops:
                     continue
                 block = blocks.setdefault(p2, {})
                 if head not in block:
@@ -191,7 +142,7 @@ def _reachable_blocks(steps, start, payload0, transition, absorbing, max_states)
     return blocks
 
 
-def _assemble(batch, blocks, steps, solved, transition, absorbing):
+def _assemble(batch, blocks, steps, solved, step):
     """Stacked ``I - P_pp`` and ``r + sum_q P_pq x_q`` for same-size blocks."""
     size = len(blocks[batch[0]])
     mat = np.tile(np.eye(size), (len(batch), 1, 1))
@@ -200,14 +151,20 @@ def _assemble(batch, blocks, steps, solved, transition, absorbing):
         block = blocks[p]
         for v, i in block.items():
             acc, arcs = steps[v]
-            for e, d, head, prob in arcs:
-                p2 = transition(p, e, d, head)
-                if absorbing(head, p2):
+            for arc, head, prob in arcs:
+                p2, stops = step(p, arc, head)
+                if stops:
                     continue
                 if p2 == p:
                     mat[j, i, block[head]] -= prob
-                else:
-                    acc += prob * solved[p2][blocks[p2][head]]
+                    continue
+                x = solved.get(p2)
+                if x is None:
+                    raise AssertionError(
+                        f"progress {p:#x} -> {p2:#x} is not monotone; the block solve "
+                        "needs every step that changes progress to reach a higher rank"
+                    )
+                acc += prob * x[blocks[p2][head]]
             rhs[j, i] = acc
     return mat, rhs
 

@@ -214,17 +214,8 @@ class EpochSequence:
         return _EpochTracker(self._plan(net))
 
     def make_lanes(self, net: Network):
-        # State s is the epoch index ``first + s``; the last state, index
-        # 2E, is where a lane stops, and stays put after that.
-        plan = self._plan(net)
-        first, final = plan.first, len(plan.heads)
-        arc_heads = _arc_heads(net)
-        arc_ids = np.arange(len(arc_heads))
-        nxt = np.repeat(np.arange(final - first + 1, dtype=np.intp)[:, None], len(arc_ids), 1)
-        for s, i in enumerate(range(first, final)):
-            fires = arc_ids == plan.arcs[i] if plan.strong[i] else arc_heads == plan.heads[i]
-            nxt[s, fires] = plan.after[i] - first
-        return _TableLanes(nxt, nxt == final - first, None)
+        # Fresh lanes on the plan's shared tables: lanes hold lockstep state.
+        return _TableLanes(*self._plan(net).lane_tables, None)
 
     def _plan(self, net: Network) -> "_EpochPlan":
         """The rule's tables on ``net``, checked and built once per network."""
@@ -265,6 +256,22 @@ class _EpochPlan:
         self.arcs = [2 * a.edge + a.direction for a in walk.arcs]
         self.after = [self._weak_run(i + 1, v) for i, v in enumerate(self.heads)]
         self.first = self._weak_run(0, walk.root)
+
+    @cached_property
+    def lane_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(next, stop)`` over (state, arc) for :class:`_TableLanes`.
+
+        State s is the epoch index ``first + s``; the last state, index 2E,
+        is where a lane stops, and stays put after that.
+        """
+        first, final = self.first, len(self.heads)
+        arc_heads = _arc_heads(self.net)
+        arc_ids = np.arange(len(arc_heads))
+        nxt = np.repeat(np.arange(final - first + 1, dtype=np.intp)[:, None], len(arc_ids), 1)
+        for s, i in enumerate(range(first, final)):
+            fires = arc_ids == self.arcs[i] if self.strong[i] else arc_heads == self.heads[i]
+            nxt[s, fires] = self.after[i] - first
+        return nxt, nxt == final - first
 
     def _weak_run(self, i: int, v: int) -> int:
         """The index after the weak epochs from ``i`` on that ``v`` satisfies."""

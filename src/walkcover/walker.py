@@ -26,20 +26,22 @@ epoch sequences do.  The loop in :func:`run` draws its uniforms in blocks
 of 64, 256, 1024, 4096 and then 16384, each capped at the steps left in the
 budget, so the budget is checked once per block.
 
-:func:`run` with its trackers is the reference definition of every rule,
-and the only walker for recorded trajectories, auxiliary payloads (epoch
-times, commute arcs) and rules without a table form.  A rule with a table
-form also has ``make_lanes``, which builds its progress as tables over
-(state, arc) or as coverage bits (see the section below): commute, refined
-commute, first passage, cover-and-return, vertex cover and the epoch
-sequences of :mod:`walkcover.tours`.  The estimator walks its trials on
-those tables alone, in two ways that the tests hold to :func:`run` trial by
-trial.  A trial walked on its own runs a fused loop over rows that fold the
-rule's state into the vertex, with no per-step method call.  A block of at
-least ``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep, one
-numpy step over all its trials at a time, while its masks fit in 64 bits,
-and hands its last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials
-to the fused loop from their first step.  Every step draws exactly one
+A rule with a table form also has ``make_lanes``, which builds its progress
+as tables over (state, arc) or as coverage bits (see the section below):
+commute, refined commute, first passage, cover-and-return, vertex cover and
+the epoch sequences of :mod:`walkcover.tours`.  The lanes are the one
+definition of a rule's meaning that the estimator and the exact solver
+(:mod:`walkcover.exact`) read.  :func:`run` with its trackers is the
+reference that the tests hold every walker to, and the only walker for
+recorded trajectories, auxiliary payloads (epoch times, commute arcs) and
+rules without a table form.  The estimator walks its trials on the lanes
+alone, in two ways that the tests hold to :func:`run` trial by trial.  A
+trial walked on its own runs a fused loop over rows that fold the rule's
+state into the vertex, with no per-step method call.  A block of at least
+``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep, one numpy
+step over all its trials at a time, while its masks fit in 64 bits, and
+hands its last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to
+the fused loop from their first step.  Every step draws exactly one
 uniform, so a trial's k-th draw is its k-th step in all three walkers.  The
 measured tables behind the gate and the hand-off are in
 :mod:`walkcover.estimate`.
@@ -175,8 +177,10 @@ class Commute:
     def make_lanes(self, net: Network):
         # State 0 is the trip out to y, state 1 the trip back to x.
         heads = _arc_heads(net)
-        nxt = np.array([heads == self.y, np.ones_like(heads)], np.intp)
-        back = np.array([np.zeros_like(heads), heads == self.x], np.int64)
+        nxt = np.ones((2, len(heads)), np.intp)
+        nxt[0] = heads == self.y
+        back = np.zeros((2, len(heads)), np.int64)
+        back[1] = heads == self.x
         return _TableLanes(nxt, back == 1, back)
 
 
@@ -463,13 +467,19 @@ class _VertexTracker:
 #   update(arc, head) -> bool array  (True where the lane stops on this step)
 #   keep(mask)                        (drop the lanes where mask is False)
 #   counts                            (commute counts per lane, or None)
+# The exact solver (:mod:`walkcover.exact`) reads them one state at a time:
+#   initial                           (the progress before the first step)
+#   stepper() -> step(progress, arc, head) -> (progress, stops)
+#   rank(progress) -> int             (grows whenever progress changes, for
+#                                      every rule the solver supports)
 # The epoch sequences in :mod:`walkcover.tours` build :class:`_TableLanes`
 # too, with the epoch index as the state.
 # ---------------------------------------------------------------------------
 
 
 def _arc_heads(net: Network) -> np.ndarray:
-    return np.array([net.arc_head(arc) for arc in net.arcs()], np.intp)
+    """Each arc's head, in ``net.arcs()`` order (edge ``u -> v`` first)."""
+    return np.array([head for e in net.edges for head in (e.v, e.u)], np.intp)
 
 
 def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
@@ -495,6 +505,8 @@ class _TableLanes:
     """
 
     lockstep = True
+    initial = 0
+    rank = staticmethod(int)  # the state number itself
 
     def __init__(self, nxt: np.ndarray, stop: np.ndarray, back: np.ndarray | None):
         self.arcs = nxt.shape[1]
@@ -517,6 +529,15 @@ class _TableLanes:
         self.state = self.state[mask]
         if self.counts is not None:
             self.counts = self.counts[mask]
+
+    def stepper(self):
+        nxt, stop, arcs = self.next.tolist(), self.stop.tolist(), self.arcs
+
+        def step(state: int, arc: int, head: int) -> tuple[int, bool]:
+            k = state * arcs + arc
+            return nxt[k], stop[k]
+
+        return step
 
     def walker(self, tables, start: int, label: str):
         """Fused walks on rows indexed by ``state * vertices + vertex``.
@@ -576,6 +597,7 @@ class _MaskLanes:
     """
 
     counts = None
+    rank = staticmethod(int.bit_count)
 
     def __init__(self, bits: Sequence[int], full: int, root: int | None, initial: int):
         self.bits = list(bits)
@@ -598,6 +620,15 @@ class _MaskLanes:
 
     def keep(self, mask: np.ndarray) -> None:
         self.mask = self.mask[mask]
+
+    def stepper(self):
+        bits, full, root = self.bits, self.full, self.root
+
+        def step(mask: int, arc: int, head: int) -> tuple[int, bool]:
+            mask |= bits[arc]
+            return mask, mask == full and (root is None or head == root)
+
+        return step
 
     def walker(self, tables, start: int, label: str):
         """Fused walks on per-vertex rows: the vertex's ``cum`` list, and per
@@ -711,7 +742,7 @@ def step(
     return Arc(e, d), head, charge
 
 
-def checked_tracker(net: Network, start: int, rule, step_budget: int):
+def checked_tracker(net: Network, start: int, rule, step_budget: int = DEFAULT_STEP_BUDGET):
     """Check a trial's arguments as :func:`run` does; return a fresh tracker."""
     if step_budget < 1:
         raise ValueError(f"step budget must be at least 1, got {step_budget}")

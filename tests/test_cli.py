@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from walkcover.cli import main
+from walkcover.cli import CHECKS, VERIFY_CHECKS, main
 from walkcover.closedform import cover_bounds
 from walkcover.estimate import CSV_HEADER, format_number
 from walkcover.generators import from_spec
@@ -271,3 +271,38 @@ def test_out_file_and_worker_invariance(tmp_path, capsys):
         assert code == 0
         outs.append(target.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, check, shared",
+    [
+        (["commute"], "commute", ["--pair", "0", "3"]),
+        (["refined"], "refined", ["--pair", "0", "1", "--a-edges", "0", "--kind", "both"]),
+        (["cover", "--mode", "edge"], "cre-bound", ["--root", "2"]),
+        (["cover", "--mode", "arc"], "cra-bound", []),
+        (["cover", "--mode", "directed"], "dcover-bound", ["--orientation", "random"]),
+        (["epochs", "--mode", "directed"], "epochs-directed", ["--orientation", "random"]),
+    ],
+)
+def test_command_rows_equal_their_verify_rows(capsys, command, check, shared):
+    spec = "triangle" if check == "refined" else "random:n=5,m=7,seed=2"
+    common = ["--gen", spec, "--trials", "300", "--seed", "4", "--workers", "1"] + shared
+    _, out, _ = run_cli(capsys, command + common)
+    _, verified, _ = run_cli(capsys, ["verify", "--check", check] + common)
+    assert out.count("\n") == 2 and out == verified
+
+
+def test_verify_lists_exactly_the_check_table(capsys, monkeypatch):
+    assert VERIFY_CHECKS == tuple(CHECKS) == (
+        "commute", "refined", "cre", "cra", "vcover",
+        "cre-bound", "cra-bound", "dcover-bound", "epochs-directed",
+    )
+    monkeypatch.setenv("COLUMNS", "250")  # keep argparse from wrapping the list
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "checks: " + ", ".join(CHECKS) in " ".join(capsys.readouterr().out.split())
+    code, _, err = run_cli(
+        capsys, ["verify", "--gen", "triangle", "--check", "cre,nonsense",
+                 "--trials", "10", "--seed", "1"],
+    )
+    assert code == 2 and err.endswith(f"(known: {', '.join(CHECKS)})\n")

@@ -1,21 +1,25 @@
 import ast
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from walkcover import cli, exact
-from walkcover.closedform import commute_time
+from walkcover import cli, exact, tours, walker
+from walkcover.closedform import commute_time, cover_bounds
 from walkcover.errors import ExactSolveFailed, StateSpaceTooLarge, VertexOutOfRange
 from walkcover.exact import exact_stop_time
 from walkcover.generators import binary_tree, from_spec, loop, parallel_pair, path, triangle
 from walkcover.netmodel import Orientation, build_network
+from walkcover.resistance import SplitSpec
+from walkcover.tours import EpochSequence, construct_double_cover_walk
 from walkcover.walker import (
     ArcCoverReturn,
     Commute,
     DirectedCoverReturn,
     EdgeCoverReturn,
     FirstPassage,
+    RefinedCommute,
     TimingModel,
     VertexCover,
     run,
@@ -133,11 +137,56 @@ def test_rule_vertices_checked(rule):
             exact_stop_time(net, 0, rule)
 
 
-def test_non_monotone_progress_fails_loudly(monkeypatch):
-    flip = (0, lambda p, e, d, v: p ^ 1, lambda v, p: False)
-    monkeypatch.setattr(exact, "_rule_machine", lambda rule, net: flip)
+def test_non_monotone_progress_fails_loudly():
+    # A refined commute's lane state falls back to 0 after each commute.
+    net = triangle()
+    rule = RefinedCommute("either", SplitSpec(net, frozenset({0}), 0, 1))
     with pytest.raises(AssertionError, match="not monotone"):
-        exact_stop_time(triangle(), 0, Commute(0, 1))
+        exact_stop_time(net, 0, rule)
+
+    @dataclass(frozen=True)
+    class NoLanes:
+        rule: Commute
+
+        def anchor(self):
+            return self.rule.anchor()
+
+        def label(self):
+            return self.rule.label()
+
+        def make_tracker(self, net):
+            return self.rule.make_tracker(net)
+
+    with pytest.raises(TypeError, match="no exact solver"):
+        exact_stop_time(net, 0, NoLanes(Commute(0, 1)))
+
+
+EPOCH_SPECS = ["triangle", "parallel_pair", "star:3", "lollipop:5", "tree:3",
+               "random:n=8,m=10,seed=1", "random:n=12,m=14,seed=1"]
+
+
+@pytest.mark.parametrize("model", list(TimingModel))
+@pytest.mark.parametrize("spec", EPOCH_SPECS)
+def test_directed_epochs_end_at_the_edge_bound(spec, model):
+    """The directed epoch process ends, in expectation, at exactly 2m^2."""
+    net = from_spec(spec)
+    walk = construct_double_cover_walk(net, 0)
+    dirs = Orientation(tuple(e % 2 for e in range(len(net.edges))))
+    got = exact_stop_time(net, 0, EpochSequence(walk, "directed", dirs), model)
+    assert got == pytest.approx(cover_bounds(net)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [("triangle", 24), ("parallel_pair", 28), ("lollipop:5", 140),
+     ("random:n=8,m=10,seed=1", 260)],
+)
+def test_arc_epochs_match_the_oracle(spec, want):
+    net = from_spec(spec)
+    walk = construct_double_cover_walk(net, 0)
+    got = exact_stop_time(net, 0, EpochSequence(walk, "arc"))
+    assert got == pytest.approx(oracles.epoch_final_time_oracle(net, walk, "arc"), abs=1e-9)
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_residual_check_fails_loudly(monkeypatch, capsys):
@@ -149,6 +198,23 @@ def test_residual_check_fails_loudly(monkeypatch, capsys):
             "--trials", "10", "--seed", "1", "--workers", "1"]
     assert cli.main(argv) == 2
     assert "residual" in capsys.readouterr().err
+
+
+def test_exact_imports_no_stopping_rule():
+    """Rules reach the solver only through their lane tables, so no rule's
+    meaning can be written again inside it."""
+    rule_modules = {"walker": walker, "tours": tours}
+    tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[-1] in rule_modules for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = rule_modules.get((node.module or "").split(".")[-1])
+            for alias in node.names:
+                assert alias.name not in rule_modules
+                if source is not None:
+                    assert alias.name != "*"
+                    assert not hasattr(getattr(source, alias.name), "make_tracker"), alias.name
 
 
 def test_oracles_share_no_code_with_the_library():

@@ -13,6 +13,7 @@ Exit codes: 0 on success (for ``verify``: all verdicts passing), 1 when a
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -67,7 +68,11 @@ def _add_common(sub: argparse.ArgumentParser, stochastic: bool) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it makes
+    about a hundred ``add_argument`` calls, many times the cost of a parse.
+    Parsing leaves it unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="walkcover",
         description="Exact and Monte Carlo commute/cover-time computations "

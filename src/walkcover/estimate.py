@@ -24,7 +24,9 @@ being step k, while its masks fit in 64 bits, and hands the last
 their first step.  Rules without lane tables, and walks that stop before
 their first step, run every trial on ``run``.  All three walkers give the
 same bits; the measurements behind the gate and the hand-off are with the
-constants below.
+constants below.  The sampling tables, the lanes and the fused loop's rows
+are built once per estimate in the calling process, and once more in each
+forked worker.
 
 ``workers`` is an upper bound.  The estimator forks only when a pilot of
 its first trials (a sixteenth of them, at most ``FORK_PILOT`` = 32)
@@ -233,19 +235,28 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # Block size from which the lockstep walker runs, and the live lanes below
 # which it hands the rest to the fused scalar loop.  Measured on a 2-CPU
 # host (Xeon, Python 3.11, numpy 2.4) in one process, as the fused block
-# time over the lockstep block time (best of 7 interleaved rounds):
+# time over the lockstep block time, with the fused loop on rank rows (mean
+# of two runs, each the best of 5 or 7 interleaved rounds, CPU time):
 #
 #   lanes                       100   200   300   400   500   700  1000  2000
-#   commute, path:1,1,1, 0-3   0.80  1.00  1.11  1.39  1.60  1.92  2.56  3.55
-#   arc cover, triangle        0.84  1.21  1.45  1.76  1.95  2.74  3.13  4.74
-#   edge cover, random:8,10    0.57  0.72  0.94  1.05  1.17  1.45  1.76  2.62
+#   commute, path:1,1,1, 0-3   0.77  1.03  1.35  1.69  1.96  2.12  2.71  3.51
+#   arc cover, triangle        0.86  1.35  1.67  1.85  2.23  2.62  3.70  5.15
+#   edge cover, random:8,10    0.51  0.64  0.80  1.02  1.17  1.12  1.69  2.64
+#   arc cover, tree:3          0.24  0.36  0.56  0.58  0.60  0.76  1.02  1.39
+#   12-hop path commute        0.32  0.45  0.49  0.55  0.83  0.74  0.95  1.43
+#   vcover+ret, random:12,14   0.41  0.54  0.73  0.87  0.95  1.30  1.39  2.24
 #
-# At 500 lanes, walks of hundreds to thousands of steps gain less or lose:
-# arc cover on tree:3 0.82, a 12-hop path commute 0.94, vertex cover with
-# return on random:n=12,m=14,seed=1 1.35.  The crossover is near 200 lanes
-# on 2-20-step walks and near 350 on the 56-step edge cover; the gate sits
-# at 500 so that blocks of a few hundred trials stay on the fused loop,
-# where the lockstep walker's per-step numpy calls are not yet paid for.  An
+# Walks of hundreds of steps (the last three rows; 687 steps a trial on
+# tree:3) lose at 500 lanes and break even between 600 and 1000, later
+# than against the bisecting loop (0.82, 0.94 and 1.35 at 500 lanes).  The crossover is near
+# 200 lanes on 2-20-step walks and near 400 on the 56-step edge cover; the
+# gate sits at 500 so that blocks of a few hundred trials stay on the fused
+# loop, where the lockstep walker's per-step numpy calls are not yet paid
+# for.  The lockstep walker finds a lane's slot by counting the ``cum``
+# columns at or below its uniform; ranking the uniforms among the rows'
+# breakpoints with one searchsorted per step, as the fused loop does,
+# took 1.03-1.39x as long on 2000-lane blocks of the six rules above (best
+# of 7 interleaved rounds, same results), so the columns stay.  An
 # estimate that stays in one process is one block, so a 600-trial
 # ``verify`` walks in lockstep at any ``--workers``; a forked block is gated
 # on its own size.  Handing off at 16 to 128 live lanes timed within about
@@ -391,35 +402,49 @@ class ComparisonVerdict:
     passed: bool
 
 
-def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
-    """Trials ``[lo, hi)`` as (stop time, steps, commutes), in lockstep when
-    ``lockstep`` is set and the rule's lanes serve it."""
-    net, start, rule, model, seed, lo, hi, budget, lockstep = args
+def _block_walker(net, start, rule, model, seed, budget):
+    """``block(lo, hi, lockstep)``: trials ``[lo, hi)`` as (stop time,
+    steps, commutes), in lockstep when ``lockstep`` is set and the rule's
+    lanes serve it.  The tables, lanes and fused rows are built here, once
+    per estimate, and every block of it reuses them."""
     tables = build_tables(net, model)
-    streams = _trial_states(seed, lo, hi)
-    out: list = [None] * (hi - lo)
-    rest = np.arange(hi - lo)
     lanes = _lanes(net, start, rule, tables, budget)
-    table = _lane_table(tables) if lockstep and lanes is not None and lanes.lockstep else None
-    if table is not None:
-        lanes.begin(hi - lo)
-        rest = _lockstep(lanes, table, start, streams, budget, out)
     walk = _walker(net, start, rule, model, tables, lanes)
+    lockstep_lanes = lanes is not None and lanes.lockstep
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
-    state_hi, state_lo, inc_hi, inc_lo = (a[rest].tolist() for a in streams)
-    for j, s_hi, s_lo, i_hi, i_lo in zip(rest.tolist(), state_hi, state_lo, inc_hi, inc_lo):
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        try:
-            out[j] = walk(rng, budget)
-        except StepBudgetExceeded as exc:
-            raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
-    return lo, out
+
+    def block(lo, hi, lockstep) -> list[tuple[float, int, int]]:
+        streams = _trial_states(seed, lo, hi)
+        out: list = [None] * (hi - lo)
+        rest = np.arange(hi - lo)
+        table = _lane_table(tables) if lockstep and lockstep_lanes else None
+        if table is not None:
+            lanes.begin(hi - lo)
+            rest = _lockstep(lanes, table, start, streams, budget, out)
+        state_hi, state_lo, inc_hi, inc_lo = (a[rest].tolist() for a in streams)
+        for j, s_hi, s_lo, i_hi, i_lo in zip(rest.tolist(), state_hi, state_lo, inc_hi, inc_lo):
+            bit_gen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            try:
+                out[j] = walk(rng, budget)
+            except StepBudgetExceeded as exc:
+                raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
+        return out
+
+    return block
+
+
+def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
+    """One block of trials on its own, as a forked worker walks it:
+    ``(lo, samples)`` for ``args = (net, start, rule, model, seed, lo, hi,
+    budget, lockstep)``."""
+    net, start, rule, model, seed, lo, hi, budget, lockstep = args
+    return lo, _block_walker(net, start, rule, model, seed, budget)(lo, hi, lockstep)
 
 
 # ---------------------------------------------------------------------------
@@ -474,42 +499,51 @@ def _collect(net, start, rule, model, trials, seed, budget, workers):
     def job(lo, hi, lockstep):
         return (net, start, rule, model, seed, lo, hi, budget, lockstep)
 
+    block = _block_walker(net, start, rule, model, seed, budget)
     workers = min(workers, _usable_cpus())
     pilot, samples = 0, []
     if workers > 1:
         pilot = min(FORK_PILOT, max(1, trials // 16))
-        samples = _trial_block(job(0, pilot, False))[1]
+        samples = block(0, pilot, False)
         left = trials - pilot
         if left > 1 and left * math.fsum(s[1] for s in samples) / pilot >= FORK_MIN_STEPS:
-            return samples + _fan_out(job, pilot, trials, min(workers, left))
+            return samples + _fan_out(job, block, pilot, trials, min(workers, left))
     if pilot < trials:
-        samples += _trial_block(job(pilot, trials, trials >= LOCKSTEP_MIN_LANES))[1]
+        samples += block(pilot, trials, trials >= LOCKSTEP_MIN_LANES)
     return samples
 
 
-def _fan_out(job, lo, hi, workers):
+def _fan_out(job, block, lo, hi, workers):
     """Trials ``[lo, hi)`` in ``workers`` blocks: the parent walks the first
-    while a pool of ``workers - 1`` processes walks the others."""
+    on ``block`` while a pool of ``workers - 1`` processes walks the others,
+    each on tables of its own built from ``job``."""
     bounds = [lo + round((hi - lo) * k / workers) for k in range(workers + 1)]
-    jobs = [job(a, b, b - a >= LOCKSTEP_MIN_LANES) for a, b in zip(bounds, bounds[1:])]
+    blocks = [(a, b, b - a >= LOCKSTEP_MIN_LANES) for a, b in zip(bounds, bounds[1:])]
     with get_context("fork").Pool(workers - 1) as pool:
         # Blocks are read in trial order, so a failure raises the lowest
         # failing block's error, as one worker would, not the first to fail.
-        others = pool.imap(_trial_block, jobs[1:])
-        samples = _trial_block(jobs[0])[1]
-        for _, block in others:
-            samples += block
+        others = pool.imap(_trial_block, [job(*b) for b in blocks[1:]])
+        samples = block(*blocks[0])
+        for _, more in others:
+            samples += more
     return samples
 
 
 def _aggregate(rule_label, model, trials, seed, samples) -> EstimateReport:
-    times = [s[0] for s in samples]
+    # Steps and commutes are ints, summed exactly; their quotient is the
+    # correctly rounded mean, as ``fsum`` gives below 2^53.  The squares keep
+    # Python's ``(x - mean) ** 2`` (libm ``pow``), whose bits ``d * d`` can
+    # miss; a list of them feeds ``fsum`` faster than a generator.  Columns
+    # are read with ``map``: ``zip(*samples)`` would make an iterator per
+    # sample, and so many live objects set off the cycle collector.
+    column = operator.itemgetter
+    times = list(map(column(0), samples))
     mean = math.fsum(times) / trials
-    var = math.fsum((x - mean) ** 2 for x in times) / (trials - 1)
+    var = math.fsum([(x - mean) ** 2 for x in times]) / (trials - 1)
     stderr = math.sqrt(var / trials)
-    aux = {"steps": math.fsum(s[1] for s in samples) / trials}
-    if samples and samples[0][2] >= 0:
-        aux["commutes"] = math.fsum(s[2] for s in samples) / trials
+    aux = {"steps": sum(map(column(1), samples)) / trials}
+    if samples[0][2] >= 0:
+        aux["commutes"] = sum(map(column(2), samples)) / trials
     return EstimateReport(
         rule=rule_label,
         model=model,
@@ -541,7 +575,8 @@ def estimate(
         rule: any stopping rule.
         model: timing model charged per traversal.
         trials: number of independent trials, at least 2.
-        seed: master seed; trial ``i`` uses the ``(seed, i)`` stream.
+        seed: master seed, at least 0; trial ``i`` uses the ``(seed, i)``
+            stream.
         workers: the most processes to walk on, at least 1.  The estimate
             forks only when its pilot predicts enough steps to pay for it,
             and never runs more processes than the CPUs it may use.  The
@@ -558,6 +593,8 @@ def estimate(
         raise ValueError(f"step budget must be at least 1, got {step_budget}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     samples = _collect(net, start, rule, model, trials, seed, step_budget, workers)
     return _aggregate(rule.label(), model, trials, seed, samples)
 

@@ -37,7 +37,11 @@ recorded trajectories, auxiliary payloads (epoch times, commute arcs) and
 rules without a table form.  The estimator walks its trials on the lanes
 alone, in two ways that the tests hold to :func:`run` trial by trial.  A
 trial walked on its own runs a fused loop over rows that fold the rule's
-state into the vertex, with no per-step method call.  A block of at least
+state into the vertex, with no per-step method call.  While the sampling
+rows have at most ``RANK_ROWS_MAX`` (64) breakpoints, those rows are
+indexed by each draw's rank among the breakpoints, found by one
+``searchsorted`` per refill block, so a step bisects nothing; above it a
+step bisects the vertex's ``cum`` list.  A block of at least
 ``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep, one numpy
 step over all its trials at a time, while its masks fit in 64 bits, and
 hands its last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to
@@ -49,6 +53,7 @@ measured tables behind the gate and the hand-off are in
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -461,7 +466,9 @@ class _VertexTracker:
 #   walker(tables, start, label) -> walk(rng, budget)
 #       one trial at a time in a fused loop: (stop time, steps, commutes),
 #       with commutes -1 for rules that do not count them, and the same
-#       StepBudgetExceeded as ``run``
+#       StepBudgetExceeded as ``run``; on rank rows (``_rank_rows``) up to
+#       ``RANK_ROWS_MAX`` breakpoints, and by bisection above it.  Build it
+#       once per estimate and walk every trial on it
 #   lockstep                          (True where the lockstep walker serves)
 #   begin(count)                      (start ``count`` lockstep lanes)
 #   update(arc, head) -> bool array  (True where the lane stops on this step)
@@ -489,13 +496,104 @@ def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
 def _refills(rand, budget: int):
     """A trial's uniforms in blocks of 64, 256, 1024, 4096 and then 16384,
     each capped at the steps left in ``budget``: yields the steps taken by
-    the end of each block and an iterator over its draws."""
+    the end of each block and an iterator over its draws, as ``rand(n)``
+    gives them (the uniforms, or their ranks; see :func:`_ranks`)."""
     done, block = 0, 64
     while done < budget:
         n = min(block, budget - done)
         done += n
         yield done, iter(rand(n).tolist())
         block = min(4 * block, 16384)
+
+
+# Most breakpoints for which the fused walkers run on rank rows; above it
+# they bisect.  Measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) in
+# one process, as the bisect walker's time per step over the rank-row
+# walker's on the same trials (best of 11 interleaved rounds, CPU time), on
+# random networks with lengths in 0.8-1.25, the mean of two network seeds:
+#
+#   breakpoints                        12    22    30    42    56    82   112   150   210
+#   edge cover                       1.15  1.21  1.21  1.36  1.13  1.01  1.11  1.09  0.98
+#   directed epochs                  1.37  1.23  1.41  1.08  1.20
+#   commute to the farthest vertex   0.93  0.87  0.82  0.98  0.98  1.01  0.93  0.90  0.83
+#
+# With 3-17 breakpoints, tree:4 edge cover, tree:3 directed epochs, a
+# 15-hop path commute and lollipop:14 vertex cover gain 1.38-1.65.  Each
+# trial pays one searchsorted call per refill block, about a microsecond,
+# so the commutes above (15-50 steps a trial up to 56 breakpoints, 64-330
+# beyond) lose at any count.  The rows grow with states x vertices x
+# breakpoints: directed epochs on random:n=24,m=40 (56 breakpoints) build
+# in 7 ms against 1 ms, and edge-cover rows at 150 breakpoints in 1.8 ms
+# against 0.2.  The gain is gone by about 80 breakpoints; the gate sits at
+# 64.
+RANK_ROWS_MAX = 64
+
+
+def _slot_columns(tables):
+    """The sampling rows' slots in one run of columns: per vertex its
+    ``cum`` list (None without arcs) and the range ``[a, z)`` of its slots,
+    then per slot its arc ``2 * edge + direction``, head and charge."""
+    slots, arcs, heads, charges = [], [], [], []
+    for row in tables:
+        cum, meta = row or (None, ())
+        slots.append((cum, len(arcs), len(arcs) + len(meta)))
+        arcs += [2 * e + d for e, d, _, _ in meta]
+        heads += [h for _, _, h, _ in meta]
+        charges += [c for _, _, _, c in meta]
+    return slots, arcs, heads, charges
+
+
+def _rank_rows(tables):
+    """The breakpoints of the sampling rows and each vertex's slot per rank,
+    or None when there are more than ``RANK_ROWS_MAX`` breakpoints.
+
+    The breakpoints are the sorted distinct entries of every row's ``cum``
+    but its last (1.0).  A uniform's rank is the count of breakpoints at or
+    below it, so draws of one rank lie between two neighbouring
+    breakpoints, and ``bisect_right`` makes the same comparisons, and finds
+    the same slot, for all of them: that of the rank's lowest breakpoint,
+    or slot 0 below every breakpoint.  That holds for a row that is not
+    sorted too.  Returns the breakpoints as an array and an int array of
+    shape (vertices, ranks) of positions in :func:`_slot_columns`' slots
+    (0 for a vertex without arcs, which no step reaches).
+    """
+    breaks = sorted({c for row in tables if row is not None for c in row[0][:-1]})
+    if len(breaks) > RANK_ROWS_MAX:
+        return None
+    at = np.zeros((len(tables), len(breaks) + 1), np.intp)
+    a = 0
+    for v, row in enumerate(tables):
+        if row is not None:
+            cum = row[0]
+            at[v] = [a] + [a + bisect_right(cum, u) for u in breaks]
+            a += len(cum)
+    return np.array(breaks), at
+
+
+def _link(walk, rows: list[list], entries: list, at: np.ndarray) -> None:
+    """Fill rank rows in place: ``rows[i][r] = entries[at[i, r]]``, with
+    ``at`` of shape (rows, ranks) or any shape that flattens to it.  Every
+    rank a slot covers shares that slot's entry, so the rows add only
+    references.  An entry holds the row it leads to, which is how a step
+    finds the next one, so the rows form reference cycles.  They are
+    emptied when ``walk`` is freed, so that they go at once rather than
+    pile up for the cycle collector's full passes."""
+    picked = np.fromiter(entries, object, len(entries))[at].reshape(len(rows), -1)
+    for row, new in zip(rows, picked.tolist()):
+        row[:] = new
+    weakref.finalize(walk, _unlink, rows)
+
+
+def _unlink(rows: list[list]) -> None:
+    """Break the rank rows' reference cycles."""
+    for row in rows:
+        row.clear()
+
+
+def _ranks(rng: np.random.Generator, breaks: np.ndarray):
+    """``n -> ranks of n uniforms``: one ``searchsorted`` per refill block."""
+    rand, search = rng.random, breaks.searchsorted
+    return lambda n: search(rand(n), "right")
 
 
 class _TableLanes:
@@ -542,30 +640,58 @@ class _TableLanes:
     def walker(self, tables, start: int, label: str):
         """Fused walks on rows indexed by ``state * vertices + vertex``.
 
-        A row holds the vertex's ``cum`` list, the charge of each slot and
-        the row each slot leads to.  A step that completes a commute leads
-        to that row less ``size``, the row count, which Python's negative
-        indexing reads as the same row; a step that stops leads below
-        ``-size``, to ``-size - 1`` less its commute.  So one sign test per
-        step finds both.
+        On rank rows (see :func:`_rank_rows`) a row holds, per rank, the
+        step's charge, the row it leads to and a code: 0 to go on, 1 where
+        the step completes a commute, and ``-1`` less its commute where it
+        stops.  A step is then one index, one add and one test of the code.
+
+        Otherwise a row holds the vertex's ``cum`` list, the charge of each
+        slot and the row each slot leads to, and a step bisects ``cum``.  A
+        step that completes a commute leads to that row less ``size``, the
+        row count, which Python's negative indexing reads as the same row; a
+        step that stops leads below ``-size``, to ``-size - 1`` less its
+        commute.  So one sign test per step finds both.
         """
         n, states = len(tables), len(self.next) // self.arcs
         size = states * n
         nxt, stop = self.next.reshape(states, -1), self.stop.reshape(states, -1)
         back = np.zeros_like(nxt) if self.back is None else self.back.reshape(states, -1)
-        vertices, arcs, heads = [], [], []
-        for row in tables:
-            cum, meta = row or (None, ())
-            vertices.append((cum, [c for _, _, _, c in meta], len(arcs), len(arcs) + len(meta)))
-            arcs += [2 * e + d for e, d, _, _ in meta]
-            heads += [h for _, _, h, _ in meta]
+        slots, arcs, heads, charges = _slot_columns(tables)
         b = back[:, arcs]
-        to = nxt[:, arcs] * n + heads - size * b
+        to = nxt[:, arcs] * n + heads
         ends = stop[:, arcs]
-        to[ends] = -size - 1 - b[ends]
-        rows = [(cum, charges, row_to[a:z]) for row_to in to.tolist()
-                for cum, charges, a, z in vertices]
         counted = self.back is not None
+        ranked = _rank_rows(tables)
+
+        if ranked is not None:
+            breaks, at = ranked
+            rows = [[] for _ in range(size)]
+
+            def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
+                row = rows[start]
+                t = 0.0
+                commutes = 0
+                for end, ranks in _refills(_ranks(rng, breaks), budget):
+                    for r in ranks:
+                        c, row, k = row[r]
+                        t += c
+                        if k:
+                            if k < 0:
+                                commutes -= 1 + k
+                                return t, end - length_hint(ranks), commutes if counted else -1
+                            commutes += 1
+                raise _no_stop(budget, label)
+
+            codes = np.where(ends, -1 - b, b).ravel().tolist()
+            _link(walk, rows, [(c, rows[x], k) for c, x, k in
+                               zip(charges * states, to.ravel().tolist(), codes)],
+                  np.arange(0, to.size, len(arcs))[:, None, None] + at)
+            return walk
+
+        to -= size * b
+        to[ends] = -size - 1 - b[ends]
+        rows = [(cum, charges[a:z], row_to[a:z]) for row_to in to.tolist()
+                for cum, a, z in slots]
 
         def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
             cum, charges, row_to = rows[start]
@@ -631,22 +757,45 @@ class _MaskLanes:
         return step
 
     def walker(self, tables, start: int, label: str):
-        """Fused walks on per-vertex rows: the vertex's ``cum`` list, and per
-        slot its charge, its bit and its head, then whether the walk may stop
-        at the vertex (the root, or anywhere without a return)."""
-        bits, full, initial = self.bits, self.full, self.initial
-        rows = [None] * len(tables)
-        for v, row in enumerate(tables):
-            if row is None:
-                continue
-            cum, meta = row
-            rows[v] = (
-                cum,
-                [c for _, _, _, c in meta],
-                [bits[2 * e + d] for e, d, _, _ in meta],
-                [h for _, _, h, _ in meta],
-                self.root is None or v == self.root,
-            )
+        """Fused walks on per-vertex rows.
+
+        On rank rows (see :func:`_rank_rows`) a vertex's row holds, per
+        rank, the step's charge, its bit, the row of the vertex it leads to
+        and whether the walk may stop there (at the root, or anywhere
+        without a return).  Otherwise a row holds the vertex's ``cum`` list,
+        and per slot its charge, its bit and its head, then whether the walk
+        may stop at the vertex, and a step bisects ``cum``.
+        """
+        full, initial, root = self.full, self.initial, self.root
+        slots, arcs, heads, charges = _slot_columns(tables)
+        arc_bits = [self.bits[arc] for arc in arcs]
+        ranked = _rank_rows(tables)
+
+        if ranked is not None:
+            breaks, at = ranked
+            rows = [[] for _ in tables]
+
+            def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
+                row = rows[start]
+                t = 0.0
+                mask = initial
+                for end, ranks in _refills(_ranks(rng, breaks), budget):
+                    for r in ranks:
+                        c, b, row, home = row[r]
+                        t += c
+                        mask |= b
+                        if home and mask == full:
+                            return t, end - length_hint(ranks), -1
+                raise _no_stop(budget, label)
+
+            _link(walk, rows, [(c, bit, rows[h], root is None or h == root)
+                               for c, bit, h in zip(charges, arc_bits, heads)], at)
+            return walk
+
+        rows = [
+            (cum, charges[a:z], arc_bits[a:z], heads[a:z], root is None or v == root)
+            for v, (cum, a, z) in enumerate(slots)
+        ]
 
         def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
             cum, charges, arc_bits, heads, home = rows[start]

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from walkcover.cli import CHECKS, VERIFY_CHECKS, main
+from walkcover.cli import CHECKS, VERIFY_CHECKS, build_parser, main
 from walkcover.closedform import cover_bounds
 from walkcover.estimate import CSV_HEADER, format_number
 from walkcover.generators import from_spec
@@ -306,3 +306,15 @@ def test_verify_lists_exactly_the_check_table(capsys, monkeypatch):
                  "--trials", "10", "--seed", "1"],
     )
     assert code == 2 and err.endswith(f"(known: {', '.join(CHECKS)})\n")
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    """``main`` shares one parser per process; a flag or option given to one
+    call does not carry over to the next."""
+    assert build_parser() is build_parser()
+    base = ["vcover", "--gen", "path:1,1", "--trials", "20", "--seed", "4"]
+    plain = run_cli(capsys, base)
+    with_return = run_cli(capsys, [*base, "--return", "--root", "1", "--format", "text"])
+    assert with_return[0] == 0 and "return=true" in with_return[1]
+    assert run_cli(capsys, base) == plain
+    assert "return=false" in plain[1] and "root=0" in plain[1]

@@ -21,7 +21,7 @@ from walkcover.estimate import (
     trial_rng,
     verify,
 )
-from walkcover.generators import from_spec, parallel_pair, path, star, triangle
+from walkcover.generators import from_spec, parallel_pair, path, random_network, star, triangle
 from walkcover.netmodel import Orientation, build_network
 from walkcover.resistance import SplitSpec
 from walkcover.walker import (
@@ -552,14 +552,22 @@ def test_lockstep_block_equals_per_trial_runs(walks, case, model):
 
 def _fused_cases():
     """(network, start, rule) for the fused loop: every rule of ``_rules()``
-    and ``_lockstep_cases()``, vertex cover without a return, and masks
-    wider than 64 bits."""
+    and ``_lockstep_cases()``, vertex cover without a return, masks wider
+    than 64 bits, and a commute and an edge cover on a random network on
+    each side of ``walker.RANK_ROWS_MAX``, walked on rank rows and by
+    bisection."""
     lolli = from_spec("lollipop:7")
-    return _rules() + _lockstep_cases() + [
+    cases = _rules() + _lockstep_cases() + [
         (lolli, 6, VertexCover(6)),
         (star(33), 0, ArcCoverReturn(0)),
         (star(70), 3, VertexCover(3, True)),
     ]
+    for n, m, ranked in ((12, 20, True), (40, 76, False)):
+        net = random_network(n, m, (0.8, 1.25), seed=4)
+        tables = build_tables(net, TimingModel.L_SQUARED)
+        assert (walker_module._rank_rows(tables) is not None) == ranked
+        cases += [(net, 0, Commute(0, n - 1)), (net, 0, EdgeCoverReturn(0))]
+    return cases
 
 
 @pytest.mark.parametrize("case", range(len(_fused_cases())))
@@ -574,12 +582,15 @@ def test_fused_block_equals_per_trial_runs(walks, case, model):
 
 def test_fused_budget_failures_match_run(walks):
     """At budgets of one draw, one refill block of 64 and one draw into the
-    second block, the fused loop names the lowest failing trial and raises
-    the message ``run`` raises."""
+    second block, the fused loop, on rank rows and by bisection, names the
+    lowest failing trial and raises the message ``run`` raises."""
     net, rules = _table_rules()
     trials, seed = 60, 5
     cases = [(net, 1, rule) for rule in rules.values()]
     cases += [(star(33), 0, ArcCoverReturn(0)), (triangle(), 0, VertexCover(0))]
+    # Above the rank gate, so walked by bisection.
+    wide = random_network(40, 76, (0.8, 1.25), seed=4)
+    cases += [(wide, 0, Commute(0, 39)), (wide, 0, EdgeCoverReturn(0))]
     failed = collections.Counter()
     for net, start, rule in cases:
         for model in TimingModel:

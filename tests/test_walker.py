@@ -1,11 +1,15 @@
+import gc
 import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
+from walkcover import walker as walker_module
 from walkcover.closedform import commute_time
 from walkcover.errors import StepBudgetExceeded, VertexOutOfRange
 from walkcover.estimate import estimate, trial_rng
-from walkcover.generators import loop, parallel_pair, triangle
+from walkcover.generators import loop, parallel_pair, random_network, triangle
 from walkcover.netmodel import Orientation, build_network
 from walkcover.resistance import SplitSpec, via_probability
 from walkcover.walker import (
@@ -283,3 +287,65 @@ def test_step_budget_below_one_rejected(budget):
 def test_first_passage_at_start_is_zero():
     out = run(triangle(), 0, FirstPassage(0), TimingModel.L_SQUARED, trial_rng(3, 0))
     assert out.stop_time == 0.0 and out.step_count == 0
+
+
+def _rank_slot_cases():
+    """Sampling tables for the rank rows: random networks with lengths in
+    0.8-1.25, and a hand-built table with one row that is not sorted."""
+    tables = [build_tables(random_network(n, m, (0.8, 1.25), seed=seed), TimingModel.L_SQUARED)
+              for n, m, seed in ((6, 9, 1), (12, 20, 2), (20, 34, 3))]
+    meta = [(0, 0, 1, 1.0), (1, 0, 1, 1.0), (2, 0, 1, 1.0)]
+    tables.append([([0.25, 0.75, 1.0], meta), ([0.6, 0.3, 1.0], meta), None, ([1.0], meta[:1])])
+    return tables
+
+
+@pytest.mark.parametrize("case", range(len(_rank_slot_cases())))
+def test_rank_rows_pick_the_bisect_slot(case, monkeypatch):
+    """Every draw of rank r finds, in every row, the slot ``bisect_right``
+    finds: checked at each rank's ends (0.0 for the first) and just above
+    its lowest breakpoint."""
+    monkeypatch.setattr(walker_module, "RANK_ROWS_MAX", 10**6)
+    tables = _rank_slot_cases()[case]
+    breaks, at = walker_module._rank_rows(tables)
+    slots = walker_module._slot_columns(tables)[0]
+    ends = [0.0, *breaks.tolist(), 1.0]
+    assert at.shape == (len(tables), len(ends) - 1)
+    for r in range(len(ends) - 1):
+        lo, hi = ends[r], ends[r + 1]
+        for u in (lo, math.nextafter(lo, 1), math.nextafter(hi, 0)):
+            assert np.searchsorted(breaks, u, "right") == r
+            for v, row in enumerate(tables):
+                if row is not None:
+                    assert at[v, r] - slots[v][1] == bisect_right(row[0], u), (v, r, u)
+    if case == len(_rank_slot_cases()) - 1:
+        # From 0.3 on, bisect on the row that is not sorted lands on its
+        # last slot, where counting its entries below u would not.
+        assert breaks.tolist() == [0.25, 0.3, 0.6, 0.75]
+        assert (at[1] - 3).tolist() == [0, 0, 2, 2, 2]
+
+
+def test_rank_rows_gate(monkeypatch):
+    tables = build_tables(random_network(12, 20, (0.8, 1.25), seed=2), TimingModel.L_SQUARED)
+    count = len(walker_module._rank_rows(tables)[0])
+    monkeypatch.setattr(walker_module, "RANK_ROWS_MAX", count)
+    assert walker_module._rank_rows(tables) is not None
+    monkeypatch.setattr(walker_module, "RANK_ROWS_MAX", count - 1)
+    assert walker_module._rank_rows(tables) is None
+
+
+@pytest.mark.parametrize("rule", [Commute(0, 5), EdgeCoverReturn(0)])
+def test_rank_rows_are_freed_with_their_walk(rule):
+    """Rank rows link to each other; freeing the walk empties them, so they
+    leave no reference cycle for the collector."""
+    net = random_network(6, 9, (0.8, 1.25), seed=1)
+    tables = build_tables(net, TimingModel.L_SQUARED)
+    lanes = rule.make_lanes(net)
+    gc.collect()
+    gc.disable()
+    try:
+        walk = lanes.walker(tables, 0, rule.label())
+        walk(trial_rng(1, 0), 10**6)
+        del walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -37,11 +37,11 @@ recorded trajectories, auxiliary payloads (epoch times, commute arcs) and
 rules without a table form.  The estimator walks its trials on the lanes
 alone, in two ways that the tests hold to :func:`run` trial by trial.  A
 trial walked on its own runs a fused loop over rows that fold the rule's
-state into the vertex, with no per-step method call.  While the sampling
-rows have at most ``RANK_ROWS_MAX`` (64) breakpoints, those rows are
-indexed by each draw's rank among the breakpoints, found by one
-``searchsorted`` per refill block, so a step bisects nothing; above it a
-step bisects the vertex's ``cum`` list.  A block of at least
+state into the vertex, with no per-step method call.  Those rows are
+indexed by each draw's rank among the sampling rows' breakpoints, found by
+one ``searchsorted`` per refill block, so a step bisects nothing, while
+they hold at most ``RANK_ENTRIES_MAX`` (2**14) entries, one per row and
+rank; above that size a step bisects the vertex's ``cum`` list.  A block of at least
 ``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep, one numpy
 step over all its trials at a time, while its masks fit in 64 bits, and
 hands its last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to
@@ -466,9 +466,9 @@ class _VertexTracker:
 #   walker(tables, start, label) -> walk(rng, budget)
 #       one trial at a time in a fused loop: (stop time, steps, commutes),
 #       with commutes -1 for rules that do not count them, and the same
-#       StepBudgetExceeded as ``run``; on rank rows (``_rank_rows``) up to
-#       ``RANK_ROWS_MAX`` breakpoints, and by bisection above it.  Build it
-#       once per estimate and walk every trial on it
+#       StepBudgetExceeded as ``run``; on rank rows (``_rank_rows``) of up
+#       to ``RANK_ENTRIES_MAX`` entries, and by bisection above it.  Build
+#       it once per estimate and walk every trial on it
 #   lockstep                          (True where the lockstep walker serves)
 #   begin(count)                      (start ``count`` lockstep lanes)
 #   update(arc, head) -> bool array  (True where the lane stops on this step)
@@ -506,27 +506,43 @@ def _refills(rand, budget: int):
         block = min(4 * block, 16384)
 
 
-# Most breakpoints for which the fused walkers run on rank rows; above it
-# they bisect.  Measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) in
-# one process, as the bisect walker's time per step over the rank-row
-# walker's on the same trials (best of 11 interleaved rounds, CPU time), on
-# random networks with lengths in 0.8-1.25, the mean of two network seeds:
+# Most entries for which the fused walkers run on rank rows; above it they
+# bisect.  Rank rows hold an entry per row and rank, one row per vertex for
+# every state, so they grow as states x vertices x breakpoints, where bisect
+# rows grow with the arcs; the gate bounds that size.  Measured on a 2-CPU
+# host (Xeon, Python 3.11, numpy 2.4) in one process, on the same trials,
+# as the bisect walker's time per step over the rank-row walker's (best of
+# 7 interleaved rounds of CPU time, the mean of two network seeds), with
+# both build times, on random networks with lengths in 0.8-1.25:
 #
-#   breakpoints                        12    22    30    42    56    82   112   150   210
-#   edge cover                       1.15  1.21  1.21  1.36  1.13  1.01  1.11  1.09  0.98
-#   directed epochs                  1.37  1.23  1.41  1.08  1.20
-#   commute to the farthest vertex   0.93  0.87  0.82  0.98  0.98  1.01  0.93  0.90  0.83
+#   rule               network   entries  steps/trial   build ms    ratio
+#   edge cover         n=20,m=30     820          260   0.03  0.12   1.23
+#   edge cover         n=40,m=76    4520          680   0.08  0.52   1.09
+#   edge cover         n=60,m=120  10860         1220   0.12  1.17   1.06
+#   edge cover         n=70,m=140  14770         1380   0.12  1.53   0.99
+#   edge cover         n=85,m=170  21760         1620   0.17  2.27   0.91
+#   edge cover         n=100,m=200 30100         2180   0.20  3.00   0.84
+#   edge cover         n=200,m=400 120200        4920   0.42 11.56   0.78
+#   commute, far pair  n=60,m=68    9240          360   0.12  0.61   1.00
+#   commute, far pair  n=80,m=90   16160          570   0.16  0.99   0.98
+#   commute, far pair  n=120,m=135 36240          590   0.25  2.13   0.92
+#   directed epochs    n=12,m=16    8316          530   0.18  0.35   1.23
+#   directed epochs    n=20,m=30   50020         1810   0.51  1.70   1.06
+#   directed epochs    n=30,m=50  215130         4850   1.33  6.40   1.16
 #
-# With 3-17 breakpoints, tree:4 edge cover, tree:3 directed epochs, a
-# 15-hop path commute and lollipop:14 vertex cover gain 1.38-1.65.  Each
-# trial pays one searchsorted call per refill block, about a microsecond,
-# so the commutes above (15-50 steps a trial up to 56 breakpoints, 64-330
-# beyond) lose at any count.  The rows grow with states x vertices x
-# breakpoints: directed epochs on random:n=24,m=40 (56 breakpoints) build
-# in 7 ms against 1 ms, and edge-cover rows at 150 breakpoints in 1.8 ms
-# against 0.2.  The gain is gone by about 80 breakpoints; the gate sits at
-# 64.
-RANK_ROWS_MAX = 64
+# Vertex cover with a return reads like edge cover up to 14770 entries
+# (1.03-1.17), then 1.03, 0.85 and 0.81.  Covers and commutes read all
+# their rows throughout a walk and lose past about 15000 entries; epochs
+# read one state's rows at a time and keep a gain per step, but build
+# every state's copy.  Below the table's sizes, tree:4 edge cover (124
+# entries), tree:3 directed epochs (1740), a 15-hop path commute (480) and
+# lollipop:14 vertex cover (252) gain 1.37-1.63.  A trial pays one
+# searchsorted call per refill block, about a microsecond, so short walks
+# gain least: in a pass of perfbench's short_trials, fused trials of under
+# 16 steps took 3.81 us against 3.50 by bisection (905 trials, 0.3 ms of a
+# 277 ms pass), and those of 16-63 steps 4.45 us against 5.05 (3725).
+# Every workload of perfbench builds rows of at most 1740 entries.
+RANK_ENTRIES_MAX = 2**14
 
 
 def _slot_columns(tables):
@@ -543,9 +559,10 @@ def _slot_columns(tables):
     return slots, arcs, heads, charges
 
 
-def _rank_rows(tables):
+def _rank_rows(tables, states: int = 1):
     """The breakpoints of the sampling rows and each vertex's slot per rank,
-    or None when there are more than ``RANK_ROWS_MAX`` breakpoints.
+    or None when ``states`` copies of the rows would hold more than
+    ``RANK_ENTRIES_MAX`` entries, one per vertex and rank.
 
     The breakpoints are the sorted distinct entries of every row's ``cum``
     but its last (1.0).  A uniform's rank is the count of breakpoints at or
@@ -558,7 +575,7 @@ def _rank_rows(tables):
     (0 for a vertex without arcs, which no step reaches).
     """
     breaks = sorted({c for row in tables if row is not None for c in row[0][:-1]})
-    if len(breaks) > RANK_ROWS_MAX:
+    if states * len(tables) * (len(breaks) + 1) > RANK_ENTRIES_MAX:
         return None
     at = np.zeros((len(tables), len(breaks) + 1), np.intp)
     a = 0
@@ -661,7 +678,7 @@ class _TableLanes:
         to = nxt[:, arcs] * n + heads
         ends = stop[:, arcs]
         counted = self.back is not None
-        ranked = _rank_rows(tables)
+        ranked = _rank_rows(tables, states)
 
         if ranked is not None:
             breaks, at = ranked

@@ -554,7 +554,7 @@ def _fused_cases():
     """(network, start, rule) for the fused loop: every rule of ``_rules()``
     and ``_lockstep_cases()``, vertex cover without a return, masks wider
     than 64 bits, and a commute and an edge cover on a random network on
-    each side of ``walker.RANK_ROWS_MAX``, walked on rank rows and by
+    each side of ``walker.RANK_ENTRIES_MAX``, walked on rank rows and by
     bisection."""
     lolli = from_spec("lollipop:7")
     cases = _rules() + _lockstep_cases() + [
@@ -562,7 +562,7 @@ def _fused_cases():
         (star(33), 0, ArcCoverReturn(0)),
         (star(70), 3, VertexCover(3, True)),
     ]
-    for n, m, ranked in ((12, 20, True), (40, 76, False)):
+    for n, m, ranked in ((12, 20, True), (85, 170, False)):
         net = random_network(n, m, (0.8, 1.25), seed=4)
         tables = build_tables(net, TimingModel.L_SQUARED)
         assert (walker_module._rank_rows(tables) is not None) == ranked
@@ -589,8 +589,8 @@ def test_fused_budget_failures_match_run(walks):
     cases = [(net, 1, rule) for rule in rules.values()]
     cases += [(star(33), 0, ArcCoverReturn(0)), (triangle(), 0, VertexCover(0))]
     # Above the rank gate, so walked by bisection.
-    wide = random_network(40, 76, (0.8, 1.25), seed=4)
-    cases += [(wide, 0, Commute(0, 39)), (wide, 0, EdgeCoverReturn(0))]
+    wide = random_network(85, 170, (0.8, 1.25), seed=4)
+    cases += [(wide, 0, Commute(0, 84)), (wide, 0, EdgeCoverReturn(0))]
     failed = collections.Counter()
     for net, start, rule in cases:
         for model in TimingModel:

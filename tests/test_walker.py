@@ -304,7 +304,7 @@ def test_rank_rows_pick_the_bisect_slot(case, monkeypatch):
     """Every draw of rank r finds, in every row, the slot ``bisect_right``
     finds: checked at each rank's ends (0.0 for the first) and just above
     its lowest breakpoint."""
-    monkeypatch.setattr(walker_module, "RANK_ROWS_MAX", 10**6)
+    monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", 10**6)
     tables = _rank_slot_cases()[case]
     breaks, at = walker_module._rank_rows(tables)
     slots = walker_module._slot_columns(tables)[0]
@@ -325,11 +325,16 @@ def test_rank_rows_pick_the_bisect_slot(case, monkeypatch):
 
 
 def test_rank_rows_gate(monkeypatch):
+    """The gate counts one entry per row and rank, for every state's copy
+    of the rows."""
     tables = build_tables(random_network(12, 20, (0.8, 1.25), seed=2), TimingModel.L_SQUARED)
-    count = len(walker_module._rank_rows(tables)[0])
-    monkeypatch.setattr(walker_module, "RANK_ROWS_MAX", count)
+    entries = len(tables) * (len(walker_module._rank_rows(tables)[0]) + 1)
+    monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", entries)
     assert walker_module._rank_rows(tables) is not None
-    monkeypatch.setattr(walker_module, "RANK_ROWS_MAX", count - 1)
+    assert walker_module._rank_rows(tables, states=2) is None
+    monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", 2 * entries)
+    assert walker_module._rank_rows(tables, states=2) is not None
+    monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", entries - 1)
     assert walker_module._rank_rows(tables) is None
 
 

@@ -248,11 +248,11 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 #
 # Walks of hundreds of steps (the last three rows; 687 steps a trial on
 # tree:3) lose at 500 lanes and break even between 600 and 1000, later
-# than against the bisecting loop (0.82, 0.94 and 1.35 at 500 lanes).  The crossover is near
-# 200 lanes on 2-20-step walks and near 400 on the 56-step edge cover; the
-# gate sits at 500 so that blocks of a few hundred trials stay on the fused
-# loop, where the lockstep walker's per-step numpy calls are not yet paid
-# for.  The lockstep walker finds a lane's slot by counting the ``cum``
+# than against the bisecting loop (0.82, 0.94 and 1.35 at 500 lanes).  The
+# crossover is near 200 lanes on 2-20-step walks and near 400 on the
+# 56-step edge cover; the gate sits at 500 so that blocks of a few hundred
+# trials stay on the fused loop, where the lockstep walker's per-step numpy
+# calls are not yet paid for.  The lockstep walker finds a lane's slot by counting the ``cum``
 # columns at or below its uniform; ranking the uniforms among the rows'
 # breakpoints with one searchsorted per step, as the fused loop does,
 # took 1.03-1.39x as long on 2000-lane blocks of the six rules above (best

@@ -531,17 +531,17 @@ def _refills(rand, budget: int):
 #   directed epochs    n=30,m=50  215130         4850   1.33  6.40   1.16
 #
 # Vertex cover with a return reads like edge cover up to 14770 entries
-# (1.03-1.17), then 1.03, 0.85 and 0.81.  Covers and commutes read all
-# their rows throughout a walk and lose past about 15000 entries; epochs
-# read one state's rows at a time and keep a gain per step, but build
-# every state's copy.  Below the table's sizes, tree:4 edge cover (124
-# entries), tree:3 directed epochs (1740), a 15-hop path commute (480) and
-# lollipop:14 vertex cover (252) gain 1.37-1.63.  A trial pays one
-# searchsorted call per refill block, about a microsecond, so short walks
-# gain least: in a pass of perfbench's short_trials, fused trials of under
-# 16 steps took 3.81 us against 3.50 by bisection (905 trials, 0.3 ms of a
-# 277 ms pass), and those of 16-63 steps 4.45 us against 5.05 (3725).
-# Every workload of perfbench builds rows of at most 1740 entries.
+# (1.03-1.17), then 1.03, 0.85 and 0.81.  Covers and commutes stop gaining
+# near 15000 entries.  Epochs, whose walks go through their states in turn,
+# keep a gain per step past it, but build every state's copy.  Below the
+# table's sizes, tree:4 edge cover (124 entries), tree:3 directed epochs
+# (1740), a 15-hop path commute (480) and lollipop:14 vertex cover (252)
+# gain 1.37-1.63.  A trial pays one searchsorted call per refill block,
+# about a microsecond, so the shortest walks lose: in a pass of perfbench's
+# short_trials, fused trials of under 16 steps took 3.81 us against 3.50 by
+# bisection (905 trials, 0.3 ms of a 277 ms pass), and those of 16-63 steps
+# 4.45 us against 5.05 (3725 trials).  Every workload of perfbench builds
+# rows of at most 1740 entries.
 RANK_ENTRIES_MAX = 2**14
 
 

@@ -16,17 +16,18 @@ Trials walk on the rule's lane tables (``make_lanes``: commute, refined
 commute, first passage, epoch sequences, cover-and-return and vertex
 cover), and :func:`walkcover.walker.run` is the reference they are tested
 against, trial by trial.  A block of fewer than ``LOCKSTEP_MIN_LANES``
-(500) trials loads each state into one reused generator and walks each
+(400) trials loads each state into one reused generator and walks each
 trial in the lanes' fused loop, with no per-step method call.  A larger
 block walks all its trials in lockstep on the same streams, with draw k
-being step k, while its masks fit in 64 bits, and hands the last
-``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the fused loop from
-their first step.  Rules without lane tables, and walks that stop before
-their first step, run every trial on ``run``.  All three walkers give the
-same bits; the measurements behind the gate and the hand-off are with the
-constants below.  The sampling tables, the lanes and the fused loop's rows
-are built once per estimate in the calling process, and once more in each
-forked worker.
+being step k, while its masks fit in 64 bits.  It draws each trial's
+uniforms in groups, by PCG64 jump-ahead on the whole block at once, and
+hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the fused
+loop, which goes on from the step each reached.  Rules without lane
+tables, and walks that stop before their first step, run every trial on
+``run``.  All three walkers give the same bits; the measurements behind the
+gate, the group sizes and the hand-off are with the constants below.  The
+sampling tables, the lanes and the fused loop's rows are built once per
+estimate in the calling process, and once more in each forked worker.
 
 ``workers`` is an upper bound.  The estimator forks only when a pilot of
 its first trials (a sixteenth of them, at most ``FORK_PILOT`` = 32)
@@ -103,6 +104,7 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _POOL_SIZE = 4
 _XSHIFT = 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -166,13 +168,26 @@ def _seed_pool(entropy: list) -> list:
     return pool
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b`` (uint64 array by int)."""
+def _mulhi64(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b`` (uint64 array by int
+    or by uint64 array, broadcast)."""
     a0, a1 = a & _MASK32, a >> 32
     b0, b1 = b & _MASK32, b >> 32
     mid = a1 * b0 + (a0 * b0 >> 32)
     low = a0 * b1 + (mid & _MASK32)
     return a1 * b1 + (mid >> 32) + (low >> 32)
+
+
+def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
+    """Low 128 bits of ``x * c`` as (hi, lo) words, for uint64 arrays ``x``
+    and ints or uint64 arrays ``c``, broadcast."""
+    return _mulhi64(x_lo, c_lo) + x_lo * c_hi + x_hi * c_lo, x_lo * c_lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``x + y`` modulo 2**128 as (hi, lo) words."""
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo), lo
 
 
 def _pcg64_seed(pool: list) -> tuple[np.ndarray, ...]:
@@ -185,12 +200,8 @@ def _pcg64_seed(pool: list) -> tuple[np.ndarray, ...]:
     inc_hi = seq_hi << 1 | seq_lo >> 63
     inc_lo = seq_lo << 1 | 1
     # state = 0; step (state = inc); state += initstate; step again.
-    s_lo = inc_lo + init_lo
-    s_hi = inc_hi + init_hi + (s_lo < inc_lo)
-    t_lo = s_lo * _PCG_MULT_LO
-    t_hi = _mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
-    state_lo = t_lo + inc_lo
-    state_hi = t_hi + inc_hi + (state_lo < t_lo)
+    s_hi, s_lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    state_hi, state_lo = _add128(*_mul128(s_hi, s_lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
     return state_hi, state_lo, inc_hi, inc_lo
 
 
@@ -219,50 +230,133 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials (or
 # what follows the pilot of an in-process estimate of that many) whose rule's
 # lanes serve it (``lockstep``) walks all its trials together, one
-# numpy step over every live lane at a time, on the same streams.  Each
-# lane's PCG64 state advances by a 128-bit multiply-add on hi/lo uint64
-# arrays; its output is XSL-RR and the uniform is the top 53 bits, as
-# ``Generator.random`` computes it.  Every step draws exactly one uniform, so
-# a lane's k-th draw is its k-th step whatever the scalar walker's refill
-# schedule.  Each lane adds its charges in step order, so its clock is the
-# scalar walker's float sum.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes are
-# left, or the live lanes reach the step budget, the rest rerun from their
-# first step on the fused scalar loop, in trial order; their streams are the
-# same, so they give the same results (or raise the same
+# numpy step over every live lane at a time, on the same streams.  It draws
+# each lane's uniforms in groups: with ``a`` PCG64's multiplier, the state
+# k steps after state s is ``A_k s + G_k inc`` modulo 2**128, where ``A_k =
+# a**k`` and ``G_k`` is the sum of ``a**j`` for j < k.  So one pass of
+# 128-bit multiply-adds on hi/lo uint64 arrays gives a (group, lanes)
+# matrix of states, and the next group of the same size is the last one
+# advanced by ``A_k`` plus each lane's ``G_k inc``; a group of one is the
+# plain one-step advance.  The group size follows the live lanes
+# (``LOCKSTEP_GROUPS``), and the groups' rows drop stopped lanes with the
+# other arrays.  Each state's output is XSL-RR and its uniform the top 53
+# bits, as ``Generator.random`` computes them, and row k of the group feeds
+# the group's k-th step.  Every step draws exactly one
+# uniform, so a lane's k-th draw is its k-th step whatever the scalar
+# walker's refill schedule.  Each lane adds its charges in step order, so its
+# clock is the scalar walker's float sum.  When fewer than
+# ``LOCKSTEP_MIN_LIVE`` lanes are left, or the live lanes reach the step
+# budget, the rest go on, in trial order, on the fused scalar loop from the
+# step they reached: their vertex, progress, clock, step count and PCG64
+# state carry over, so they give the same results (or raise the same
 # ``StepBudgetExceeded``).
 # ---------------------------------------------------------------------------
 
 # Block size from which the lockstep walker runs, and the live lanes below
 # which it hands the rest to the fused scalar loop.  Measured on a 2-CPU
 # host (Xeon, Python 3.11, numpy 2.4) in one process, as the fused block
-# time over the lockstep block time, with the fused loop on rank rows (mean
-# of two runs, each the best of 5 or 7 interleaved rounds, CPU time):
+# time over the lockstep block time, with the fused loop on rank rows and
+# the lockstep walker on the draw groups below (mean of two runs, each the
+# best of 7 interleaved rounds, CPU time):
 #
 #   lanes                       100   200   300   400   500   700  1000  2000
-#   commute, path:1,1,1, 0-3   0.77  1.03  1.35  1.69  1.96  2.12  2.71  3.51
-#   arc cover, triangle        0.86  1.35  1.67  1.85  2.23  2.62  3.70  5.15
-#   edge cover, random:8,10    0.51  0.64  0.80  1.02  1.17  1.12  1.69  2.64
-#   arc cover, tree:3          0.24  0.36  0.56  0.58  0.60  0.76  1.02  1.39
-#   12-hop path commute        0.32  0.45  0.49  0.55  0.83  0.74  0.95  1.43
-#   vcover+ret, random:12,14   0.41  0.54  0.73  0.87  0.95  1.30  1.39  2.24
+#   commute, path:1,1,1, 0-3   0.94  1.17  1.60  1.85  2.19  2.54  2.94  3.47
+#   arc cover, triangle        0.96  1.43  1.86  2.11  2.39  3.05  3.62  5.19
+#   edge cover, random:8,10    0.82  1.08  1.28  2.03  1.74  2.12  2.39  3.92
+#   arc cover, tree:3          0.73  0.87  1.26  1.27  1.36  1.47  1.66  2.21
+#   12-hop path commute        0.64  0.83  1.00  1.19  1.23  1.60  1.56  2.12
+#   vcover+ret, random:12,14   0.75  1.06  1.26  1.50  1.70  1.72  2.71  3.18
 #
-# Walks of hundreds of steps (the last three rows; 687 steps a trial on
-# tree:3) lose at 500 lanes and break even between 600 and 1000, later
-# than against the bisecting loop (0.82, 0.94 and 1.35 at 500 lanes).  The
-# crossover is near 200 lanes on 2-20-step walks and near 400 on the
-# 56-step edge cover; the gate sits at 500 so that blocks of a few hundred
-# trials stay on the fused loop, where the lockstep walker's per-step numpy
-# calls are not yet paid for.  The lockstep walker finds a lane's slot by counting the ``cum``
-# columns at or below its uniform; ranking the uniforms among the rows'
+# Short walks gain from 100-200 lanes and walks of hundreds of steps (687 a
+# trial on tree:3) from 200-300.  The gate sits at 400, where every row
+# gains at least 1.19x.
+# The lockstep walker finds a lane's slot by counting the ``cum`` columns
+# at or below its uniform; ranking the uniforms among the rows'
 # breakpoints with one searchsorted per step, as the fused loop does,
 # took 1.03-1.39x as long on 2000-lane blocks of the six rules above (best
 # of 7 interleaved rounds, same results), so the columns stay.  An
 # estimate that stays in one process is one block, so a 600-trial
 # ``verify`` walks in lockstep at any ``--workers``; a forked block is gated
-# on its own size.  Handing off at 16 to 128 live lanes timed within about
-# 10% of each other at 2000 lanes, with no consistent best; 256 was slower.
-LOCKSTEP_MIN_LANES = 500
+# on its own size.
+#
+# Draw groups and the hand-off were measured on every lockstep block of one
+# seed-1 pass of perfbench's ``verify_exact`` (112 blocks of 568
+# trials) and ``short_trials`` (128 of 2000), replayed in one process, as
+# block time over that of one draw a step with the tail rerun from its
+# first step (median of 11 interleaved rounds, CPU time):
+#
+#   draw groups                           verify_exact  short_trials
+#   1 at any width                            1.05          1.01
+#   8 at any width                            0.64          1.14
+#   8 at <= 700 lanes, else 1                 0.66          0.96
+#   8 at <= 700, 2 at <= 2000, else 1         0.61          0.93
+#
+#   hand-off at live lanes       16     48    128    256
+#   verify_exact               0.61   0.58   0.61   0.71
+#   short_trials               0.91   0.92   1.04   1.29
+#
+# Wide groups lose on wide blocks, where a step's arithmetic on every lane
+# costs more than its numpy calls.  On ``verify_exact``, groups of 4 or 16
+# at <= 700 lanes, or 16 or 32 below 200 lanes and 8 up to 700, read
+# 0.61-0.68 against 0.63 for 8 (5 rounds).  A group of one is 6-17% slower
+# than the plain one-step advance it generalises, but only blocks of more
+# than 2000 live lanes draw that way, and at 20,000 lanes the two tied.
+# The hand-off walks only the steps the lockstep did not (in the
+# ``verify_exact`` pass, 117,808 fused steps for the 5,082 trials handed
+# off, against 661,706 from their first step), and 48 stays the best.
+LOCKSTEP_MIN_LANES = 400
 LOCKSTEP_MIN_LIVE = 48
+
+# Draw-group size by live lanes: groups of ``size`` while at most ``lanes``
+# lanes are live, the first row that fits, else one draw a step.
+LOCKSTEP_GROUPS = ((700, 8), (2000, 2))
+
+
+def _group_size(live: int) -> int:
+    for lanes, size in LOCKSTEP_GROUPS:
+        if live <= lanes:
+            return size
+    return 1
+
+
+def _jumps(size: int) -> tuple[np.ndarray, ...]:
+    """PCG64's jump-ahead words for 1 to ``size`` steps: ``A_k`` and
+    ``G_k`` as hi, lo, hi, lo uint64 arrays of shape (size, 1)."""
+    mask = (1 << 128) - 1
+    mult = _PCG_MULT_HI << 64 | _PCG_MULT_LO
+    a, g, words = 1, 0, []
+    for _ in range(size):
+        a, g = a * mult & mask, g + a & mask
+        words.append((a >> 64, a & _MASK64, g >> 64, g & _MASK64))
+    return tuple(np.array(column, np.uint64)[:, None] for column in zip(*words))
+
+
+_JUMPS = {size: _jumps(size) for size in {1, *(size for _, size in LOCKSTEP_GROUPS)}}
+
+
+def _group_states(state_hi, state_lo, inc_hi, inc_lo, size: int):
+    """Each lane's PCG64 states after 1 to ``size`` more steps, as (size,
+    lanes) hi/lo arrays, and the jump that advances them by ``size`` steps
+    more (:func:`_next_group`): ``A_size`` as two ints, and each lane's
+    ``G_size inc`` as (1, lanes) hi/lo arrays."""
+    a_hi, a_lo, g_hi, g_lo = _JUMPS[size]
+    g_inc_hi, g_inc_lo = _mul128(inc_hi, inc_lo, g_hi, g_lo)
+    group = _add128(*_mul128(state_hi, state_lo, a_hi, a_lo), g_inc_hi, g_inc_lo)
+    return group, (int(a_hi[-1, 0]), int(a_lo[-1, 0]), g_inc_hi[-1:], g_inc_lo[-1:])
+
+
+def _next_group(group_hi, group_lo, jump):
+    """The states a group's size of steps after each of ``group``'s."""
+    a_hi, a_lo, g_inc_hi, g_inc_lo = jump
+    return _add128(*_mul128(group_hi, group_lo, a_hi, a_lo), g_inc_hi, g_inc_lo)
+
+
+def _uniforms(state_hi, state_lo) -> np.ndarray:
+    """``Generator.random``'s uniform from each PCG64 state: the top 53 bits
+    of its XSL-RR output."""
+    x = state_hi ^ state_lo
+    rot = state_hi >> 58
+    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
 def _lane_table(tables):
@@ -319,9 +413,11 @@ def _walker(net, start, rule, model, tables, lanes):
     return walk
 
 
-def _lockstep(lanes, table, start, streams, budget, out) -> np.ndarray:
+def _lockstep(lanes, table, start, streams, budget, out):
     """Walk a block's trials in lockstep and fill ``out`` for those that stop
-    while the walker runs; return the indices of the others, in trial order.
+    while the walker runs.  Return the others' indices, in trial order,
+    their PCG64 state and increment words as ``streams`` gives them, and
+    per trial the arguments that continue its fused walk (``lanes.resume``).
 
     Stopped lanes stay in the arrays, masked out of ``live``, until they are
     a quarter of them; then every array drops them at once.
@@ -334,16 +430,26 @@ def _lockstep(lanes, table, start, streams, budget, out) -> np.ndarray:
     clock = np.zeros(len(lane))
     left = len(lane)
     steps = 0
+    # Row k of the group holds each lane's state after, and uniform of, the
+    # group's (k + 1)-th step; before the first group, row -1 holds the
+    # lanes' states before their first step.
+    group_hi, group_lo = state_hi[None], state_lo[None]
+    size = k = 0
     while left >= LOCKSTEP_MIN_LIVE and steps < budget:
+        if k == size:
+            fit = _group_size(left)
+            if fit == size:
+                group_hi, group_lo = _next_group(group_hi, group_lo, jump)
+            else:
+                (group_hi, group_lo), jump = _group_states(
+                    group_hi[k - 1], group_lo[k - 1], inc_hi, inc_lo, fit
+                )
+                size = fit
+            draws = _uniforms(group_hi, group_lo)
+            k = 0
+        u = draws[k]
+        k += 1
         steps += 1
-        t_lo = state_lo * _PCG_MULT_LO
-        t_hi = _mulhi64(state_lo, _PCG_MULT_LO) + state_lo * _PCG_MULT_HI
-        t_hi += state_hi * _PCG_MULT_LO + inc_hi
-        state_lo = t_lo + inc_lo
-        state_hi = t_hi + (state_lo < t_lo)
-        x = state_hi ^ state_lo
-        rot = state_hi >> 58
-        u = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
         slot = pos * width
         for column in cum:
             slot += column[pos] <= u
@@ -361,12 +467,16 @@ def _lockstep(lanes, table, start, streams, budget, out) -> np.ndarray:
         left -= len(done)
         if 4 * left < 3 * len(lane):
             lane, pos, clock = lane[live], pos[live], clock[live]
-            state_hi, state_lo, inc_hi, inc_lo = (
-                state_hi[live], state_lo[live], inc_hi[live], inc_lo[live]
+            inc_hi, inc_lo = inc_hi[live], inc_lo[live]
+            group_hi, group_lo, draws, g_inc_hi, g_inc_lo = (
+                a.compress(live, axis=1) for a in (group_hi, group_lo, draws, *jump[2:])
             )
+            jump = *jump[:2], g_inc_hi, g_inc_lo
             lanes.keep(live)
             live = np.ones(left, bool)
-    return lane[live]
+    lanes.keep(live)
+    rest = group_hi[k - 1][live], group_lo[k - 1][live], inc_hi[live], inc_lo[live]
+    return lane[live], rest, lanes.resume(pos[live], clock[live], steps)
 
 
 @dataclass(frozen=True)
@@ -417,13 +527,15 @@ def _block_walker(net, start, rule, model, seed, budget):
     def block(lo, hi, lockstep) -> list[tuple[float, int, int]]:
         streams = _trial_states(seed, lo, hi)
         out: list = [None] * (hi - lo)
-        rest = np.arange(hi - lo)
+        rest, resume = np.arange(hi - lo), repeat(())
         table = _lane_table(tables) if lockstep and lockstep_lanes else None
         if table is not None:
             lanes.begin(hi - lo)
-            rest = _lockstep(lanes, table, start, streams, budget, out)
-        state_hi, state_lo, inc_hi, inc_lo = (a[rest].tolist() for a in streams)
-        for j, s_hi, s_lo, i_hi, i_lo in zip(rest.tolist(), state_hi, state_lo, inc_hi, inc_lo):
+            rest, streams, resume = _lockstep(lanes, table, start, streams, budget, out)
+        state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
+        for j, s_hi, s_lo, i_hi, i_lo, at in zip(
+            rest.tolist(), state_hi, state_lo, inc_hi, inc_lo, resume
+        ):
             bit_gen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
@@ -431,7 +543,7 @@ def _block_walker(net, start, rule, model, seed, budget):
                 "uinteger": 0,
             }
             try:
-                out[j] = walk(rng, budget)
+                out[j] = walk(rng, budget, *at)
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
         return out
@@ -464,7 +576,8 @@ def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
 # rounds, by predicted steps.  Star:40 arc cover needs 80 mask bits, so it
 # walks the fused loop throughout; the other two walk in lockstep in one
 # process from 500 trials, while each forked block walks the fused loop
-# below 500:
+# below 500 (the lockstep gate, one draw a step and the tail rerun from its
+# first step when this was measured):
 #
 #   steps                         2^16  2^17  2^18  2^19  2^20  2^21
 #   arc cover, star:40            0.65  0.90  0.76  1.37  1.59  1.79

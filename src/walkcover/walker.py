@@ -41,14 +41,16 @@ state into the vertex, with no per-step method call.  Those rows are
 indexed by each draw's rank among the sampling rows' breakpoints, found by
 one ``searchsorted`` per refill block, so a step bisects nothing, while
 they hold at most ``RANK_ENTRIES_MAX`` (2**14) entries, one per row and
-rank; above that size a step bisects the vertex's ``cum`` list.  A block of at least
-``estimate.LOCKSTEP_MIN_LANES`` (500) trials walks in lockstep, one numpy
-step over all its trials at a time, while its masks fit in 64 bits, and
-hands its last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to
-the fused loop from their first step.  Every step draws exactly one
-uniform, so a trial's k-th draw is its k-th step in all three walkers.  The
-measured tables behind the gate and the hand-off are in
-:mod:`walkcover.estimate`.
+rank; above that size a step bisects the vertex's ``cum`` list.  A block
+of at least ``estimate.LOCKSTEP_MIN_LANES`` (400) trials walks in lockstep,
+one numpy step over all its trials at a time, while its masks fit in 64
+bits, on uniforms it draws in groups by PCG64 jump-ahead.  It hands its
+last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the fused
+loop, which goes on from each trial's vertex, progress, clock, step count
+and generator state, so no step is walked twice.  Every step draws exactly
+one uniform, so a trial's k-th draw is its k-th step in all three walkers.
+The measured tables behind the gate, the draw groups and the hand-off are
+in :mod:`walkcover.estimate`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import length_hint
 from typing import Iterable, Sequence
 
@@ -463,17 +466,23 @@ class _VertexTracker:
 # builds its progress as tables over arcs, numbered ``2 * edge + direction``
 # as in ``net.arcs()``.  The estimator (:mod:`walkcover.estimate`) walks on
 # them in two ways.  Lanes expose:
-#   walker(tables, start, label) -> walk(rng, budget)
+#   walker(tables, start, label) -> walk(rng, budget, *resumed)
 #       one trial at a time in a fused loop: (stop time, steps, commutes),
 #       with commutes -1 for rules that do not count them, and the same
-#       StepBudgetExceeded as ``run``; on rank rows (``_rank_rows``) of up
-#       to ``RANK_ENTRIES_MAX`` entries, and by bisection above it.  Build
-#       it once per estimate and walk every trial on it
+#       StepBudgetExceeded as ``run``, naming the full budget; on rank rows
+#       (``_rank_rows``) of up to ``RANK_ENTRIES_MAX`` entries, and by
+#       bisection above it.  From ``start`` without ``resumed``; with a
+#       lane's ``resume`` tuple, on from that lane's step, with ``rng`` at
+#       the lane's generator state.  Build it once per estimate and walk
+#       every trial on it
 #   lockstep                          (True where the lockstep walker serves)
 #   begin(count)                      (start ``count`` lockstep lanes)
 #   update(arc, head) -> bool array  (True where the lane stops on this step)
 #   keep(mask)                        (drop the lanes where mask is False)
 #   counts                            (commute counts per lane, or None)
+#   resume(vertex, clock, steps)      (per lane, the ``resumed`` arguments
+#                                      that go on from its vertex, progress,
+#                                      clock and count after ``steps`` steps)
 # The exact solver (:mod:`walkcover.exact`) reads them one state at a time:
 #   initial                           (the progress before the first step)
 #   stepper() -> step(progress, arc, head) -> (progress, stops)
@@ -493,12 +502,13 @@ def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
     return StepBudgetExceeded(f"no stop within {step_budget} steps for {label}")
 
 
-def _refills(rand, budget: int):
-    """A trial's uniforms in blocks of 64, 256, 1024, 4096 and then 16384,
-    each capped at the steps left in ``budget``: yields the steps taken by
-    the end of each block and an iterator over its draws, as ``rand(n)``
-    gives them (the uniforms, or their ranks; see :func:`_ranks`)."""
-    done, block = 0, 64
+def _refills(rand, budget: int, done: int = 0):
+    """A trial's uniforms after its first ``done`` steps, in blocks of 64,
+    256, 1024, 4096 and then 16384, each capped at the steps left in
+    ``budget``: yields the steps taken by the end of each block and an
+    iterator over its draws, as ``rand(n)`` gives them (the uniforms, or
+    their ranks; see :func:`_ranks`)."""
+    block = 64
     while done < budget:
         n = min(block, budget - done)
         done += n
@@ -645,6 +655,10 @@ class _TableLanes:
         if self.counts is not None:
             self.counts = self.counts[mask]
 
+    def resume(self, vertex: np.ndarray, clock: np.ndarray, steps: int):
+        counts = repeat(0) if self.counts is None else self.counts.tolist()
+        return zip(vertex.tolist(), self.state.tolist(), clock.tolist(), repeat(steps), counts)
+
     def stepper(self):
         nxt, stop, arcs = self.next.tolist(), self.stop.tolist(), self.arcs
 
@@ -655,7 +669,9 @@ class _TableLanes:
         return step
 
     def walker(self, tables, start: int, label: str):
-        """Fused walks on rows indexed by ``state * vertices + vertex``.
+        """Fused walks on rows indexed by ``state * vertices + vertex``:
+        ``walk(rng, budget)`` from ``start``, or ``walk(rng, budget, vertex,
+        state, t, steps, commutes)`` on from a lockstep lane (``resume``).
 
         On rank rows (see :func:`_rank_rows`) a row holds, per rank, the
         step's charge, the row it leads to and a code: 0 to go on, 1 where
@@ -684,11 +700,10 @@ class _TableLanes:
             breaks, at = ranked
             rows = [[] for _ in range(size)]
 
-            def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
-                row = rows[start]
-                t = 0.0
-                commutes = 0
-                for end, ranks in _refills(_ranks(rng, breaks), budget):
+            def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
+                     t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
+                row = rows[state * n + vertex]
+                for end, ranks in _refills(_ranks(rng, breaks), budget, steps):
                     for r in ranks:
                         c, row, k = row[r]
                         t += c
@@ -710,12 +725,11 @@ class _TableLanes:
         rows = [(cum, charges[a:z], row_to[a:z]) for row_to in to.tolist()
                 for cum, a, z in slots]
 
-        def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
-            cum, charges, row_to = rows[start]
+        def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
+                 t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
+            cum, charges, row_to = rows[state * n + vertex]
             bisect = bisect_right
-            t = 0.0
-            commutes = 0
-            for end, draws in _refills(rng.random, budget):
+            for end, draws in _refills(rng.random, budget, steps):
                 for u in draws:
                     k = bisect(cum, u)
                     t += charges[k]
@@ -764,6 +778,9 @@ class _MaskLanes:
     def keep(self, mask: np.ndarray) -> None:
         self.mask = self.mask[mask]
 
+    def resume(self, vertex: np.ndarray, clock: np.ndarray, steps: int):
+        return zip(vertex.tolist(), self.mask.tolist(), clock.tolist(), repeat(steps))
+
     def stepper(self):
         bits, full, root = self.bits, self.full, self.root
 
@@ -774,7 +791,9 @@ class _MaskLanes:
         return step
 
     def walker(self, tables, start: int, label: str):
-        """Fused walks on per-vertex rows.
+        """Fused walks on per-vertex rows: ``walk(rng, budget)`` from
+        ``start``, or ``walk(rng, budget, vertex, mask, t, steps)`` on from a
+        lockstep lane (``resume``).
 
         On rank rows (see :func:`_rank_rows`) a vertex's row holds, per
         rank, the step's charge, its bit, the row of the vertex it leads to
@@ -792,11 +811,11 @@ class _MaskLanes:
             breaks, at = ranked
             rows = [[] for _ in tables]
 
-            def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
-                row = rows[start]
-                t = 0.0
-                mask = initial
-                for end, ranks in _refills(_ranks(rng, breaks), budget):
+            def walk(rng: np.random.Generator, budget: int, vertex: int = start,
+                     mask: int = initial, t: float = 0.0,
+                     steps: int = 0) -> tuple[float, int, int]:
+                row = rows[vertex]
+                for end, ranks in _refills(_ranks(rng, breaks), budget, steps):
                     for r in ranks:
                         c, b, row, home = row[r]
                         t += c
@@ -814,12 +833,12 @@ class _MaskLanes:
             for v, (cum, a, z) in enumerate(slots)
         ]
 
-        def walk(rng: np.random.Generator, budget: int) -> tuple[float, int, int]:
-            cum, charges, arc_bits, heads, home = rows[start]
+        def walk(rng: np.random.Generator, budget: int, vertex: int = start,
+                 mask: int = initial, t: float = 0.0,
+                 steps: int = 0) -> tuple[float, int, int]:
+            cum, charges, arc_bits, heads, home = rows[vertex]
             bisect = bisect_right
-            t = 0.0
-            mask = initial
-            for end, draws in _refills(rng.random, budget):
+            for end, draws in _refills(rng.random, budget, steps):
                 for u in draws:
                     k = bisect(cum, u)
                     t += charges[k]

@@ -2,8 +2,10 @@ import collections
 import importlib
 import importlib.util
 import math
+import operator
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from walkcover import tours
@@ -162,10 +164,11 @@ def test_budget_failure_names_the_trial(monkeypatch):
             net, 0, FirstPassage(4), TimingModel.L_SQUARED, 10, 2, step_budget=3
         )
     assert "trial 0" in str(exc.value)
-    # Above the lockstep gate, lanes that reach the budget rerun on the scalar
-    # walker in trial order.  The messages were captured from the scalar
-    # walker.  These estimates predict too few steps to fork, so at 2 workers
-    # the parent walks the pilot and then the rest in lockstep.
+    # Above the lockstep gate, lanes that reach the budget go on to it on the
+    # fused loop, in trial order, and the lowest of them raises.  The messages
+    # were captured from the scalar walker.  These estimates predict too few
+    # steps to fork, so at 2 workers the parent walks the pilot and then the
+    # rest in lockstep.
     net, rules = _table_rules()
     for budget, first in ((60, 0), (80, 13)):
         for workers in (1, 2):
@@ -175,6 +178,26 @@ def test_budget_failure_names_the_trial(monkeypatch):
             assert str(exc.value) == (
                 f"trial {first}: no stop within {budget} steps for cover(arc;root=1)"
             )
+    # Budgets one below, at and one past the edges of the first and eighth
+    # draw groups of a block that draws in groups of 8 from its first step;
+    # at the first group's edges nearly every lane is still live.
+    trials, seed = 600, 11
+    assert estimate_module._group_size(trials) == 8
+    tables = build_tables(net, TimingModel.L_SQUARED)
+    for name in ("cover(arc)", "refined(both)"):
+        rule = rules[name]
+        steps = [_expected_sample(net, 1, rule, TimingModel.L_SQUARED, tables,
+                                  trial_rng(seed, i))[1] for i in range(trials)]
+        for budget in (7, 8, 9, 63, 64, 65):
+            failing = [i for i, n in enumerate(steps) if n > budget]
+            assert failing, (name, budget)
+            with pytest.raises(StepBudgetExceeded) as expected:
+                run(net, 1, rule, TimingModel.L_SQUARED, trial_rng(seed, failing[0]),
+                    step_budget=budget, tables=tables)
+            with pytest.raises(StepBudgetExceeded) as exc:
+                estimate(net, 1, rule, TimingModel.L_SQUARED, trials, seed, step_budget=budget)
+            assert str(exc.value) == f"trial {failing[0]}: {expected.value}", (name, budget)
+        assert sum(n > 8 for n in steps) > estimate_module.LOCKSTEP_MIN_LIVE
     # Above the fork threshold the lowest failing trial may fall in the pilot,
     # in the block the parent walks or in the forked one.  Star:40 arc cover
     # needs 80 mask bits and walks scalar blocks; the path commute's forked
@@ -268,6 +291,34 @@ def test_bulk_states_equal_trial_rng(seed):
             expected = trial_rng(seed, i).bit_generator.state["state"]
             state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
             assert (state, inc) == (expected["state"], expected["inc"]), (seed, i)
+
+
+# Every draw-group size the lockstep walker can pick.
+GROUP_SIZES = sorted({estimate_module._group_size(n) for n in range(1, 5000)})
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS[1::3])
+@pytest.mark.parametrize("size", GROUP_SIZES)
+def test_draw_groups_equal_pcg64_advance(seed, size):
+    """A lockstep draw group holds PCG64's own states ``advance(k)`` ahead of
+    each trial's seeded state and ``trial_rng``'s uniforms: the first group
+    jumped from the seeded states, and the next one advanced from it, on a
+    block that straddles 2**32."""
+    lo, hi = 2**32 - 60, 2**32 + 60
+    streams = estimate_module._trial_states(seed, lo, hi)
+    first, jump = estimate_module._group_states(*streams, size)
+    second = estimate_module._next_group(*first, jump)
+    state_hi, state_lo = (np.concatenate(words) for words in zip(first, second))
+    draws = estimate_module._uniforms(state_hi, state_lo).T.tolist()
+    states = zip(state_hi.T.tolist(), state_lo.T.tolist())
+    for i, (s_hi, s_lo), row in zip(range(lo, hi), states, draws):
+        seeded = trial_rng(seed, i).bit_generator.state
+        for k in range(2 * size):
+            ahead = np.random.PCG64()
+            ahead.state = seeded
+            ahead.advance(k + 1)
+            assert s_hi[k] << 64 | s_lo[k] == ahead.state["state"]["state"], (seed, i, k)
+        assert row == trial_rng(seed, i).random(2 * size).tolist(), (seed, i)
 
 
 def test_negative_seed_fails_before_any_trial(monkeypatch):
@@ -477,20 +528,54 @@ def _lockstep_cases():
     rule = tours.EpochSequence(walk, "directed", Orientation((1, 0, 0, 1)))
     assert rule._plan(looped).first > 0
     cases.append((looped, 0, rule))
+    # Rows above ``walker.RANK_ENTRIES_MAX``, so the lanes handed off go on
+    # by bisection.
+    wide = random_network(85, 170, (0.8, 1.25), seed=4)
+    assert walker_module._rank_rows(build_tables(wide, TimingModel.L_SQUARED)) is None
+    cases.append((wide, 0, Commute(0, 84)))
     return cases
+
+
+class _CountedDraws:
+    """A refill block's draws that counts each one read in ``drawn``."""
+
+    def __init__(self, draws, drawn):
+        self.draws = draws
+        self.drawn = drawn
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        value = next(self.draws)
+        self.drawn[0] += 1
+        return value
+
+    def __length_hint__(self):
+        return operator.length_hint(self.draws)
 
 
 @pytest.fixture
 def walks(monkeypatch):
     """Trials the estimator walks, per walker: ``run``, and ``fused`` for the
-    fused loop on the rule's lane tables."""
+    fused loop on the rule's lane tables.  ``walks.lockstep`` counts the
+    lockstep walker's steps, and ``walks.handed`` holds, per fused walk, the
+    arguments after ``(rng, budget)``, its result and the steps it walked,
+    counted as the draws it read."""
     counts = collections.Counter()
+    counts.lockstep, counts.handed, drawn = [0], [], [0]
 
     def counted_run(*args, **kwargs):
         counts["run"] += 1
         return run(*args, **kwargs)
 
+    def counted_refills(*args):
+        for end, draws in refills(*args):
+            yield end, _CountedDraws(draws, drawn)
+
+    refills = walker_module._refills
     monkeypatch.setattr(estimate_module, "run", counted_run)
+    monkeypatch.setattr(walker_module, "_refills", counted_refills)
     for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
 
         def counted_walker(self, *args, make=lanes.walker):
@@ -498,11 +583,19 @@ def walks(monkeypatch):
 
             def counted(*trial):
                 counts["fused"] += 1
-                return walk(*trial)
+                drawn[0] = 0
+                result = walk(*trial)
+                counts.handed.append((trial[2:], result, drawn[0]))
+                return result
 
             return counted
 
+        def counted_update(self, *args, update=lanes.update):
+            counts.lockstep[0] += 1
+            return update(self, *args)
+
         monkeypatch.setattr(lanes, "walker", counted_walker)
+        monkeypatch.setattr(lanes, "update", counted_update)
     return counts
 
 
@@ -514,12 +607,23 @@ def _expected_sample(net, start, rule, model, tables, rng, budget=10**9):
 def _block_against_runs(walks, net, start, rule, model, seed, lo, hi):
     """``_trial_block``'s samples against one ``run`` per trial on
     ``trial_rng``, gated for lockstep on the block's size; returns how many
-    trials the block walked on the fused loop and how many on ``run``."""
+    trials the block walked on the fused loop and how many on ``run``.
+
+    Each step is walked once: a trial the lockstep walker hands off goes on
+    from the step count it reached, which is every lockstep step, and the
+    fused loop walks only the rest of its steps."""
     walks.clear()
+    walks.lockstep[0] = 0
+    walks.handed.clear()
     lockstep = hi - lo >= estimate_module.LOCKSTEP_MIN_LANES
     job = (net, start, rule, model, seed, lo, hi, 10**9, lockstep)
     _, block = estimate_module._trial_block(job)
     fused, scalar = walks["fused"], walks["run"]
+    assert len(walks.handed) == fused
+    for at, (_, steps, _), walked in walks.handed:
+        done = at[3] if at else 0
+        assert done == walks.lockstep[0] and done + walked == steps, (rule, model, at)
+        assert (done > 0) == bool(lockstep and at)
     tables = build_tables(net, model)
     assert len(block) == hi - lo
     for i, sample in zip(range(lo, hi), block):

@@ -32,6 +32,7 @@ from .errors import (
     StateSpaceTooLarge,
     StepBudgetExceeded,
     TooSmall,
+    UnsamplableArc,
     VertexOutOfRange,
     WalkcoverError,
 )

@@ -154,13 +154,9 @@ def _resolve_orientation(args, net, file_orient) -> Orientation:
     return Orientation((0,) * len(net.edges))
 
 
-def _model(args) -> TimingModel:
-    return TimingModel.BROWNIAN_MEAN if args.model == "brownian" else TimingModel.L_SQUARED
-
-
 def _estimate(args, net, start, rule):
     return run_estimate(
-        net, start, rule, _model(args), args.trials, args.seed,
+        net, start, rule, TimingModel(args.model), args.trials, args.seed,
         workers=args.workers, step_budget=args.budget,
     )
 
@@ -199,8 +195,8 @@ def _exact(make_rule):
     to its exact solve."""
 
     def check(args, net, file_orient):
-        rule = make_rule(args, net, file_orient)
-        target = lambda: exact.exact_stop_time(net, args.root, rule, _model(args))  # noqa: E731
+        rule, model = make_rule(args, net, file_orient), TimingModel(args.model)
+        target = lambda: exact.exact_stop_time(net, args.root, rule, model)  # noqa: E731
         return args.root, rule, target, "equality"
 
     return check

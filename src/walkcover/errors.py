@@ -69,3 +69,8 @@ class StateSpaceTooLarge(WalkcoverError):
 
 class ExactSolveFailed(WalkcoverError):
     """An exact block solve was singular or missed its residual bound."""
+
+
+class UnsamplableArc(WalkcoverError):
+    """An arc's step probability is lost to floating-point rounding against
+    the other lengths at its tail, so no uniform draw can take it."""

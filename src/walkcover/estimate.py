@@ -40,6 +40,7 @@ The fork threshold is measured too, in the table with its constants.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -58,6 +59,7 @@ from .walker import (
     RefinedCommute,
     TimingModel,
     VertexCover,
+    _slot_columns,
     build_tables,
     checked_tracker,
     run,
@@ -360,31 +362,19 @@ def _uniforms(state_hi, state_lo) -> np.ndarray:
 
 
 def _lane_table(tables):
-    """The sampling rows as flat arrays for the lockstep walker.
-
-    ``cum`` is the padded per-vertex table of cumulative weights, one array
-    per slot, padded with 2.0: above every uniform, so the count of a row's
-    entries ``<= u`` is ``bisect_right``.  A row's last entry (1.0) or
-    padding is never counted, so the last slot is left out.  Arc
-    ``2 * edge + direction``, head and charge are indexed by ``vertex *
-    width + slot``.  None when a row is not sorted, where counting and
-    bisecting could differ.
-    """
-    width = max(len(row[0]) for row in tables if row is not None)
-    cum = np.full((width, len(tables)), 2.0)
-    arc = np.zeros(cum.size, np.intp)
-    head = np.zeros(cum.size, np.intp)
-    charge = np.zeros(cum.size)
-    for v, row in enumerate(tables):
-        if row is None:
-            continue
-        row_cum, meta = row
-        if any(a > b for a, b in zip(row_cum, row_cum[1:])):
-            return None
-        cum[: len(row_cum), v] = row_cum
-        for k, (e, d, h, c) in enumerate(meta):
-            arc[v * width + k], head[v * width + k], charge[v * width + k] = 2 * e + d, h, c
-    return list(cum[:-1]), width, arc, head, charge
+    """The sampling slots (``walker._slot_columns``) as arrays for the
+    lockstep walker: ``cum`` columns, each vertex's first slot, and per slot
+    its arc, head and charge.  Column k holds every vertex's k-th ``cum``
+    entry but the last (1.0), padded with 2.0, above every uniform, so a
+    lane's slot is its first slot plus the count of its entries ``<= u``,
+    the slot ``bisect_right`` finds in a rising row."""
+    slots, arcs, heads, charges = _slot_columns(tables)
+    cum = np.full((max(z - a for _, a, z in slots) - 1, len(slots)), 2.0)
+    for v, (row, a, z) in enumerate(slots):
+        if row is not None:
+            cum[: z - a - 1, v] = row[:-1]
+    first = np.array([a for _, a, _ in slots], np.intp)
+    return list(cum), first, np.array(arcs, np.intp), np.array(heads, np.intp), np.array(charges)
 
 
 def _lanes(net, start, rule, tables, budget):
@@ -422,7 +412,7 @@ def _lockstep(lanes, table, start, streams, budget, out):
     Stopped lanes stay in the arrays, masked out of ``live``, until they are
     a quarter of them; then every array drops them at once.
     """
-    cum, width, arc_of, head_of, charge_of = table
+    cum, first, arc_of, head_of, charge_of = table
     state_hi, state_lo, inc_hi, inc_lo = streams
     lane = np.arange(len(state_hi))
     live = np.ones(len(lane), bool)
@@ -450,7 +440,7 @@ def _lockstep(lanes, table, start, streams, budget, out):
         u = draws[k]
         k += 1
         steps += 1
-        slot = pos * width
+        slot = first[pos]
         for column in cum:
             slot += column[pos] <= u
         clock += charge_of[slot]
@@ -516,11 +506,13 @@ def _block_walker(net, start, rule, model, seed, budget):
     """``block(lo, hi, lockstep)``: trials ``[lo, hi)`` as (stop time,
     steps, commutes), in lockstep when ``lockstep`` is set and the rule's
     lanes serve it.  The tables, lanes and fused rows are built here, once
-    per estimate, and every block of it reuses them."""
+    per estimate, and the lockstep table when a block first needs it; every
+    block of the estimate reuses them."""
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
     walk = _walker(net, start, rule, model, tables, lanes)
     lockstep_lanes = lanes is not None and lanes.lockstep
+    lane_table = functools.cache(lambda: _lane_table(tables))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
 
@@ -528,10 +520,9 @@ def _block_walker(net, start, rule, model, seed, budget):
         streams = _trial_states(seed, lo, hi)
         out: list = [None] * (hi - lo)
         rest, resume = np.arange(hi - lo), repeat(())
-        table = _lane_table(tables) if lockstep and lockstep_lanes else None
-        if table is not None:
+        if lockstep and lockstep_lanes:
             lanes.begin(hi - lo)
-            rest, streams, resume = _lockstep(lanes, table, start, streams, budget, out)
+            rest, streams, resume = _lockstep(lanes, lane_table(), start, streams, budget, out)
         state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
         for j, s_hi, s_lo, i_hi, i_lo, at in zip(
             rest.tolist(), state_hi, state_lo, inc_hi, inc_lo, resume
@@ -793,7 +784,7 @@ def _row_fields(item) -> list[str]:
     report, verdict = item
     fields = [
         report.rule,
-        report.model.value if isinstance(report.model, TimingModel) else str(report.model),
+        report.model.value,
         str(report.trials),
         str(report.seed),
         format_number(report.mean),

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ExactSolveFailed, StateSpaceTooLarge, VertexOutOfRange
 from .netmodel import Network
-from .walker import TimingModel, build_tables, checked_tracker
+from .walker import TimingModel, _slot_columns, build_tables, checked_tracker
 
 __all__ = ["exact_stop_time", "MAX_STATES"]
 
@@ -73,11 +73,11 @@ def exact_stop_time(
     make_lanes = getattr(rule, "make_lanes", None)
     if make_lanes is None:
         raise TypeError(f"no exact solver for rule type {type(rule).__name__}")
+    steps = _step_rows(build_tables(net, model))
     if tracker.start(start):
         return 0.0
     lanes = make_lanes(net)
     step = lanes.stepper()
-    steps = _step_rows(build_tables(net, model))
     blocks = _reachable_blocks(steps, start, lanes.initial, step, max_states)
     solved: dict[int, list[float]] = {}
     # Blocks of equal rank and size are solved together, stacked in batches
@@ -94,25 +94,19 @@ def exact_stop_time(
 
 
 def _step_rows(tables):
-    """Per vertex: ``(mean one-step charge, [(arc, head, prob)])``, or None.
-
-    Arcs are numbered ``2 * edge + direction``, as the lane tables number them.
-    """
+    """Per vertex: ``(mean one-step charge, [(arc, head, prob)])``, or None,
+    read from the sampling slots (``walker._slot_columns``)."""
+    slots, arcs, heads, charges = _slot_columns(tables)
     rows = []
-    for row in tables:
-        if row is None:
+    for cum, a, z in slots:
+        if cum is None:
             rows.append(None)
             continue
-        cum, meta = row
-        prev = 0.0
+        probs = [c - prev for prev, c in zip([0.0, *cum], cum)]
         mean = 0.0
-        arcs = []
-        for c, (e, d, head, charge) in zip(cum, meta):
-            prob = c - prev
-            prev = c
+        for prob, charge in zip(probs, charges[a:z]):
             mean += prob * charge
-            arcs.append((2 * e + d, head, prob))
-        rows.append((mean, arcs))
+        rows.append((mean, list(zip(arcs[a:z], heads[a:z], probs))))
     return rows
 
 

@@ -42,15 +42,16 @@ indexed by each draw's rank among the sampling rows' breakpoints, found by
 one ``searchsorted`` per refill block, so a step bisects nothing, while
 they hold at most ``RANK_ENTRIES_MAX`` (2**14) entries, one per row and
 rank; above that size a step bisects the vertex's ``cum`` list.  A block
-of at least ``estimate.LOCKSTEP_MIN_LANES`` (400) trials walks in lockstep,
-one numpy step over all its trials at a time, while its masks fit in 64
-bits, on uniforms it draws in groups by PCG64 jump-ahead.  It hands its
-last ``estimate.LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the fused
-loop, which goes on from each trial's vertex, progress, clock, step count
-and generator state, so no step is walked twice.  Every step draws exactly
-one uniform, so a trial's k-th draw is its k-th step in all three walkers.
-The measured tables behind the gate, the draw groups and the hand-off are
-in :mod:`walkcover.estimate`.
+of at least ``estimate.LOCKSTEP_MIN_LANES`` trials walks in lockstep, one
+numpy step over all its trials at a time, while its masks fit in 64 bits,
+on uniforms it draws in groups by PCG64 jump-ahead.  It hands its last
+``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to the fused loop,
+which goes on from each trial's vertex, progress, clock, step count and
+generator state, so no step is walked twice.  Every step draws exactly one
+uniform, so a trial's k-th draw is its k-th step in all three walkers.  The
+gate's values and the measured tables behind them, the draw groups and the
+hand-off are in :mod:`walkcover.estimate`.  The walkers and the exact
+solver read the sampling rows through one layout, :func:`_slot_columns`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StepBudgetExceeded, VertexOutOfRange
+from .errors import StepBudgetExceeded, UnsamplableArc, VertexOutOfRange
 from .netmodel import Arc, Network, Orientation
 from .resistance import SplitSpec
 
@@ -579,10 +580,10 @@ def _rank_rows(tables, states: int = 1):
     below it, so draws of one rank lie between two neighbouring
     breakpoints, and ``bisect_right`` makes the same comparisons, and finds
     the same slot, for all of them: that of the rank's lowest breakpoint,
-    or slot 0 below every breakpoint.  That holds for a row that is not
-    sorted too.  Returns the breakpoints as an array and an int array of
-    shape (vertices, ranks) of positions in :func:`_slot_columns`' slots
-    (0 for a vertex without arcs, which no step reaches).
+    or slot 0 below every breakpoint.  Returns the breakpoints as an array
+    and an int array of shape (vertices, ranks) of positions in
+    :func:`_slot_columns`' slots (0 for a vertex without arcs, which no
+    step reaches).
     """
     breaks = sorted({c for row in tables if row is not None for c in row[0][:-1]})
     if states * len(tables) * (len(breaks) + 1) > RANK_ENTRIES_MAX:
@@ -876,11 +877,18 @@ StoppingRule = (
 def build_tables(net: Network, model: TimingModel):
     """Per-vertex cumulative sampling rows: ``(cum, [(edge, dir, head, charge)])``.
 
+    Every ``cum`` rises strictly from above 0 to exactly 1.0, so each arc
+    owns a slot that some uniform in [0, 1) reaches, as every reader of the
+    rows assumes; a network whose lengths break that raises
+    :class:`UnsamplableArc`.  A model must be a :class:`TimingModel`.
+
     Build once per (network, model) and reuse across trials; construction is
     linear in the arc count but dwarfs a single trial if repeated per trial.
     """
     from .closedform import mean_predeparture_time
 
+    if not isinstance(model, TimingModel):
+        raise TypeError(f"timing model must be a TimingModel, got {model!r}")
     rows = []
     for v in range(net.vertex_count):
         adj = net.adjacency[v]
@@ -903,6 +911,10 @@ def build_tables(net: Network, model: TimingModel):
             cum.append(acc)
             meta.append((eid, d, head, charge))
         cum[-1] = 1.0  # guard the last slot against rounding
+        lost = [k for k, (lo, hi) in enumerate(zip([0.0, *cum], cum)) if not lo < hi]
+        if lost:
+            raise UnsamplableArc(f"edge {adj[lost[0]][0]} out of vertex {v}: its step "
+                                 "probability is lost to rounding against the other lengths")
         rows.append((cum, meta))
     return rows
 

@@ -66,3 +66,20 @@ class PresetRng:
         for _ in range(n):
             out.append(self.values.pop(0) if self.values else self.pad)
         return np.asarray(out)
+
+
+def unsamplable_networks() -> dict[str, tuple[Network, str]]:
+    """Networks whose lengths lose an arc's step probability at vertex 0 to
+    rounding, each with the edge its error names: a row whose partial sums
+    reach 1.0 before the last slot, one whose first entry rounds to 0 (and
+    whose vertex 2 sums to NaN), and one that rises past 1.0 before its
+    last slot is set to 1.0."""
+    return {
+        "huge": (build_network(3, [(0, 1, 1.0), (0, 2, 1e17), (1, 2, 1.0)]), "edge 1"),
+        "tiny": (build_network(3, [(0, 1, 1.0), (0, 2, 1e-320), (1, 2, 1.0)]), "edge 0"),
+        "star": (
+            build_network(5, [(0, 1, 0.5447527137062477), (0, 2, 0.3), (0, 3, 7.0),
+                              (0, 4, 1e17), (1, 2, 1.0)]),
+            "edge 3",
+        ),
+    }

@@ -7,6 +7,9 @@ from walkcover.cli import CHECKS, VERIFY_CHECKS, build_parser, main
 from walkcover.closedform import cover_bounds
 from walkcover.estimate import CSV_HEADER, format_number
 from walkcover.generators import from_spec
+from walkcover.netmodel import serialize_network
+
+from support import unsamplable_networks
 
 
 def run_cli(capsys, argv):
@@ -231,6 +234,18 @@ def test_pair_outside_the_network_exits_two(capsys):
                  "--trials", "10", "--seed", "1"]
     )
     assert code == 2 and out == "" and "vertex 9 not in 0..2" in err
+
+
+@pytest.mark.parametrize("name", sorted(unsamplable_networks()))
+def test_unsamplable_network_exits_two(tmp_path, capsys, name):
+    net, edge = unsamplable_networks()[name]
+    path = tmp_path / "net.txt"
+    path.write_text(serialize_network(net))
+    for argv in (["commute", "--pair", "0", "1"], ["verify", "--check", "cre"]):
+        code, out, err = run_cli(capsys, argv + ["--network", str(path), "--trials", "10",
+                                                 "--seed", "1", "--workers", "1"])
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {edge} out of vertex 0") and "Traceback" not in err
 
 
 def test_input_file_errors_exit_two(tmp_path, capsys):

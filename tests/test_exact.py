@@ -222,3 +222,71 @@ def test_oracles_share_no_code_with_the_library():
     modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert modules and not any(m.startswith("walkcover") for m in modules)
+
+
+# Exact solves pinned bit for bit, as ``float.hex()`` under (L_SQUARED,
+# BROWNIAN_MEAN): on the network of ``_pin_rules()`` in test_estimate.py
+# from vertex 1, and on ``random:n=8,m=10,seed=1``, with unit lengths and
+# with lengths in 0.5-2, from vertex 0.
+_EXACT_PINS = {
+    "pin first_passage": ("0x1.1eefc6069dda9p+3", "0x1.1eefc6069dda9p+3"),
+    "pin commute": ("0x1.ca5aaddc04a9ep+3", "0x1.ca5aaddc04a9ep+3"),
+    "pin cover(edge)": ("0x1.ae02c15ea81fap+4", "0x1.ae02c15ea81fap+4"),
+    "pin cover(arc)": ("0x1.a3d2f2f83e9c8p+5", "0x1.a3d2f2f83e9c7p+5"),
+    "pin cover(directed)": ("0x1.5c82bd827dd91p+5", "0x1.5c82bd827dd90p+5"),
+    "pin vcover": ("0x1.663a2114edbecp+3", "0x1.663a2114edbeap+3"),
+    "pin vcover(return)": ("0x1.f2a6bc2a13d83p+3", "0x1.f2a6bc2a13d80p+3"),
+    "pin epochs(directed)": ("0x1.671eb851eb84fp+6", "0x1.671eb851eb84fp+6"),
+    "random first_passage": ("0x1.2000000000006p+5", "0x1.2000000000006p+5"),
+    "random commute": ("0x1.4000000000006p+5", "0x1.4000000000006p+5"),
+    "random cover(edge)": ("0x1.bdea4c9072c8ap+5", "0x1.bdea4c9072c8ap+5"),
+    "random cover(directed)": ("0x1.123c2e7fed53ep+6", "0x1.123c2e7fed53ep+6"),
+    "random vcover": ("0x1.5da20355bd6b9p+5", "0x1.5da20355bd6b9p+5"),
+    "random vcover(return)": ("0x1.7ab3f6e9de60bp+5", "0x1.7ab3f6e9de60bp+5"),
+    "random epochs(directed)": ("0x1.8ffffffffffffp+7", "0x1.8ffffffffffffp+7"),
+    "lengths commute": ("0x1.ff14745170bb5p+5", "0x1.ff14745170bb5p+5"),
+    "lengths cover(edge)": ("0x1.460d838c22df4p+6", "0x1.460d838c22df4p+6"),
+    "lengths vcover(return)": ("0x1.1aedd91e2a610p+6", "0x1.1aedd91e2a610p+6"),
+}
+
+
+def _exact_pin_cases():
+    pin = build_network(
+        4, [(0, 1, 0.7), (1, 2, 1.3), (1, 2, 0.9), (2, 3, 2.1), (3, 0, 1.1), (2, 2, 0.6)]
+    )
+    mixed = Orientation((0, 1, 1, 0, 1, 0))
+    rnd = from_spec("random:n=8,m=10,seed=1")
+    alternate = Orientation(tuple(e % 2 for e in range(len(rnd.edges))))
+    lengths = from_spec("random:n=8,m=10,seed=1,lmin=0.5,lmax=2")
+    return {
+        "pin first_passage": (pin, 1, FirstPassage(3)),
+        "pin commute": (pin, 1, Commute(1, 3)),
+        "pin cover(edge)": (pin, 1, EdgeCoverReturn(1)),
+        "pin cover(arc)": (pin, 1, ArcCoverReturn(1)),
+        "pin cover(directed)": (pin, 1, DirectedCoverReturn(1, mixed)),
+        "pin vcover": (pin, 1, VertexCover(1)),
+        "pin vcover(return)": (pin, 1, VertexCover(1, True)),
+        "pin epochs(directed)": (
+            pin, 1, EpochSequence(construct_double_cover_walk(pin, 1), "directed", mixed)
+        ),
+        "random first_passage": (rnd, 0, FirstPassage(7)),
+        "random commute": (rnd, 0, Commute(0, 7)),
+        "random cover(edge)": (rnd, 0, EdgeCoverReturn(0)),
+        "random cover(directed)": (rnd, 0, DirectedCoverReturn(0, alternate)),
+        "random vcover": (rnd, 0, VertexCover(0)),
+        "random vcover(return)": (rnd, 0, VertexCover(0, True)),
+        "random epochs(directed)": (
+            rnd, 0, EpochSequence(construct_double_cover_walk(rnd, 0), "directed", alternate)
+        ),
+        "lengths commute": (lengths, 0, Commute(0, 7)),
+        "lengths cover(edge)": (lengths, 0, EdgeCoverReturn(0)),
+        "lengths vcover(return)": (lengths, 0, VertexCover(0, True)),
+    }
+
+
+def test_exact_values_are_pinned():
+    cases = _exact_pin_cases()
+    assert cases.keys() == _EXACT_PINS.keys()
+    for name, (net, start, rule) in cases.items():
+        got = tuple(exact_stop_time(net, start, rule, model).hex() for model in TimingModel)
+        assert got == _EXACT_PINS[name], name

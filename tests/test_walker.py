@@ -4,12 +4,15 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkcover import walker as walker_module
 from walkcover.closedform import commute_time
-from walkcover.errors import StepBudgetExceeded, VertexOutOfRange
+from walkcover.errors import StepBudgetExceeded, UnsamplableArc, VertexOutOfRange
 from walkcover.estimate import estimate, trial_rng
-from walkcover.generators import loop, parallel_pair, random_network, triangle
+from walkcover.exact import exact_stop_time
+from walkcover.generators import loop, parallel_pair, path, random_network, triangle
 from walkcover.netmodel import Orientation, build_network
 from walkcover.resistance import SplitSpec, via_probability
 from walkcover.walker import (
@@ -28,7 +31,7 @@ from walkcover.walker import (
 )
 
 import oracles
-from support import PresetRng
+from support import PresetRng, unsamplable_networks
 
 
 def mc_mean(net, start, rule, model, trials, seed, tables=None):
@@ -354,3 +357,58 @@ def test_rank_rows_are_freed_with_their_walk(rule):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(0, 12),
+    st.sampled_from([(0.8, 1.25), (0.2, 3.0), (1e-3, 1e3)]), st.integers(0, 2**32 - 1),
+)
+def test_sampling_rows_rise_strictly_to_one(n, extra, lengths, seed):
+    """Every row of ``build_tables`` rises strictly from above 0 and ends at
+    exactly 1.0, so each arc owns a slot some uniform in [0, 1) reaches."""
+    net = random_network(n, n - 1 + extra, lengths, allow_loops=True, allow_parallel=True,
+                         seed=seed)
+    for model in TimingModel:
+        for row in build_tables(net, model):
+            if row is None:  # a lone vertex without loops
+                continue
+            cum, meta = row
+            assert len(cum) == len(meta) and cum[-1] == 1.0
+            assert all(lo < hi for lo, hi in zip([0.0, *cum], cum)), cum
+
+
+@pytest.mark.parametrize("name", sorted(unsamplable_networks()))
+@pytest.mark.parametrize("model", list(TimingModel))
+def test_unsamplable_arcs_fail_loudly(name, model):
+    """A row that some arc's slot cannot be drawn from raises the same error
+    from the tables, ``run``, the fused and lockstep estimates and the exact
+    solve, naming the lost arc's edge."""
+    net, edge = unsamplable_networks()[name]
+    message = f"{edge} out of vertex 0"
+    rule = Commute(0, 2)
+    with pytest.raises(UnsamplableArc, match=message):
+        build_tables(net, model)
+    with pytest.raises(UnsamplableArc, match=message):
+        run(net, 0, rule, model, trial_rng(1, 0))
+    for trials in (100, 600):
+        with pytest.raises(UnsamplableArc, match=message):
+            estimate(net, 0, rule, model, trials, 1)
+    with pytest.raises(UnsamplableArc, match=message):
+        exact_stop_time(net, 0, rule, model)
+
+
+@pytest.mark.parametrize("model", ["brownian", "l2", "nonsense", None])
+def test_timing_model_must_be_a_timing_model(model):
+    """A model is read where the tables are built, so a string or any other
+    value fails there rather than being charged as ``L_SQUARED``."""
+    net, rule = path([1.0, 2.0]), Commute(0, 2)
+    for call in (
+        lambda: build_tables(net, model),
+        lambda: run(net, 0, rule, model, trial_rng(1, 0)),
+        lambda: estimate(net, 0, rule, model, 2000, 1),
+        lambda: exact_stop_time(net, 0, rule, model),
+        lambda: exact_stop_time(net, 0, FirstPassage(0), model),
+    ):
+        with pytest.raises(TypeError, match="must be a TimingModel"):
+            call()

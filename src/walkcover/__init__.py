@@ -18,6 +18,7 @@ from .closedform import (
     weighted_cost_commute,
 )
 from .errors import (
+    ChargeOverflow,
     DisconnectedNetwork,
     EdgeNotIncident,
     EmptyInput,

@@ -74,3 +74,9 @@ class ExactSolveFailed(WalkcoverError):
 class UnsamplableArc(WalkcoverError):
     """An arc's step probability is lost to floating-point rounding against
     the other lengths at its tail, so no uniform draw can take it."""
+
+
+class ChargeOverflow(WalkcoverError):
+    """An arc's time charge is not finite: its length, or under
+    ``BROWNIAN_MEAN`` a length at its tail, is too large to square in
+    floating point."""

@@ -246,12 +246,15 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # the group's k-th step.  Every step draws exactly one
 # uniform, so a lane's k-th draw is its k-th step whatever the scalar
 # walker's refill schedule.  Each lane adds its charges in step order, so its
-# clock is the scalar walker's float sum.  When fewer than
-# ``LOCKSTEP_MIN_LIVE`` lanes are left, or the live lanes reach the step
-# budget, the rest go on, in trial order, on the fused scalar loop from the
-# step they reached: their vertex, progress, clock, step count and PCG64
-# state carry over, so they give the same results (or raise the same
-# ``StepBudgetExceeded``).
+# clock is the scalar walker's float sum.  The walker owns every per-lane
+# array: vertex, progress (of the lanes' ``dtype``), commute count and
+# clock.  It moves progress with the lanes' pure ``advance`` and drops
+# stopped lanes from all of them at once, so the lanes stay read-only.
+# When fewer than ``LOCKSTEP_MIN_LIVE`` lanes are left, or the live lanes
+# reach the step budget, the rest go on, in trial order, on the fused
+# scalar loop from the step they reached: their vertex, progress, clock,
+# step count, commute count and PCG64 state carry over, so they give the
+# same results (or raise the same ``StepBudgetExceeded``).
 # ---------------------------------------------------------------------------
 
 # Block size from which the lockstep walker runs, and the live lanes below
@@ -407,7 +410,8 @@ def _lockstep(lanes, table, start, streams, budget, out):
     """Walk a block's trials in lockstep and fill ``out`` for those that stop
     while the walker runs.  Return the others' indices, in trial order,
     their PCG64 state and increment words as ``streams`` gives them, and
-    per trial the arguments that continue its fused walk (``lanes.resume``).
+    per trial the arguments that continue its fused walk: its vertex,
+    progress, clock, step count and commutes.
 
     Stopped lanes stay in the arrays, masked out of ``live``, until they are
     a quarter of them; then every array drops them at once.
@@ -417,6 +421,8 @@ def _lockstep(lanes, table, start, streams, budget, out):
     lane = np.arange(len(state_hi))
     live = np.ones(len(lane), bool)
     pos = np.full(len(lane), start, np.intp)
+    progress = np.full(len(lane), lanes.initial, lanes.dtype)
+    commutes = np.zeros(len(lane), np.int64)
     clock = np.zeros(len(lane))
     left = len(lane)
     steps = 0
@@ -445,28 +451,31 @@ def _lockstep(lanes, table, start, streams, budget, out):
             slot += column[pos] <= u
         clock += charge_of[slot]
         pos = head_of[slot]
-        stop = lanes.update(arc_of[slot], pos)
+        progress, stop, back = lanes.advance(progress, arc_of[slot], pos)
+        if back is not None:
+            commutes += back
         stop &= live
         if not stop.any():
             continue
-        counts = lanes.counts[stop].tolist() if lanes.counts is not None else repeat(-1)
         done = lane[stop].tolist()
+        counts = commutes[stop].tolist() if back is not None else repeat(-1)
         for j, t, c in zip(done, clock[stop].tolist(), counts):
             out[j] = (t, steps, c)
         live ^= stop
         left -= len(done)
         if 4 * left < 3 * len(lane):
-            lane, pos, clock = lane[live], pos[live], clock[live]
-            inc_hi, inc_lo = inc_hi[live], inc_lo[live]
+            lane, pos, progress, commutes, clock, inc_hi, inc_lo = (
+                a[live] for a in (lane, pos, progress, commutes, clock, inc_hi, inc_lo)
+            )
             group_hi, group_lo, draws, g_inc_hi, g_inc_lo = (
                 a.compress(live, axis=1) for a in (group_hi, group_lo, draws, *jump[2:])
             )
             jump = *jump[:2], g_inc_hi, g_inc_lo
-            lanes.keep(live)
             live = np.ones(left, bool)
-    lanes.keep(live)
     rest = group_hi[k - 1][live], group_lo[k - 1][live], inc_hi[live], inc_lo[live]
-    return lane[live], rest, lanes.resume(pos[live], clock[live], steps)
+    resume = zip(*(a[live].tolist() for a in (pos, progress, clock)), repeat(steps),
+                 commutes[live].tolist())
+    return lane[live], rest, resume
 
 
 @dataclass(frozen=True)
@@ -511,7 +520,7 @@ def _block_walker(net, start, rule, model, seed, budget):
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
     walk = _walker(net, start, rule, model, tables, lanes)
-    lockstep_lanes = lanes is not None and lanes.lockstep
+    lockstep_lanes = lanes is not None and lanes.dtype is not None
     lane_table = functools.cache(lambda: _lane_table(tables))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
@@ -521,7 +530,6 @@ def _block_walker(net, start, rule, model, seed, budget):
         out: list = [None] * (hi - lo)
         rest, resume = np.arange(hi - lo), repeat(())
         if lockstep and lockstep_lanes:
-            lanes.begin(hi - lo)
             rest, streams, resume = _lockstep(lanes, lane_table(), start, streams, budget, out)
         state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
         for j, s_hi, s_lo, i_hi, i_lo, at in zip(

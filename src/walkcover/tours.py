@@ -214,8 +214,7 @@ class EpochSequence:
         return _EpochTracker(self._plan(net))
 
     def make_lanes(self, net: Network):
-        # Fresh lanes on the plan's shared tables: lanes hold lockstep state.
-        return _TableLanes(*self._plan(net).lane_tables, None)
+        return self._plan(net).lanes
 
     def _plan(self, net: Network) -> "_EpochPlan":
         """The rule's tables on ``net``, checked and built once per network."""
@@ -258,8 +257,8 @@ class _EpochPlan:
         self.first = self._weak_run(0, walk.root)
 
     @cached_property
-    def lane_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(next, stop)`` over (state, arc) for :class:`_TableLanes`.
+    def lanes(self) -> _TableLanes:
+        """The rule's lane tables: ``next`` and ``stop`` over (state, arc).
 
         State s is the epoch index ``first + s``; the last state, index 2E,
         is where a lane stops, and stays put after that.
@@ -271,7 +270,7 @@ class _EpochPlan:
         for s, i in enumerate(range(first, final)):
             fires = arc_ids == self.arcs[i] if self.strong[i] else arc_heads == self.heads[i]
             nxt[s, fires] = self.after[i] - first
-        return nxt, nxt == final - first
+        return _TableLanes(nxt, nxt == final - first, None)
 
     def _weak_run(self, i: int, v: int) -> int:
         """The index after the weak epochs from ``i`` on that ``v`` satisfies."""

@@ -27,46 +27,50 @@ of 64, 256, 1024, 4096 and then 16384, each capped at the steps left in the
 budget, so the budget is checked once per block.
 
 A rule with a table form also has ``make_lanes``, which builds its progress
-as tables over (state, arc) or as coverage bits (see the section below):
-commute, refined commute, first passage, cover-and-return, vertex cover and
-the epoch sequences of :mod:`walkcover.tours`.  The lanes are the one
-definition of a rule's meaning that the estimator and the exact solver
+as read-only tables over (state, arc) or as coverage bits (see the section
+below): commute, refined commute, first passage, cover-and-return, vertex
+cover and the epoch sequences of :mod:`walkcover.tours`.  The lanes are the
+one definition of a rule's meaning that the estimator and the exact solver
 (:mod:`walkcover.exact`) read.  :func:`run` with its trackers is the
 reference that the tests hold every walker to, and the only walker for
 recorded trajectories, auxiliary payloads (epoch times, commute arcs) and
 rules without a table form.  The estimator walks its trials on the lanes
 alone, in two ways that the tests hold to :func:`run` trial by trial.  A
 trial walked on its own runs a fused loop over rows that fold the rule's
-state into the vertex, with no per-step method call.  Those rows are
-indexed by each draw's rank among the sampling rows' breakpoints, found by
-one ``searchsorted`` per refill block, so a step bisects nothing, while
-they hold at most ``RANK_ENTRIES_MAX`` (2**14) entries, one per row and
-rank; above that size a step bisects the vertex's ``cum`` list.  A block
-of at least ``estimate.LOCKSTEP_MIN_LANES`` trials walks in lockstep, one
-numpy step over all its trials at a time, while its masks fit in 64 bits,
-on uniforms it draws in groups by PCG64 jump-ahead.  It hands its last
-``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to the fused loop,
-which goes on from each trial's vertex, progress, clock, step count and
-generator state, so no step is walked twice.  Every step draws exactly one
-uniform, so a trial's k-th draw is its k-th step in all three walkers.  The
-gate's values and the measured tables behind them, the draw groups and the
-hand-off are in :mod:`walkcover.estimate`.  The walkers and the exact
-solver read the sampling rows through one layout, :func:`_slot_columns`.
+state into the vertex, with no per-step method call.  A row's entries hold
+the step's charge, the row it leads to and what the step does to the rule.
+While the rows hold at most ``RANK_ENTRIES_MAX`` entries, a row has an
+entry per rank of a draw among the sampling rows' breakpoints, found by one
+``searchsorted`` per refill block, so a step bisects nothing; above it, a
+slot row has the vertex's ``cum`` list and the same entries, one per slot,
+and a step bisects ``cum``.  A block of at least
+``estimate.LOCKSTEP_MIN_LANES`` trials walks in lockstep, one numpy step
+over all its trials at a time, while its masks fit in 64 bits, on uniforms
+it draws in groups by PCG64 jump-ahead.  That walker keeps every trial's
+progress and commute count itself and reads the lanes through one pure,
+vectorised ``advance``.  It hands its last ``estimate.LOCKSTEP_MIN_LIVE``
+or fewer live trials to the fused loop, which goes on from each trial's
+vertex, progress, clock, step count and generator state, so no step is
+walked twice.  Every step draws exactly one uniform, so a trial's k-th draw
+is its k-th step in all three walkers.  The gate's values and the measured
+tables behind them, the draw groups and the hand-off are in
+:mod:`walkcover.estimate`.  The walkers and the exact solver read the
+sampling rows through one layout, :func:`_slot_columns`.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from operator import length_hint
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StepBudgetExceeded, UnsamplableArc, VertexOutOfRange
+from .errors import ChargeOverflow, StepBudgetExceeded, UnsamplableArc, VertexOutOfRange
 from .netmodel import Arc, Network, Orientation
 from .resistance import SplitSpec
 
@@ -465,25 +469,26 @@ class _VertexTracker:
 # ---------------------------------------------------------------------------
 # Lane tables.  A rule with a table form also has ``make_lanes(net)``, which
 # builds its progress as tables over arcs, numbered ``2 * edge + direction``
-# as in ``net.arcs()``.  The estimator (:mod:`walkcover.estimate`) walks on
-# them in two ways.  Lanes expose:
+# as in ``net.arcs()``.  Lanes are read-only once built, so a rule may hand
+# out one object for every estimate (the epoch sequences do); the walkers
+# keep all per-trial state themselves.  The estimator
+# (:mod:`walkcover.estimate`) walks on them in two ways.  Lanes expose:
 #   walker(tables, start, label) -> walk(rng, budget, *resumed)
 #       one trial at a time in a fused loop: (stop time, steps, commutes),
 #       with commutes -1 for rules that do not count them, and the same
-#       StepBudgetExceeded as ``run``, naming the full budget; on rank rows
-#       (``_rank_rows``) of up to ``RANK_ENTRIES_MAX`` entries, and by
-#       bisection above it.  From ``start`` without ``resumed``; with a
-#       lane's ``resume`` tuple, on from that lane's step, with ``rng`` at
-#       the lane's generator state.  Build it once per estimate and walk
-#       every trial on it
-#   lockstep                          (True where the lockstep walker serves)
-#   begin(count)                      (start ``count`` lockstep lanes)
-#   update(arc, head) -> bool array  (True where the lane stops on this step)
-#   keep(mask)                        (drop the lanes where mask is False)
-#   counts                            (commute counts per lane, or None)
-#   resume(vertex, clock, steps)      (per lane, the ``resumed`` arguments
-#                                      that go on from its vertex, progress,
-#                                      clock and count after ``steps`` steps)
+#       StepBudgetExceeded as ``run``, naming the full budget.  From
+#       ``start`` without ``resumed``; with ``resumed = (vertex, progress,
+#       clock, steps, commutes)``, on from that step, with ``rng`` at the
+#       trial's generator state (rules that count no commutes ignore the
+#       last).  Build it once per estimate and walk every trial on it
+#   dtype                             (numpy type of a lane's progress in
+#                                      lockstep; None where it does not serve)
+#   advance(progress, arc, head) -> (progress, stop, back)
+#                                     (one lockstep step over arrays of lanes:
+#                                      the new progress, True where the lane
+#                                      stops, and 1 where it completes a
+#                                      commute, or None for rules that count
+#                                      none)
 # The exact solver (:mod:`walkcover.exact`) reads them one state at a time:
 #   initial                           (the progress before the first step)
 #   stepper() -> step(progress, arc, head) -> (progress, stops)
@@ -518,42 +523,61 @@ def _refills(rand, budget: int, done: int = 0):
 
 
 # Most entries for which the fused walkers run on rank rows; above it they
-# bisect.  Rank rows hold an entry per row and rank, one row per vertex for
-# every state, so they grow as states x vertices x breakpoints, where bisect
-# rows grow with the arcs; the gate bounds that size.  Measured on a 2-CPU
-# host (Xeon, Python 3.11, numpy 2.4) in one process, on the same trials,
-# as the bisect walker's time per step over the rank-row walker's (best of
-# 7 interleaved rounds of CPU time, the mean of two network seeds), with
-# both build times, on random networks with lengths in 0.8-1.25:
+# run on slot rows.  Rank rows hold an entry per row and rank, one row per
+# vertex for every state, so they grow as states x vertices x breakpoints,
+# where slot rows grow with the arcs; the gate bounds that size.  Measured
+# on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) in one process, on the same
+# trials, as the slot-row walker's time per step over the rank-row walker's
+# (best of 7 interleaved rounds of CPU time, the mean of two network seeds;
+# the range where more runs were made), with both build times, on random
+# networks with lengths in 0.8-1.25:
 #
-#   rule               network   entries  steps/trial   build ms    ratio
-#   edge cover         n=20,m=30     820          260   0.03  0.12   1.23
-#   edge cover         n=40,m=76    4520          680   0.08  0.52   1.09
-#   edge cover         n=60,m=120  10860         1220   0.12  1.17   1.06
-#   edge cover         n=70,m=140  14770         1380   0.12  1.53   0.99
-#   edge cover         n=85,m=170  21760         1620   0.17  2.27   0.91
-#   edge cover         n=100,m=200 30100         2180   0.20  3.00   0.84
-#   edge cover         n=200,m=400 120200        4920   0.42 11.56   0.78
-#   commute, far pair  n=60,m=68    9240          360   0.12  0.61   1.00
-#   commute, far pair  n=80,m=90   16160          570   0.16  0.99   0.98
-#   commute, far pair  n=120,m=135 36240          590   0.25  2.13   0.92
-#   directed epochs    n=12,m=16    8316          530   0.18  0.35   1.23
-#   directed epochs    n=20,m=30   50020         1810   0.51  1.70   1.06
-#   directed epochs    n=30,m=50  215130         4850   1.33  6.40   1.16
+#   rule               network      entries  steps   build ms   ratio
+#                                                   rank  slot
+#   edge cover /       n=20,m=30        820    300  0.21  0.08  1.07 / 1.03
+#   vertex cover with  n=25,m=40       1400    390  0.23  0.06  1.06 / 1.04
+#   a return (steps    n=30,m=50       2130    530  0.53  0.11  0.93 / 1.03
+#   and builds of      n=35,m=60       3010    610  0.84  0.18  1.06 / 1.07
+#   edge cover)        n=40,m=76       4520    630  0.67  0.11  0.93-0.96 / 0.90-0.99
+#                      n=45,m=88       5940    770  1.41  0.30  0.98 / 0.88
+#                      n=50,m=100      7550    920  1.40  0.15  0.82 / 1.00
+#                      n=55,m=110      9130   1020  1.68  0.22  1.02 / 0.99
+#                      n=60,m=120     10860   1220  1.85  0.25  0.91-0.92 / 1.02-1.03
+#                      n=65,m=130     12740   1340  2.72  0.37  0.90 / 1.00
+#                      n=70,m=140     14770   1380  2.49  0.18  0.89-0.93 / 0.91-0.92
+#                      n=85,m=170     21760   1800  2.69  0.20  0.83 / 0.96
+#                      n=200,m=400   120200   5160 15.29  0.49  0.60 / 0.72
+#   commute, far pair  n=30,m=34       2340    390  0.46  0.17  1.15
+#                      n=40,m=45       4080    510  0.75  0.28  1.09
+#                      n=50,m=56       6300    580  0.56  0.18  1.08
+#                      n=55,m=62       7700    860  0.76  0.17  1.08
+#                      n=60,m=68       9240    960  0.81  0.19  0.94-0.96
+#                      n=70,m=79      12460    840  1.38  0.28  0.94
+#                      n=80,m=90      16160   1030  1.44  0.24  0.92-0.93
+#                      n=120,m=135    36240   2390  2.91  0.35  0.85
+#   directed epochs    n=8,m=10        2184    200  0.17  0.13  1.26
+#                      n=10,m=12       3750    290  0.57  0.33  1.24
+#                      n=10,m=14       5510    390  0.73  0.47  1.18
+#                      n=12,m=16       8316    520  0.50  0.46  1.08-1.19
+#                      n=13,m=18      11544    670  0.76  0.43  1.21
+#                      n=14,m=20      15498    810  1.08  0.47  1.12-1.28
+#                      n=16,m=24      25872   1170  1.01  0.57  1.23
+#                      n=20,m=30      50020   1850  1.77  0.95  1.01
+#                      n=30,m=50     215130   5040  9.02  2.48  1.01
 #
-# Vertex cover with a return reads like edge cover up to 14770 entries
-# (1.03-1.17), then 1.03, 0.85 and 0.81.  Covers and commutes stop gaining
-# near 15000 entries.  Epochs, whose walks go through their states in turn,
-# keep a gain per step past it, but build every state's copy.  Below the
-# table's sizes, tree:4 edge cover (124 entries), tree:3 directed epochs
-# (1740), a 15-hop path commute (480) and lollipop:14 vertex cover (252)
-# gain 1.37-1.63.  A trial pays one searchsorted call per refill block,
-# about a microsecond, so the shortest walks lose: in a pass of perfbench's
-# short_trials, fused trials of under 16 steps took 3.81 us against 3.50 by
-# bisection (905 trials, 0.3 ms of a 277 ms pass), and those of 16-63 steps
-# 4.45 us against 5.05 (3725 trials).  Every workload of perfbench builds
-# rows of at most 1740 entries.
-RANK_ENTRIES_MAX = 2**14
+# Below the table's sizes, tree:4 edge cover (124 entries), tree:3 arc
+# cover (60), tree:3 directed epochs (1740), a 15-hop path commute (480)
+# and lollipop:14 vertex cover (252) read 1.20-1.53.  Covers and commutes
+# cross near 8000-9000 entries, and their rank rows build 5-10x slower
+# there, so the gate sits at 2**13.  Epochs walk through their states in
+# turn, so a step reads one state's copy of the rows: rank rows keep them
+# 8-28% faster per step up to about 26000 entries, and the two tie from
+# 50000, so epochs of 2**13 to 26000 entries pay that on slot rows.  A
+# trial pays one searchsorted call per refill block, about a microsecond,
+# so walks of under about 16 steps lose a few tenths of a microsecond on
+# rank rows.  Every workload of perfbench builds rows of at most 1740
+# entries.
+RANK_ENTRIES_MAX = 2**13
 
 
 def _slot_columns(tables):
@@ -598,22 +622,50 @@ def _rank_rows(tables, states: int = 1):
     return np.array(breaks), at
 
 
-def _link(walk, rows: list[list], entries: list, at: np.ndarray) -> None:
-    """Fill rank rows in place: ``rows[i][r] = entries[at[i, r]]``, with
-    ``at`` of shape (rows, ranks) or any shape that flattens to it.  Every
-    rank a slot covers shares that slot's entry, so the rows add only
-    references.  An entry holds the row it leads to, which is how a step
-    finds the next one, so the rows form reference cycles.  They are
+def _fused_rows(tables, slots, states: int = 1):
+    """Empty rows for a fused walker, one per state and vertex in the order
+    ``state * vertices + vertex``: ``(breaks, rows, fill)``.
+
+    Up to ``RANK_ENTRIES_MAX`` entries, ``breaks`` is the breakpoints of
+    :func:`_rank_rows` and a row is a list of one entry per rank.  Above
+    it, ``breaks`` is None and a row is a slot row ``(cum, entries)``: the
+    vertex's ``cum`` list and one entry per slot, and a step bisects
+    ``cum``.  Either way the entries come from one list, numbered ``state *
+    slots + slot`` over ``slots`` (:func:`_slot_columns`), and each holds
+    the row it leads to, so the walker makes them once the rows exist.
+    ``fill`` is what :func:`_link` fills the rows from: their lists, the
+    numbers of the entries those hold, in row order, and where each row's
+    numbers begin.
+    """
+    size = slots[-1][2]
+    offsets = range(0, states * size, size)
+    ranked = _rank_rows(tables, states)
+    if ranked is None:
+        rows = [(cum, []) for _ in offsets for cum, _, _ in slots]
+        firsts = [o + a for o in offsets for _, a, _ in slots]
+        return None, rows, ([row for _, row in rows], np.arange(states * size), firsts)
+    breaks, at = ranked
+    rows = [[] for _ in range(states * len(slots))]
+    at = np.array(offsets)[:, None, None] + at
+    return breaks, rows, (rows, at.ravel(), range(0, at.size, at.shape[-1]))
+
+
+def _link(walk, fill, entries: list) -> None:
+    """Fill the rows of :func:`_fused_rows` in place from ``entries``.
+    Every rank a slot covers shares that slot's entry, so rank rows add
+    only references.  An entry holds the row it leads to, which is how a
+    step finds the next one, so the rows form reference cycles.  They are
     emptied when ``walk`` is freed, so that they go at once rather than
     pile up for the cycle collector's full passes."""
-    picked = np.fromiter(entries, object, len(entries))[at].reshape(len(rows), -1)
-    for row, new in zip(rows, picked.tolist()):
-        row[:] = new
-    weakref.finalize(walk, _unlink, rows)
+    lists, at, firsts = fill
+    picked = np.fromiter(entries, object, len(entries))[at].tolist()
+    for row, a, z in zip(lists, firsts, [*firsts[1:], len(picked)]):
+        row[:] = picked[a:z]
+    weakref.finalize(walk, _unlink, lists)
 
 
 def _unlink(rows: list[list]) -> None:
-    """Break the rank rows' reference cycles."""
+    """Break the fused rows' reference cycles."""
     for row in rows:
         row.clear()
 
@@ -630,7 +682,7 @@ class _TableLanes:
     ``back`` counts commutes: 1 where the step completes one.
     """
 
-    lockstep = True
+    dtype = np.intp
     initial = 0
     rank = staticmethod(int)  # the state number itself
 
@@ -640,25 +692,9 @@ class _TableLanes:
         self.stop = stop.ravel()
         self.back = None if back is None else back.ravel()
 
-    def begin(self, count: int) -> None:
-        self.state = np.zeros(count, np.intp)
-        self.counts = None if self.back is None else np.zeros(count, np.int64)
-
-    def update(self, arc: np.ndarray, head: np.ndarray) -> np.ndarray:
-        key = self.state * self.arcs + arc
-        self.state = self.next[key]
-        if self.back is not None:
-            self.counts += self.back[key]
-        return self.stop[key]
-
-    def keep(self, mask: np.ndarray) -> None:
-        self.state = self.state[mask]
-        if self.counts is not None:
-            self.counts = self.counts[mask]
-
-    def resume(self, vertex: np.ndarray, clock: np.ndarray, steps: int):
-        counts = repeat(0) if self.counts is None else self.counts.tolist()
-        return zip(vertex.tolist(), self.state.tolist(), clock.tolist(), repeat(steps), counts)
+    def advance(self, state: np.ndarray, arc: np.ndarray, head: np.ndarray):
+        key = state * self.arcs + arc
+        return self.next[key], self.stop[key], None if self.back is None else self.back[key]
 
     def stepper(self):
         nxt, stop, arcs = self.next.tolist(), self.stop.tolist(), self.arcs
@@ -670,36 +706,44 @@ class _TableLanes:
         return step
 
     def walker(self, tables, start: int, label: str):
-        """Fused walks on rows indexed by ``state * vertices + vertex``:
-        ``walk(rng, budget)`` from ``start``, or ``walk(rng, budget, vertex,
-        state, t, steps, commutes)`` on from a lockstep lane (``resume``).
+        """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,
+        budget)`` from ``start``, or ``walk(rng, budget, vertex, state, t,
+        steps, commutes)`` on from a lockstep lane.
 
-        On rank rows (see :func:`_rank_rows`) a row holds, per rank, the
-        step's charge, the row it leads to and a code: 0 to go on, 1 where
-        the step completes a commute, and ``-1`` less its commute where it
-        stops.  A step is then one index, one add and one test of the code.
-
-        Otherwise a row holds the vertex's ``cum`` list, the charge of each
-        slot and the row each slot leads to, and a step bisects ``cum``.  A
-        step that completes a commute leads to that row less ``size``, the
-        row count, which Python's negative indexing reads as the same row; a
-        step that stops leads below ``-size``, to ``-size - 1`` less its
-        commute.  So one sign test per step finds both.
+        An entry holds the step's charge, the row it leads to and a code: 0
+        to go on, 1 where the step completes a commute, and ``-1`` less its
+        commute where it stops.  A step is then one index (after a bisection
+        on slot rows), one add and one test of the code.
         """
         n, states = len(tables), len(self.next) // self.arcs
-        size = states * n
         nxt, stop = self.next.reshape(states, -1), self.stop.reshape(states, -1)
         back = np.zeros_like(nxt) if self.back is None else self.back.reshape(states, -1)
         slots, arcs, heads, charges = _slot_columns(tables)
         b = back[:, arcs]
-        to = nxt[:, arcs] * n + heads
-        ends = stop[:, arcs]
+        to = (nxt[:, arcs] * n + heads).ravel().tolist()
+        codes = np.where(stop[:, arcs], -1 - b, b).ravel().tolist()
         counted = self.back is not None
-        ranked = _rank_rows(tables, states)
+        breaks, rows, fill = _fused_rows(tables, slots, states)
+        entries = [(c, rows[x], k) for c, x, k in zip(charges * states, to, codes)]
 
-        if ranked is not None:
-            breaks, at = ranked
-            rows = [[] for _ in range(size)]
+        if breaks is None:
+
+            def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
+                     t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
+                cum, row = rows[state * n + vertex]
+                bisect = bisect_right
+                for end, draws in _refills(rng.random, budget, steps):
+                    for u in draws:
+                        c, (cum, row), k = row[bisect(cum, u)]
+                        t += c
+                        if k:
+                            if k < 0:
+                                commutes -= 1 + k
+                                return t, end - length_hint(draws), commutes if counted else -1
+                            commutes += 1
+                raise _no_stop(budget, label)
+
+        else:
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
                      t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
@@ -715,34 +759,7 @@ class _TableLanes:
                             commutes += 1
                 raise _no_stop(budget, label)
 
-            codes = np.where(ends, -1 - b, b).ravel().tolist()
-            _link(walk, rows, [(c, rows[x], k) for c, x, k in
-                               zip(charges * states, to.ravel().tolist(), codes)],
-                  np.arange(0, to.size, len(arcs))[:, None, None] + at)
-            return walk
-
-        to -= size * b
-        to[ends] = -size - 1 - b[ends]
-        rows = [(cum, charges[a:z], row_to[a:z]) for row_to in to.tolist()
-                for cum, a, z in slots]
-
-        def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
-                 t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
-            cum, charges, row_to = rows[state * n + vertex]
-            bisect = bisect_right
-            for end, draws in _refills(rng.random, budget, steps):
-                for u in draws:
-                    k = bisect(cum, u)
-                    t += charges[k]
-                    x = row_to[k]
-                    if x < 0:
-                        if x < -size:
-                            commutes -= size + 1 + x
-                            return t, end - length_hint(draws), commutes if counted else -1
-                        commutes += 1
-                    cum, charges, row_to = rows[x]
-            raise _no_stop(budget, label)
-
+        _link(walk, fill, entries)
         return walk
 
 
@@ -754,7 +771,6 @@ class _MaskLanes:
     of at most 64 bits.
     """
 
-    counts = None
     rank = staticmethod(int.bit_count)
 
     def __init__(self, bits: Sequence[int], full: int, root: int | None, initial: int):
@@ -762,25 +778,17 @@ class _MaskLanes:
         self.full = full
         self.root = root
         self.initial = initial
-        self.lockstep = full.bit_length() <= 64
+        self.dtype = None
+        if full.bit_length() <= 64:
+            self.dtype = np.uint64
+            self.lane_bits, self.lane_full = np.array(self.bits, np.uint64), np.uint64(full)
 
-    def begin(self, count: int) -> None:
-        self.lane_bits = np.array(self.bits, np.uint64)
-        self.lane_full = np.uint64(self.full)
-        self.mask = np.full(count, self.initial, np.uint64)
-
-    def update(self, arc: np.ndarray, head: np.ndarray) -> np.ndarray:
-        self.mask |= self.lane_bits[arc]
-        done = self.mask == self.lane_full
+    def advance(self, mask: np.ndarray, arc: np.ndarray, head: np.ndarray):
+        mask = mask | self.lane_bits[arc]
+        stop = mask == self.lane_full
         if self.root is not None:
-            done &= head == self.root
-        return done
-
-    def keep(self, mask: np.ndarray) -> None:
-        self.mask = self.mask[mask]
-
-    def resume(self, vertex: np.ndarray, clock: np.ndarray, steps: int):
-        return zip(vertex.tolist(), self.mask.tolist(), clock.tolist(), repeat(steps))
+            stop &= head == self.root
+        return mask, stop, None
 
     def stepper(self):
         bits, full, root = self.bits, self.full, self.root
@@ -792,29 +800,41 @@ class _MaskLanes:
         return step
 
     def walker(self, tables, start: int, label: str):
-        """Fused walks on per-vertex rows: ``walk(rng, budget)`` from
-        ``start``, or ``walk(rng, budget, vertex, mask, t, steps)`` on from a
-        lockstep lane (``resume``).
+        """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,
+        budget)`` from ``start``, or ``walk(rng, budget, vertex, mask, t,
+        steps, commutes)`` on from a lockstep lane.
 
-        On rank rows (see :func:`_rank_rows`) a vertex's row holds, per
-        rank, the step's charge, its bit, the row of the vertex it leads to
-        and whether the walk may stop there (at the root, or anywhere
-        without a return).  Otherwise a row holds the vertex's ``cum`` list,
-        and per slot its charge, its bit and its head, then whether the walk
-        may stop at the vertex, and a step bisects ``cum``.
+        An entry holds the step's charge, its bit, the row of the vertex it
+        leads to and whether the walk may stop there (at the root, or
+        anywhere without a return).
         """
         full, initial, root = self.full, self.initial, self.root
         slots, arcs, heads, charges = _slot_columns(tables)
-        arc_bits = [self.bits[arc] for arc in arcs]
-        ranked = _rank_rows(tables)
+        breaks, rows, fill = _fused_rows(tables, slots)
+        entries = [(c, self.bits[arc], rows[h], root is None or h == root)
+                   for c, arc, h in zip(charges, arcs, heads)]
 
-        if ranked is not None:
-            breaks, at = ranked
-            rows = [[] for _ in tables]
+        if breaks is None:
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start,
-                     mask: int = initial, t: float = 0.0,
-                     steps: int = 0) -> tuple[float, int, int]:
+                     mask: int = initial, t: float = 0.0, steps: int = 0,
+                     commutes: int = -1) -> tuple[float, int, int]:
+                cum, row = rows[vertex]
+                bisect = bisect_right
+                for end, draws in _refills(rng.random, budget, steps):
+                    for u in draws:
+                        c, b, (cum, row), home = row[bisect(cum, u)]
+                        t += c
+                        mask |= b
+                        if home and mask == full:
+                            return t, end - length_hint(draws), -1
+                raise _no_stop(budget, label)
+
+        else:
+
+            def walk(rng: np.random.Generator, budget: int, vertex: int = start,
+                     mask: int = initial, t: float = 0.0, steps: int = 0,
+                     commutes: int = -1) -> tuple[float, int, int]:
                 row = rows[vertex]
                 for end, ranks in _refills(_ranks(rng, breaks), budget, steps):
                     for r in ranks:
@@ -825,30 +845,7 @@ class _MaskLanes:
                             return t, end - length_hint(ranks), -1
                 raise _no_stop(budget, label)
 
-            _link(walk, rows, [(c, bit, rows[h], root is None or h == root)
-                               for c, bit, h in zip(charges, arc_bits, heads)], at)
-            return walk
-
-        rows = [
-            (cum, charges[a:z], arc_bits[a:z], heads[a:z], root is None or v == root)
-            for v, (cum, a, z) in enumerate(slots)
-        ]
-
-        def walk(rng: np.random.Generator, budget: int, vertex: int = start,
-                 mask: int = initial, t: float = 0.0,
-                 steps: int = 0) -> tuple[float, int, int]:
-            cum, charges, arc_bits, heads, home = rows[vertex]
-            bisect = bisect_right
-            for end, draws in _refills(rng.random, budget, steps):
-                for u in draws:
-                    k = bisect(cum, u)
-                    t += charges[k]
-                    mask |= arc_bits[k]
-                    cum, charges, arc_bits, heads, home = rows[heads[k]]
-                    if home and mask == full:
-                        return t, end - length_hint(draws), -1
-            raise _no_stop(budget, label)
-
+        _link(walk, fill, entries)
         return walk
 
 
@@ -880,7 +877,9 @@ def build_tables(net: Network, model: TimingModel):
     Every ``cum`` rises strictly from above 0 to exactly 1.0, so each arc
     owns a slot that some uniform in [0, 1) reaches, as every reader of the
     rows assumes; a network whose lengths break that raises
-    :class:`UnsamplableArc`.  A model must be a :class:`TimingModel`.
+    :class:`UnsamplableArc`.  Every charge is finite; a length whose charge
+    overflows raises :class:`ChargeOverflow`.  A model must be a
+    :class:`TimingModel`.
 
     Build once per (network, model) and reuse across trials; construction is
     linear in the arc count but dwarfs a single trial if repeated per trial.
@@ -908,6 +907,9 @@ def build_tables(net: Network, model: TimingModel):
                 charge = length * length / 3.0 + pre
             else:
                 charge = length * length
+            if not math.isfinite(charge):
+                raise ChargeOverflow(f"edge {eid} out of vertex {v}: its time charge "
+                                     f"is {charge} under {model.name}")
             cum.append(acc)
             meta.append((eid, d, head, charge))
         cum[-1] = 1.0  # guard the last slot against rounding

@@ -248,6 +248,13 @@ def test_unsamplable_network_exits_two(tmp_path, capsys, name):
         assert err.startswith(f"error: {edge} out of vertex 0") and "Traceback" not in err
 
 
+def test_overflowing_charge_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["commute", "--gen", "path:1e200", "--pair", "0", "1",
+                                      "--trials", "4", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: edge 0 out of vertex 0") and "Traceback" not in err
+
+
 def test_input_file_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.net"
     bad.write_text("edge 0 1 frog\n")

@@ -529,10 +529,15 @@ def _lockstep_cases():
     assert rule._plan(looped).first > 0
     cases.append((looped, 0, rule))
     # Rows above ``walker.RANK_ENTRIES_MAX``, so the lanes handed off go on
-    # by bisection.
+    # on slot rows: a commute on table lanes, and a vertex cover with a
+    # return on mask lanes whose masks fit in 64 bits.
     wide = random_network(85, 170, (0.8, 1.25), seed=4)
     assert walker_module._rank_rows(build_tables(wide, TimingModel.L_SQUARED)) is None
     cases.append((wide, 0, Commute(0, 84)))
+    wide = random_network(64, 170, (0.8, 1.25), seed=4)
+    assert walker_module._rank_rows(build_tables(wide, TimingModel.L_SQUARED)) is None
+    assert VertexCover(0, True).make_lanes(wide).dtype is not None
+    cases.append((wide, 0, VertexCover(0, True)))
     return cases
 
 
@@ -590,12 +595,12 @@ def walks(monkeypatch):
 
             return counted
 
-        def counted_update(self, *args, update=lanes.update):
+        def counted_advance(self, *args, advance=lanes.advance):
             counts.lockstep[0] += 1
-            return update(self, *args)
+            return advance(self, *args)
 
         monkeypatch.setattr(lanes, "walker", counted_walker)
-        monkeypatch.setattr(lanes, "update", counted_update)
+        monkeypatch.setattr(lanes, "advance", counted_advance)
     return counts
 
 
@@ -652,6 +657,28 @@ def test_lockstep_block_equals_per_trial_runs(walks, case, model):
             assert fused == count
         else:
             assert fused < estimate_module.LOCKSTEP_MIN_LIVE
+
+
+@pytest.mark.parametrize("case", range(len(_lockstep_cases())))
+def test_lockstep_leaves_lanes_unchanged(case):
+    """The lockstep walker keeps every lane's progress and commute count
+    itself: walking a block changes no attribute of the rule's lanes, so a
+    rule may hand out one lanes object for every block, as the epoch
+    sequences do."""
+    net, start, rule = _lockstep_cases()[case]
+    lanes = rule.make_lanes(net)
+
+    def snapshot():
+        return {name: (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
+                for name, value in vars(lanes).items()}
+
+    before = snapshot()
+    tables = build_tables(net, TimingModel.L_SQUARED)
+    estimate_module._lockstep(lanes, estimate_module._lane_table(tables), start,
+                              estimate_module._trial_states(3, 0, 500), 10**9, [None] * 500)
+    assert snapshot() == before
+    if isinstance(rule, tours.EpochSequence):
+        assert rule.make_lanes(net) is lanes
 
 
 def _fused_cases():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from walkcover import walker as walker_module
 from walkcover.closedform import commute_time
-from walkcover.errors import StepBudgetExceeded, UnsamplableArc, VertexOutOfRange
+from walkcover.errors import ChargeOverflow, StepBudgetExceeded, UnsamplableArc, VertexOutOfRange
 from walkcover.estimate import estimate, trial_rng
 from walkcover.exact import exact_stop_time
 from walkcover.generators import loop, parallel_pair, path, random_network, triangle
@@ -342,21 +342,24 @@ def test_rank_rows_gate(monkeypatch):
 
 
 @pytest.mark.parametrize("rule", [Commute(0, 5), EdgeCoverReturn(0)])
-def test_rank_rows_are_freed_with_their_walk(rule):
-    """Rank rows link to each other; freeing the walk empties them, so they
-    leave no reference cycle for the collector."""
+def test_rank_rows_are_freed_with_their_walk(rule, monkeypatch):
+    """Rank rows, and slot rows above the gate, link to each other; freeing
+    the walk empties them, so they leave no reference cycle for the
+    collector."""
     net = random_network(6, 9, (0.8, 1.25), seed=1)
     tables = build_tables(net, TimingModel.L_SQUARED)
     lanes = rule.make_lanes(net)
-    gc.collect()
-    gc.disable()
-    try:
-        walk = lanes.walker(tables, 0, rule.label())
-        walk(trial_rng(1, 0), 10**6)
-        del walk
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for gate in (walker_module.RANK_ENTRIES_MAX, 0):
+        monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", gate)
+        gc.collect()
+        gc.disable()
+        try:
+            walk = lanes.walker(tables, 0, rule.label())
+            walk(trial_rng(1, 0), 10**6)
+            del walk
+            assert gc.collect() == 0, gate
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=80, deadline=None)
@@ -395,6 +398,24 @@ def test_unsamplable_arcs_fail_loudly(name, model):
         with pytest.raises(UnsamplableArc, match=message):
             estimate(net, 0, rule, model, trials, 1)
     with pytest.raises(UnsamplableArc, match=message):
+        exact_stop_time(net, 0, rule, model)
+
+
+@pytest.mark.parametrize("model", list(TimingModel))
+def test_overflowing_charges_fail_loudly(model):
+    """A length whose charge overflows to infinity raises the same error,
+    naming its edge, from the tables, ``run``, the fused and lockstep
+    estimates and the exact solve, rather than an infinite mean."""
+    net, rule = build_network(2, [(0, 1, 1e200)]), Commute(0, 1)
+    message = "edge 0 out of vertex 0"
+    with pytest.raises(ChargeOverflow, match=message):
+        build_tables(net, model)
+    with pytest.raises(ChargeOverflow, match=message):
+        run(net, 0, rule, model, trial_rng(1, 0))
+    for trials in (100, 600):
+        with pytest.raises(ChargeOverflow, match=message):
+            estimate(net, 0, rule, model, trials, 1)
+    with pytest.raises(ChargeOverflow, match=message):
         exact_stop_time(net, 0, rule, model)
 
 

@@ -272,10 +272,20 @@ def _command_check(args, net, file_orient):
     return CHECKS[args.command](args, net, file_orient)
 
 
-def _run_check(args, net, start, rule, target, kind):
-    """Estimate first, then compute the target and the verdict."""
-    report = _estimate(args, net, start, rule)
-    return report, None if target is None else verify(report, target(), kind, args.slack)
+def _run_checks(args, net, checks):
+    """Per check ``(start, rule, target, kind)``, in order: its estimate,
+    then its target and verdict.  Checks of equal start and rule share the
+    first one's estimate, which is the same report."""
+    reports: list = []
+    items = []
+    for start, rule, target, kind in checks:
+        report = next((r for key, r in reports if key == (start, rule)), None)
+        if report is None:
+            report = _estimate(args, net, start, rule)
+            reports.append(((start, rule), report))
+        verdict = None if target is None else verify(report, target(), kind, args.slack)
+        items.append((report, verdict))
+    return items
 
 
 def _write(args, payload: str) -> None:
@@ -339,11 +349,11 @@ def _dispatch(args) -> int:
                 raise WalkcoverError(
                     f"unknown check {name!r} (known: {', '.join(VERIFY_CHECKS)})"
                 )
-        items = [_run_check(args, net, *CHECKS[name](args, net, file_orient)) for name in names]
+        items = _run_checks(args, net, (CHECKS[name](args, net, file_orient) for name in names))
         _emit_items(args, items)
         return 0 if all(v.passed for _, v in items) else 1
 
-    _emit_items(args, [_run_check(args, net, *_command_check(args, net, file_orient))])
+    _emit_items(args, _run_checks(args, net, [_command_check(args, net, file_orient)]))
     return 0
 
 

@@ -512,11 +512,13 @@ class ComparisonVerdict:
 
 
 def _block_walker(net, start, rule, model, seed, budget):
-    """``block(lo, hi, lockstep)``: trials ``[lo, hi)`` as (stop time,
-    steps, commutes), in lockstep when ``lockstep`` is set and the rule's
-    lanes serve it.  The tables, lanes and fused rows are built here, once
-    per estimate, and the lockstep table when a block first needs it; every
-    block of the estimate reuses them."""
+    """``block(lo, hi, lockstep, streams=None)``: trials ``[lo, hi)`` as
+    (stop time, steps, commutes), in lockstep when ``lockstep`` is set and
+    the rule's lanes serve it, on ``streams`` as :func:`_trial_states`
+    derives them for those trials (derived here when None).  The tables,
+    lanes and fused rows are built here, once per estimate, and the lockstep
+    table when a block first needs it; every block of the estimate reuses
+    them."""
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
     walk = _walker(net, start, rule, model, tables, lanes)
@@ -525,8 +527,9 @@ def _block_walker(net, start, rule, model, seed, budget):
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
 
-    def block(lo, hi, lockstep) -> list[tuple[float, int, int]]:
-        streams = _trial_states(seed, lo, hi)
+    def block(lo, hi, lockstep, streams=None) -> list[tuple[float, int, int]]:
+        if streams is None:
+            streams = _trial_states(seed, lo, hi)
         out: list = [None] * (hi - lo)
         rest, resume = np.arange(hi - lo), repeat(())
         if lockstep and lockstep_lanes:
@@ -613,15 +616,22 @@ def _collect(net, start, rule, model, trials, seed, budget, workers):
 
     block = _block_walker(net, start, rule, model, seed, budget)
     workers = min(workers, _usable_cpus())
+    # The streams of every trial, derived in one bulk call; the pilot, the
+    # rest and the parent's block of a fan-out walk slices of them.
+    streams = _trial_states(seed, 0, trials)
+
+    def part(lo, hi, lockstep):
+        return block(lo, hi, lockstep, tuple(a[lo:hi] for a in streams))
+
     pilot, samples = 0, []
     if workers > 1:
         pilot = min(FORK_PILOT, max(1, trials // 16))
-        samples = block(0, pilot, False)
+        samples = part(0, pilot, False)
         left = trials - pilot
         if left > 1 and left * math.fsum(s[1] for s in samples) / pilot >= FORK_MIN_STEPS:
-            return samples + _fan_out(job, block, pilot, trials, min(workers, left))
+            return samples + _fan_out(job, part, pilot, trials, min(workers, left))
     if pilot < trials:
-        samples += block(pilot, trials, trials >= LOCKSTEP_MIN_LANES)
+        samples += part(pilot, trials, trials >= LOCKSTEP_MIN_LANES)
     return samples
 
 

@@ -19,12 +19,30 @@ commute's does) raises, rather than giving a wrong answer.  Every block
 checks its residual ``|Ax - b|_inf <= 1e-9 max(1, |b|_inf)`` and raises
 :class:`ExactSolveFailed` when it does not hold.
 
+The states are enumerated breadth first, one level at a time: one call of
+the lanes' vectorised ``advance`` steps every slot of the level's states,
+so each transition is stepped once, and a dict numbers the states in the
+order the search first reaches them.  Progress wider than 64 bits travels
+in object arrays.  The states are then laid out block after block in
+solve order (descending rank, then ascending size, then first reached),
+each block's states in the order they were reached.  Every block's
+``I - P_pp`` is assembled in one flat array, a contiguous slice per block,
+its entries summed per state in slot order.  Each batch of equal rank and
+size sums its right-hand sides in one accumulate over the slots, the mean
+charge first and 0.0 where a step stops or stays in the block, and is
+solved with one stacked ``np.linalg.solve``.  So every value is the one a
+state-by-state assembly in slot order gives, to the bit, whatever the
+batch.  The residuals are checked together after the last solve, and a
+failure names the first failing block in solve order; a singular block or
+a step to a block not yet solved stops the solve at its batch, after the
+residual check of the batches before it.
+
 The state count still grows exponentially in the edge count, so the
-breadth-first enumeration of reachable states stops at ``MAX_STATES``
-(2**20).  A state costs at most about 300 bytes.  On a 2-CPU x86-64 host
-with Python 3.11, a search that reaches the cap (binary_tree(5) arc cover)
-fails after 2 s at a 324 MB peak, and a full solve of 600k states
-(``random:n=9,m=11,seed=3`` arc cover) takes 3.3 s at a 153 MB peak.
+enumeration stops at ``MAX_STATES`` (2**20).  On a 2-CPU x86-64 host with
+Python 3.11 and numpy 2.4, each in a fresh process, a search that reaches
+the cap (binary_tree(5) arc cover, 124-bit masks) fails after 1.0 s at a
+290 MB peak, and a full solve of 600k states (``random:n=9,m=11,seed=3``
+arc cover) takes 1.0 s at a 290 MB peak.
 
 This is the runtime source for equality targets that have no closed form
 (for example cover-and-return means on named small networks).
@@ -32,7 +50,10 @@ This is the runtime source for equality targets that have no closed form
 
 from __future__ import annotations
 
-from itertools import groupby
+from bisect import bisect_right
+from collections import deque
+from itertools import repeat
+from operator import lshift, or_
 
 import numpy as np
 
@@ -50,6 +71,10 @@ RESIDUAL_TOLERANCE = 1e-9
 
 # Blocks per stacked solve; bounds the stack at _BATCH * n * n floats.
 _BATCH = 1024
+
+# Most states stepped at once; bounds the search's arrays at _CHUNK * width
+# entries, and its overshoot past ``max_states``.
+_CHUNK = 2**14
 
 
 def exact_stop_time(
@@ -73,111 +98,207 @@ def exact_stop_time(
     make_lanes = getattr(rule, "make_lanes", None)
     if make_lanes is None:
         raise TypeError(f"no exact solver for rule type {type(rule).__name__}")
-    steps = _step_rows(build_tables(net, model))
+    moves, weights = _slot_rows(build_tables(net, model))
     if tracker.start(start):
         return 0.0
+    if not moves[start, 2, 0]:
+        raise VertexOutOfRange(f"vertex {start} has no incident arcs")
     lanes = make_lanes(net)
-    step = lanes.stepper()
-    blocks = _reachable_blocks(steps, start, lanes.initial, step, max_states)
-    solved: dict[int, list[float]] = {}
-    # Blocks of equal rank and size are solved together, stacked in batches
-    # of at most _BATCH; _assemble checks that none reads an unsolved block.
-    rank = lanes.rank
-    order = sorted(blocks, key=lambda p: (-rank(p), len(blocks[p])))
-    for (r, _), group in groupby(order, lambda p: (rank(p), len(blocks[p]))):
-        group = list(group)
-        for lo in range(0, len(group), _BATCH):
-            batch = group[lo : lo + _BATCH]
-            mat, rhs = _assemble(batch, blocks, steps, solved, step)
-            solved.update(zip(batch, _solve_stack(mat, rhs, r).tolist()))
-    return solved[lanes.initial][0]
+    return _solve(*_reachable(moves, lanes, start, max_states), weights, lanes)
 
 
-def _step_rows(tables):
-    """Per vertex: ``(mean one-step charge, [(arc, head, prob)])``, or None,
-    read from the sampling slots (``walker._slot_columns``)."""
-    slots, arcs, heads, charges = _slot_columns(tables)
-    rows = []
-    for cum, a, z in slots:
-        if cum is None:
-            rows.append(None)
-            continue
-        probs = [c - prev for prev, c in zip([0.0, *cum], cum)]
+def _slot_rows(tables):
+    """The sampling slots per vertex, padded to the widest row: ``(moves,
+    weights)``.
+
+    ``moves[v]`` holds, per slot of ``v``, its arc ``2 * edge + direction``,
+    its head and 1 (0 in padding), shape (3, width); padding repeats the
+    first slot (or arc 0 into vertex 0 where ``v`` has no arcs).
+    ``weights[v]`` holds ``v``'s mean one-step charge, summed in slot order,
+    then each slot's step probability (0.0 in padding).
+    """
+    columns, arcs, heads, charges = _slot_columns(tables)
+    width = max(1, *(z - a for _, a, z in columns))
+    moves, weights = [], []
+    for cum, a, z in columns:
+        prob = [c - prev for prev, c in zip([0.0, *cum], cum)] if cum else []
         mean = 0.0
-        for prob, charge in zip(probs, charges[a:z]):
-            mean += prob * charge
-        rows.append((mean, list(zip(arcs[a:z], heads[a:z], probs))))
-    return rows
+        for p, charge in zip(prob, charges[a:z]):
+            mean += p * charge
+        pad = width - (z - a)
+        arc, head = (arcs[a], heads[a]) if cum else (0, 0)
+        moves += arcs[a:z] + [arc] * pad + heads[a:z] + [head] * pad + [1] * (z - a) + [0] * pad
+        weights += [mean, *prob] + [0.0] * pad
+    n = len(columns)
+    return np.array(moves).reshape(n, 3, width), np.array(weights).reshape(n, width + 1)
 
 
-def _reachable_blocks(steps, start, initial, step, max_states):
-    """Reachable non-stopped states grouped by progress: ``{progress: {vertex: row}}``."""
-    blocks: dict[int, dict[int, int]] = {initial: {start: 0}}
-    count = 1
-    frontier = [(start, initial)]
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        for v, p in frontier:
-            row = steps[v]
-            if row is None:
-                raise VertexOutOfRange(f"vertex {v} has no incident arcs")
-            for arc, head, _ in row[1]:
-                p2, stops = step(p, arc, head)
-                if stops:
-                    continue
-                block = blocks.setdefault(p2, {})
-                if head not in block:
-                    if count >= max_states:
-                        raise StateSpaceTooLarge(f"more than {max_states} reachable states")
-                    block[head] = len(block)
-                    count += 1
-                    nxt.append((head, p2))
-        frontier = nxt
-    return blocks
+def _reachable(moves, lanes, start, max_states):
+    """Reachable non-stopped states in breadth-first order: their progress
+    and vertex; per state and slot, whether the step goes on, flattened
+    from shape (states, width); and for each step that goes on, in that
+    order, the number of the state it reaches.
+
+    States are expanded in the order they are first reached, a level (or
+    ``_CHUNK`` states of one) at a time, each in one ``lanes.advance``
+    call over all their slots.  A state's key is its progress shifted left
+    past every vertex number, or its vertex.  One ``dict.setdefault`` per
+    step, mapped in C, gives each key the first of the numbers offered to
+    it, one per step taken so far; a step that gets its own number found a
+    new state, and ranking those numbers gives the states' numbers.
+    """
+    shift = len(moves).bit_length()
+    offer = {lanes.initial << shift | start: 0}.setdefault
+    offered = count = 1
+    dtype = lanes.dtype or object
+    found = [(np.array([lanes.initial], dtype), np.array([start]))]
+    pending = deque(found)
+    # Per step, the number its key got and whether that was its own; the
+    # start's entry comes first.
+    lives, gots, news = [], [np.zeros(1, np.intp)], [np.ones(1, bool)]
+    while pending:
+        progress, vertex = pending.popleft()
+        if len(vertex) > _CHUNK:
+            pending.appendleft((progress[_CHUNK:], vertex[_CHUNK:]))
+            progress, vertex = progress[:_CHUNK], vertex[:_CHUNK]
+        move = moves[vertex]
+        heads = move[:, 1]
+        after, stops, _ = lanes.advance(progress[:, None], move[:, 0], heads)
+        live = move[:, 2] > stops
+        after, heads = after[live], heads[live]
+        steps = len(heads)
+        keys = map(or_, map(lshift, after.tolist(), repeat(shift)), heads.tolist())
+        numbers = np.arange(offered, offered + steps)
+        got = np.fromiter(map(offer, keys, numbers.tolist()), np.intp, steps)
+        new = got == numbers
+        offered += steps
+        lives.append(live)
+        gots.append(got)
+        news.append(new)
+        fresh = np.count_nonzero(new)
+        if fresh:
+            count += fresh
+            if count > max_states:
+                raise StateSpaceTooLarge(f"more than {max_states} reachable states")
+            found.append((after[new], heads[new]))
+            pending.append(found[-1])
+    progress, vertex = (np.concatenate(column) for column in zip(*found))
+    got = np.concatenate(gots)
+    states = got[np.concatenate(news)]  # each state's number as offered, rising
+    return progress, vertex, np.concatenate(lives, axis=None), states.searchsorted(got[1:])
 
 
-def _assemble(batch, blocks, steps, solved, step):
-    """Stacked ``I - P_pp`` and ``r + sum_q P_pq x_q`` for same-size blocks."""
-    size = len(blocks[batch[0]])
-    mat = np.tile(np.eye(size), (len(batch), 1, 1))
-    rhs = np.empty((len(batch), size))
-    for j, p in enumerate(batch):
-        block = blocks[p]
-        for v, i in block.items():
-            acc, arcs = steps[v]
-            for arc, head, prob in arcs:
-                p2, stops = step(p, arc, head)
-                if stops:
-                    continue
-                if p2 == p:
-                    mat[j, i, block[head]] -= prob
-                    continue
-                x = solved.get(p2)
-                if x is None:
-                    raise AssertionError(
-                        f"progress {p:#x} -> {p2:#x} is not monotone; the block solve "
-                        "needs every step that changes progress to reach a higher rank"
-                    )
-                acc += prob * x[blocks[p2][head]]
-            rhs[j, i] = acc
-    return mat, rhs
+def _solve(progress, vertex, live, reached, weights, lanes) -> float:
+    """Solve the blocks of the states in descending rank and return the
+    value at the first state (the start).
 
+    Positions lay the states out block after block in solve order, each
+    block's states in the order the search reached them.
+    """
+    count, (n, width) = len(vertex), weights.shape
+    width -= 1
+    index: dict = {}
+    block = np.array([index.setdefault(p, len(index)) for p in progress.tolist()])
+    size = np.bincount(block)
+    rank = np.array(list(map(lanes.rank, index)))
+    # Blocks in solve order: descending rank, then ascending size, then
+    # first reached.  Batches are runs of equal rank and size in that order,
+    # split every _BATCH blocks.
+    order = np.lexsort((size, -rank))
+    sizes, ranks = size[order], rank[order]
+    groups = list(zip(ranks.tolist(), sizes.tolist()))
+    cuts = [0]
+    for j in range(1, len(groups) + 1):
+        if j == len(groups) or groups[j] != groups[j - 1] or j - cuts[-1] == _BATCH:
+            cuts.append(j)
+    first = np.zeros(len(order) + 1, np.intp)  # each block's first position
+    sizes.cumsum(out=first[1:])
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    perm = place[block].argsort(kind="stable")  # the state at each position
+    pos = np.empty(count + 1, np.intp)  # each state's position, and -1 past them
+    pos[perm] = np.arange(count)
+    pos[count] = -1
 
-def _solve_stack(mat: np.ndarray, rhs: np.ndarray, rank: int) -> np.ndarray:
-    """Solve stacked blocks and check each residual; raise :class:`ExactSolveFailed` if off."""
-    try:
-        sol = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        raise ExactSolveFailed(
-            f"a block of progress rank {rank} is singular: the rule cannot stop from it"
-        ) from None
-    residual = np.max(np.abs(np.einsum("bij,bj->bi", mat, sol) - rhs), axis=1)
-    bound = RESIDUAL_TOLERANCE * np.maximum(1.0, np.max(np.abs(rhs), axis=1))
-    bad = ~(residual <= bound)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ExactSolveFailed(
-            f"a block of progress rank {rank} has residual {residual[j]:.3g} "
-            f"above {bound[j]:.3g}"
+    # By position and slot: the position a step reaches (-1 where it stops
+    # or pads the row), and whether it stays in the block.
+    target = np.full(count * width, count, np.intp)
+    target[live] = reached
+    del live, reached
+    target = pos[target.reshape(count, width)[perm]]
+    span, begin = sizes.repeat(sizes), first[:-1].repeat(sizes)
+    rel = target - begin[:, None]
+    inside = rel.view(np.uintp) < span.view(np.uintp)[:, None]
+
+    # Every block's I - P_pp, its rows one after another in ``flat``, each
+    # entry summed in slot order.
+    row = np.zeros(count + 1, np.intp)
+    span.cumsum(out=row[1:])
+    flat = np.zeros(row[-1])
+    flat[row[:-1] + np.arange(count) - begin] = 1.0
+    weight = weights[vertex[perm]]
+    rel += row[:-1, None]
+    np.subtract.at(flat, rel[inside], weight[:, 1:][inside])
+    del rel
+
+    # Right-hand sides, one term per column of ``take`` and ``weight``:
+    # the mean charge times ``x[count]`` (1.0), then per slot the step's
+    # probability times the value it reaches, times ``x[-1]`` (0.0) where
+    # the step stops or stays in the block.  A batch sums them in that
+    # order with one accumulate: the sum a loop over the slots makes.
+    target[inside] = -1
+    take = np.full((count, width + 1), count)
+    take[:, 1:] = target
+    x = np.zeros(count + 2)
+    x[count] = 1.0
+    rhs, ax = np.empty(count), np.empty(count)
+
+    # A step that leaves its block must reach a block of an earlier batch,
+    # before the position where its own batch begins; the solve stops at
+    # the first batch with a step that does not.
+    starts = first[cuts]
+    late = target >= np.repeat(starts[:-1], np.diff(starts))[:, None]
+    del target
+    failure, solved = None, len(cuts) - 1
+    if late.any():
+        s, j = divmod(int(late.argmax()), width)
+        solved = bisect_right(starts.tolist(), s) - 1
+        failure = AssertionError(
+            f"progress {int(progress[perm[s]]):#x} -> {int(progress[perm[take[s, 1 + j]]]):#x} "
+            "is not monotone; the block solve needs every step that changes progress to "
+            "reach a higher rank"
         )
-    return sol
+    bounds, ends, sizes = starts.tolist(), row[starts].tolist(), sizes[cuts[:-1]].tolist()
+    with np.errstate(all="ignore"):  # a bad block shows in its residual below
+        for i in range(solved):
+            lo, hi, k = bounds[i], bounds[i + 1], sizes[i]
+            b = np.add.accumulate(weight[lo:hi] * x[take[lo:hi]], axis=1)[:, -1]
+            mat = flat[ends[i]:ends[i + 1]].reshape(-1, k, k)
+            try:
+                sol = np.linalg.solve(mat, b.reshape(-1, k, 1))
+            except np.linalg.LinAlgError:
+                failure = ExactSolveFailed(
+                    f"a block of progress rank {ranks[cuts[i]]} is singular: the rule "
+                    "cannot stop from it"
+                )
+                solved = i
+                break
+            x[lo:hi] = sol.ravel()
+            rhs[lo:hi] = b
+            ax[lo:hi] = (mat @ sol).ravel()
+        # Each solved block's worst residual |Ax - b| against its bound.
+        blocks, lo = cuts[solved], bounds[solved]
+        if lo:
+            worst = np.maximum.reduceat(np.abs(ax[:lo] - rhs[:lo]), first[:blocks])
+            top = np.maximum.reduceat(np.abs(rhs[:lo]), first[:blocks])
+            bound = RESIDUAL_TOLERANCE * np.maximum(1.0, top)
+            bad = ~(worst <= bound)
+            if bad.any():
+                j = int(bad.argmax())
+                raise ExactSolveFailed(
+                    f"a block of progress rank {ranks[j]} has residual {worst[j]:.3g} "
+                    f"above {bound[j]:.3g}"
+                )
+    if failure is not None:
+        raise failure
+    return float(x[pos[0]])

@@ -484,14 +484,17 @@ class _VertexTracker:
 #   dtype                             (numpy type of a lane's progress in
 #                                      lockstep; None where it does not serve)
 #   advance(progress, arc, head) -> (progress, stop, back)
-#                                     (one lockstep step over arrays of lanes:
-#                                      the new progress, True where the lane
-#                                      stops, and 1 where it completes a
-#                                      commute, or None for rules that count
-#                                      none)
-# The exact solver (:mod:`walkcover.exact`) reads them one state at a time:
+#                                     (one step over arrays of lanes, which
+#                                      broadcast together: the new progress,
+#                                      True where the lane stops, and 1 where
+#                                      it completes a commute, or None for
+#                                      rules that count none.  Progress is of
+#                                      ``dtype``, or of object type where that
+#                                      is None, as for masks wider than 64
+#                                      bits)
+# The exact solver (:mod:`walkcover.exact`) steps a breadth-first level of
+# states at a time through ``advance``, and reads:
 #   initial                           (the progress before the first step)
-#   stepper() -> step(progress, arc, head) -> (progress, stops)
 #   rank(progress) -> int             (grows whenever progress changes, for
 #                                      every rule the solver supports)
 # The epoch sequences in :mod:`walkcover.tours` build :class:`_TableLanes`
@@ -696,15 +699,6 @@ class _TableLanes:
         key = state * self.arcs + arc
         return self.next[key], self.stop[key], None if self.back is None else self.back[key]
 
-    def stepper(self):
-        nxt, stop, arcs = self.next.tolist(), self.stop.tolist(), self.arcs
-
-        def step(state: int, arc: int, head: int) -> tuple[int, bool]:
-            k = state * arcs + arc
-            return nxt[k], stop[k]
-
-        return step
-
     def walker(self, tables, start: int, label: str):
         """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,
         budget)`` from ``start``, or ``walk(rng, budget, vertex, state, t,
@@ -768,7 +762,7 @@ class _MaskLanes:
 
     ``bits[arc]`` is the bit that arc sets.  The masks are Python ints on the
     fused walker, so any width works there; the lockstep walker takes masks
-    of at most 64 bits.
+    of at most 64 bits, and ``advance`` takes wider ones in object arrays.
     """
 
     rank = staticmethod(int.bit_count)
@@ -778,10 +772,9 @@ class _MaskLanes:
         self.full = full
         self.root = root
         self.initial = initial
-        self.dtype = None
-        if full.bit_length() <= 64:
-            self.dtype = np.uint64
-            self.lane_bits, self.lane_full = np.array(self.bits, np.uint64), np.uint64(full)
+        self.dtype = np.uint64 if full.bit_length() <= 64 else None
+        self.lane_bits = np.array(self.bits, self.dtype or object)
+        self.lane_full = full if self.dtype is None else np.uint64(full)
 
     def advance(self, mask: np.ndarray, arc: np.ndarray, head: np.ndarray):
         mask = mask | self.lane_bits[arc]
@@ -789,15 +782,6 @@ class _MaskLanes:
         if self.root is not None:
             stop &= head == self.root
         return mask, stop, None
-
-    def stepper(self):
-        bits, full, root = self.bits, self.full, self.root
-
-        def step(mask: int, arc: int, head: int) -> tuple[int, bool]:
-            mask |= bits[arc]
-            return mask, mask == full and (root is None or head == root)
-
-        return step
 
     def walker(self, tables, start: int, label: str):
         """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,

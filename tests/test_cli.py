@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from walkcover import cli
 from walkcover.cli import CHECKS, VERIFY_CHECKS, build_parser, main
 from walkcover.closedform import cover_bounds
 from walkcover.estimate import CSV_HEADER, format_number
@@ -139,6 +140,23 @@ def test_verify_multiple_checks_exit_zero(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 4
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_verify_estimates_each_start_and_rule_once(capsys, monkeypatch):
+    """Checks of equal start and rule share one estimate, and every row is
+    the row that check makes on its own, in the order asked."""
+    calls = []
+    estimate = cli.run_estimate
+    monkeypatch.setattr(cli, "run_estimate", lambda *a, **k: calls.append(a) or estimate(*a, **k))
+    shared = ["--gen", "random:n=6,m=7,seed=2", "--trials", "600", "--seed", "5",
+              "--workers", "2"]
+    names = ["cre", "cre-bound", "cra-bound", "cra"]
+    _, out, _ = run_cli(capsys, ["verify", "--check", ",".join(names), *shared])
+    assert len(calls) == 2
+    alone = [run_cli(capsys, ["verify", "--check", name, *shared])[1].split("\n")[1]
+             for name in names]
+    assert out.split("\n")[1:-1] == alone
+    assert len(calls) == 6
 
 
 def test_verify_failing_check_exits_one(capsys):

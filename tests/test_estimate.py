@@ -852,6 +852,23 @@ def test_small_estimates_start_no_pool(monkeypatch):
             assert rep == estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, trials, 7)
 
 
+def test_in_process_estimates_derive_streams_once(monkeypatch):
+    """An estimate that stays in one process derives every trial's stream
+    in one bulk call, its pilot's included, and matches one worker."""
+    calls = []
+    derive = estimate_module._trial_states
+    monkeypatch.setattr(estimate_module, "_trial_states",
+                        lambda seed, lo, hi: calls.append((lo, hi)) or derive(seed, lo, hi))
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
+    for trials in (40, 600):
+        for rule in (Commute(0, 1), EdgeCoverReturn(0)):
+            one = estimate(triangle(), 0, rule, TimingModel.L_SQUARED, trials, 7)
+            calls.clear()
+            assert estimate(triangle(), 0, rule, TimingModel.L_SQUARED, trials, 7,
+                            workers=2) == one
+            assert calls == [(0, trials)]
+
+
 def test_large_estimates_fork_and_match_one_worker(monkeypatch):
     # Both predict more than ``FORK_MIN_STEPS`` steps after the pilot: arc
     # cover on star:40 walks scalar blocks, and the path commute's forked

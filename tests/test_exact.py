@@ -290,3 +290,56 @@ def test_exact_values_are_pinned():
     for name, (net, start, rule) in cases.items():
         got = tuple(exact_stop_time(net, start, rule, model).hex() for model in TimingModel)
         assert got == _EXACT_PINS[name], name
+
+
+# Exact solves in the benchmark's band of 3150-3400 states, pinned bit for
+# bit as ``float.hex()`` under (L_SQUARED, BROWNIAN_MEAN): edge covers on
+# random 8-vertex, 10-edge networks and arc covers on random 5-vertex,
+# 6-edge networks, lengths in 0.8-1.25, from vertex 0.
+_BAND_PINS = {
+    ("random:n=8,m=10,seed=4,lmin=0.8,lmax=1.25", "edge", 3286):
+        ("0x1.0f59fab306060p+6", "0x1.0f59fab306060p+6"),
+    ("random:n=8,m=10,seed=13,lmin=0.8,lmax=1.25", "edge", 3377):
+        ("0x1.c7f4b4eeaf4b5p+5", "0x1.c7f4b4eeaf4b5p+5"),
+    ("random:n=5,m=6,seed=2,lmin=0.8,lmax=1.25", "arc", 3186):
+        ("0x1.19319029addadp+5", "0x1.19319029addadp+5"),
+    ("random:n=5,m=6,seed=5,lmin=0.8,lmax=1.25", "arc", 3194):
+        ("0x1.5efa2df58f537p+5", "0x1.5efa2df58f535p+5"),
+}
+
+
+@pytest.mark.parametrize("spec, mode, states", list(_BAND_PINS))
+def test_band_solves_are_pinned(spec, mode, states):
+    net = from_spec(spec)
+    rule = EdgeCoverReturn(0) if mode == "edge" else ArcCoverReturn(0)
+    got = tuple(exact_stop_time(net, 0, rule, model).hex() for model in TimingModel)
+    assert got == _BAND_PINS[spec, mode, states]
+
+
+@pytest.mark.parametrize(
+    "net, rule, want",
+    [
+        # 62 edge bits: a progress value times the vertex count overflows 64 bits.
+        (path([1.0] * 62), EdgeCoverReturn(0), 2 * 62**2),
+        # 70 vertex bits: wider than any numpy integer type.
+        (path([1.0] * 69), VertexCover(0, True), 2 * 69**2),
+    ],
+)
+def test_wide_progress_solves(net, rule, want):
+    """Covering a path from one end and returning takes 2m^2, its commute time."""
+    assert exact_stop_time(net, 0, rule) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "net, rule, states",
+    [
+        (triangle(), ArcCoverReturn(0), 70),
+        (from_spec("random:n=8,m=10,seed=4,lmin=0.8,lmax=1.25"), EdgeCoverReturn(0), 3286),
+    ],
+)
+def test_state_cap_is_inclusive(net, rule, states):
+    """A cap equal to the reachable state count solves; one less raises."""
+    want = exact_stop_time(net, 0, rule)
+    assert exact_stop_time(net, 0, rule, max_states=states) == want
+    with pytest.raises(StateSpaceTooLarge, match=f"more than {states - 1} reachable"):
+        exact_stop_time(net, 0, rule, max_states=states - 1)

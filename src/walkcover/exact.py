@@ -39,10 +39,10 @@ residual check of the batches before it.
 
 The state count still grows exponentially in the edge count, so the
 enumeration stops at ``MAX_STATES`` (2**20).  On a 2-CPU x86-64 host with
-Python 3.11 and numpy 2.4, each in a fresh process, a search that reaches
-the cap (binary_tree(5) arc cover, 124-bit masks) fails after 1.0 s at a
-290 MB peak, and a full solve of 600k states (``random:n=9,m=11,seed=3``
-arc cover) takes 1.0 s at a 290 MB peak.
+Python 3.11 and numpy 2.4, each in a fresh process (median of three), a
+search that reaches the cap (binary_tree(5) arc cover, 124-bit masks)
+fails after 1.4 s at a 234 MB peak, and a full solve of 600k states
+(``random:n=9,m=11,seed=3`` arc cover) takes 1.6 s at a 310 MB peak.
 
 This is the runtime source for equality targets that have no closed form
 (for example cover-and-return means on named small networks).
@@ -118,7 +118,7 @@ def _slot_rows(tables):
     then each slot's step probability (0.0 in padding).
     """
     columns, arcs, heads, charges = _slot_columns(tables)
-    width = max(1, *(z - a for _, a, z in columns))
+    width = max(1, max(z - a for _, a, z in columns))
     moves, weights = [], []
     for cum, a, z in columns:
         prob = [c - prev for prev, c in zip([0.0, *cum], cum)] if cum else []

@@ -19,13 +19,15 @@ against, trial by trial.  A block of fewer than ``LOCKSTEP_MIN_LANES``
 (400) trials loads each state into one reused generator and walks each
 trial in the lanes' fused loop, with no per-step method call.  A larger
 block walks all its trials in lockstep on the same streams, with draw k
-being step k, while its masks fit in 64 bits.  It draws each trial's
-uniforms in groups, by PCG64 jump-ahead on the whole block at once, and
-hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the fused
-loop, which goes on from the step each reached.  Rules without lane
-tables, and walks that stop before their first step, run every trial on
-``run``.  All three walkers give the same bits; the measurements behind the
-gate, the group sizes and the hand-off are with the constants below.  The
+being step k, while its masks fit in 64 bits and its widest sampling row
+has at most one slot more than the root of its trials.  It draws each
+trial's uniforms in groups, by PCG64 jump-ahead on the whole block at
+once, and hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials
+to the fused loop, which goes on from the step each reached.  Rules
+without lane tables, and walks that stop before their first step, run
+every trial on ``run``.  All three walkers give the same bits; the
+measurements behind the gates, the group sizes and the hand-off are with
+the constants below.  The
 sampling tables, the lanes and the fused loop's rows are built once per
 estimate in the calling process, and once more in each forked worker.
 
@@ -309,6 +311,34 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # The hand-off walks only the steps the lockstep did not (in the
 # ``verify_exact`` pass, 117,808 fused steps for the 5,082 trials handed
 # off, against 661,706 from their first step), and 48 stays the best.
+#
+# A lockstep step also scans every ``cum`` column of the widest row, one
+# numpy pass each, whatever vertex a lane stands at, while a fused step
+# costs the same at any width.  So a block walks in lockstep only while the
+# widest row's columns (its slots less one), squared, are at most its
+# trials.  Measured as above, fused over lockstep block time (best of 3
+# interleaved rounds), on stars, whose centre is the widest row, with
+# commutes between two leaves:
+#
+#   lanes                      400   1000   2000   4000
+#   commute, star:12          1.23   1.91   2.49   3.03
+#   commute, star:20          0.98   1.34   1.80   2.23
+#   commute, star:28          0.72   1.12   1.39   1.75
+#   commute, star:40          0.57   0.80   1.05   1.36
+#   commute, star:56          0.44   0.63   0.84   1.01
+#   commute, star:80          0.24   0.41   0.58   0.60
+#   edge cover, star:12       1.84   2.13   3.03   3.65
+#   edge cover, star:20       0.96   1.41   1.92   3.51
+#   edge cover, star:28       0.84   1.17   1.42   1.45
+#   edge cover, star:40       1.18   1.13   1.43   1.83
+#   edge cover, star:56       0.49   0.88   1.29   1.47
+#
+# Commutes break even near 19 columns at 400 lanes, 31 at 1000, 41 at 2000
+# and 55 at 4000, about the root of the lanes; covers, whose fused steps
+# cost more, somewhat wider.  So the rule never walks in lockstep where it
+# loses more than 4%, and leaves some cover gains unused (star:40 up to
+# 1000 lanes, star:56 at 2000).  Every lockstep block of perfbench has
+# rows of at most 7 slots, so it stays in lockstep.
 LOCKSTEP_MIN_LANES = 400
 LOCKSTEP_MIN_LIVE = 48
 
@@ -513,16 +543,18 @@ class ComparisonVerdict:
 
 def _block_walker(net, start, rule, model, seed, budget):
     """``block(lo, hi, lockstep, streams=None)``: trials ``[lo, hi)`` as
-    (stop time, steps, commutes), in lockstep when ``lockstep`` is set and
-    the rule's lanes serve it, on ``streams`` as :func:`_trial_states`
-    derives them for those trials (derived here when None).  The tables,
-    lanes and fused rows are built here, once per estimate, and the lockstep
-    table when a block first needs it; every block of the estimate reuses
-    them."""
+    (stop time, steps, commutes), in lockstep when ``lockstep`` is set, the
+    rule's lanes serve it and the widest row is narrow enough for the block
+    (``LOCKSTEP_MIN_LANES``' second table), on ``streams`` as
+    :func:`_trial_states` derives them for those trials (derived here when
+    None).  The tables, lanes and fused rows are built here, once per
+    estimate, and the lockstep table when a block first needs it; every
+    block of the estimate reuses them."""
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
     walk = _walker(net, start, rule, model, tables, lanes)
     lockstep_lanes = lanes is not None and lanes.dtype is not None
+    columns = max((len(row[0]) for row in tables if row), default=1) - 1
     lane_table = functools.cache(lambda: _lane_table(tables))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
@@ -532,7 +564,7 @@ def _block_walker(net, start, rule, model, seed, budget):
             streams = _trial_states(seed, lo, hi)
         out: list = [None] * (hi - lo)
         rest, resume = np.arange(hi - lo), repeat(())
-        if lockstep and lockstep_lanes:
+        if lockstep and lockstep_lanes and columns * columns <= hi - lo:
             rest, streams, resume = _lockstep(lanes, lane_table(), start, streams, budget, out)
         state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
         for j, s_hi, s_lo, i_hi, i_lo, at in zip(

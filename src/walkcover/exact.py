@@ -32,10 +32,10 @@ size sums its right-hand sides in one accumulate over the slots, the mean
 charge first and 0.0 where a step stops or stays in the block, and is
 solved with one stacked ``np.linalg.solve``.  So every value is the one a
 state-by-state assembly in slot order gives, to the bit, whatever the
-batch.  The residuals are checked together after the last solve, and a
-failure names the first failing block in solve order; a singular block or
-a step to a block not yet solved stops the solve at its batch, after the
-residual check of the batches before it.
+batch.  A step to a block not yet solved raises before the first batch, and
+a singular batch raises when it is reached.  The residuals of all blocks
+are checked together after the last solve, and a failure names the first
+failing block in solve order.
 
 The state count still grows exponentially in the edge count, so the
 enumeration stops at ``MAX_STATES`` (2**20).  On a 2-CPU x86-64 host with
@@ -50,7 +50,6 @@ This is the runtime source for equality targets that have no closed form
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from itertools import repeat
 from operator import lshift, or_
@@ -157,6 +156,8 @@ def _reachable(moves, lanes, start, max_states):
     # start's entry comes first.
     lives, gots, news = [], [np.zeros(1, np.intp)], [np.ones(1, bool)]
     while pending:
+        if count > max_states:
+            raise StateSpaceTooLarge(f"more than {max_states} reachable states")
         progress, vertex = pending.popleft()
         if len(vertex) > _CHUNK:
             pending.appendleft((progress[_CHUNK:], vertex[_CHUNK:]))
@@ -178,8 +179,6 @@ def _reachable(moves, lanes, start, max_states):
         fresh = np.count_nonzero(new)
         if fresh:
             count += fresh
-            if count > max_states:
-                raise StateSpaceTooLarge(f"more than {max_states} reachable states")
             found.append((after[new], heads[new]))
             pending.append(found[-1])
     progress, vertex = (np.concatenate(column) for column in zip(*found))
@@ -254,51 +253,41 @@ def _solve(progress, vertex, live, reached, weights, lanes) -> float:
     rhs, ax = np.empty(count), np.empty(count)
 
     # A step that leaves its block must reach a block of an earlier batch,
-    # before the position where its own batch begins; the solve stops at
-    # the first batch with a step that does not.
+    # before the position where its own batch begins.
     starts = first[cuts]
     late = target >= np.repeat(starts[:-1], np.diff(starts))[:, None]
     del target
-    failure, solved = None, len(cuts) - 1
     if late.any():
         s, j = divmod(int(late.argmax()), width)
-        solved = bisect_right(starts.tolist(), s) - 1
-        failure = AssertionError(
+        raise AssertionError(
             f"progress {int(progress[perm[s]]):#x} -> {int(progress[perm[take[s, 1 + j]]]):#x} "
             "is not monotone; the block solve needs every step that changes progress to "
             "reach a higher rank"
         )
     bounds, ends, sizes = starts.tolist(), row[starts].tolist(), sizes[cuts[:-1]].tolist()
     with np.errstate(all="ignore"):  # a bad block shows in its residual below
-        for i in range(solved):
+        for i in range(len(cuts) - 1):
             lo, hi, k = bounds[i], bounds[i + 1], sizes[i]
             b = np.add.accumulate(weight[lo:hi] * x[take[lo:hi]], axis=1)[:, -1]
             mat = flat[ends[i]:ends[i + 1]].reshape(-1, k, k)
             try:
                 sol = np.linalg.solve(mat, b.reshape(-1, k, 1))
             except np.linalg.LinAlgError:
-                failure = ExactSolveFailed(
+                raise ExactSolveFailed(
                     f"a block of progress rank {ranks[cuts[i]]} is singular: the rule "
                     "cannot stop from it"
-                )
-                solved = i
-                break
+                ) from None
             x[lo:hi] = sol.ravel()
             rhs[lo:hi] = b
             ax[lo:hi] = (mat @ sol).ravel()
-        # Each solved block's worst residual |Ax - b| against its bound.
-        blocks, lo = cuts[solved], bounds[solved]
-        if lo:
-            worst = np.maximum.reduceat(np.abs(ax[:lo] - rhs[:lo]), first[:blocks])
-            top = np.maximum.reduceat(np.abs(rhs[:lo]), first[:blocks])
-            bound = RESIDUAL_TOLERANCE * np.maximum(1.0, top)
-            bad = ~(worst <= bound)
-            if bad.any():
-                j = int(bad.argmax())
-                raise ExactSolveFailed(
-                    f"a block of progress rank {ranks[j]} has residual {worst[j]:.3g} "
-                    f"above {bound[j]:.3g}"
-                )
-    if failure is not None:
-        raise failure
+        # Each block's worst residual |Ax - b| against its bound.
+        worst = np.maximum.reduceat(np.abs(ax - rhs), first[:-1])
+        bound = RESIDUAL_TOLERANCE * np.maximum(1.0, np.maximum.reduceat(np.abs(rhs), first[:-1]))
+        bad = ~(worst <= bound)
+        if bad.any():
+            j = int(bad.argmax())
+            raise ExactSolveFailed(
+                f"a block of progress rank {ranks[j]} has residual {worst[j]:.3g} "
+                f"above {bound[j]:.3g}"
+            )
     return float(x[pos[0]])

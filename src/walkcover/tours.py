@@ -239,20 +239,16 @@ class _EpochPlan:
     def __init__(self, net: Network, walk: ClosedWalk, mode: str, orientation):
         if mode not in ("arc", "directed"):
             raise ValueError(f"unknown epoch mode {mode!r}")
-        if mode == "directed":
-            if orientation is None:
-                raise ValueError("directed mode needs an orientation")
-            if len(orientation.directions) != len(net.edges):
-                raise ValueError("orientation does not match the network")
+        if mode == "directed" and orientation is None:
+            raise ValueError("directed mode needs an orientation")
         validate_closed_walk(net, walk)
-        dirs = orientation.directions if mode == "directed" else None
         # ``bits`` is the coverage bookkeeping for the post-hoc check.  An
         # epoch is strong exactly where its arc counts towards coverage.
         self.net = net
-        self.bits, self.full = coverage_bits(len(net.edges), mode, dirs)
-        self.strong = [self.bits[a.edge][a.direction] != 0 for a in walk.arcs]
-        self.heads = [net.arc_head(a) for a in walk.arcs]
+        self.bits, self.full = coverage_bits(net, mode, orientation)
         self.arcs = [2 * a.edge + a.direction for a in walk.arcs]
+        self.strong = [self.bits[a] != 0 for a in self.arcs]
+        self.heads = [net.arc_head(a) for a in walk.arcs]
         self.after = [self._weak_run(i + 1, v) for i, v in enumerate(self.heads)]
         self.first = self._weak_run(0, walk.root)
 
@@ -295,10 +291,11 @@ class _EpochTracker:
         return self.i == len(self.heads)
 
     def update(self, e: int, d: int, v: int, t: float) -> bool:
-        self.covered |= self.bits[e][d]
+        arc = 2 * e + d
+        self.covered |= self.bits[arc]
         i = self.i
         if self.strong[i]:
-            if 2 * e + d != self.arcs[i]:
+            if arc != self.arcs[i]:
                 return False
         elif v != self.heads[i]:
             return False

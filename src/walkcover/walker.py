@@ -22,9 +22,15 @@ look up and compare: trackers build their per-arc tables (such as
 :func:`coverage_bits`) once, in ``make_tracker``, rather than branching on the
 rule's options per step.  Where those tables cost more than a short trial,
 the rule builds them once per network and its trackers share them, as the
-epoch sequences do.  The loop in :func:`run` draws its uniforms in blocks
-of 64, 256, 1024, 4096 and then 16384, each capped at the steps left in the
-budget, so the budget is checked once per block.
+epoch sequences do.  The four mask rules (edge, arc and directed
+cover-and-return, and vertex cover) share one body: one spec, ``(bits,
+full, root or None, initial)`` with :func:`coverage_bits`' one bit per arc,
+builds both their tracker and their lanes, so each rule class holds only
+its fields, its label and its mode.
+
+The loop in :func:`run` draws its uniforms in blocks of 64, 256, 1024, 4096
+and then 16384, each capped at the steps left in the budget, so the budget
+is checked once per block.
 
 A rule with a table form also has ``make_lanes``, which builds its progress
 as read-only tables over (state, arc) or as coverage bits (see the section
@@ -45,8 +51,9 @@ entry per rank of a draw among the sampling rows' breakpoints, found by one
 slot row has the vertex's ``cum`` list and the same entries, one per slot,
 and a step bisects ``cum``.  A block of at least
 ``estimate.LOCKSTEP_MIN_LANES`` trials walks in lockstep, one numpy step
-over all its trials at a time, while its masks fit in 64 bits, on uniforms
-it draws in groups by PCG64 jump-ahead.  That walker keeps every trial's
+over all its trials at a time, while its masks fit in 64 bits and its
+widest row is narrow enough for its size, on uniforms it draws in groups by
+PCG64 jump-ahead.  That walker keeps every trial's
 progress and commute count itself and reads the lanes through one pure,
 vectorised ``advance``.  It hands its last ``estimate.LOCKSTEP_MIN_LIVE``
 or fewer live trials to the fused loop, which goes on from each trial's
@@ -319,148 +326,112 @@ class _RefinedTracker:
         return {"commutes": self.commutes, "commute_count": len(self.commutes)}
 
 
+class _MaskRule:
+    """The cover rules' one body: a coverage mask over arcs, from
+    :func:`coverage_bits` in the rule's ``mode``, and a return to ``root``.
+
+    :meth:`_spec` gives ``(bits, full, root or None, initial)``, from which
+    both the reference tracker and the lanes are built.
+    """
+
+    def anchor(self) -> int | None:
+        return self.root
+
+    def label(self) -> str:
+        return f"cover({self.mode};root={self.root})"
+
+    def _spec(self, net: Network):
+        return *coverage_bits(net, self.mode, getattr(self, "orientation", None)), self.root, 0
+
+    def make_tracker(self, net: Network):
+        return _MaskTracker(*self._spec(net))
+
+    def make_lanes(self, net: Network):
+        return _MaskLanes(*self._spec(net))
+
+
 @dataclass(frozen=True)
-class EdgeCoverReturn:
+class EdgeCoverReturn(_MaskRule):
     """Every edge traversed at least once (either way) and the walk back at root."""
 
     root: int
-
-    def anchor(self) -> int | None:
-        return self.root
-
-    def label(self) -> str:
-        return f"cover(edge;root={self.root})"
-
-    def make_tracker(self, net: Network):
-        return _MaskTracker(self.root, *coverage_bits(len(net.edges), "edge"))
-
-    def make_lanes(self, net: Network):
-        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "edge"))
+    mode = "edge"
 
 
 @dataclass(frozen=True)
-class ArcCoverReturn:
+class ArcCoverReturn(_MaskRule):
     """Every edge traversed in both directions and the walk back at root."""
 
     root: int
-
-    def anchor(self) -> int | None:
-        return self.root
-
-    def label(self) -> str:
-        return f"cover(arc;root={self.root})"
-
-    def make_tracker(self, net: Network):
-        return _MaskTracker(self.root, *coverage_bits(len(net.edges), "arc"))
-
-    def make_lanes(self, net: Network):
-        return _cover_lanes(self.root, *coverage_bits(len(net.edges), "arc"))
+    mode = "arc"
 
 
 @dataclass(frozen=True)
-class DirectedCoverReturn:
+class DirectedCoverReturn(_MaskRule):
     """Every edge traversed in its pre-assigned direction and the walk back at root."""
 
     root: int
     orientation: Orientation
-
-    def anchor(self) -> int | None:
-        return self.root
-
-    def label(self) -> str:
-        return f"cover(directed;root={self.root})"
-
-    def make_tracker(self, net: Network):
-        if len(self.orientation.directions) != len(net.edges):
-            raise ValueError("orientation does not match the network's edge count")
-        bits = coverage_bits(len(net.edges), "directed", self.orientation.directions)
-        return _MaskTracker(self.root, *bits)
-
-    def make_lanes(self, net: Network):
-        bits = coverage_bits(len(net.edges), "directed", self.orientation.directions)
-        return _cover_lanes(self.root, *bits)
-
-
-def coverage_bits(
-    edge_count: int, mode: str, directions: Sequence[int] | None = None
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Per-edge coverage mask bits and the full mask.
-
-    ``bits[e][d]`` is the bit that arc ``(e, d)`` covers.  ``edge`` gives
-    edge ``e`` bit ``e`` both ways, ``arc`` gives its two directions bits
-    ``2e`` and ``2e + 1``, and ``directed`` gives bit ``e`` to direction
-    ``directions[e]`` only and 0 to the other.  A tracker ORs ``bits[e][d]``
-    into its mask on every step, without branching on the mode.
-    """
-    if mode == "edge":
-        return tuple((1 << e, 1 << e) for e in range(edge_count)), (1 << edge_count) - 1
-    if mode == "arc":
-        bits = tuple((1 << 2 * e, 1 << (2 * e + 1)) for e in range(edge_count))
-        return bits, (1 << (2 * edge_count)) - 1
-    bits = tuple((0, 1 << e) if d else (1 << e, 0) for e, d in enumerate(directions))
-    return bits, (1 << edge_count) - 1
-
-
-class _MaskTracker:
-    """Coverage bitmask plus a return-to-root condition."""
-
-    def __init__(self, root: int, bits: tuple[tuple[int, int], ...], full: int):
-        self.root = root
-        self.bits = bits
-        self.full = full
-        self.mask = 0
-
-    def start(self, v: int) -> bool:
-        return self.mask == self.full and v == self.root
-
-    def update(self, e: int, d: int, v: int, t: float) -> bool:
-        self.mask |= self.bits[e][d]
-        return v == self.root and self.mask == self.full
-
-    def result(self):
-        return None
+    mode = "directed"
 
 
 @dataclass(frozen=True)
-class VertexCover:
+class VertexCover(_MaskRule):
     """Every vertex visited; optionally also return to root afterwards."""
 
     root: int
     with_return: bool = False
-
-    def anchor(self) -> int | None:
-        return self.root
+    mode = "vertex"
 
     def label(self) -> str:
         return f"vcover(root={self.root};return={str(self.with_return).lower()})"
 
-    def make_tracker(self, net: Network):
-        return _VertexTracker(self.root, net.vertex_count, self.with_return)
-
-    def make_lanes(self, net: Network):
-        bits = [1 << head for head in _arc_heads(net).tolist()]
-        full = (1 << net.vertex_count) - 1
-        return _MaskLanes(bits, full, self.root if self.with_return else None, 1 << self.root)
+    def _spec(self, net: Network):
+        bits, full = coverage_bits(net, self.mode)
+        return bits, full, self.root if self.with_return else None, 1 << self.root
 
 
-class _VertexTracker:
-    def __init__(self, root: int, n: int, with_return: bool):
+def coverage_bits(
+    net: Network, mode: str, orientation: Orientation | None = None
+) -> tuple[list[int], int]:
+    """The coverage bit of each arc, numbered ``2 * edge + direction``, and
+    the full mask.
+
+    ``edge`` gives both arcs of edge ``e`` bit ``e``, ``arc`` gives arc
+    ``a`` bit ``a``, ``directed`` gives bit ``e`` to the arc of edge ``e``
+    in direction ``orientation.directions[e]`` and 0 to the other, and
+    ``vertex`` gives each arc the bit of its head.  A tracker ORs its step's
+    bit into its mask, without branching on the mode.
+    """
+    m = len(net.edges)
+    if mode == "vertex":
+        return [1 << head for head in _arc_heads(net).tolist()], (1 << net.vertex_count) - 1
+    if mode == "arc":
+        return [1 << a for a in range(2 * m)], (1 << 2 * m) - 1
+    if mode == "edge":
+        return [1 << (a >> 1) for a in range(2 * m)], (1 << m) - 1
+    if len(orientation.directions) != m:
+        raise ValueError("orientation does not match the network's edge count")
+    pairs = ((0, 1 << e) if d else (1 << e, 0) for e, d in enumerate(orientation.directions))
+    return [b for pair in pairs for b in pair], (1 << m) - 1
+
+
+class _MaskTracker:
+    """A coverage mask, from ``initial``, that ORs in each step's arc bit,
+    and stops once it is full, at ``root`` unless that is None."""
+
+    def __init__(self, bits: list[int], full: int, root: int | None, initial: int):
+        self.bits = bits
+        self.full = full
         self.root = root
-        self.full = (1 << n) - 1
-        self.mask = 0
-        self.with_return = with_return
+        self.mask = initial
 
     def start(self, v: int) -> bool:
-        self.mask |= 1 << v
-        if self.mask != self.full:
-            return False
-        return (not self.with_return) or v == self.root
+        return self.mask == self.full and (self.root is None or v == self.root)
 
     def update(self, e: int, d: int, v: int, t: float) -> bool:
-        self.mask |= 1 << v
-        if self.mask != self.full:
-            return False
-        return (not self.with_return) or v == self.root
+        self.mask |= self.bits[2 * e + d]
+        return self.mask == self.full and (self.root is None or v == self.root)
 
     def result(self):
         return None
@@ -831,10 +802,6 @@ class _MaskLanes:
 
         _link(walk, fill, entries)
         return walk
-
-
-def _cover_lanes(root: int, bits, full: int) -> _MaskLanes:
-    return _MaskLanes([b for pair in bits for b in pair], full, root, 0)
 
 
 # Any object with anchor()/label()/make_tracker(); the concrete rule set also

@@ -749,13 +749,31 @@ def test_fused_budget_failures_match_run(walks):
 
 def test_lockstep_masks_fit_in_64_bits(walks):
     # Arc cover of 32 edges needs 64 mask bits and runs in lockstep; 33 edges
-    # need 66 and walk every trial on the fused loop.
-    gate = estimate_module.LOCKSTEP_MIN_LANES
+    # need 66 and walk every trial on the fused loop.  The block is wide
+    # enough for the centre's 32 slots: 31 columns, squared, 961 trials.
+    trials = 31**2
     for arms, lockstep in ((32, True), (33, False)):
         fused, scalar = _block_against_runs(walks, star(arms), 0, ArcCoverReturn(0),
-                                            TimingModel.BROWNIAN_MEAN, 8, 0, gate)
+                                            TimingModel.BROWNIAN_MEAN, 8, 0, trials)
         assert scalar == 0
-        assert (fused < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else fused == gate
+        assert (fused < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else fused == trials
+
+
+@pytest.mark.parametrize("arms, trials, lockstep", [
+    (200, 400, False),
+    (21, 400, True),
+    (22, 440, False),
+    (22, 441, True),
+])
+def test_lockstep_gate_reads_the_widest_row(walks, arms, trials, lockstep):
+    """A lockstep step scans every column of the widest row, so a block walks
+    in lockstep only while those columns (the centre's slots less one),
+    squared, are at most its trials; otherwise every trial walks on the
+    fused loop.  Either way each trial equals ``run``."""
+    fused, scalar = _block_against_runs(walks, star(arms), 1, Commute(1, 2),
+                                        TimingModel.L_SQUARED, 9, 0, trials)
+    assert scalar == 0
+    assert (fused < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else fused == trials
 
 
 class _TrackerOnly:

@@ -335,6 +335,7 @@ def test_wide_progress_solves(net, rule, want):
     [
         (triangle(), ArcCoverReturn(0), 70),
         (from_spec("random:n=8,m=10,seed=4,lmin=0.8,lmax=1.25"), EdgeCoverReturn(0), 3286),
+        (path([1.0]), FirstPassage(1), 1),
     ],
 )
 def test_state_cap_is_inclusive(net, rule, states):

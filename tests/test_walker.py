@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import pickle
 from bisect import bisect_right
 
 import numpy as np
@@ -26,6 +28,7 @@ from walkcover.walker import (
     VertexCover,
     build_tables,
     commute_trips,
+    coverage_bits,
     run,
     step,
 )
@@ -215,6 +218,43 @@ def test_directed_cover_requires_oriented_traversal():
     rule = DirectedCoverReturn(0, Orientation((1,)))
     out = run(net, 0, rule, TimingModel.L_SQUARED, trial_rng(2, 0))
     assert out.step_count == 2 and out.stop_time == 2.0
+
+
+def test_mask_rules_keep_their_public_surface():
+    """The four mask rules share one body but keep their fields, labels,
+    equality, hashes and pickles (forked workers pickle rules)."""
+    orient = Orientation((0, 1, 0))
+    rules = {
+        "cover(edge;root=0)": (EdgeCoverReturn(0), ["root"]),
+        "cover(arc;root=0)": (ArcCoverReturn(0), ["root"]),
+        "cover(directed;root=0)": (DirectedCoverReturn(0, orient), ["root", "orientation"]),
+        "vcover(root=0;return=false)": (VertexCover(0), ["root", "with_return"]),
+        "vcover(root=0;return=true)": (VertexCover(0, True), ["root", "with_return"]),
+    }
+    for label, (rule, names) in rules.items():
+        assert rule.label() == label
+        assert [f.name for f in dataclasses.fields(rule)] == names
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy == rule and hash(copy) == hash(rule) and copy.label() == label
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.root = 1
+    assert EdgeCoverReturn(0) != ArcCoverReturn(0)
+    assert VertexCover(0) != VertexCover(0, True)
+    assert len({EdgeCoverReturn(0), EdgeCoverReturn(0), ArcCoverReturn(0)}) == 2
+    short = DirectedCoverReturn(0, Orientation((0, 1)))
+    for make in (short.make_lanes, short.make_tracker):
+        with pytest.raises(ValueError, match="orientation does not match"):
+            make(triangle())
+
+
+def test_coverage_bits_are_numbered_per_arc():
+    # Triangle edges 0-1, 1-2, 2-0; arc 2 * edge + direction, direction 0
+    # from u to v.
+    net = triangle()
+    assert coverage_bits(net, "edge") == ([1, 1, 2, 2, 4, 4], 7)
+    assert coverage_bits(net, "arc") == ([1, 2, 4, 8, 16, 32], 63)
+    assert coverage_bits(net, "directed", Orientation((0, 1, 0))) == ([1, 0, 0, 2, 4, 0], 7)
+    assert coverage_bits(net, "vertex") == ([2, 1, 4, 2, 1, 4], 7)
 
 
 def test_anchor_mismatch_rejected():

@@ -341,7 +341,7 @@ class _MaskRule:
         return f"cover({self.mode};root={self.root})"
 
     def _spec(self, net: Network):
-        return *coverage_bits(net, self.mode, getattr(self, "orientation", None)), self.root, 0
+        return *coverage_bits(net, self.mode), self.root, 0
 
     def make_tracker(self, net: Network):
         return _MaskTracker(*self._spec(net))
@@ -374,6 +374,9 @@ class DirectedCoverReturn(_MaskRule):
     orientation: Orientation
     mode = "directed"
 
+    def _spec(self, net: Network):
+        return *coverage_bits(net, self.mode, self.orientation), self.root, 0
+
 
 @dataclass(frozen=True)
 class VertexCover(_MaskRule):
@@ -405,7 +408,7 @@ def coverage_bits(
     """
     m = len(net.edges)
     if mode == "vertex":
-        return [1 << head for head in _arc_heads(net).tolist()], (1 << net.vertex_count) - 1
+        return [1 << head for e in net.edges for head in (e.v, e.u)], (1 << net.vertex_count) - 1
     if mode == "arc":
         return [1 << a for a in range(2 * m)], (1 << 2 * m) - 1
     if mode == "edge":

@@ -749,9 +749,10 @@ def test_fused_budget_failures_match_run(walks):
 
 def test_lockstep_masks_fit_in_64_bits(walks):
     # Arc cover of 32 edges needs 64 mask bits and runs in lockstep; 33 edges
-    # need 66 and walk every trial on the fused loop.  The block is wide
-    # enough for the centre's 32 slots: 31 columns, squared, 961 trials.
-    trials = 31**2
+    # need 66 and walk every trial on the fused loop.  The block passes the
+    # width gate for both stars (the wider centre has 33 slots: 32 columns,
+    # squared, 1024 trials), so only the 64-bit mask limit tells them apart.
+    trials = 32**2
     for arms, lockstep in ((32, True), (33, False)):
         fused, scalar = _block_against_runs(walks, star(arms), 0, ArcCoverReturn(0),
                                             TimingModel.BROWNIAN_MEAN, 8, 0, trials)

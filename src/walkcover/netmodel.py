@@ -72,9 +72,6 @@ class Orientation:
 
     directions: tuple[int, ...]
 
-    def arc_for(self, edge_id: int) -> Arc:
-        return Arc(edge_id, self.directions[edge_id])
-
 
 @dataclass(frozen=True)
 class Network:

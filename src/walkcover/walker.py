@@ -26,7 +26,10 @@ epoch sequences do.  The four mask rules (edge, arc and directed
 cover-and-return, and vertex cover) share one body: one spec, ``(bits,
 full, root or None, initial)`` with :func:`coverage_bits`' one bit per arc,
 builds both their tracker and their lanes, so each rule class holds only
-its fields, its label and its mode.
+its fields, its label and its mode.  The two commute rules share one body
+the same way: one spec, ``(x, y, A's edges, stop test)``, builds both
+their tracker and their lanes.  A plain commute has no side A and stops at
+its first commute, and the lanes hold only the states the walk reaches.
 
 The loop in :func:`run` draws its uniforms in blocks of 64, 256, 1024, 4096
 and then 16384, each capped at the steps left in the budget, so the budget
@@ -72,6 +75,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import length_hint
 from typing import Iterable, Sequence
 
@@ -175,8 +179,47 @@ class _FirstPassageTracker:
         return {"arrival_arc": self.arrival}
 
 
+# A commute's stop test by kind, read once per completed commute: whether
+# the trip out and the trip back went through A, then whether some trip out
+# and some trip back have, counting this commute.  A plain commute stops at
+# the first.
+_COMMUTE_STOPS = {
+    "commute": lambda f, b, seen_f, seen_b: True,
+    "either": lambda f, b, seen_f, seen_b: f or b,
+    "forward": lambda f, b, seen_f, seen_b: f,
+    "backward": lambda f, b, seen_f, seen_b: b,
+    "both": lambda f, b, seen_f, seen_b: seen_f and seen_b,
+}
+
+
+class _CommuteRule:
+    """The commute rules' one body: trips out from x to y and back, through
+    side A or not, until the kind's stop test in ``_COMMUTE_STOPS`` holds.
+
+    :meth:`_spec` gives ``(x, y, A's edges, stop test)``, from which both
+    the reference tracker and the lanes are built; the lanes gather
+    :func:`_commute_table`'s rows over the arcs by each arc's class.
+    """
+
+    def make_tracker(self, net: Network):
+        return _CommuteTracker(*self._spec(net))
+
+    def make_lanes(self, net: Network):
+        # An arc's class is 1 into y, 2 into x, plus 4 in A, and 0 for any
+        # other arc; arc 2 * e + 1 - d of an edge at v runs into v, against
+        # arc 2 * e + d out of v.
+        x, y, a_edges, stops = self._spec(net)
+        cls, present = [0] * (2 * len(net.edges)), set()
+        for c, v in (1, y), (2, x):
+            for e, d, _ in net.adjacency[v]:
+                cls[2 * e + 1 - d] = k = c | 4 * (e in a_edges)
+                present.add(k)
+        nxt, stop, back = _commute_table(stops, tuple(sorted(present))).take(cls, axis=2)
+        return _TableLanes(nxt, stop == 1, back)
+
+
 @dataclass(frozen=True)
-class Commute:
+class Commute(_CommuteRule):
     """Go from x to y and back to x; one elementary commute."""
 
     x: int
@@ -188,49 +231,15 @@ class Commute:
     def label(self) -> str:
         return f"commute(x={self.x};y={self.y})"
 
-    def make_tracker(self, net: Network):
+    def _spec(self, net: Network):
         if self.x == self.y:
             raise VertexOutOfRange("commute endpoints must differ")
         net.check_vertex(self.y)
-        return _CommuteTracker(self.x, self.y)
-
-    def make_lanes(self, net: Network):
-        # State 0 is the trip out to y, state 1 the trip back to x.
-        heads = _arc_heads(net)
-        nxt = np.ones((2, len(heads)), np.intp)
-        nxt[0] = heads == self.y
-        back = np.zeros((2, len(heads)), np.int64)
-        back[1] = heads == self.x
-        return _TableLanes(nxt, back == 1, back)
-
-
-class _CommuteTracker:
-    def __init__(self, x: int, y: int):
-        self.x = x
-        self.y = y
-        self.outbound = True
-        self.fwd = None
-        self.bwd = None
-
-    def start(self, v: int) -> bool:
-        return False
-
-    def update(self, e: int, d: int, v: int, t: float) -> bool:
-        if self.outbound:
-            if v == self.y:
-                self.fwd = (e, d)
-                self.outbound = False
-        elif v == self.x:
-            self.bwd = (e, d)
-            return True
-        return False
-
-    def result(self):
-        return {"commutes": [(self.fwd, self.bwd)], "commute_count": 1}
+        return self.x, self.y, frozenset(), _COMMUTE_STOPS["commute"]
 
 
 @dataclass(frozen=True)
-class RefinedCommute:
+class RefinedCommute(_CommuteRule):
     """Stop at the first commute whose trips touch side A in the given way.
 
     ``kind`` is one of ``either`` / ``forward`` / ``backward`` / ``both``.  A
@@ -251,49 +260,24 @@ class RefinedCommute:
     def label(self) -> str:
         return f"refined({self.kind};x={self.spec.x};y={self.spec.y})"
 
-    def make_tracker(self, net: Network):
+    def _spec(self, net: Network):
         if self.kind not in REFINED_KINDS:
             raise ValueError(f"unknown refined-commute kind {self.kind!r}")
         if self.spec.network != net:
             raise ValueError("split spec belongs to a different network")
-        return _RefinedTracker(self.kind, self.spec.x, self.spec.y, self.spec.a_edges)
-
-    def make_lanes(self, net: Network):
-        # State bits: 1 on the trip back to x, 2 the trip out went through A,
-        # 4 and 8 the ``both`` kind's seen-forward and seen-backward flags.
-        x, y, kind = self.spec.x, self.spec.y, self.kind
-        heads = _arc_heads(net).tolist()
-        in_a = [arc.edge in self.spec.a_edges for arc in net.arcs()]
-        nxt = np.zeros((16, len(heads)), np.intp)
-        back = np.zeros((16, len(heads)), np.int64)
-        stop = np.zeros((16, len(heads)), bool)
-        for s in range(16):
-            for arc, (head, a) in enumerate(zip(heads, in_a)):
-                if not s & 1:
-                    nxt[s, arc] = s | 1 | 2 * a if head == y else s
-                elif head != x:
-                    nxt[s, arc] = s
-                else:
-                    f = bool(s & 2)
-                    seen = s & 12 | 4 * f | 8 * a
-                    nxt[s, arc] = seen
-                    back[s, arc] = 1
-                    stop[s, arc] = {"forward": f, "backward": a, "either": f or a,
-                                    "both": seen == 12}[kind]
-        return _TableLanes(nxt, stop, back)
+        return self.spec.x, self.spec.y, self.spec.a_edges, _COMMUTE_STOPS[self.kind]
 
 
-class _RefinedTracker:
-    def __init__(self, kind: str, x: int, y: int, a_edges: frozenset[int]):
-        self.kind = kind
-        self.x = x
-        self.y = y
-        self.a = a_edges
+class _CommuteTracker:
+    """Trips out to ``y`` and back to ``x``, each commute's arriving arcs
+    recorded, until ``stops`` holds at a commute's end."""
+
+    def __init__(self, x: int, y: int, a_edges: frozenset[int], stops):
+        self.x, self.y, self.a, self.stops = x, y, a_edges, stops
         self.outbound = True
         self.fwd = None
         self.commutes: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        self.seen_f = False
-        self.seen_b = False
+        self.seen_f = self.seen_b = False
 
     def start(self, v: int) -> bool:
         return False
@@ -308,22 +292,55 @@ class _RefinedTracker:
             return False
         fwd = self.fwd
         self.commutes.append((fwd, (e, d)))
-        f = fwd[0] in self.a
-        b = e in self.a
-        self.seen_f |= f
-        self.seen_b |= b
+        f, b = fwd[0] in self.a, e in self.a
+        self.seen_f, self.seen_b = self.seen_f or f, self.seen_b or b
         self.outbound = True
-        kind = self.kind
-        if kind == "forward":
-            return f
-        if kind == "backward":
-            return b
-        if kind == "either":
-            return f or b
-        return self.seen_f and self.seen_b
+        return self.stops(f, b, self.seen_f, self.seen_b)
 
     def result(self):
         return {"commutes": self.commutes, "commute_count": len(self.commutes)}
+
+
+@lru_cache(maxsize=None)
+def _commute_table(stops, present: tuple[int, ...]) -> np.ndarray:
+    """A commute's moves per state and arc class, for a network whose arcs
+    into y or x have the classes ``present``: an array of shape (3, states,
+    8) of the number of the state a step reaches, 1 where it stops and 1
+    where it completes a commute.
+
+    A state is a set of bits: 1 on the trip back to x, 2 the trip out went
+    through A, and 4 and 8 some trip out and some trip back went through A.
+    On the way out a step into y turns back, on the way back a step into x
+    completes a commute, and every other step stays put, as does a stopping
+    one.  The states are those that steps which do not stop reach from
+    state 0, numbered in the order a breadth-first search reaches them.
+    The moves depend only on ``stops`` and ``present``, so they are found
+    once for each.
+    """
+    order, rows = [0], ([], [], [])
+    for i, s in enumerate(order):
+        nxt, stop, back = [i] * 8, [0] * 8, [0] * 8
+        for c in present:
+            if not s & 1 and c & 1:
+                t = s | 1 | c >> 1 & 2
+            elif s & 1 and c & 2:
+                f, b = bool(s & 2), bool(c & 4)
+                seen_f, seen_b = f or bool(s & 4), b or bool(s & 8)
+                back[c] = 1
+                if stops(f, b, seen_f, seen_b):
+                    stop[c] = 1
+                    continue
+                t = 4 * seen_f | 8 * seen_b
+            else:
+                continue
+            if t not in order:
+                order.append(t)
+            nxt[c] = order.index(t)
+        for column, part in zip(rows, (nxt, stop, back)):
+            column += part
+    table = np.array(rows).reshape(3, -1, 8)
+    table.flags.writeable = False
+    return table
 
 
 class _MaskRule:

@@ -18,6 +18,7 @@ from walkcover.generators import loop, parallel_pair, path, random_network, tria
 from walkcover.netmodel import Orientation, build_network
 from walkcover.resistance import SplitSpec, via_probability
 from walkcover.walker import (
+    REFINED_KINDS,
     ArcCoverReturn,
     Commute,
     DirectedCoverReturn,
@@ -245,6 +246,68 @@ def test_mask_rules_keep_their_public_surface():
     for make in (short.make_lanes, short.make_tracker):
         with pytest.raises(ValueError, match="orientation does not match"):
             make(triangle())
+
+
+def test_commute_rules_keep_their_public_surface():
+    """The two commute rules keep their labels, equality, hashes, pickles,
+    errors and the auxiliary payloads of their runs."""
+    net = triangle()
+    spec = SplitSpec(net, frozenset({0}), 0, 1)
+    assert Commute(0, 2).label() == "commute(x=0;y=2)"
+    assert Commute(0, 1) != Commute(1, 0)
+    rules = [Commute(0, 1)] + [RefinedCommute(kind, spec) for kind in REFINED_KINDS]
+    for rule in rules:
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy == rule and hash(copy) == hash(rule) and copy.label() == rule.label()
+    assert [rule.label() for rule in rules[1:]] == [
+        f"refined({kind};x=0;y=1)" for kind in ("either", "forward", "backward", "both")
+    ]
+    with pytest.raises(VertexOutOfRange, match="commute endpoints must differ"):
+        run(net, 2, Commute(2, 2))
+    with pytest.raises(ValueError, match="unknown refined-commute kind 'commute'"):
+        run(net, 0, RefinedCommute("commute", spec))
+    with pytest.raises(ValueError, match="split spec belongs to a different network"):
+        run(path([1.0, 1.0]), 0, RefinedCommute("either", spec))
+
+    # One seeded trial of each rule, pinned: its stop time, commutes and
+    # commute_trips over A = {0}.  y_b is the arc into y outside A, y_a the
+    # one through A; x_b and x_a likewise into x.
+    y_b, y_a, x_b, x_a = (1, 1), (0, 0), (2, 0), (0, 1)
+    two = [(y_b, x_b), (y_b, x_a)]
+    three = [*two, (y_a, x_b)]
+    expected = [
+        (10.0, [(y_b, x_b)], [(False, False)]),
+        (13.0, two, [(False, False), (False, True)]),
+        (18.0, three, [(False, False), (False, True), (True, False)]),
+        (13.0, two, [(False, False), (False, True)]),
+        (18.0, three, [(False, False), (False, True), (True, False)]),
+    ]
+    for rule, (stop_time, commutes, trips) in zip(rules, expected):
+        outcome = run(net, 0, rule, TimingModel.L_SQUARED, trial_rng(4, 0))
+        assert outcome.stop_time == stop_time
+        assert outcome.auxiliary == {"commutes": commutes, "commute_count": len(commutes)}
+        assert commute_trips([outcome], {0}) == trips
+
+
+def test_commute_lanes_hold_only_reachable_states():
+    """Commute lanes keep the states that steps which do not stop reach from
+    state 0, and a stopping step stays in its state."""
+    net = triangle()
+    spec = SplitSpec(net, frozenset({0}), 0, 1)
+    rules = [Commute(0, 1)] + [RefinedCommute(kind, spec) for kind in REFINED_KINDS]
+    for rule, count in zip(rules, [2, 3, 6, 6, 9]):
+        lanes = rule.make_lanes(net)
+        nxt = lanes.next.reshape(-1, lanes.arcs)
+        stop = lanes.stop.reshape(nxt.shape)
+        assert len(nxt) == count, rule.label()
+        assert (nxt[stop] == stop.nonzero()[0]).all()
+        reached, frontier = {0}, [0]
+        while frontier:
+            s = frontier.pop()
+            for t in set(nxt[s][~stop[s]].tolist()) - reached:
+                reached.add(t)
+                frontier.append(t)
+        assert reached == set(range(count)), rule.label()
 
 
 def test_coverage_bits_are_numbered_per_arc():

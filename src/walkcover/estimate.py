@@ -19,17 +19,18 @@ against, trial by trial.  A block of fewer than ``LOCKSTEP_MIN_LANES``
 (400) trials loads each state into one reused generator and walks each
 trial in the lanes' fused loop, with no per-step method call.  A larger
 block walks all its trials in lockstep on the same streams, with draw k
-being step k, while its masks fit in 64 bits and its widest sampling row
-has at most one slot more than the root of its trials.  It draws each
-trial's uniforms in groups, by PCG64 jump-ahead on the whole block at
+being step k, while its masks fit in 64 bits, at any row width: each step
+finds every lane's slot with one lookup on a grid of its draw.  It draws
+each trial's uniforms in groups, by PCG64 jump-ahead on the whole block at
 once, and hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials
 to the fused loop, which goes on from the step each reached.  Rules
 without lane tables, and walks that stop before their first step, run
 every trial on ``run``.  All three walkers give the same bits; the
-measurements behind the gates, the group sizes and the hand-off are with
-the constants below.  The
-sampling tables, the lanes and the fused loop's rows are built once per
-estimate in the calling process, and once more in each forked worker.
+measurements behind the gate, the grid, the group sizes and the hand-off
+are with the constants below.  A block's samples are three arrays: stop
+times, steps and commutes.  The sampling tables, the lanes and the fused
+loop's rows are built once per estimate in the calling process, and once
+more in each forked worker.
 
 ``workers`` is an upper bound.  The estimator forks only when a pilot of
 its first trials (a sixteenth of them, at most ``FORK_PILOT`` = 32)
@@ -248,43 +249,67 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # the group's k-th step.  Every step draws exactly one
 # uniform, so a lane's k-th draw is its k-th step whatever the scalar
 # walker's refill schedule.  Each lane adds its charges in step order, so its
-# clock is the scalar walker's float sum.  The walker owns every per-lane
-# array: vertex, progress (of the lanes' ``dtype``), commute count and
-# clock.  It moves progress with the lanes' pure ``advance`` and drops
-# stopped lanes from all of them at once, so the lanes stay read-only.
-# When fewer than ``LOCKSTEP_MIN_LIVE`` lanes are left, or the live lanes
-# reach the step budget, the rest go on, in trial order, on the fused
-# scalar loop from the step they reached: their vertex, progress, clock,
-# step count, commute count and PCG64 state carry over, so they give the
-# same results (or raise the same ``StepBudgetExceeded``).
+# clock is the scalar walker's float sum.
+#
+# A step finds each lane's slot on a grid of its draw (:func:`_grid`): the
+# group's draws are binned once, ``bin = u * 2**g``, and a lane's slot is
+# ``lo`` at (vertex, bin) plus the count of that bin's thresholds at or
+# below ``u``, so one lookup serves every row width.  The rule then moves
+# by slot, not by arc: the lanes' ``lockstep`` gives one step over flat
+# per-slot tables, so no step maps a slot to its arc.  The walker owns
+# every per-lane array: grid row (vertex << g), progress (of the lanes'
+# ``dtype``), commute count and clock.  It drops stopped lanes from all of
+# them at once, after writing their samples into the block's arrays, so
+# the lanes stay read-only.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes
+# are left, or the live lanes reach the step budget, the rest go on, in
+# trial order, on the fused scalar loop from the step they reached: their
+# vertex, progress, clock, step count, commute count and PCG64 state carry
+# over, so they give the same results (or raise the same
+# ``StepBudgetExceeded``).
 # ---------------------------------------------------------------------------
 
 # Block size from which the lockstep walker runs, and the live lanes below
 # which it hands the rest to the fused scalar loop.  Measured on a 2-CPU
 # host (Xeon, Python 3.11, numpy 2.4) in one process, as the fused block
 # time over the lockstep block time, with the fused loop on rank rows and
-# the lockstep walker on the draw groups below (mean of two runs, each the
-# best of 7 interleaved rounds, CPU time):
+# the lockstep walker on the grid and the draw groups below (best of 7
+# interleaved rounds, CPU time):
 #
 #   lanes                       100   200   300   400   500   700  1000  2000
-#   commute, path:1,1,1, 0-3   0.94  1.17  1.60  1.85  2.19  2.54  2.94  3.47
-#   arc cover, triangle        0.96  1.43  1.86  2.11  2.39  3.05  3.62  5.19
-#   edge cover, random:8,10    0.82  1.08  1.28  2.03  1.74  2.12  2.39  3.92
-#   arc cover, tree:3          0.73  0.87  1.26  1.27  1.36  1.47  1.66  2.21
-#   12-hop path commute        0.64  0.83  1.00  1.19  1.23  1.60  1.56  2.12
-#   vcover+ret, random:12,14   0.75  1.06  1.26  1.50  1.70  1.72  2.71  3.18
+#   commute, path:1,1,1, 0-3   1.06  1.69  2.14  2.62  3.01  3.64  4.05  5.78
+#   arc cover, triangle        1.11  1.86  2.51  3.10  3.54  4.21  4.86  7.43
+#   edge cover, random:8,10    0.97  1.40  1.69  1.68  3.48  2.73  2.86  4.03
+#   arc cover, tree:3          0.69  0.90  1.10  1.28  1.42  1.69  1.72  2.32
+#   12-hop path commute        0.65  0.85  1.03  1.22  1.36  1.55  1.59  2.11
+#   vcover+ret, random:12,14   1.00  1.22  1.63  1.84  2.15  2.99  2.57  3.56
 #
 # Short walks gain from 100-200 lanes and walks of hundreds of steps (687 a
-# trial on tree:3) from 200-300.  The gate sits at 400, where every row
-# gains at least 1.19x.
-# The lockstep walker finds a lane's slot by counting the ``cum`` columns
-# at or below its uniform; ranking the uniforms among the rows'
-# breakpoints with one searchsorted per step, as the fused loop does,
-# took 1.03-1.39x as long on 2000-lane blocks of the six rules above (best
-# of 7 interleaved rounds, same results), so the columns stay.  An
-# estimate that stays in one process is one block, so a 600-trial
-# ``verify`` walks in lockstep at any ``--workers``; a forked block is gated
-# on its own size.
+# trial on tree:3) from 200-300.  At 300 the 12-hop commute reads 1.03,
+# within the rounds' spread, so the gate stays at 400, where every row
+# gains at least 1.22x.  An estimate that stays in one process is one
+# block, so a 600-trial ``verify`` walks in lockstep at any ``--workers``;
+# a forked block is gated on its own size.
+#
+# A lockstep step costs the same at any row width (see :func:`_grid`), so a
+# hub walks in lockstep like any other network.  Measured as above, on
+# stars, whose centre is the widest row, with commutes between two leaves
+# and edge covers from the centre (edge covers of more than 64 arms need
+# wider masks, so they walk the fused loop):
+#
+#   lanes                      400   2000
+#   commute, star:28          2.01   3.96
+#   commute, star:80          2.08   3.78
+#   commute, star:200         2.12   3.50
+#   commute, star:800         1.10   1.99
+#   edge cover, star:28       2.42   4.58
+#   edge cover, star:56       3.39   5.95
+#   edge cover, star:64       3.21   5.58
+#
+# Before the grid, a step compared each lane with every ``cum`` column of
+# the widest row, and commutes lost to the fused loop from about 19 columns
+# at 400 lanes (star:28 read 0.72, star:80 0.24), so such blocks walked the
+# fused loop.  Only star:800's grid is held to ``GRID_ENTRIES_MAX``; its
+# bins keep 13 thresholds.
 #
 # Draw groups and the hand-off were measured on every lockstep block of one
 # seed-1 pass of perfbench's ``verify_exact`` (112 blocks of 568
@@ -311,36 +336,29 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # The hand-off walks only the steps the lockstep did not (in the
 # ``verify_exact`` pass, 117,808 fused steps for the 5,082 trials handed
 # off, against 661,706 from their first step), and 48 stays the best.
-#
-# A lockstep step also scans every ``cum`` column of the widest row, one
-# numpy pass each, whatever vertex a lane stands at, while a fused step
-# costs the same at any width.  So a block walks in lockstep only while the
-# widest row's columns (its slots less one), squared, are at most its
-# trials.  Measured as above, fused over lockstep block time (best of 3
-# interleaved rounds), on stars, whose centre is the widest row, with
-# commutes between two leaves:
-#
-#   lanes                      400   1000   2000   4000
-#   commute, star:12          1.23   1.91   2.49   3.03
-#   commute, star:20          0.98   1.34   1.80   2.23
-#   commute, star:28          0.72   1.12   1.39   1.75
-#   commute, star:40          0.57   0.80   1.05   1.36
-#   commute, star:56          0.44   0.63   0.84   1.01
-#   commute, star:80          0.24   0.41   0.58   0.60
-#   edge cover, star:12       1.84   2.13   3.03   3.65
-#   edge cover, star:20       0.96   1.41   1.92   3.51
-#   edge cover, star:28       0.84   1.17   1.42   1.45
-#   edge cover, star:40       1.18   1.13   1.43   1.83
-#   edge cover, star:56       0.49   0.88   1.29   1.47
-#
-# Commutes break even near 19 columns at 400 lanes, 31 at 1000, 41 at 2000
-# and 55 at 4000, about the root of the lanes; covers, whose fused steps
-# cost more, somewhat wider.  So the rule never walks in lockstep where it
-# loses more than 4%, and leaves some cover gains unused (star:40 up to
-# 1000 lanes, star:56 at 2000).  Every lockstep block of perfbench has
-# rows of at most 7 slots, so it stays in lockstep.
 LOCKSTEP_MIN_LANES = 400
 LOCKSTEP_MIN_LIVE = 48
+
+# Most entries of the lockstep walker's grid (vertices x 2**g).  A finer
+# grid means fewer thresholds a bin, so fewer numpy passes a step, but a
+# larger table to build and to read at random.  Measured as lockstep block
+# time in ms, grid build included, by the bound (best of 3 interleaved
+# rounds of CPU time), with g and the thresholds a bin, k:
+#
+#   bound                          2^14          2^16          2^18          2^20
+#   commute, star:200, 400      59.6 g6 k4    30.2 g8 k1    47.4 g8 k1    29.4 g8 k1
+#   commute, star:800, 400     897.4 g4 k51  328.3 g6 k13  189.5 g8 k4   176.6 g10 k1
+#   commute, star:800, 2000   2793.4 g4 k51 1137.2 g6 k13  639.2 g8 k4   512.3 g10 k1
+#   first passage, 400          90.7 g8 k6    76.2 g10 k4   85.3 g12 k4   93.5 g14 k3
+#   first passage, 2000        278.6 g8 k6   309.2 g10 k4  368.5 g12 k4  383.0 g14 k3
+#
+# The first passage is to the last vertex of a random 40-vertex network
+# with 120 edges of lengths 10**U(-6, 0), whose breakpoints no bound parts.
+# Commutes on star:80 and random:60,400 and an edge cover on star:56 need
+# at most 2^14 entries and read the same at every bound.  Finer grids win
+# on the widest hubs but lose on rows that no grid parts, whose larger
+# tables are read at random, so the bound sits at 2^16, 0.5 MB a column.
+GRID_ENTRIES_MAX = 2**16
 
 # Draw-group size by live lanes: groups of ``size`` while at most ``lanes``
 # lanes are live, the first row that fits, else one draw a step.
@@ -394,20 +412,64 @@ def _uniforms(state_hi, state_lo) -> np.ndarray:
     return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
-def _lane_table(tables):
-    """The sampling slots (``walker._slot_columns``) as arrays for the
-    lockstep walker: ``cum`` columns, each vertex's first slot, and per slot
-    its arc, head and charge.  Column k holds every vertex's k-th ``cum``
-    entry but the last (1.0), padded with 2.0, above every uniform, so a
-    lane's slot is its first slot plus the count of its entries ``<= u``,
-    the slot ``bisect_right`` finds in a rising row."""
-    slots, arcs, heads, charges = _slot_columns(tables)
-    cum = np.full((max(z - a for _, a, z in slots) - 1, len(slots)), 2.0)
-    for v, (row, a, z) in enumerate(slots):
-        if row is not None:
-            cum[: z - a - 1, v] = row[:-1]
+def _grid(slots) -> tuple[int, np.ndarray, np.ndarray]:
+    """A grid of ``2**g`` bins over [0, 1) per vertex, from
+    ``walker._slot_columns``' ``slots``: ``(g, lo, thr)``, indexed by
+    ``(vertex << g) + bin``.
+
+    ``lo`` is the vertex's first slot plus the count of its ``cum`` entries
+    below the bin, and the ``k`` rows of ``thr`` hold the entries inside it,
+    padded with 2.0, above every uniform.  A uniform ``u`` in bin ``(u *
+    2**g)`` has every entry below the bin at or below it and every entry
+    above the bin over it, so its slot is ``lo`` plus the count of ``thr``
+    entries ``<= u``: the slot ``bisect_right`` finds in a rising row.  Both
+    products are exact, as ``2**g`` is a power of two.  ``g`` is the
+    smallest at which no bin holds two entries of one row, so ``k`` is at
+    most 1, unless the grid would pass ``GRID_ENTRIES_MAX`` entries; then it
+    is the largest within that, and ``k`` the most entries a bin holds.
+    The last entry of each ``cum`` (1.0) is left out, as no uniform reaches
+    it.
+    """
+    n = len(slots)
+    widths = [z - a - 1 if cum else 0 for cum, a, z in slots]
+    vertex = np.repeat(np.arange(n), widths)
+    entries = np.array([c for cum, _, _ in slots if cum for c in cum[:-1]])
+    g = 0
+    while True:
+        key = (vertex << g) + (entries * 2.0**g).astype(np.intp)
+        shared = key[1:] == key[:-1]
+        if not shared.any() or n << g + 1 > GRID_ENTRIES_MAX:
+            break
+        g += 1
+    # An entry's place in its bin: its index less that of its bin's first,
+    # the last entry at or before it that shares no bin with the one before.
+    index = np.arange(len(key))
+    starts = np.where(np.append(False, shared)[: len(key)], 0, index)
+    place = index - np.maximum.accumulate(starts)
+    thr = np.full((place.max(initial=-1) + 1, n << g), 2.0)
+    thr[place, key] = entries
+    counts = np.bincount(key, minlength=n << g).reshape(n, -1)
     first = np.array([a for _, a, _ in slots], np.intp)
-    return list(cum), first, np.array(arcs, np.intp), np.array(heads, np.intp), np.array(charges)
+    lo = first[:, None] + counts.cumsum(axis=1) - counts
+    return g, lo.ravel(), thr
+
+
+def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The slots of uniforms ``u`` at grid positions ``at`` (:func:`_grid`)."""
+    slot = lo.take(at)
+    for column in thr:
+        slot += column.take(at) <= u
+    return slot
+
+
+def _lane_table(tables, lanes):
+    """The lockstep walker's tables: ``g``, ``lo`` and ``thr`` of
+    :func:`_grid`, each slot's head shifted to its grid row and its charge,
+    and the lanes' ``lockstep`` step and hand-off over the slots."""
+    slots, arcs, heads, charges = _slot_columns(tables)
+    g, lo, thr = _grid(slots)
+    arcs, heads = np.array(arcs, np.intp), np.array(heads, np.intp)
+    return (g, lo, list(thr), heads << g, np.array(charges), *lanes.lockstep(arcs, heads))
 
 
 def _lanes(net, start, rule, tables, budget):
@@ -436,29 +498,31 @@ def _walker(net, start, rule, model, tables, lanes):
     return walk
 
 
-def _lockstep(lanes, table, start, streams, budget, out):
-    """Walk a block's trials in lockstep and fill ``out`` for those that stop
-    while the walker runs.  Return the others' indices, in trial order,
-    their PCG64 state and increment words as ``streams`` gives them, and
-    per trial the arguments that continue its fused walk: its vertex,
-    progress, clock, step count and commutes.
+def _lockstep(lanes, table, start, streams, budget, samples):
+    """Walk a block's trials in lockstep on :func:`_lane_table`'s ``table``
+    and write the stop time, steps and commutes of those that stop while
+    the walker runs into ``samples``' three arrays.  Return the others'
+    indices, in trial order, their PCG64 state and increment words as
+    ``streams`` gives them, and per trial the arguments that continue its
+    fused walk: its vertex, progress, clock, step count and commutes.
 
     Stopped lanes stay in the arrays, masked out of ``live``, until they are
     a quarter of them; then every array drops them at once.
     """
-    cum, first, arc_of, head_of, charge_of = table
+    g, lo, thr, heads_at, charge_of, step, resumed = table
+    times, step_counts, commute_counts = samples
     state_hi, state_lo, inc_hi, inc_lo = streams
     lane = np.arange(len(state_hi))
     live = np.ones(len(lane), bool)
-    pos = np.full(len(lane), start, np.intp)
+    at = np.full(len(lane), start << g, np.intp)
     progress = np.full(len(lane), lanes.initial, lanes.dtype)
     commutes = np.zeros(len(lane), np.int64)
     clock = np.zeros(len(lane))
     left = len(lane)
     steps = 0
-    # Row k of the group holds each lane's state after, and uniform of, the
-    # group's (k + 1)-th step; before the first group, row -1 holds the
-    # lanes' states before their first step.
+    # Row k of the group holds each lane's state after, and uniform and grid
+    # bin of, the group's (k + 1)-th step; before the first group, row -1
+    # holds the lanes' states before their first step.
     group_hi, group_lo = state_hi[None], state_lo[None]
     size = k = 0
     while left >= LOCKSTEP_MIN_LIVE and steps < budget:
@@ -472,39 +536,39 @@ def _lockstep(lanes, table, start, streams, budget, out):
                 )
                 size = fit
             draws = _uniforms(group_hi, group_lo)
+            bins = (draws * 2.0**g).astype(np.intp)
             k = 0
-        u = draws[k]
+        slot = _grid_slots(lo, thr, at + bins[k], draws[k])
         k += 1
         steps += 1
-        slot = first[pos]
-        for column in cum:
-            slot += column[pos] <= u
-        clock += charge_of[slot]
-        pos = head_of[slot]
-        progress, stop, back = lanes.advance(progress, arc_of[slot], pos)
+        clock += charge_of.take(slot)
+        at = heads_at.take(slot)
+        progress, stop, back = step(progress, slot)
         if back is not None:
             commutes += back
         stop &= live
         if not stop.any():
             continue
-        done = lane[stop].tolist()
-        counts = commutes[stop].tolist() if back is not None else repeat(-1)
-        for j, t, c in zip(done, clock[stop].tolist(), counts):
-            out[j] = (t, steps, c)
+        done = lane[stop]
+        times[done] = clock[stop]
+        step_counts[done] = steps
+        if back is not None:
+            commute_counts[done] = commutes[stop]
         live ^= stop
         left -= len(done)
         if 4 * left < 3 * len(lane):
-            lane, pos, progress, commutes, clock, inc_hi, inc_lo = (
-                a[live] for a in (lane, pos, progress, commutes, clock, inc_hi, inc_lo)
+            keep = np.flatnonzero(live)
+            lane, at, progress, commutes, clock, inc_hi, inc_lo = (
+                a.take(keep) for a in (lane, at, progress, commutes, clock, inc_hi, inc_lo)
             )
-            group_hi, group_lo, draws, g_inc_hi, g_inc_lo = (
-                a.compress(live, axis=1) for a in (group_hi, group_lo, draws, *jump[2:])
+            group_hi, group_lo, draws, bins, g_inc_hi, g_inc_lo = (
+                a.take(keep, axis=1) for a in (group_hi, group_lo, draws, bins, *jump[2:])
             )
             jump = *jump[:2], g_inc_hi, g_inc_lo
             live = np.ones(left, bool)
     rest = group_hi[k - 1][live], group_lo[k - 1][live], inc_hi[live], inc_lo[live]
-    resume = zip(*(a[live].tolist() for a in (pos, progress, clock)), repeat(steps),
-                 commutes[live].tolist())
+    resume = zip((at[live] >> g).tolist(), resumed(progress[live]), clock[live].tolist(),
+                 repeat(steps), commutes[live].tolist())
     return lane[live], rest, resume
 
 
@@ -543,29 +607,28 @@ class ComparisonVerdict:
 
 def _block_walker(net, start, rule, model, seed, budget):
     """``block(lo, hi, lockstep, streams=None)``: trials ``[lo, hi)`` as
-    (stop time, steps, commutes), in lockstep when ``lockstep`` is set, the
-    rule's lanes serve it and the widest row is narrow enough for the block
-    (``LOCKSTEP_MIN_LANES``' second table), on ``streams`` as
+    three arrays, of stop times, steps and commutes, in lockstep when
+    ``lockstep`` is set and the rule's lanes serve it, on ``streams`` as
     :func:`_trial_states` derives them for those trials (derived here when
     None).  The tables, lanes and fused rows are built here, once per
-    estimate, and the lockstep table when a block first needs it; every
+    estimate, and the lockstep tables when a block first needs them; every
     block of the estimate reuses them."""
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
     walk = _walker(net, start, rule, model, tables, lanes)
     lockstep_lanes = lanes is not None and lanes.dtype is not None
-    columns = max((len(row[0]) for row in tables if row), default=1) - 1
-    lane_table = functools.cache(lambda: _lane_table(tables))
+    lane_table = functools.cache(lambda: _lane_table(tables, lanes))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
 
-    def block(lo, hi, lockstep, streams=None) -> list[tuple[float, int, int]]:
+    def block(lo, hi, lockstep, streams=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if streams is None:
             streams = _trial_states(seed, lo, hi)
-        out: list = [None] * (hi - lo)
+        samples = np.empty(hi - lo), np.empty(hi - lo, np.int64), np.full(hi - lo, -1, np.int64)
+        times, steps, commutes = samples
         rest, resume = np.arange(hi - lo), repeat(())
-        if lockstep and lockstep_lanes and columns * columns <= hi - lo:
-            rest, streams, resume = _lockstep(lanes, lane_table(), start, streams, budget, out)
+        if lockstep and lockstep_lanes:
+            rest, streams, resume = _lockstep(lanes, lane_table(), start, streams, budget, samples)
         state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
         for j, s_hi, s_lo, i_hi, i_lo, at in zip(
             rest.tolist(), state_hi, state_lo, inc_hi, inc_lo, resume
@@ -577,20 +640,25 @@ def _block_walker(net, start, rule, model, seed, budget):
                 "uinteger": 0,
             }
             try:
-                out[j] = walk(rng, budget, *at)
+                times[j], steps[j], commutes[j] = walk(rng, budget, *at)
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
-        return out
+        return samples
 
     return block
 
 
-def _trial_block(args) -> tuple[int, list[tuple[float, int, int]]]:
+def _trial_block(args) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One block of trials on its own, as a forked worker walks it:
     ``(lo, samples)`` for ``args = (net, start, rule, model, seed, lo, hi,
     budget, lockstep)``."""
     net, start, rule, model, seed, lo, hi, budget, lockstep = args
     return lo, _block_walker(net, start, rule, model, seed, budget)(lo, hi, lockstep)
+
+
+def _joined(parts):
+    """Blocks' samples, in the order given, as one set of three arrays."""
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -655,49 +723,43 @@ def _collect(net, start, rule, model, trials, seed, budget, workers):
     def part(lo, hi, lockstep):
         return block(lo, hi, lockstep, tuple(a[lo:hi] for a in streams))
 
-    pilot, samples = 0, []
-    if workers > 1:
-        pilot = min(FORK_PILOT, max(1, trials // 16))
-        samples = part(0, pilot, False)
-        left = trials - pilot
-        if left > 1 and left * math.fsum(s[1] for s in samples) / pilot >= FORK_MIN_STEPS:
-            return samples + _fan_out(job, part, pilot, trials, min(workers, left))
-    if pilot < trials:
-        samples += part(pilot, trials, trials >= LOCKSTEP_MIN_LANES)
-    return samples
+    if workers == 1:
+        return part(0, trials, trials >= LOCKSTEP_MIN_LANES)
+    pilot = min(FORK_PILOT, max(1, trials // 16))
+    samples = part(0, pilot, False)
+    left = trials - pilot
+    if left > 1 and left * int(samples[1].sum()) / pilot >= FORK_MIN_STEPS:
+        return _joined([samples, *_fan_out(job, part, pilot, trials, min(workers, left))])
+    return _joined([samples, part(pilot, trials, trials >= LOCKSTEP_MIN_LANES)])
 
 
 def _fan_out(job, block, lo, hi, workers):
-    """Trials ``[lo, hi)`` in ``workers`` blocks: the parent walks the first
-    on ``block`` while a pool of ``workers - 1`` processes walks the others,
-    each on tables of its own built from ``job``."""
+    """Trials ``[lo, hi)`` in ``workers`` blocks, a list of their samples:
+    the parent walks the first on ``block`` while a pool of ``workers - 1``
+    processes walks the others, each on tables of its own built from
+    ``job``."""
     bounds = [lo + round((hi - lo) * k / workers) for k in range(workers + 1)]
     blocks = [(a, b, b - a >= LOCKSTEP_MIN_LANES) for a, b in zip(bounds, bounds[1:])]
     with get_context("fork").Pool(workers - 1) as pool:
         # Blocks are read in trial order, so a failure raises the lowest
         # failing block's error, as one worker would, not the first to fail.
         others = pool.imap(_trial_block, [job(*b) for b in blocks[1:]])
-        samples = block(*blocks[0])
-        for _, more in others:
-            samples += more
-    return samples
+        return [block(*blocks[0]), *(more for _, more in others)]
 
 
 def _aggregate(rule_label, model, trials, seed, samples) -> EstimateReport:
-    # Steps and commutes are ints, summed exactly; their quotient is the
-    # correctly rounded mean, as ``fsum`` gives below 2^53.  The squares keep
-    # Python's ``(x - mean) ** 2`` (libm ``pow``), whose bits ``d * d`` can
-    # miss; a list of them feeds ``fsum`` faster than a generator.  Columns
-    # are read with ``map``: ``zip(*samples)`` would make an iterator per
-    # sample, and so many live objects set off the cycle collector.
-    column = operator.itemgetter
-    times = list(map(column(0), samples))
+    # Steps and commutes are int64 arrays, summed exactly; their quotient is
+    # the correctly rounded mean, as ``fsum`` gives below 2^53.  The squares
+    # keep Python's ``(x - mean) ** 2`` (libm ``pow``), whose bits ``d * d``
+    # can miss; a list of them feeds ``fsum`` faster than a generator.
+    times, steps, commutes = samples
+    times = times.tolist()
     mean = math.fsum(times) / trials
     var = math.fsum([(x - mean) ** 2 for x in times]) / (trials - 1)
     stderr = math.sqrt(var / trials)
-    aux = {"steps": sum(map(column(1), samples)) / trials}
-    if samples[0][2] >= 0:
-        aux["commutes"] = sum(map(column(2), samples)) / trials
+    aux = {"steps": int(steps.sum()) / trials}
+    if commutes[0] >= 0:
+        aux["commutes"] = int(commutes.sum()) / trials
     return EstimateReport(
         rule=rule_label,
         model=model,

@@ -54,16 +54,17 @@ entry per rank of a draw among the sampling rows' breakpoints, found by one
 slot row has the vertex's ``cum`` list and the same entries, one per slot,
 and a step bisects ``cum``.  A block of at least
 ``estimate.LOCKSTEP_MIN_LANES`` trials walks in lockstep, one numpy step
-over all its trials at a time, while its masks fit in 64 bits and its
-widest row is narrow enough for its size, on uniforms it draws in groups by
-PCG64 jump-ahead.  That walker keeps every trial's
-progress and commute count itself and reads the lanes through one pure,
-vectorised ``advance``.  It hands its last ``estimate.LOCKSTEP_MIN_LIVE``
+over all its trials at a time, while its masks fit in 64 bits, on uniforms
+it draws in groups by PCG64 jump-ahead.  A step finds every trial's slot
+with one lookup on a grid of its draw, at any row width.  That walker keeps
+every trial's progress and commute count itself and moves them through the
+lanes' ``lockstep`` step, one pure, vectorised update over per-slot
+tables.  It hands its last ``estimate.LOCKSTEP_MIN_LIVE``
 or fewer live trials to the fused loop, which goes on from each trial's
 vertex, progress, clock, step count and generator state, so no step is
 walked twice.  Every step draws exactly one uniform, so a trial's k-th draw
-is its k-th step in all three walkers.  The gate's values and the measured
-tables behind them, the draw groups and the hand-off are in
+is its k-th step in all three walkers.  The gate's value and the measured
+tables behind it, the grid, the draw groups and the hand-off are in
 :mod:`walkcover.estimate`.  The walkers and the exact solver read the
 sampling rows through one layout, :func:`_slot_columns`.
 """
@@ -474,6 +475,16 @@ class _MaskTracker:
 #       last).  Build it once per estimate and walk every trial on it
 #   dtype                             (numpy type of a lane's progress in
 #                                      lockstep; None where it does not serve)
+#   lockstep(arcs, heads) -> (step, resumed)
+#       the lockstep walker's step over slots with these arcs and heads
+#       (int arrays, one entry per slot): ``step(progress, slot) ->
+#       (progress, stop, back)`` over arrays of lanes, from ``initial``,
+#       with ``back`` as in ``advance``; ``resumed(progress)`` gives the
+#       progress values the fused walker resumes from, as a list.  Built
+#       once per estimate; it holds its own per-slot tables
+#   initial                           (the progress before the first step)
+# The exact solver (:mod:`walkcover.exact`) steps a breadth-first level of
+# states at a time through ``advance``, and reads:
 #   advance(progress, arc, head) -> (progress, stop, back)
 #                                     (one step over arrays of lanes, which
 #                                      broadcast together: the new progress,
@@ -483,9 +494,6 @@ class _MaskTracker:
 #                                      ``dtype``, or of object type where that
 #                                      is None, as for masks wider than 64
 #                                      bits)
-# The exact solver (:mod:`walkcover.exact`) steps a breadth-first level of
-# states at a time through ``advance``, and reads:
-#   initial                           (the progress before the first step)
 #   rank(progress) -> int             (grows whenever progress changes, for
 #                                      every rule the solver supports)
 # The epoch sequences in :mod:`walkcover.tours` build :class:`_TableLanes`
@@ -690,6 +698,30 @@ class _TableLanes:
         key = state * self.arcs + arc
         return self.next[key], self.stop[key], None if self.back is None else self.back[key]
 
+    def _by_slot(self, arcs: Sequence[int] | np.ndarray):
+        """``next``, ``stop`` and ``back`` (zeros where that is None) per
+        (state, slot), for slots with these ``arcs``."""
+        states = len(self.next) // self.arcs
+        nxt, stop = self.next.reshape(states, -1), self.stop.reshape(states, -1)
+        back = np.zeros_like(nxt) if self.back is None else self.back.reshape(states, -1)
+        return nxt[:, arcs], stop[:, arcs], back[:, arcs]
+
+    def lockstep(self, arcs: np.ndarray, heads: np.ndarray):
+        """The lockstep walker's step over slots with these ``arcs``:
+        ``(step, resumed)``.  ``step(state, slot)`` reads flat (state, slot)
+        tables whose states are premultiplied by the slot count, so a key is
+        one add; ``resumed`` gives the state numbers the fused walker takes."""
+        nxt, stop, back = self._by_slot(arcs)
+        size = nxt.shape[1]
+        nxt, stop = (nxt * size).ravel(), stop.ravel()
+        back = None if self.back is None else back.ravel()
+
+        def step(state: np.ndarray, slot: np.ndarray):
+            key = state + slot
+            return nxt.take(key), stop.take(key), None if back is None else back.take(key)
+
+        return step, lambda state: (state // size).tolist()
+
     def walker(self, tables, start: int, label: str):
         """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,
         budget)`` from ``start``, or ``walk(rng, budget, vertex, state, t,
@@ -700,13 +732,11 @@ class _TableLanes:
         commute where it stops.  A step is then one index (after a bisection
         on slot rows), one add and one test of the code.
         """
-        n, states = len(tables), len(self.next) // self.arcs
-        nxt, stop = self.next.reshape(states, -1), self.stop.reshape(states, -1)
-        back = np.zeros_like(nxt) if self.back is None else self.back.reshape(states, -1)
         slots, arcs, heads, charges = _slot_columns(tables)
-        b = back[:, arcs]
-        to = (nxt[:, arcs] * n + heads).ravel().tolist()
-        codes = np.where(stop[:, arcs], -1 - b, b).ravel().tolist()
+        nxt, stop, b = self._by_slot(arcs)
+        n, states = len(tables), len(nxt)
+        to = (nxt * n + heads).ravel().tolist()
+        codes = np.where(stop, -1 - b, b).ravel().tolist()
         counted = self.back is not None
         breaks, rows, fill = _fused_rows(tables, slots, states)
         entries = [(c, rows[x], k) for c, x, k in zip(charges * states, to, codes)]
@@ -773,6 +803,23 @@ class _MaskLanes:
         if self.root is not None:
             stop &= head == self.root
         return mask, stop, None
+
+    def lockstep(self, arcs: np.ndarray, heads: np.ndarray):
+        """The lockstep walker's step over slots with these ``arcs`` and
+        ``heads``: ``(step, resumed)``, where ``step(mask, slot)`` reads each
+        slot's bit and whether it ends at the root, and ``resumed`` gives the
+        masks as the fused walker takes them."""
+        bits, full = self.lane_bits[arcs], self.lane_full
+        home = None if self.root is None else heads == self.root
+
+        def step(mask: np.ndarray, slot: np.ndarray):
+            mask = mask | bits.take(slot)
+            stop = mask == full
+            if home is not None:
+                stop &= home.take(slot)
+            return mask, stop, None
+
+        return step, np.ndarray.tolist
 
     def walker(self, tables, start: int, label: str):
         """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,

@@ -3,10 +3,13 @@ import importlib
 import importlib.util
 import math
 import operator
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walkcover import tours
 from walkcover.closedform import commute_time, refined_commutes
@@ -321,6 +324,67 @@ def test_draw_groups_equal_pcg64_advance(seed, size):
         assert row == trial_rng(seed, i).random(2 * size).tolist(), (seed, i)
 
 
+@st.composite
+def _sampling_rows(draw):
+    """A random network's sampling rows, with edge lengths from 1e-6 to 1,
+    so that some rows hold breakpoints too close for any grid within
+    ``GRID_ENTRIES_MAX``, and with rows of vertices without arcs (None) put
+    in among them."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    exponents = draw(st.lists(st.floats(-6, 0), min_size=len(pairs), max_size=len(pairs)))
+    net = build_network(n, [(u, v, 10.0**x) for (u, v), x in zip(pairs, exponents)])
+    tables = build_tables(net, draw(st.sampled_from(TimingModel)))
+    for at in draw(st.lists(st.integers(0, n), max_size=2)):
+        tables.insert(at, None)
+    return tables
+
+
+# A centre whose two lower breakpoints are 6.7e-7 apart, inside one bin of
+# the finest grid within ``GRID_ENTRIES_MAX`` for 4 vertices.
+_CLOSE_ROW = build_network(4, [(0, 1, 1e-6), (0, 2, 1.0), (0, 3, 2e-6)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables=_sampling_rows(), picks=st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+@example(tables=build_tables(_CLOSE_ROW, TimingModel.L_SQUARED) + [None], picks=[])
+def test_grid_lookup_equals_bisect_right(tables, picks):
+    """The lockstep walker's slot lookup on its grid of the draw finds the
+    slot ``bisect_right`` finds in each sampling row: on every breakpoint
+    and just below it, on bin edges (those around every breakpoint and
+    every few bins besides), at 0 and at ``1 - 2**-53``, for single-slot
+    rows and vertices without arcs, and where breakpoints share a bin."""
+    slots = walker_module._slot_columns(tables)[0]
+    g, lo, thr = estimate_module._grid(slots)
+    scale = 2.0**g
+    for v, (cum, a, _) in enumerate(slots):
+        row = cum or []
+        breaks = row[:-1]
+        edges = {int(c * scale) + d for c in breaks for d in (0, 1)}
+        edges |= set(range(0, 2**g, 2**g // 64 or 1))
+        draws = [*breaks, *(math.nextafter(c, 0) for c in breaks), 0.0, 1 - 2**-53, *picks]
+        draws += [j / scale for j in sorted(edges) if j < 2**g]
+        u = np.array(draws)
+        at = (v << g) + (u * scale).astype(np.intp)
+        slot = estimate_module._grid_slots(lo, thr, at, u)
+        assert slot.tolist() == [a + bisect_right(row, x) for x in draws], (v, g)
+
+
+def test_grid_keeps_columns_past_its_bound():
+    """Where no grid within ``GRID_ENTRIES_MAX`` parts two breakpoints of a
+    row, the grid is the finest within it and a bin keeps two thresholds;
+    on a narrow network it is the coarsest that parts every row's
+    breakpoints, with one threshold a bin."""
+    tables = build_tables(_CLOSE_ROW, TimingModel.L_SQUARED)
+    g, lo, thr = estimate_module._grid(walker_module._slot_columns(tables)[0])
+    assert 4 << g <= estimate_module.GRID_ENTRIES_MAX < 4 << g + 1
+    assert len(thr) == 2 and len(lo) == 4 << g
+    tables = build_tables(star(5), TimingModel.L_SQUARED)
+    g, lo, thr = estimate_module._grid(walker_module._slot_columns(tables)[0])
+    assert (g, len(thr)) == (2, 1)
+
+
 def test_negative_seed_fails_before_any_trial(monkeypatch):
     with pytest.raises(ValueError):
         trial_rng(-1, 0)
@@ -564,9 +628,10 @@ class _CountedDraws:
 def walks(monkeypatch):
     """Trials the estimator walks, per walker: ``run``, and ``fused`` for the
     fused loop on the rule's lane tables.  ``walks.lockstep`` counts the
-    lockstep walker's steps, and ``walks.handed`` holds, per fused walk, the
-    arguments after ``(rng, budget)``, its result and the steps it walked,
-    counted as the draws it read."""
+    lockstep walker's steps, as calls of the step its lanes give it, and
+    ``walks.handed`` holds, per fused walk, the arguments after ``(rng,
+    budget)``, its result and the steps it walked, counted as the draws it
+    read."""
     counts = collections.Counter()
     counts.lockstep, counts.handed, drawn = [0], [], [0]
 
@@ -595,12 +660,17 @@ def walks(monkeypatch):
 
             return counted
 
-        def counted_advance(self, *args, advance=lanes.advance):
-            counts.lockstep[0] += 1
-            return advance(self, *args)
+        def counted_lockstep(self, *args, make=lanes.lockstep):
+            step, resumed = make(self, *args)
+
+            def counted(*arrays):
+                counts.lockstep[0] += 1
+                return step(*arrays)
+
+            return counted, resumed
 
         monkeypatch.setattr(lanes, "walker", counted_walker)
-        monkeypatch.setattr(lanes, "advance", counted_advance)
+        monkeypatch.setattr(lanes, "lockstep", counted_lockstep)
     return counts
 
 
@@ -622,7 +692,8 @@ def _block_against_runs(walks, net, start, rule, model, seed, lo, hi):
     walks.handed.clear()
     lockstep = hi - lo >= estimate_module.LOCKSTEP_MIN_LANES
     job = (net, start, rule, model, seed, lo, hi, 10**9, lockstep)
-    _, block = estimate_module._trial_block(job)
+    _, samples = estimate_module._trial_block(job)
+    block = list(zip(*(column.tolist() for column in samples)))
     fused, scalar = walks["fused"], walks["run"]
     assert len(walks.handed) == fused
     for at, (_, steps, _), walked in walks.handed:
@@ -674,8 +745,9 @@ def test_lockstep_leaves_lanes_unchanged(case):
 
     before = snapshot()
     tables = build_tables(net, TimingModel.L_SQUARED)
-    estimate_module._lockstep(lanes, estimate_module._lane_table(tables), start,
-                              estimate_module._trial_states(3, 0, 500), 10**9, [None] * 500)
+    samples = np.empty(500), np.empty(500, np.int64), np.empty(500, np.int64)
+    estimate_module._lockstep(lanes, estimate_module._lane_table(tables, lanes), start,
+                              estimate_module._trial_states(3, 0, 500), 10**9, samples)
     assert snapshot() == before
     if isinstance(rule, tours.EpochSequence):
         assert rule.make_lanes(net) is lanes
@@ -749,9 +821,10 @@ def test_fused_budget_failures_match_run(walks):
 
 def test_lockstep_masks_fit_in_64_bits(walks):
     # Arc cover of 32 edges needs 64 mask bits and runs in lockstep; 33 edges
-    # need 66 and walk every trial on the fused loop.  The block passes the
-    # width gate for both stars (the wider centre has 33 slots: 32 columns,
-    # squared, 1024 trials), so only the 64-bit mask limit tells them apart.
+    # need 66 and walk every trial on the fused loop, so only the 64-bit mask
+    # limit tells the two stars apart.  The 1024 trials are a size that an
+    # earlier gate on the widest row's columns let both stars walk in
+    # lockstep; lockstep no longer reads the row widths.
     trials = 32**2
     for arms, lockstep in ((32, True), (33, False)):
         fused, scalar = _block_against_runs(walks, star(arms), 0, ArcCoverReturn(0),
@@ -760,21 +833,19 @@ def test_lockstep_masks_fit_in_64_bits(walks):
         assert (fused < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else fused == trials
 
 
-@pytest.mark.parametrize("arms, trials, lockstep", [
-    (200, 400, False),
-    (21, 400, True),
-    (22, 440, False),
-    (22, 441, True),
+@pytest.mark.parametrize("net, start, rule", [
+    pytest.param("star:200", 1, Commute(1, 2), id="commute-star:200"),
+    pytest.param("star:80", 1, Commute(1, 2), id="commute-star:80"),
+    pytest.param("star:28", 0, EdgeCoverReturn(0), id="edge-cover-star:28"),
 ])
-def test_lockstep_gate_reads_the_widest_row(walks, arms, trials, lockstep):
-    """A lockstep step scans every column of the widest row, so a block walks
-    in lockstep only while those columns (the centre's slots less one),
-    squared, are at most its trials; otherwise every trial walks on the
-    fused loop.  Either way each trial equals ``run``."""
-    fused, scalar = _block_against_runs(walks, star(arms), 1, Commute(1, 2),
-                                        TimingModel.L_SQUARED, 9, 0, trials)
-    assert scalar == 0
-    assert (fused < estimate_module.LOCKSTEP_MIN_LIVE) if lockstep else fused == trials
+@pytest.mark.parametrize("trials", [400, 2000])
+@pytest.mark.parametrize("model", list(TimingModel))
+def test_lockstep_walks_hubs(walks, net, start, rule, trials, model):
+    """A lockstep step looks a lane's slot up on a grid of its draw, at a
+    cost that does not grow with the row's width, so blocks on a hub walk in
+    lockstep at the gate and above, and each trial equals ``run``."""
+    fused, scalar = _block_against_runs(walks, from_spec(net), start, rule, model, 9, 0, trials)
+    assert scalar == 0 and fused < estimate_module.LOCKSTEP_MIN_LIVE
 
 
 class _TrackerOnly:

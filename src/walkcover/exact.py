@@ -20,10 +20,12 @@ checks its residual ``|Ax - b|_inf <= 1e-9 max(1, |b|_inf)`` and raises
 :class:`ExactSolveFailed` when it does not hold.
 
 The states are enumerated breadth first, one level at a time: one call of
-the lanes' vectorised ``advance`` steps every slot of the level's states,
-so each transition is stepped once, and a dict numbers the states in the
-order the search first reaches them.  Progress wider than 64 bits travels
-in object arrays.  The states are then laid out block after block in
+the lanes' vectorised step, the one the lockstep walker takes (their
+``lockstep``, built once per solve over the sampling slots), steps every
+slot of the level's states, so each transition is stepped once, and a dict
+numbers the states in the order the search first reaches them.  Progress
+is held as that step holds it, and masks wider than 64 bits travel in
+object arrays.  The states are then laid out block after block in
 solve order (descending rank, then ascending size, then first reached),
 each block's states in the order they were reached.  Every block's
 ``I - P_pp`` is assembled in one flat array, a contiguous slice per block,
@@ -97,54 +99,59 @@ def exact_stop_time(
     make_lanes = getattr(rule, "make_lanes", None)
     if make_lanes is None:
         raise TypeError(f"no exact solver for rule type {type(rule).__name__}")
-    moves, weights = _slot_rows(build_tables(net, model))
+    slots, arcs, heads, charges = _slot_columns(build_tables(net, model))
+    moves, weights = _slot_rows(slots, heads, charges)
     if tracker.start(start):
         return 0.0
     if not moves[start, 2, 0]:
         raise VertexOutOfRange(f"vertex {start} has no incident arcs")
     lanes = make_lanes(net)
-    return _solve(*_reachable(moves, lanes, start, max_states), weights, lanes)
+    step, resumed = lanes.lockstep(np.array(arcs, np.intp), np.array(heads, np.intp))
+    reached = _reachable(moves, step, lanes, start, max_states)
+    return _solve(*reached, weights, lanes, resumed)
 
 
-def _slot_rows(tables):
+def _slot_rows(slots, heads, charges):
     """The sampling slots per vertex, padded to the widest row: ``(moves,
-    weights)``.
+    weights)``, from :func:`_slot_columns`' columns.
 
-    ``moves[v]`` holds, per slot of ``v``, its arc ``2 * edge + direction``,
-    its head and 1 (0 in padding), shape (3, width); padding repeats the
-    first slot (or arc 0 into vertex 0 where ``v`` has no arcs).
-    ``weights[v]`` holds ``v``'s mean one-step charge, summed in slot order,
-    then each slot's step probability (0.0 in padding).
+    ``moves[v]`` holds, per slot of ``v``, its number, its head and 1 (0 in
+    padding), shape (3, width); padding repeats the first slot (or slot 0
+    into vertex 0 where ``v`` has no arcs), so that every entry is a slot
+    the lanes' step can read.  ``weights[v]`` holds ``v``'s mean one-step
+    charge, summed in slot order, then each slot's step probability (0.0
+    in padding).
     """
-    columns, arcs, heads, charges = _slot_columns(tables)
-    width = max(1, max(z - a for _, a, z in columns))
+    width = max(1, max(z - a for _, a, z in slots))
     moves, weights = [], []
-    for cum, a, z in columns:
+    for cum, a, z in slots:
         prob = [c - prev for prev, c in zip([0.0, *cum], cum)] if cum else []
         mean = 0.0
         for p, charge in zip(prob, charges[a:z]):
             mean += p * charge
         pad = width - (z - a)
-        arc, head = (arcs[a], heads[a]) if cum else (0, 0)
-        moves += arcs[a:z] + [arc] * pad + heads[a:z] + [head] * pad + [1] * (z - a) + [0] * pad
+        first, head = (a, heads[a]) if cum else (0, 0)
+        moves += [*range(a, z)] + [first] * pad + heads[a:z] + [head] * pad
+        moves += [1] * (z - a) + [0] * pad
         weights += [mean, *prob] + [0.0] * pad
-    n = len(columns)
+    n = len(slots)
     return np.array(moves).reshape(n, 3, width), np.array(weights).reshape(n, width + 1)
 
 
-def _reachable(moves, lanes, start, max_states):
+def _reachable(moves, step, lanes, start, max_states):
     """Reachable non-stopped states in breadth-first order: their progress
     and vertex; per state and slot, whether the step goes on, flattened
     from shape (states, width); and for each step that goes on, in that
     order, the number of the state it reaches.
 
     States are expanded in the order they are first reached, a level (or
-    ``_CHUNK`` states of one) at a time, each in one ``lanes.advance``
-    call over all their slots.  A state's key is its progress shifted left
-    past every vertex number, or its vertex.  One ``dict.setdefault`` per
-    step, mapped in C, gives each key the first of the numbers offered to
-    it, one per step taken so far; a step that gets its own number found a
-    new state, and ranking those numbers gives the states' numbers.
+    ``_CHUNK`` states of one) at a time, each in one call of ``step``, the
+    lanes' per-slot step, over all their slots.  A state's key is its
+    progress, as ``step`` holds it, shifted left past every vertex number,
+    or its vertex.  One ``dict.setdefault`` per step, mapped in C, gives
+    each key the first of the numbers offered to it, one per step taken so
+    far; a step that gets its own number found a new state, and ranking
+    those numbers gives the states' numbers.
     """
     shift = len(moves).bit_length()
     offer = {lanes.initial << shift | start: 0}.setdefault
@@ -164,7 +171,7 @@ def _reachable(moves, lanes, start, max_states):
             progress, vertex = progress[:_CHUNK], vertex[:_CHUNK]
         move = moves[vertex]
         heads = move[:, 1]
-        after, stops, _ = lanes.advance(progress[:, None], move[:, 0], heads)
+        after, stops, _ = step(progress[:, None], move[:, 0])
         live = move[:, 2] > stops
         after, heads = after[live], heads[live]
         steps = len(heads)
@@ -187,9 +194,10 @@ def _reachable(moves, lanes, start, max_states):
     return progress, vertex, np.concatenate(lives, axis=None), states.searchsorted(got[1:])
 
 
-def _solve(progress, vertex, live, reached, weights, lanes) -> float:
+def _solve(progress, vertex, live, reached, weights, lanes, resumed) -> float:
     """Solve the blocks of the states in descending rank and return the
-    value at the first state (the start).
+    value at the first state (the start).  ``resumed`` is the lanes' step's
+    hand-off, which names progress in an error as the lanes number it.
 
     Positions lay the states out block after block in solve order, each
     block's states in the order the search reached them.
@@ -259,10 +267,10 @@ def _solve(progress, vertex, live, reached, weights, lanes) -> float:
     del target
     if late.any():
         s, j = divmod(int(late.argmax()), width)
+        before, after = resumed(progress[perm[[s, take[s, 1 + j]]]])
         raise AssertionError(
-            f"progress {int(progress[perm[s]]):#x} -> {int(progress[perm[take[s, 1 + j]]]):#x} "
-            "is not monotone; the block solve needs every step that changes progress to "
-            "reach a higher rank"
+            f"progress {before:#x} -> {after:#x} is not monotone; the block solve needs every "
+            "step that changes progress to reach a higher rank"
         )
     bounds, ends, sizes = starts.tolist(), row[starts].tolist(), sizes[cuts[:-1]].tolist()
     with np.errstate(all="ignore"):  # a bad block shows in its residual below

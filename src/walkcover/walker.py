@@ -58,15 +58,16 @@ over all its trials at a time, while its masks fit in 64 bits, on uniforms
 it draws in groups by PCG64 jump-ahead.  A step finds every trial's slot
 with one lookup on a grid of its draw, at any row width.  That walker keeps
 every trial's progress and commute count itself and moves them through the
-lanes' ``lockstep`` step, one pure, vectorised update over per-slot
-tables.  It hands its last ``estimate.LOCKSTEP_MIN_LIVE``
-or fewer live trials to the fused loop, which goes on from each trial's
-vertex, progress, clock, step count and generator state, so no step is
-walked twice.  Every step draws exactly one uniform, so a trial's k-th draw
-is its k-th step in all three walkers.  The gate's value and the measured
-tables behind it, the grid, the draw groups and the hand-off are in
-:mod:`walkcover.estimate`.  The walkers and the exact solver read the
-sampling rows through one layout, :func:`_slot_columns`.
+lanes' ``lockstep`` step, one pure, vectorised update over per-slot tables,
+which the exact solver steps through too.  It hands its last
+``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to the fused loop,
+which goes on from each trial's vertex, progress, clock, step count and
+generator state, so no step is walked twice.  Every step draws exactly
+one uniform, so a trial's k-th draw is its k-th step in all three walkers.
+The gate's value and the measured tables behind it, the grid, the draw
+groups and the hand-off are in :mod:`walkcover.estimate`.  The walkers and
+the exact solver read the sampling rows through one layout,
+:func:`_slot_columns`.
 """
 
 from __future__ import annotations
@@ -463,8 +464,10 @@ class _MaskTracker:
 # builds its progress as tables over arcs, numbered ``2 * edge + direction``
 # as in ``net.arcs()``.  Lanes are read-only once built, so a rule may hand
 # out one object for every estimate (the epoch sequences do); the walkers
-# keep all per-trial state themselves.  The estimator
-# (:mod:`walkcover.estimate`) walks on them in two ways.  Lanes expose:
+# and the exact solver keep all per-trial state themselves.  The estimator
+# (:mod:`walkcover.estimate`) walks on them in two ways, and the exact solver
+# (:mod:`walkcover.exact`) steps a breadth-first level of states at a time
+# through the same vectorised step as the lockstep walker.  Lanes expose:
 #   walker(tables, start, label) -> walk(rng, budget, *resumed)
 #       one trial at a time in a fused loop: (stop time, steps, commutes),
 #       with commutes -1 for rules that do not count them, and the same
@@ -473,29 +476,23 @@ class _MaskTracker:
 #       clock, steps, commutes)``, on from that step, with ``rng`` at the
 #       trial's generator state (rules that count no commutes ignore the
 #       last).  Build it once per estimate and walk every trial on it
-#   dtype                             (numpy type of a lane's progress in
-#                                      lockstep; None where it does not serve)
 #   lockstep(arcs, heads) -> (step, resumed)
-#       the lockstep walker's step over slots with these arcs and heads
-#       (int arrays, one entry per slot): ``step(progress, slot) ->
-#       (progress, stop, back)`` over arrays of lanes, from ``initial``,
-#       with ``back`` as in ``advance``; ``resumed(progress)`` gives the
-#       progress values the fused walker resumes from, as a list.  Built
-#       once per estimate; it holds its own per-slot tables
+#       the one vectorised step, over slots with these arcs and heads (int
+#       arrays, one entry per slot): ``step(progress, slot) -> (progress,
+#       stop, back)`` over arrays of lanes, which broadcast together, from
+#       ``initial``: the new progress, True where the lane stops, and 1
+#       where it completes a commute, or None for rules that count none.
+#       ``resumed(progress)`` gives the progress values the fused walker
+#       resumes from, as a list.  Built once per estimate or solve; it
+#       holds its own per-slot tables
+#   dtype                             (numpy type of the step's progress, or
+#                                      None for object arrays, as masks wider
+#                                      than 64 bits need; the lockstep walker
+#                                      takes only a numpy type)
 #   initial                           (the progress before the first step)
-# The exact solver (:mod:`walkcover.exact`) steps a breadth-first level of
-# states at a time through ``advance``, and reads:
-#   advance(progress, arc, head) -> (progress, stop, back)
-#                                     (one step over arrays of lanes, which
-#                                      broadcast together: the new progress,
-#                                      True where the lane stops, and 1 where
-#                                      it completes a commute, or None for
-#                                      rules that count none.  Progress is of
-#                                      ``dtype``, or of object type where that
-#                                      is None, as for masks wider than 64
-#                                      bits)
-#   rank(progress) -> int             (grows whenever progress changes, for
-#                                      every rule the solver supports)
+#   rank(progress) -> int             (of the step's progress: grows whenever
+#                                      progress changes, for every rule the
+#                                      exact solver supports)
 # The epoch sequences in :mod:`walkcover.tours` build :class:`_TableLanes`
 # too, with the epoch index as the state.
 # ---------------------------------------------------------------------------
@@ -681,7 +678,8 @@ def _ranks(rng: np.random.Generator, breaks: np.ndarray):
 class _TableLanes:
     """Progress as a small state number, advanced by per-(state, arc) tables.
 
-    ``back`` counts commutes: 1 where the step completes one.
+    ``next``, ``stop`` and ``back`` are 2-D over (state, arc); ``back``
+    counts commutes: 1 where the step completes one.
     """
 
     dtype = np.intp
@@ -689,28 +687,19 @@ class _TableLanes:
     rank = staticmethod(int)  # the state number itself
 
     def __init__(self, nxt: np.ndarray, stop: np.ndarray, back: np.ndarray | None):
-        self.arcs = nxt.shape[1]
-        self.next = nxt.ravel()
-        self.stop = stop.ravel()
-        self.back = None if back is None else back.ravel()
-
-    def advance(self, state: np.ndarray, arc: np.ndarray, head: np.ndarray):
-        key = state * self.arcs + arc
-        return self.next[key], self.stop[key], None if self.back is None else self.back[key]
+        self.next, self.stop, self.back = nxt, stop, back
 
     def _by_slot(self, arcs: Sequence[int] | np.ndarray):
         """``next``, ``stop`` and ``back`` (zeros where that is None) per
         (state, slot), for slots with these ``arcs``."""
-        states = len(self.next) // self.arcs
-        nxt, stop = self.next.reshape(states, -1), self.stop.reshape(states, -1)
-        back = np.zeros_like(nxt) if self.back is None else self.back.reshape(states, -1)
-        return nxt[:, arcs], stop[:, arcs], back[:, arcs]
+        back = np.zeros_like(self.next) if self.back is None else self.back
+        return self.next[:, arcs], self.stop[:, arcs], back[:, arcs]
 
     def lockstep(self, arcs: np.ndarray, heads: np.ndarray):
-        """The lockstep walker's step over slots with these ``arcs``:
-        ``(step, resumed)``.  ``step(state, slot)`` reads flat (state, slot)
-        tables whose states are premultiplied by the slot count, so a key is
-        one add; ``resumed`` gives the state numbers the fused walker takes."""
+        """The vectorised step over slots with these ``arcs``: ``(step,
+        resumed)``.  ``step(state, slot)`` reads flat (state, slot) tables
+        whose states are premultiplied by the slot count, so a key is one
+        add; ``resumed`` gives the state numbers the fused walker takes."""
         nxt, stop, back = self._by_slot(arcs)
         size = nxt.shape[1]
         nxt, stop = (nxt * size).ravel(), stop.ravel()
@@ -782,8 +771,10 @@ class _MaskLanes:
     """A coverage mask per lane, plus a return to ``root`` unless it is None.
 
     ``bits[arc]`` is the bit that arc sets.  The masks are Python ints on the
-    fused walker, so any width works there; the lockstep walker takes masks
-    of at most 64 bits, and ``advance`` takes wider ones in object arrays.
+    fused walker, so any width works there.  The vectorised step holds them
+    in uint64 arrays up to 64 bits and in object arrays above; the exact
+    solver steps masks of any width through it, and the lockstep walker
+    takes masks of at most 64 bits.
     """
 
     rank = staticmethod(int.bit_count)
@@ -794,22 +785,15 @@ class _MaskLanes:
         self.root = root
         self.initial = initial
         self.dtype = np.uint64 if full.bit_length() <= 64 else None
-        self.lane_bits = np.array(self.bits, self.dtype or object)
-        self.lane_full = full if self.dtype is None else np.uint64(full)
-
-    def advance(self, mask: np.ndarray, arc: np.ndarray, head: np.ndarray):
-        mask = mask | self.lane_bits[arc]
-        stop = mask == self.lane_full
-        if self.root is not None:
-            stop &= head == self.root
-        return mask, stop, None
 
     def lockstep(self, arcs: np.ndarray, heads: np.ndarray):
-        """The lockstep walker's step over slots with these ``arcs`` and
-        ``heads``: ``(step, resumed)``, where ``step(mask, slot)`` reads each
-        slot's bit and whether it ends at the root, and ``resumed`` gives the
-        masks as the fused walker takes them."""
-        bits, full = self.lane_bits[arcs], self.lane_full
+        """The vectorised step over slots with these ``arcs`` and ``heads``:
+        ``(step, resumed)``, where ``step(mask, slot)`` reads each slot's bit
+        and whether it ends at the root, and ``resumed`` gives the masks as
+        the fused walker takes them.  Masks wider than 64 bits are Python
+        ints in object arrays."""
+        bits = np.array(self.bits, self.dtype or object)[arcs]
+        full = self.full if self.dtype is None else np.uint64(self.full)
         home = None if self.root is None else heads == self.root
 
         def step(mask: np.ndarray, slot: np.ndarray):

@@ -631,7 +631,9 @@ def walks(monkeypatch):
     lockstep walker's steps, as calls of the step its lanes give it, and
     ``walks.handed`` holds, per fused walk, the arguments after ``(rng,
     budget)``, its result and the steps it walked, counted as the draws it
-    read."""
+    read.  It wraps the lanes classes' ``lockstep``, which the exact solver
+    steps through too, so the tests that use it make no exact solves, which
+    would count as lockstep steps."""
     counts = collections.Counter()
     counts.lockstep, counts.handed, drawn = [0], [], [0]
 

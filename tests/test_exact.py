@@ -141,7 +141,7 @@ def test_non_monotone_progress_fails_loudly():
     # A refined commute's lane state falls back to 0 after each commute.
     net = triangle()
     rule = RefinedCommute("either", SplitSpec(net, frozenset({0}), 0, 1))
-    with pytest.raises(AssertionError, match="not monotone"):
+    with pytest.raises(AssertionError, match="progress 0x1 -> 0x0 is not monotone"):
         exact_stop_time(net, 0, rule)
 
     @dataclass(frozen=True)
@@ -159,6 +159,50 @@ def test_non_monotone_progress_fails_loudly():
 
     with pytest.raises(TypeError, match="no exact solver"):
         exact_stop_time(net, 0, NoLanes(Commute(0, 1)))
+
+
+class _WalkerLanes:
+    """A rule's lanes showing only what the estimator's walkers read."""
+
+    def __init__(self, lanes):
+        self.walker, self.lockstep = lanes.walker, lanes.lockstep
+        self.dtype, self.initial, self.rank = lanes.dtype, lanes.initial, lanes.rank
+
+
+@dataclass(frozen=True)
+class _WalkerLanesRule:
+    rule: object
+
+    def anchor(self):
+        return self.rule.anchor()
+
+    def label(self):
+        return self.rule.label()
+
+    def make_tracker(self, net):
+        return self.rule.make_tracker(net)
+
+    def make_lanes(self, net):
+        return _WalkerLanes(self.rule.make_lanes(net))
+
+
+def test_exact_steps_on_the_lockstep_step():
+    """The solver needs no lanes but the walkers' own: a commute, whose step
+    counts commutes, directed epochs, an edge cover and a 70-bit vertex cover
+    with a return (object masks) solve bit for bit as on the full lanes."""
+    rnd = from_spec("random:n=8,m=10,seed=1")
+    alternate = Orientation(tuple(e % 2 for e in range(len(rnd.edges))))
+    epochs = EpochSequence(construct_double_cover_walk(rnd, 0), "directed", alternate)
+    cases = [
+        (rnd, Commute(0, 7)),
+        (rnd, epochs),
+        (rnd, EdgeCoverReturn(0)),
+        (path([1.0] * 69), VertexCover(0, True)),
+    ]
+    for net, rule in cases:
+        for model in TimingModel:
+            want = exact_stop_time(net, 0, rule, model)
+            assert exact_stop_time(net, 0, _WalkerLanesRule(rule), model).hex() == want.hex()
 
 
 EPOCH_SPECS = ["triangle", "parallel_pair", "star:3", "lollipop:5", "tree:3",

@@ -297,8 +297,7 @@ def test_commute_lanes_hold_only_reachable_states():
     rules = [Commute(0, 1)] + [RefinedCommute(kind, spec) for kind in REFINED_KINDS]
     for rule, count in zip(rules, [2, 3, 6, 6, 9]):
         lanes = rule.make_lanes(net)
-        nxt = lanes.next.reshape(-1, lanes.arcs)
-        stop = lanes.stop.reshape(nxt.shape)
+        nxt, stop = lanes.next, lanes.stop
         assert len(nxt) == count, rule.label()
         assert (nxt[stop] == stop.nonzero()[0]).all()
         reached, frontier = {0}, [0]

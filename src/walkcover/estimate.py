@@ -547,15 +547,16 @@ def _lockstep(lanes, table, start, streams, budget, samples):
         if back is not None:
             commutes += back
         stop &= live
-        if not stop.any():
+        idx = stop.nonzero()[0]
+        if not len(idx):
             continue
-        done = lane[stop]
-        times[done] = clock[stop]
+        done = lane.take(idx)
+        times[done] = clock.take(idx)
         step_counts[done] = steps
         if back is not None:
-            commute_counts[done] = commutes[stop]
-        live ^= stop
-        left -= len(done)
+            commute_counts[done] = commutes.take(idx)
+        live[idx] = False
+        left -= len(idx)
         if 4 * left < 3 * len(lane):
             keep = np.flatnonzero(live)
             lane, at, progress, commutes, clock, inc_hi, inc_lo = (

@@ -360,6 +360,19 @@ def test_band_solves_are_pinned(spec, mode, states):
     assert got == _BAND_PINS[spec, mode, states]
 
 
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_chunks_keep_band_solves_pinned(monkeypatch, chunk):
+    """Stepping and assembling a few states at a time, so that the search
+    splits its levels and the solve builds its matrices over many chunks,
+    gives the same bits."""
+    monkeypatch.setattr(exact, "_CHUNK", chunk)
+    for spec, mode, states in _BAND_PINS:
+        if mode == "edge":
+            net = from_spec(spec)
+            got = tuple(exact_stop_time(net, 0, EdgeCoverReturn(0), m).hex() for m in TimingModel)
+            assert got == _BAND_PINS[spec, mode, states]
+
+
 @pytest.mark.parametrize(
     "net, rule, want",
     [
@@ -372,6 +385,26 @@ def test_band_solves_are_pinned(spec, mode, states):
 def test_wide_progress_solves(net, rule, want):
     """Covering a path from one end and returning takes 2m^2, its commute time."""
     assert exact_stop_time(net, 0, rule) == pytest.approx(want, rel=1e-9)
+
+
+# Edge cover-and-return from vertex 0 of ``path([1.0] * m)``, pinned bit
+# for bit as ``float.hex()`` under (L_SQUARED, BROWNIAN_MEAN).  A state's
+# search key is its m-bit mask shifted past the 6 bits of a vertex number:
+# 63, 64, 65 and 68 bits wide, across the 64 bits that a key built in numpy
+# holds.
+_WIDE_KEY_PINS = {
+    57: ("0x1.961ffffffff4cp+12", "0x1.961ffffffff4cp+12"),
+    58: ("0x1.a47ffffffff3cp+12", "0x1.a47ffffffff3cp+12"),
+    59: ("0x1.b31ffffffff2ep+12", "0x1.b31ffffffff2ep+12"),
+    62: ("0x1.e07ffffffff0ep+12", "0x1.e07ffffffff0ep+12"),
+}
+
+
+@pytest.mark.parametrize("m", list(_WIDE_KEY_PINS))
+def test_search_keys_past_64_bits_are_pinned(m):
+    net = path([1.0] * m)
+    got = tuple(exact_stop_time(net, 0, EdgeCoverReturn(0), model).hex() for model in TimingModel)
+    assert got == _WIDE_KEY_PINS[m]
 
 
 @pytest.mark.parametrize(

@@ -31,9 +31,10 @@ the same way: one spec, ``(x, y, A's edges, stop test)``, builds both
 their tracker and their lanes.  A plain commute has no side A and stops at
 its first commute, and the lanes hold only the states the walk reaches.
 
-The loop in :func:`run` draws its uniforms in blocks of 64, 256, 1024, 4096
-and then 16384, each capped at the steps left in the budget, so the budget
-is checked once per block.
+The loop in :func:`run` draws its uniforms in blocks of 64, 128, 256, 512
+and then 1024 (``REFILL_FIRST`` doubling up to ``REFILL_MAX``), each capped
+at the steps left in the budget, so the budget is checked once per block and
+a walk draws fewer than ``REFILL_MAX`` uniforms it does not walk.
 
 A rule with a table form also has ``make_lanes``, which builds its progress
 as read-only tables over (state, arc) or as coverage bits (see the section
@@ -507,18 +508,65 @@ def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
     return StepBudgetExceeded(f"no stop within {step_budget} steps for {label}")
 
 
+# The first refill block and the largest.  A walk that stops in a block
+# leaves the rest of it unread, so it draws fewer than ``REFILL_MAX``
+# uniforms it does not walk, and a walk of at most 64 steps draws at most
+# 64.  A draw's value does not depend on the blocks: PCG64's ``random(a)``
+# then ``random(b)`` gives the doubles of ``random(a + b)``, and a walk's
+# steps are the draws it read, so the schedule changes no result.  Each
+# unread uniform still costs its draw (about 2.6 ns), its rank (5-34 ns of
+# ``searchsorted`` at 3-60 breakpoints) and its ``tolist`` (about 15 ns);
+# each block costs its calls, a few microseconds.  Measured on a 2-CPU host
+# (Xeon, Python 3.11, numpy 2.4) in one process, on every check of one
+# seed-1 pass of perfbench's ``long_walks``, by rule kind (checks x trials),
+# for blocks that grow 4x up to 16384 (the earlier schedule) or double up
+# to each cap.  First the uniforms drawn over the steps walked:
+#
+#   rule kind (checks x trials)          steps  4x:16384  2x:4096  2048  1024   512   256
+#   edge cover, tree:4 (14 x 24)         1.90M      2.26     1.31  1.18  1.09  1.04  1.02
+#   arc cover, tree:4 (14 x 24)          1.81M      2.14     1.32  1.19  1.10  1.05  1.03
+#   directed cover, tree:4 (12 x 24)     1.61M      2.06     1.31  1.18  1.09  1.05  1.02
+#   vertex cover, lollipop (16 x 6)      37.5k      2.31     1.45  1.45  1.42  1.38  1.28
+#   directed epochs, tree:3 (24 x 100)   2.41M      2.21     1.47  1.47  1.40  1.24  1.13
+#   path commute, 12-18 hops (24 x 100)  1.10M      2.16     1.50  1.50  1.50  1.43  1.27
+#   all of long_walks                    8.88M      2.17     1.38  1.30  1.23  1.15  1.08
+#
+# Then each kind's CPU time over that under 4x:16384 (median of 11
+# interleaved rounds; single rounds spread by about 20% either way), the
+# last row as the median of each round's total over the old schedule's:
+#
+#   rule kind                              2x:4096  2048  1024   512   256
+#   edge cover, tree:4                        0.96  1.03  0.85  0.99  0.96
+#   arc cover, tree:4                         0.88  0.84  0.77  1.00  0.90
+#   directed cover, tree:4                    0.72  0.79  0.72  0.97  1.02
+#   vertex cover, lollipop                    0.73  0.74  0.81  1.04  0.92
+#   directed epochs, tree:3                   0.81  0.83  0.84  1.00  1.01
+#   path commute, 12-18 hops                  0.85  0.79  0.82  0.93  0.84
+#   all of long_walks                         0.86  0.90  0.80  0.91  0.90
+#
+# Caps of 512 and below pay for more blocks than they save in uniforms,
+# and 1024 reads best in total, so ``REFILL_MAX`` is 1024.  Short walks
+# keep their one block of 64: eight 600-trial commutes on ``triangle``,
+# walked in lockstep, hand 287 trials to the fused loop, which walk 630
+# steps on 287 blocks of 64 under every schedule, in the same time within
+# the rounds' spread.
+REFILL_FIRST = 64
+REFILL_MAX = 1024
+
+
 def _refills(rand, budget: int, done: int = 0):
-    """A trial's uniforms after its first ``done`` steps, in blocks of 64,
-    256, 1024, 4096 and then 16384, each capped at the steps left in
+    """A trial's uniforms after its first ``done`` steps, in blocks of
+    ``REFILL_FIRST``, then twice the last up to ``REFILL_MAX`` (64, 128,
+    256, 512, then 1024 a block), each capped at the steps left in
     ``budget``: yields the steps taken by the end of each block and an
     iterator over its draws, as ``rand(n)`` gives them (the uniforms, or
     their ranks; see :func:`_ranks`)."""
-    block = 64
+    block = REFILL_FIRST
     while done < budget:
         n = min(block, budget - done)
         done += n
         yield done, iter(rand(n).tolist())
-        block = min(4 * block, 16384)
+        block = min(2 * block, REFILL_MAX)
 
 
 # Most entries for which the fused walkers run on rank rows; above it they
@@ -572,10 +620,11 @@ def _refills(rand, budget: int, done: int = 0):
 # turn, so a step reads one state's copy of the rows: rank rows keep them
 # 8-28% faster per step up to about 26000 entries, and the two tie from
 # 50000, so epochs of 2**13 to 26000 entries pay that on slot rows.  A
-# trial pays one searchsorted call per refill block, about a microsecond,
-# so walks of under about 16 steps lose a few tenths of a microsecond on
-# rank rows.  Every workload of perfbench builds rows of at most 1740
-# entries.
+# trial pays one searchsorted call per refill block, about a microsecond:
+# one for walks of up to 64 steps, five up to 1984 steps and one more per
+# 1024 steps beyond, so walks of under about 16 steps lose a few tenths of
+# a microsecond on rank rows.  Every workload of perfbench builds rows of
+# at most 1740 entries.
 RANK_ENTRIES_MAX = 2**13
 
 

@@ -6,8 +6,9 @@ failures always show theirs).  Stochastic checks use fixed seeds and a
 is deterministic.
 
 Two sub-checks encode values that are internally inconsistent with the rest
-of the contract and are expected to fail; the analysis lives outside the
-package.  They are asserted literally as stated, not adjusted to pass.
+of the contract and are expected to fail; each one's docstring derives the
+value the walk does give.  They are asserted literally as stated, not
+adjusted to pass.
 """
 
 import math
@@ -281,10 +282,33 @@ def arc_mode_formula_target(net):
 
 
 def test_c06_epoch_arc_mode_as_stated():
-    # Stated check: arc-mode mean equals the per-edge refined-commute sum and
-    # stays under three squared-total-length.  The equality half does not hold
-    # for the epoch process as defined (exact solve agrees with the sampler,
-    # not with the formula); asserted literally and expected red.
+    """Stated check: the arc-mode epoch mean equals the per-edge sum of
+    :func:`arc_mode_formula_target` and stays under 3 m^2.  Asserted
+    literally and expected red: the equality half does not hold for the
+    epoch process as defined, whose exact solve agrees with the sampler.
+
+    Derivation.  In arc mode every epoch is strong, and epoch i starts
+    where epoch i - 1 left the walker, at the tail u of the walk's i-th arc
+    a = (u -> v), so its mean is T_a, the mean time from u until the walk
+    steps along a.  Steps choose arcs out of a vertex in proportion to
+    1 / length and an arc of length l is charged l^2, so by Kac's lemma on
+    the chain of arcs (with renewal-reward for the charges) the mean time
+    between two steps along a is 2 m l, m the total length.  A walk from v
+    must reach u before it can step along a, so 2 m l = H(v, u) + T_a, with
+    H the mean hitting time.  An edge's two arcs then sum to 4 m l less the
+    commute time 2 m R(u, v), R the effective resistance with the lengths
+    as resistances (0 for a loop), and the epoch mean is
+    sum_e (4 m l_e - 2 m R_e).
+
+    On ``triangle`` (m = 3) each R_e is 2/3 and each epoch is 6 - 2 = 4,
+    so the mean is 6 x 4 = 24.000, which the exact solve gives.  The
+    stated per-edge term is 2 m l (3 l + r) / (2 l + r), with r = 2 the
+    resistance of the rest of the network between the edge's ends: 7.5 per
+    edge and 22.5 in all.  The exact term is 2 m l (2 l + r) / (l + r) (8
+    per edge), which is the stated one with r + l in place of r.  The bound
+    half holds here (24 <= 27), but not on every network: a unit loop reads
+    4 > 3 and ``parallel_pair`` 28 > 27.
+    """
     tri = triangle()
     m = tri.total_length
     walk = construct_double_cover_walk(tri, 0)
@@ -335,9 +359,19 @@ def test_c07_edge_cover_example():
 
 
 def test_c07_forced_tour_l2_as_stated():
-    # Stated check: the forced two-traversal tour charges exactly 9 under the
-    # squared-length model.  The squared lengths sum to 1 + 4; asserted
-    # literally and expected red.
+    """Stated check: the forced two-traversal tour charges exactly 9 under
+    the squared-length model.  Asserted literally and expected red.
+
+    Derivation.  ``parallel_pair`` joins vertices 0 and 1 by an edge e of
+    length 1 and an edge f of length 2.  The draw 0.0 takes e out of 0
+    (probability 2/3) and 0.9 takes f back from 1 (probability 1/3), so the
+    walk has covered both edges and is home after two steps.  ``l2``
+    charges each traversal its own length squared: 1^2 + 2^2 = 5.  The
+    stated 9 is (1 + 2)^2, the square of the tour's whole length 3, the
+    charge one edge of length 3 would get; the square of a sum is not the
+    sum of the squares, so a tour over two edges is not charged like one
+    edge of their total length.
+    """
     pp = parallel_pair()
     out = run(pp, 0, EdgeCoverReturn(0), L2, PresetRng([0.0, 0.9]))
     ok = out.stop_time == 9.0

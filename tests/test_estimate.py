@@ -821,6 +821,83 @@ def test_fused_budget_failures_match_run(walks):
     assert failed[1] == 2 * len(cases) and failed[64] and failed[65], failed
 
 
+def _schedule_outcomes(cases, budget):
+    """Per case, the trials of ``run``, of a fused block and of a lockstep
+    block: each trial's (stop time, steps, commutes) in order, and the
+    text of the ``StepBudgetExceeded`` that ends them, if one does."""
+    results = []
+    for net, start, rule in cases:
+        model = TimingModel.L_SQUARED
+        tables = build_tables(net, model)
+        samples = []
+        try:
+            for i in range(40):
+                samples.append(_expected_sample(net, start, rule, model, tables,
+                                                trial_rng(5, i), budget))
+        except StepBudgetExceeded as exc:
+            samples.append(f"trial {i}: {exc}")
+        results.append(samples)
+        for trials, lockstep in ((40, False), (estimate_module.LOCKSTEP_MIN_LANES, True)):
+            job = (net, start, rule, model, 5, 0, trials, budget, lockstep)
+            try:
+                results.append([column.tolist() for column in estimate_module._trial_block(job)[1]])
+            except StepBudgetExceeded as exc:
+                results.append(str(exc))
+    return results
+
+
+def test_refill_schedule_changes_no_value(monkeypatch):
+    """Refill blocks of 1 and of 3 uniforms give every trial the values the
+    default schedule gives, on ``run``, on fused rank and slot rows and on a
+    lockstep block whose tail the fused loop walks on, and the same budget
+    failures; and the default schedule draws fewer than ``REFILL_MAX``
+    uniforms past the steps a walk reads, and at most 64 for walks of at
+    most 64 steps."""
+    cases = [(from_spec("tree:3"), 0, ArcCoverReturn(0)),
+             (path([0.7, 1.3, 2.1, 0.9, 1.1]), 0, Commute(0, 5))]
+    first_block, cap = walker_module.REFILL_FIRST, walker_module.REFILL_MAX
+    assert first_block == 64
+    # Per fused walk: (steps before it, uniforms drawn, steps walked), on
+    # the default schedule in ``default``.
+    draws, default = [], []
+
+    def measured(rand, budget, done=0):
+        first, end, block = done, done, iter(())
+        try:
+            for end, block in refills(rand, budget, done):
+                yield end, block
+        finally:
+            draws.append((first, end - first, end - first - operator.length_hint(block)))
+
+    refills = walker_module._refills
+    monkeypatch.setattr(walker_module, "_refills", measured)
+    rank_tables = build_tables(cases[0][0], TimingModel.L_SQUARED)
+    for rank_max in (walker_module.RANK_ENTRIES_MAX, 0):
+        monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", rank_max)
+        assert (walker_module._rank_rows(rank_tables) is None) == (rank_max == 0)
+        for budget in (10**9, 1200):
+            monkeypatch.setattr(walker_module, "REFILL_FIRST", first_block)
+            monkeypatch.setattr(walker_module, "REFILL_MAX", cap)
+            draws.clear()
+            expected = _schedule_outcomes(cases, budget)
+            default += draws
+            if budget < 10**9:
+                # Tree arc covers pass the budget on every walker.
+                assert all(isinstance(result, str) for result in (
+                    expected[0][-1], expected[1], expected[2]))
+            for block in (1, 3):
+                monkeypatch.setattr(walker_module, "REFILL_FIRST", block)
+                monkeypatch.setattr(walker_module, "REFILL_MAX", block)
+                assert _schedule_outcomes(cases, budget) == expected, (rank_max, budget, block)
+    assert all(drawn < walked + cap for _, drawn, walked in default)
+    assert all(drawn <= first_block for _, drawn, walked in default if walked <= first_block)
+    # Short walks, long ones and lockstep tails that go on past their first
+    # block are all among them.
+    assert any(walked < first_block for _, _, walked in default)
+    assert any(walked > 2 * cap for _, _, walked in default)
+    assert any(first and walked > first_block for first, _, walked in default)
+
+
 def test_lockstep_masks_fit_in_64_bits(walks):
     # Arc cover of 32 edges needs 64 mask bits and runs in lockstep; 33 edges
     # need 66 and walk every trial on the fused loop, so only the 64-bit mask

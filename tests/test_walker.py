@@ -342,8 +342,8 @@ def test_step_budget_exceeded():
 
 
 # Uniform blocks a walk of exactly ``budget`` steps asks for: the refill
-# schedule 64, 256, ... capped at the steps left in the budget.
-_BOUNDARY_SIZES = {1: [1], 64: [64], 65: [64, 1], 320: [64, 256]}
+# schedule 64, 128, 256, ... capped at the steps left in the budget.
+_BOUNDARY_SIZES = {1: [1], 64: [64], 65: [64, 1], 320: [64, 128, 128]}
 
 
 @pytest.mark.parametrize("budget", sorted(_BOUNDARY_SIZES))
@@ -373,11 +373,12 @@ def test_step_budget_boundaries(budget):
 
 
 def test_refill_schedule():
-    # Five full blocks (21824 steps), then a block capped at the 7 steps left.
+    # Blocks double from 64 to the cap of 1024 and stay there: six full
+    # blocks (3008 steps), then a block capped at the 7 steps left.
     rng = PresetRng([], pad=0.0)
     with pytest.raises(StepBudgetExceeded):
-        run(triangle(), 0, FirstPassage(2), TimingModel.L_SQUARED, rng, step_budget=21831)
-    assert rng.sizes == [64, 256, 1024, 4096, 16384, 7]
+        run(triangle(), 0, FirstPassage(2), TimingModel.L_SQUARED, rng, step_budget=3015)
+    assert rng.sizes == [64, 128, 256, 512, 1024, 1024, 7]
 
 
 @pytest.mark.parametrize("budget", [0, -5])

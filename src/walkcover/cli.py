@@ -362,10 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except WalkcoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WalkcoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

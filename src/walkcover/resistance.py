@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSplit, SameVertex
+from .errors import DisconnectedNetwork, InvalidSplit, SameVertex
 from .netmodel import Network, build_network
 
 __all__ = ["SplitSpec", "effective_resistance", "split_resistances", "via_probability"]
@@ -56,28 +56,6 @@ def _span(net: Network, edge_ids: frozenset[int]) -> set[int]:
     return verts
 
 
-def _connects(net: Network, edge_ids: frozenset[int], x: int, y: int) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        root = a
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(a, a) != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    touched: set[int] = set()
-    for eid in edge_ids:
-        e = net.edges[eid]
-        touched.add(e.u)
-        touched.add(e.v)
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            parent[ra] = rb
-    return x in touched and y in touched and find(x) == find(y)
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """A two-terminal split: edge subset A against its complement B.
@@ -86,6 +64,11 @@ class SplitSpec:
     ``{x, y}``, and each side must connect x to y on its own.  Validation is
     eager; every downstream formula refuses an invalid split rather than
     silently misapplying itself.
+
+    A side connects the terminals exactly when it builds as a connected
+    network: in a connected network, a piece of one side that missed both
+    terminals would meet the other side at a third shared vertex, which the
+    check before it rejects.
     """
 
     network: Network
@@ -114,10 +97,11 @@ class SplitSpec:
                 f"sides share vertices {sorted(shared)}, expected exactly "
                 f"{sorted((self.x, self.y))}"
             )
-        if not _connects(net, self.a_edges, self.x, self.y):
-            raise InvalidSplit("side A does not connect the terminals")
-        if not _connects(net, b, self.x, self.y):
-            raise InvalidSplit("side B does not connect the terminals")
+        for name, side in (("A", self.a_edges), ("B", b)):
+            try:
+                self.side_network(side)
+            except DisconnectedNetwork:
+                raise InvalidSplit(f"side {name} does not connect the terminals") from None
 
     @property
     def b_edges(self) -> frozenset[int]:

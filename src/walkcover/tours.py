@@ -2,8 +2,8 @@
 
 A double-cover walk visits every edge exactly once in each direction and
 returns to its root.  Construction: depth-first spanning tree from the root,
-with every non-tree edge (chords and loops) spliced in as an out-and-back
-pair at the first visit of one of its endpoints.
+where a non-tree edge (a chord or a loop) goes out and back at the first
+visit of its later endpoint.
 
 Epochs pace a simulated walk along a fixed double-cover walk.  Epoch ``i``
 waits, depending on the mode, for either
@@ -93,63 +93,47 @@ def construct_double_cover_walk(
 ) -> ClosedWalk:
     """Depth-first double cover from ``root``.
 
-    Tree edges contribute their descend/return arc pair around the subtree
-    visit; every chord and loop is spliced as an immediate out-and-back pair
-    at the first visit of an endpoint.  ``neighbor_order`` ("ascending" or
-    "descending" by edge id) only changes the visiting order, giving a second,
-    genuinely different walk for invariance tests.
+    One rule: at a vertex's first visit, every unused edge to an already
+    visited vertex goes out and back, so a non-tree edge does so at the first
+    visit of its later endpoint (a loop's only endpoint is visited then).
+    The descent then takes the unused edges, which all lead to unvisited
+    vertices, into the tree, each returning when its subtree is done.
+    ``neighbor_order`` ("ascending" or "descending" by edge id) only changes
+    the visiting order, giving a second, genuinely different walk for
+    invariance tests.
     """
     net.check_vertex(root)
     if neighbor_order not in ("ascending", "descending"):
         raise ValueError(f"unknown neighbor_order {neighbor_order!r}")
     reverse = neighbor_order == "descending"
+    rows = [sorted(row, key=lambda a: a[0], reverse=reverse) for row in net.adjacency]
     visited = [False] * net.vertex_count
-    spliced = [False] * len(net.edges)
+    used = [False] * len(net.edges)
     arcs: list[Arc] = []
+    # Each frame is (iterator over a vertex's row, arc back to its parent).
+    stack: list = []
 
-    # Iterative DFS; each frame is (vertex, iterator over outgoing arcs,
-    # return arc to emit when the frame pops).
-    def outgoing(v: int):
-        row = sorted(net.adjacency[v], key=lambda a: a[0], reverse=reverse)
-        return iter(row)
+    def visit(v: int, back: Arc | None) -> None:
+        visited[v] = True
+        for eid, d, head in rows[v]:
+            if not used[eid] and visited[head]:
+                used[eid] = True
+                arcs.extend((Arc(eid, d), Arc(eid, 1 - d)))
+        stack.append((iter(rows[v]), back))
 
-    def splice_local(v: int) -> None:
-        # Loops and already-visited-endpoint chords attach at v's first visit.
-        for eid, d, head in sorted(net.adjacency[v], key=lambda a: a[0], reverse=reverse):
-            if spliced[eid]:
-                continue
-            e = net.edges[eid]
-            if e.is_loop:
-                if d == 0:  # each loop shows up as both senses; handle once
-                    spliced[eid] = True
-                    arcs.append(Arc(eid, 0))
-                    arcs.append(Arc(eid, 1))
-            elif visited[head]:
-                spliced[eid] = True
-                arcs.append(Arc(eid, d))
-                arcs.append(Arc(eid, 1 - d))
-
-    visited[root] = True
-    splice_local(root)
-    stack = [(root, outgoing(root), None)]
+    visit(root, None)
     while stack:
-        v, it, ret = stack[-1]
-        advanced = False
-        for eid, d, head in it:
-            if spliced[eid] or visited[head]:
-                continue
-            # Unvisited head: take this edge into the tree.
-            spliced[eid] = True
-            visited[head] = True
-            arcs.append(Arc(eid, d))
-            splice_local(head)
-            stack.append((head, outgoing(head), Arc(eid, 1 - d)))
-            advanced = True
-            break
-        if not advanced:
+        row, back = stack[-1]
+        for eid, d, head in row:
+            if not used[eid]:
+                used[eid] = True
+                arcs.append(Arc(eid, d))
+                visit(head, Arc(eid, 1 - d))
+                break
+        else:
             stack.pop()
-            if ret is not None:
-                arcs.append(ret)
+            if back is not None:
+                arcs.append(back)
 
     walk = ClosedWalk(root, tuple(arcs))
     validate_closed_walk(net, walk)
@@ -217,12 +201,8 @@ class EpochSequence:
         return self._plan(net).lanes
 
     def _plan(self, net: Network) -> "_EpochPlan":
-        """The rule's tables on ``net``, checked and built once per network."""
-        plan = self.__dict__.get("_cached_plan")
-        if plan is None or plan.net is not net:
-            plan = _EpochPlan(net, self.walk, self.mode, self.orientation)
-            object.__setattr__(self, "_cached_plan", plan)
-        return plan
+        """The rule's tables on ``net``, shared by equal rules on equal networks."""
+        return _plans(net, self.walk, self.mode, self.orientation)
 
 
 class _EpochPlan:
@@ -275,6 +255,9 @@ class _EpochPlan:
         return i
 
 
+_plans = lru_cache(maxsize=8)(_EpochPlan)
+
+
 class _EpochTracker:
     def __init__(self, plan: _EpochPlan):
         self.bits, self.full = plan.bits, plan.full
@@ -320,18 +303,11 @@ def epoch_times(
     tables=None,
 ) -> EpochRecord:
     """Simulate one epoch run along ``walk`` and decompose it per edge."""
-    rule = _epoch_rule(walk, mode, orientation)
+    rule = EpochSequence(walk, mode, orientation)
     out = run(
         net, walk.root, rule, model, rng, step_budget=step_budget, tables=tables
     )
     return record_from_outcome(walk, out)
-
-
-@lru_cache(maxsize=8)
-def _epoch_rule(walk: ClosedWalk, mode: str, orientation) -> EpochSequence:
-    """One rule per (walk, mode, orientation), so that repeated
-    :func:`epoch_times` calls on one network share its plan."""
-    return EpochSequence(walk, mode, orientation)
 
 
 def record_from_outcome(walk: ClosedWalk, outcome: WalkOutcome) -> EpochRecord:

@@ -227,3 +227,22 @@ def epoch_final_time_oracle(net, walk, mode, directions=None, model=L2):
         elif head != tail:
             total += hitting_time(net, tail, head, model)
     return total
+
+
+def arc_epoch_closed_form(net):
+    """Mean final epoch time in arc mode: sum over edges of 4 m l_e - 2 m R_e.
+
+    An arc-mode epoch runs from an arc's tail until the walk steps along the
+    arc.  By Kac's lemma the mean time between two steps along an arc of
+    length l is 2 m l, and a walk from the arc's head must first reach its
+    tail, so the epoch is 2 m l less that hitting time.  An edge's two epochs
+    then sum to 4 m l less its commute time 2 m R_e, with R_e taken by
+    series-parallel reduction (0 for a loop).
+    """
+    edges = [(e.u, e.v, e.length) for e in net.edges]
+    m = sum(length for _, _, length in edges)
+    total = 0.0
+    for u, v, length in edges:
+        r = 0.0 if u == v else series_parallel_resistance(edges, u, v)
+        total += 4 * m * length - 2 * m * r
+    return total

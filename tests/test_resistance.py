@@ -1,4 +1,7 @@
+import hashlib
 import heapq
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,35 @@ def test_same_vertex_rejected():
     net = build_network(2, [(0, 1, 1.0)])
     with pytest.raises(SameVertex):
         effective_resistance(net, 1, 1)
+
+
+# SHA-256 of the verdict of every side A and ordered terminal pair on
+# ``random_net(seed, max_n=5)`` with at most 6 edges, seeds 0-119: "ok" or
+# the ``InvalidSplit`` message, one case a line.
+_SPLIT_VERDICTS_DIGEST = "e2cc3bf8542d566336875070eea26c09ed089939b9358f1e4404239b4b58a439"
+
+
+def test_split_verdicts_are_pinned():
+    verdicts, counts = [], Counter()
+    for seed in range(120):
+        net = random_net(seed, max_n=5)
+        m = len(net.edges)
+        if m > 6:
+            continue
+        for a in (a for k in range(m + 1) for a in combinations(range(m), k)):
+            for x, y in permutations(range(net.vertex_count), 2):
+                try:
+                    SplitSpec(net, frozenset(a), x, y)
+                    verdict = "ok"
+                except InvalidSplit as exc:
+                    verdict = str(exc)
+                verdicts.append(f"{seed} {a} {x} {y} {verdict}")
+                counts[verdict] += 1
+    assert counts["ok"] == 1296
+    for side in "AB":
+        assert counts[f"side {side} does not connect the terminals"] == 198
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+    assert digest == _SPLIT_VERDICTS_DIGEST
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,19 @@
+import hashlib
 import math
 
 import pytest
 
 from walkcover.errors import EmptyInput
-from walkcover.estimate import trial_rng
-from walkcover.generators import loop, parallel_pair, star, triangle
-from walkcover.netmodel import Orientation, build_network, random_orientation
+from walkcover.estimate import estimate, trial_rng
+from walkcover.exact import exact_stop_time
+from walkcover.generators import from_spec, loop, parallel_pair, star, triangle
+from walkcover.netmodel import (
+    Orientation,
+    build_network,
+    parse_network_text,
+    random_orientation,
+    serialize_network,
+)
 from walkcover.tours import (
     EpochSequence,
     construct_double_cover_walk,
@@ -47,6 +55,23 @@ def test_double_cover_sweep_over_random_networks():
         net = random_net(seed, max_n=7)
         construct_double_cover_walk(net, 0)
         construct_double_cover_walk(net, net.vertex_count - 1, "descending")
+
+
+# SHA-256 of the double covers built on ``random_net(seed, max_n=9)`` for
+# seeds 0-299, from every root in both orders, one serialized walk a line.
+_DOUBLE_COVERS_DIGEST = "c60b5ff1dea84cc96cc71d5bb02da418aada93d1d696b20db8ff9b000dbf577a"
+
+
+def test_double_covers_are_pinned():
+    walks = [
+        serialize_walk(construct_double_cover_walk(net, root, order))
+        for net in (random_net(seed, max_n=9) for seed in range(300))
+        for root in range(net.vertex_count)
+        for order in ("ascending", "descending")
+    ]
+    assert len(walks) == 3458
+    digest = hashlib.sha256("\n".join(walks).encode()).hexdigest()
+    assert digest == _DOUBLE_COVERS_DIGEST
 
 
 def test_single_edge_walk():
@@ -154,6 +179,38 @@ def test_arc_epoch_mc_matches_piecewise_oracle():
     mean = total / n
     se = math.sqrt((sq / n - mean * mean) / n)
     assert abs(mean - want) <= 3 * se
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [("triangle", 24), ("loop:1", 4), ("parallel_pair", 28), ("path:1,2", 18),
+     ("star:3", 18), ("tree:2", 1.125)],
+)
+def test_arc_epochs_equal_closed_form(spec, want):
+    # The exact arc-mode epoch mean is sum_e (4 m l_e - 2 m R_e) from every
+    # root, for both walk orders and both timing models; with unit lengths,
+    # Foster's theorem turns it into 4 m^2 - 2 m (n - 1).
+    net = from_spec(spec)
+    m, n = net.total_length, net.vertex_count
+    form = oracles.arc_epoch_closed_form(net)
+    assert form == pytest.approx(want, rel=1e-12)
+    if all(e.length == 1.0 for e in net.edges):
+        assert form == pytest.approx(4 * m * m - 2 * m * (n - 1), rel=1e-12)
+    for root in range(n):
+        for order in ("ascending", "descending"):
+            rule = EpochSequence(construct_double_cover_walk(net, root, order), "arc")
+            for model in TimingModel:
+                assert exact_stop_time(net, root, rule, model) == pytest.approx(form, rel=1e-12)
+
+
+def test_equal_rules_share_one_plan():
+    net = triangle()
+    copy, _ = parse_network_text(serialize_network(net))
+    walk = construct_double_cover_walk(net, 0)
+    rule, twin = EpochSequence(walk, "arc"), EpochSequence(walk, "arc")
+    assert rule._plan(net) is twin._plan(net) is twin._plan(copy)
+    estimate(net, 0, rule, TimingModel.L_SQUARED, 50, 3)
+    assert set(vars(rule)) == {"walk", "mode", "orientation"}
 
 
 def test_per_edge_interval_means():

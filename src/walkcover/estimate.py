@@ -32,13 +32,17 @@ times, steps and commutes.  The sampling tables, the lanes and the fused
 loop's rows are built once per estimate in the calling process, and once
 more in each forked worker.
 
-``workers`` is an upper bound.  The estimator forks only when a pilot of
-its first trials (a sixteenth of them, at most ``FORK_PILOT`` = 32)
-predicts at least ``FORK_MIN_STEPS`` (2^19) steps for the rest, and never
-runs more processes than the CPUs it may use.  Otherwise it walks every
-trial in the calling process, as one block, which walks in lockstep when
-the estimate has at least ``LOCKSTEP_MIN_LANES`` trials, pilot included.
-The fork threshold is measured too, in the table with its constants.
+``workers`` is an upper bound.  An estimate that walks in lockstep (at
+least ``LOCKSTEP_MIN_LANES`` trials, lanes whose progress fits in 64 bits)
+walks every trial in the calling process, as one block, at any
+``workers``: a 600-trial ``verify`` check walks no pilot and starts no
+process.  Only the other estimates, which walk fused blocks, can fork:
+they fork when a pilot of their first trials (a sixteenth of them, at most
+``FORK_PILOT`` = 32) predicts at least ``FORK_MIN_STEPS`` (2^19) steps for
+the rest, and never run more processes than the CPUs they may use.  So a
+block walks in lockstep exactly when it has at least
+``LOCKSTEP_MIN_LANES`` trials and its lanes allow it.  The fork table is
+with the constants.
 """
 
 from __future__ import annotations
@@ -102,10 +106,9 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Bulk stream setup.  ``_trial_states`` derives, for a whole block of trial
 # indices at once, the PCG64 (state, inc) that ``trial_rng`` would build, by
-# replaying numpy's SeedSequence hash (pool of four 32-bit words) and
-# PCG64's seeding step on uint32/uint64 arrays.  Pool words are plain ints
-# while they depend on the seed alone and arrays once an index word is mixed
-# in; the helpers below accept either.
+# replaying numpy's SeedSequence hash and PCG64's seeding step on
+# uint32/uint64 arrays.  The hash's pool of four 32-bit words is one (4, n)
+# uint32 array, and its products wrap modulo 2**32 as SeedSequence's do.
 # ---------------------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
@@ -117,29 +120,28 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-# Running hash constants: entry k is the constant before the k-th hash call.
-# SeedSequence makes 16 ``hashmix`` calls for an entropy of up to four words
-# (four more per extra word) and 8 output hashes for ``generate_state(4,
-# uint64)``.
-_HASH_A = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32 for k in range(17)]
-_HASH_B = [_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(9)]
+
+@functools.cache
+def _hash_column(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """Constants ``first`` to ``first + count`` (inclusive) of a running
+    hash, as a (count + 1, 1) uint32 column: constant k is the one before
+    the k-th hash call."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                     for k in range(first, first + count + 1)], np.uint32)[:, None]
 
 
-def _hash_a(k: int) -> int:
-    return _HASH_A[k] if k < len(_HASH_A) else _INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32
-
-
-def _hashmix(value, k: int):
-    """SeedSequence's ``hashmix`` as its ``k``-th call."""
-    value = (value ^ _hash_a(k)) * _hash_a(k + 1) & _MASK32
-    return value ^ (value >> _XSHIFT)
+def _hashmix(value, first: int, count: int, init=_INIT_A, mult=_MULT_A) -> np.ndarray:
+    """SeedSequence's ``hashmix`` as calls ``first`` to ``first + count - 1``
+    of its running hash, one a row: ``value`` broadcast against a (count, 1)
+    column.  ``_INIT_B`` and ``_MULT_B`` give its output hash instead."""
+    const = _hash_column(init, mult, first, count)
+    value = (value ^ const[:-1]) * const[1:]
+    return value ^ value >> _XSHIFT
 
 
 def _mix(x, y):
-    # Each product is masked first so that an int operand stays in uint32
-    # range when the other operand is an array.
-    result =((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ (result >> _XSHIFT)
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> _XSHIFT
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -155,21 +157,24 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _seed_pool(entropy: list) -> list:
-    """SeedSequence's ``mix_entropy`` into a pool of four words."""
-    pool = []
-    for i in range(_POOL_SIZE):
-        pool.append(_hashmix(entropy[i] if i < len(entropy) else 0, i))
-    calls = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], calls))
-                calls += 1
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, calls))
-            calls += 1
+# The pool words each source word is mixed into, in SeedSequence's order.
+_MIX_DST = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
+
+
+def _seed_pool(entropy: list, n: int) -> np.ndarray:
+    """SeedSequence's ``mix_entropy`` into a (4, n) pool, for ``n`` entropies
+    whose words are ints or uint32 arrays of length ``n``.  Its hash calls
+    are 4 on the pool's first words, 3 for each source word, mixed into the
+    other three in one step, and 4 for each word past the fourth, mixed
+    into all four."""
+    words = np.zeros((_POOL_SIZE, n), np.uint32)
+    for row, word in zip(words, entropy):
+        row[:] = word
+    pool = _hashmix(words, 0, _POOL_SIZE)
+    for src, dst in enumerate(_MIX_DST):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_SIZE + 3 * src, 3))
+    for j, word in enumerate(entropy[_POOL_SIZE:], _POOL_SIZE):
+        pool = _mix(pool, _hashmix(word, _POOL_SIZE * j, _POOL_SIZE))
     return pool
 
 
@@ -195,13 +200,11 @@ def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
     return x_hi + y_hi + (lo < x_lo), lo
 
 
-def _pcg64_seed(pool: list) -> tuple[np.ndarray, ...]:
-    """``generate_state(4, uint64)`` from a pool, then ``pcg64_set_seed``."""
-    out = []
-    for k in range(8):
-        value = (pool[k % _POOL_SIZE] ^ _HASH_B[k]) * _HASH_B[k + 1] & _MASK32
-        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    init_hi, init_lo, seq_hi, seq_lo = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+def _pcg64_seed(pool: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``generate_state(4, uint64)`` from a (4, n) pool, then
+    ``pcg64_set_seed``."""
+    out = _hashmix(np.concatenate([pool, pool]), 0, 8, _INIT_B, _MULT_B).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
     inc_hi = seq_hi << 1 | seq_lo >> 63
     inc_lo = seq_lo << 1 | 1
     # state = 0; step (state = inc); state += initstate; step again.
@@ -217,7 +220,7 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 
     The entropy of ``SeedSequence((seed, i))`` is the words of ``seed`` then
     the words of ``i``.  Indices are taken in runs that share their words
-    above the lowest, so that word is the only array.
+    above the lowest, so that word is the only one that varies.
     """
     seed_words = _uint32_words(seed)
     runs = []
@@ -226,15 +229,14 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         b = min(hi, (a | _MASK32) + 1)
         low = np.arange(a & _MASK32, (b - 1 & _MASK32) + 1, dtype=np.uint32)
         upper = _uint32_words(a >> 32) if a > _MASK32 else []
-        runs.append(_pcg64_seed(_seed_pool(seed_words + [low] + upper)))
+        runs.append(_pcg64_seed(_seed_pool(seed_words + [low] + upper, len(low))))
         a = b
     return tuple(np.concatenate(part) for part in zip(*runs))
 
 
 # ---------------------------------------------------------------------------
-# Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials (or
-# what follows the pilot of an in-process estimate of that many) whose rule's
-# lanes serve it (``lockstep``) walks all its trials together, one
+# Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials whose
+# rule's lanes serve it (``lockstep``) walks all its trials together, one
 # numpy step over every live lane at a time, on the same streams.  It draws
 # each lane's uniforms in groups: with ``a`` PCG64's multiplier, the state
 # k steps after state s is ``A_k s + G_k inc`` modulo 2**128, where ``A_k =
@@ -286,9 +288,9 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # Short walks gain from 100-200 lanes and walks of hundreds of steps (687 a
 # trial on tree:3) from 200-300.  At 300 the 12-hop commute reads 1.03,
 # within the rounds' spread, so the gate stays at 400, where every row
-# gains at least 1.22x.  An estimate that stays in one process is one
-# block, so a 600-trial ``verify`` walks in lockstep at any ``--workers``;
-# a forked block is gated on its own size.
+# gains at least 1.22x.  An estimate that walks in lockstep is one block at
+# any ``workers`` (see the fork table), so a 600-trial ``verify`` walks in
+# lockstep at any ``--workers``.
 #
 # A lockstep step costs the same at any row width (see :func:`_grid`), so a
 # hub walks in lockstep like any other network.  Measured as above, on
@@ -607,28 +609,32 @@ class ComparisonVerdict:
 
 
 def _block_walker(net, start, rule, model, seed, budget):
-    """``block(lo, hi, lockstep, streams=None)``: trials ``[lo, hi)`` as
-    three arrays, of stop times, steps and commutes, in lockstep when
-    ``lockstep`` is set and the rule's lanes serve it, on ``streams`` as
-    :func:`_trial_states` derives them for those trials (derived here when
-    None).  The tables, lanes and fused rows are built here, once per
-    estimate, and the lockstep tables when a block first needs them; every
-    block of the estimate reuses them."""
+    """``(block, lockstep)``.  ``block(lo, hi, streams=None)`` gives trials
+    ``[lo, hi)`` as three arrays, of stop times, steps and commutes, on
+    ``streams`` as :func:`_trial_states` derives them for those trials
+    (derived here when None).  ``lockstep(n)`` says whether a block of
+    ``n`` trials walks in lockstep: it does when it has at least
+    ``LOCKSTEP_MIN_LANES`` trials and the rule's lanes serve it.  The
+    tables, lanes and fused rows are built here, once per estimate, and the
+    lockstep tables when a block first needs them; every block of the
+    estimate reuses them."""
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
     walk = _walker(net, start, rule, model, tables, lanes)
-    lockstep_lanes = lanes is not None and lanes.dtype is not None
     lane_table = functools.cache(lambda: _lane_table(tables, lanes))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
 
-    def block(lo, hi, lockstep, streams=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def lockstep(n: int) -> bool:
+        return lanes is not None and lanes.dtype is not None and n >= LOCKSTEP_MIN_LANES
+
+    def block(lo, hi, streams=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if streams is None:
             streams = _trial_states(seed, lo, hi)
         samples = np.empty(hi - lo), np.empty(hi - lo, np.int64), np.full(hi - lo, -1, np.int64)
         times, steps, commutes = samples
         rest, resume = np.arange(hi - lo), repeat(())
-        if lockstep and lockstep_lanes:
+        if lockstep(hi - lo):
             rest, streams, resume = _lockstep(lanes, lane_table(), start, streams, budget, samples)
         state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
         for j, s_hi, s_lo, i_hi, i_lo, at in zip(
@@ -646,15 +652,15 @@ def _block_walker(net, start, rule, model, seed, budget):
                 raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
         return samples
 
-    return block
+    return block, lockstep
 
 
 def _trial_block(args) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One block of trials on its own, as a forked worker walks it:
     ``(lo, samples)`` for ``args = (net, start, rule, model, seed, lo, hi,
-    budget, lockstep)``."""
-    net, start, rule, model, seed, lo, hi, budget, lockstep = args
-    return lo, _block_walker(net, start, rule, model, seed, budget)(lo, hi, lockstep)
+    budget)``."""
+    net, start, rule, model, seed, lo, hi, budget = args
+    return lo, _block_walker(net, start, rule, model, seed, budget)[0](lo, hi)
 
 
 def _joined(parts):
@@ -663,38 +669,57 @@ def _joined(parts):
 
 
 # ---------------------------------------------------------------------------
-# Fan-out.  Starting a pool costs about 16 ms, and at the sizes ``verify``
-# runs that is more than a second process saves.  So at ``workers > 1`` the
-# parent first walks a pilot of the lowest trials, a sixteenth of them (at
-# least 1, at most ``FORK_PILOT``), predicts the rest as
-# (trials left) x (mean pilot steps), and forks only when that reaches
-# ``FORK_MIN_STEPS``; otherwise it walks the rest itself, as one block, in
-# lockstep when the whole estimate has at least ``LOCKSTEP_MIN_LANES``
-# trials.  When it forks, it walks the first of ``workers`` blocks itself
-# while ``workers - 1`` processes walk the others, and it never counts more
-# workers than the CPUs this process may run on.
+# Fan-out.  An estimate that walks in lockstep walks every trial in the
+# calling process as one block, at any ``workers``: it walks no pilot and
+# starts no pool.  The others walk fused blocks.  Starting a pool costs
+# about 16 ms, and at the sizes ``verify`` runs that is more than a second
+# process saves, so at ``workers > 1`` the parent first walks a pilot of
+# their lowest trials, a sixteenth of them (at least 1, at most
+# ``FORK_PILOT``), predicts the rest as (trials left) x (mean pilot steps),
+# and forks only when that reaches ``FORK_MIN_STEPS``; otherwise it walks
+# the rest itself.  When it forks, it walks the first of ``workers`` blocks
+# itself while ``workers - 1`` processes walk the others, and it never
+# counts more workers than the CPUs this process may run on.
 #
-# Measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) as the time at 1
-# worker over the time at 2 with the fork forced, median of 9 interleaved
-# rounds, by predicted steps.  Star:40 arc cover needs 80 mask bits, so it
-# walks the fused loop throughout; the other two walk in lockstep in one
-# process from 500 trials, while each forked block walks the fused loop
-# below 500 (the lockstep gate, one draw a step and the tail rerun from its
-# first step when this was measured):
+# Measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) as wall time in
+# one process over wall time forked into 2 processes, median (quartiles) of
+# 9 interleaved rounds, seeds 1-9, every forked report equal to the one
+# process's.  Lockstep rows fork all the trials into 2 lockstep blocks with
+# no pilot, the cheapest fork a lockstep estimate could have; fused rows
+# fork as the estimator does, after the pilot, with ``FORK_MIN_STEPS`` = 0:
 #
-#   steps                         2^16  2^17  2^18  2^19  2^20  2^21
-#   arc cover, star:40            0.65  0.90  0.76  1.37  1.59  1.79
-#   edge cover, random:8,10       0.64  0.72  0.74  0.88  1.11  1.13
-#   arc cover, tree:3             0.62  0.87  1.13  1.32  0.92  0.99
+#   lockstep                       trials     steps   1 / 2 procs  one process
+#   edge cover, random:8,10           600       32k  0.20 (0.20-0.24)    3.8 ms
+#                                    2000      112k  0.32 (0.31-0.37)   12.3 ms
+#                                   20000     1.12M  0.67 (0.64-0.86)   60.5 ms
+#   commute, 15-hop path              600      274k  0.92 (0.79-0.96)   30.7 ms
+#                                    2000      903k  1.09 (1.07-1.14)   69.3 ms
+#                                   20000     9.02M  1.53 (1.51-1.55)  407 ms
+#   edge cover, tree:4                600     3.07M  1.47 (1.28-1.52)  208 ms
+#                                    2000     10.5M  1.38 (1.13-1.46)  459 ms
+#   arc cover, triangle              2000       27k  0.27 (0.22-0.30)    2.7 ms
+#                                   20000      268k  0.61 (0.59-0.69)   18.6 ms
+#                                  100000     1.34M  1.02 (0.83-1.10)   74.7 ms
 #
-# The host's second CPU is shared: two pure-Python processes ran 1.2-1.8x
-# as fast as one around these rounds.  Scalar work gains from 2^19 steps
-# on; short lockstep walks break even near 2^20, and long ones (687 steps a
-# trial on tree:3) swing between 0.9 and 1.3 from 2^18 on.  The gate sits
-# at 2^19, where scalar work starts to gain about 1.4x, at the price of
-# about 10% on short lockstep walks between 2^19 and 2^20 steps.  The checks of a 600-trial
-# ``verify`` predict at most about 62,000 steps, so they stay in one
-# process.  A pilot of 32 trials predicts a cover walk's total within about
+#   fused                          trials     steps   1 / 2 procs  one process
+#   edge cover, tree:4                100      525k  1.32 (1.17-1.42)   60.6 ms
+#                                     300     1.52M  1.46 (1.16-1.60)  124 ms
+#   arc cover, star:40                500      168k  1.20 (1.14-1.26)   44.2 ms
+#                                    2000      682k  1.49 (1.28-1.62)  133 ms
+#                                    8000     2.74M  1.49 (1.30-1.85)  500 ms
+#
+# A lockstep step costs 2-4x less than a fused one, so a lockstep estimate
+# breaks even on a fork only near 10^6 steps, while the fused pilot that
+# decided the fork cost 17% of a 600-trial edge cover on random:8,10 (3.98
+# against 3.41 ms of process CPU time, best of 9).  Every ``verify`` check
+# of 600 trials predicts far fewer steps, so lockstep estimates do not
+# fork; the price is 1.4-1.5x on lockstep estimates of several million
+# steps while the second CPU is free (an earlier run of the same rounds
+# read 1.91 for the 20,000-trial commute and 1.10 for the 2000-trial tree:4
+# cover; this host's second CPU is shared).  Fused work gains from about
+# 2^19 steps (a star:40 cover of 500 trials, 168k steps, read 0.94 in that
+# earlier run), so the gate stays
+# there.  A pilot of 32 trials predicts a cover walk's total within about
 # 10% (one trial's steps have a standard deviation about half their mean),
 # and its trials are part of the estimate.  One process walks it, so it is
 # kept to a sixteenth of the trials: 48 cover walks of about 376,000 steps
@@ -712,26 +737,26 @@ def _usable_cpus() -> int:
 
 
 def _collect(net, start, rule, model, trials, seed, budget, workers):
-    def job(lo, hi, lockstep):
-        return (net, start, rule, model, seed, lo, hi, budget, lockstep)
+    def job(lo, hi):
+        return (net, start, rule, model, seed, lo, hi, budget)
 
-    block = _block_walker(net, start, rule, model, seed, budget)
+    block, lockstep = _block_walker(net, start, rule, model, seed, budget)
     workers = min(workers, _usable_cpus())
     # The streams of every trial, derived in one bulk call; the pilot, the
     # rest and the parent's block of a fan-out walk slices of them.
     streams = _trial_states(seed, 0, trials)
 
-    def part(lo, hi, lockstep):
-        return block(lo, hi, lockstep, tuple(a[lo:hi] for a in streams))
+    def part(lo, hi):
+        return block(lo, hi, tuple(a[lo:hi] for a in streams))
 
-    if workers == 1:
-        return part(0, trials, trials >= LOCKSTEP_MIN_LANES)
+    if workers == 1 or lockstep(trials):
+        return part(0, trials)
     pilot = min(FORK_PILOT, max(1, trials // 16))
-    samples = part(0, pilot, False)
+    samples = part(0, pilot)
     left = trials - pilot
     if left > 1 and left * int(samples[1].sum()) / pilot >= FORK_MIN_STEPS:
         return _joined([samples, *_fan_out(job, part, pilot, trials, min(workers, left))])
-    return _joined([samples, part(pilot, trials, trials >= LOCKSTEP_MIN_LANES)])
+    return _joined([samples, part(pilot, trials)])
 
 
 def _fan_out(job, block, lo, hi, workers):
@@ -740,12 +765,11 @@ def _fan_out(job, block, lo, hi, workers):
     processes walks the others, each on tables of its own built from
     ``job``."""
     bounds = [lo + round((hi - lo) * k / workers) for k in range(workers + 1)]
-    blocks = [(a, b, b - a >= LOCKSTEP_MIN_LANES) for a, b in zip(bounds, bounds[1:])]
     with get_context("fork").Pool(workers - 1) as pool:
         # Blocks are read in trial order, so a failure raises the lowest
         # failing block's error, as one worker would, not the first to fail.
-        others = pool.imap(_trial_block, [job(*b) for b in blocks[1:]])
-        return [block(*blocks[0]), *(more for _, more in others)]
+        others = pool.imap(_trial_block, [job(a, b) for a, b in zip(bounds[1:], bounds[2:])])
+        return [block(*bounds[:2]), *(more for _, more in others)]
 
 
 def _aggregate(rule_label, model, trials, seed, samples) -> EstimateReport:

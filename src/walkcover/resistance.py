@@ -9,6 +9,7 @@ current between distinct vertices).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,9 @@ class SplitSpec:
     A side connects the terminals exactly when it builds as a connected
     network: in a connected network, a piece of one side that missed both
     terminals would meet the other side at a third shared vertex, which the
-    check before it rejects.
+    check before it rejects.  The sides built for that check are kept for
+    :func:`split_resistances`; they are not fields, so equality, hashing,
+    ``repr`` and pickles see only the four fields.
     """
 
     network: Network
@@ -90,18 +93,28 @@ class SplitSpec:
             raise InvalidSplit(f"unknown edge ids {sorted(self.a_edges - all_ids)}")
         if self.a_edges == all_ids:
             raise InvalidSplit("side B has no edges")
-        b = frozenset(all_ids - self.a_edges)
-        shared = _span(net, self.a_edges) & _span(net, b)
+        shared = _span(net, self.a_edges) & _span(net, self.b_edges)
         if shared != {self.x, self.y}:
             raise InvalidSplit(
                 f"sides share vertices {sorted(shared)}, expected exactly "
                 f"{sorted((self.x, self.y))}"
             )
-        for name, side in (("A", self.a_edges), ("B", b)):
+        self._sides  # built now, which checks that each side connects x and y
+
+    def __getstate__(self):
+        # A copy builds its own sides when it first needs them.
+        return {name: value for name, value in vars(self).items() if name != "_sides"}
+
+    @cached_property
+    def _sides(self) -> tuple[tuple[Network, int, int], tuple[Network, int, int]]:
+        """``side_network`` of side A and of side B, built once."""
+        sides = []
+        for name, side in (("A", self.a_edges), ("B", self.b_edges)):
             try:
-                self.side_network(side)
+                sides.append(self.side_network(side))
             except DisconnectedNetwork:
                 raise InvalidSplit(f"side {name} does not connect the terminals") from None
+        return sides[0], sides[1]
 
     @property
     def b_edges(self) -> frozenset[int]:
@@ -121,8 +134,7 @@ class SplitSpec:
 
 def split_resistances(spec: SplitSpec) -> tuple[float, float]:
     """Terminal-to-terminal resistance of each standalone side, (R_A, R_B)."""
-    net_a, xa, ya = spec.side_network(spec.a_edges)
-    net_b, xb, yb = spec.side_network(spec.b_edges)
+    (net_a, xa, ya), (net_b, xb, yb) = spec._sides
     return (
         effective_resistance(net_a, xa, ya),
         effective_resistance(net_b, xb, yb),

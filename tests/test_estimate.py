@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walkcover import tours
+from walkcover import cli, tours
 from walkcover.closedform import commute_time, refined_commutes
 from walkcover.errors import StepBudgetExceeded
 from walkcover.estimate import (
@@ -53,15 +53,18 @@ def test_same_seed_is_bit_identical():
 
 def test_worker_partitioning_does_not_change_the_report(monkeypatch):
     # Forced to fork on a host taken to have 8 CPUs, 2 and 5 workers split
-    # the trials after the pilot into 2 and 5 blocks.
-    net = triangle()
+    # the trials after the pilot into 2 and 5 blocks.  Star:40 arc cover
+    # needs 80 mask bits, so it walks fused blocks, which may fork.
+    net = star(40)
     monkeypatch.setattr(estimate_module, "FORK_MIN_STEPS", 0)
     monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 8)
+    pools = _count_pools(monkeypatch)
     reports = [
-        estimate(net, 0, Commute(0, 1), TimingModel.L_SQUARED, 600, 7, workers=w)
+        estimate(net, 0, ArcCoverReturn(0), TimingModel.L_SQUARED, 600, 7, workers=w)
         for w in (1, 2, 5)
     ]
     assert reports[0] == reports[1] == reports[2]
+    assert pools == [1, 4]
 
 
 def test_report_fields():
@@ -169,9 +172,8 @@ def test_budget_failure_names_the_trial(monkeypatch):
     assert "trial 0" in str(exc.value)
     # Above the lockstep gate, lanes that reach the budget go on to it on the
     # fused loop, in trial order, and the lowest of them raises.  The messages
-    # were captured from the scalar walker.  These estimates predict too few
-    # steps to fork, so at 2 workers the parent walks the pilot and then the
-    # rest in lockstep.
+    # were captured from the scalar walker.  These estimates walk in
+    # lockstep, so at 2 workers too they walk in one process, as one block.
     net, rules = _table_rules()
     for budget, first in ((60, 0), (80, 13)):
         for workers in (1, 2):
@@ -202,19 +204,19 @@ def test_budget_failure_names_the_trial(monkeypatch):
             assert str(exc.value) == f"trial {failing[0]}: {expected.value}", (name, budget)
         assert sum(n > 8 for n in steps) > estimate_module.LOCKSTEP_MIN_LIVE
     # Above the fork threshold the lowest failing trial may fall in the pilot,
-    # in the block the parent walks or in the forked one.  Star:40 arc cover
-    # needs 80 mask bits and walks scalar blocks; the path commute's forked
-    # blocks of 2984 trials walk in lockstep.
+    # in the block the parent walks or in the forked one.  Both estimates
+    # walk fused blocks: star:40 arc cover needs 80 mask bits, and the
+    # tree:4 edge cover has fewer trials than the lockstep gate.
     monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
     pools = _count_pools(monkeypatch)
     cases = (
         (star(40), ArcCoverReturn(0), 2000,
          ((500, 23, "pilot"), (600, 130, "parent"), (816, 1587, "child"))),
-        (path([1.0] * 8), Commute(0, 8), 6000,
-         ((280, 1, "pilot"), (460, 1125, "parent"), (550, 3833, "child"))),
+        (from_spec("tree:4"), EdgeCoverReturn(0), 200,
+         ((9000, 10, "pilot"), (12000, 26, "parent"), (16000, 127, "child"))),
     )
-    pilot = estimate_module.FORK_PILOT
     for net, rule, trials, failures in cases:
+        pilot = min(estimate_module.FORK_PILOT, trials // 16)
         half = pilot + (trials - pilot) // 2
         for budget, first, where in failures:
             assert where == ("pilot" if first < pilot else "parent" if first < half else "child")
@@ -693,7 +695,7 @@ def _block_against_runs(walks, net, start, rule, model, seed, lo, hi):
     walks.lockstep[0] = 0
     walks.handed.clear()
     lockstep = hi - lo >= estimate_module.LOCKSTEP_MIN_LANES
-    job = (net, start, rule, model, seed, lo, hi, 10**9, lockstep)
+    job = (net, start, rule, model, seed, lo, hi, 10**9)
     _, samples = estimate_module._trial_block(job)
     block = list(zip(*(column.tolist() for column in samples)))
     fused, scalar = walks["fused"], walks["run"]
@@ -837,8 +839,8 @@ def _schedule_outcomes(cases, budget):
         except StepBudgetExceeded as exc:
             samples.append(f"trial {i}: {exc}")
         results.append(samples)
-        for trials, lockstep in ((40, False), (estimate_module.LOCKSTEP_MIN_LANES, True)):
-            job = (net, start, rule, model, 5, 0, trials, budget, lockstep)
+        for trials in (40, estimate_module.LOCKSTEP_MIN_LANES):
+            job = (net, start, rule, model, 5, 0, trials, budget)
             try:
                 results.append([column.tolist() for column in estimate_module._trial_block(job)[1]])
             except StepBudgetExceeded as exc:
@@ -965,16 +967,13 @@ def test_lockstep_path_is_taken(walks, monkeypatch):
     walks.clear()
     estimate(net, 1, rules["epochs(directed)"], TimingModel.L_SQUARED, 2000, 3)
     assert walks["run"] == 0 and 0 < walks["fused"] < estimate_module.LOCKSTEP_MIN_LIVE
-    # An estimate at the gate stays in one process at 2 workers: it walks
-    # its pilot on the fused loop, and the rest in lockstep as one block,
-    # although the rest alone is below the gate.
+    # An estimate at the gate walks in lockstep at 2 workers too, as one
+    # block with no pilot: only its tail walks on the fused loop.
     monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
     gate = estimate_module.LOCKSTEP_MIN_LANES
     walks.clear()
     estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, gate, 3, workers=2)
-    pilot = gate // 16
-    assert walks["run"] == 0
-    assert pilot <= walks["fused"] < pilot + estimate_module.LOCKSTEP_MIN_LIVE
+    assert walks["run"] == 0 and 0 < walks["fused"] < estimate_module.LOCKSTEP_MIN_LIVE
 
 
 def test_traced_names_resolve():
@@ -1038,14 +1037,54 @@ def test_in_process_estimates_derive_streams_once(monkeypatch):
             assert calls == [(0, trials)]
 
 
+def test_lockstep_estimates_walk_in_one_process(walks, monkeypatch, capsys):
+    """An estimate that walks in lockstep walks every trial in one process,
+    as one block with no pilot, at any ``workers``, even where every
+    prediction would fork: it starts no pool, derives its streams in one
+    call, walks only a tail of fewer than ``LOCKSTEP_MIN_LIVE`` trials on
+    the fused loop, and matches one worker.  So does a ``verify`` check."""
+    calls = []
+    derive = estimate_module._trial_states
+    monkeypatch.setattr(estimate_module, "_trial_states",
+                        lambda seed, lo, hi: calls.append((lo, hi)) or derive(seed, lo, hi))
+    monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(estimate_module, "FORK_MIN_STEPS", 0)
+    pools = _count_pools(monkeypatch)
+    net = from_spec("random:n=8,m=10,seed=1")
+    for rule in (Commute(0, 5), EdgeCoverReturn(0)):
+        for trials in (estimate_module.LOCKSTEP_MIN_LANES, 600, 3000):
+            one = estimate(net, 0, rule, TimingModel.L_SQUARED, trials, 7)
+            for workers in (2, 8):
+                calls.clear()
+                walks.clear()
+                rep = estimate(net, 0, rule, TimingModel.L_SQUARED, trials, 7, workers=workers)
+                assert rep == one
+                assert calls == [(0, trials)] and pools == []
+                assert walks["run"] == 0
+                assert 0 < walks["fused"] < estimate_module.LOCKSTEP_MIN_LIVE, (rule, trials)
+    argv = ["verify", "--gen", "random:n=8,m=10,seed=1", "--check", "cre-bound",
+            "--trials", "600", "--seed", "5"]
+    outputs = []
+    for workers in ("1", "2"):
+        calls.clear()
+        walks.clear()
+        assert cli.main([*argv, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert calls == [(0, 600)] and pools == []
+        assert walks["run"] == 0 and 0 < walks["fused"] < estimate_module.LOCKSTEP_MIN_LIVE
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
+
+
 def test_large_estimates_fork_and_match_one_worker(monkeypatch):
-    # Both predict more than ``FORK_MIN_STEPS`` steps after the pilot: arc
-    # cover on star:40 walks scalar blocks, and the path commute's forked
-    # blocks of 2984 trials walk in lockstep.  At most as many processes as
-    # CPUs run: the parent and, at any ``workers`` above 1, one child.
+    # Both predict more than ``FORK_MIN_STEPS`` steps after the pilot and
+    # walk fused blocks: arc cover on star:40 needs 80 mask bits, and the
+    # tree:4 edge cover has fewer trials than the lockstep gate.  At most as
+    # many processes as CPUs run: the parent and, at any ``workers`` above
+    # 1, one child.
     monkeypatch.setattr(estimate_module, "_usable_cpus", lambda: 2)
     pools = _count_pools(monkeypatch)
-    cases = ((star(40), ArcCoverReturn(0), 2000), (path([1.0] * 8), Commute(0, 8), 6000))
+    cases = ((star(40), ArcCoverReturn(0), 2000),
+             (from_spec("tree:4"), EdgeCoverReturn(0), 200))
     for net, rule, trials in cases:
         for model in TimingModel:
             one = estimate(net, 0, rule, model, trials, 7)

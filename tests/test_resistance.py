@@ -1,5 +1,7 @@
 import hashlib
 import heapq
+import importlib
+import pickle
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -169,6 +171,29 @@ def test_split_resistances_parallel_pair():
     net = build_network(2, [(0, 1, 1.0), (0, 1, 2.0)])
     spec = SplitSpec(net, frozenset({0}), 0, 1)
     assert split_resistances(spec) == pytest.approx((1.0, 2.0), abs=1e-12)
+
+
+def test_split_sides_are_built_once(monkeypatch):
+    """A split builds its side networks once, when it is made, and
+    ``split_resistances`` and ``via_probability`` reuse them.  The built
+    sides change no equality, hash, ``repr`` or pickle, and a copy builds
+    its own when it first needs them."""
+    resistance_module = importlib.import_module("walkcover.resistance")
+    build = resistance_module.build_network
+    built = []
+    monkeypatch.setattr(resistance_module, "build_network",
+                        lambda *args: built.append(args) or build(*args))
+    spec = SplitSpec(unit_triangle(), frozenset({0}), 0, 1)
+    assert len(built) == 2
+    assert split_resistances(spec) == pytest.approx((1.0, 2.0), abs=1e-12)
+    assert via_probability(spec) == pytest.approx(2 / 3, abs=1e-12)
+    assert len(built) == 2
+    fresh = SplitSpec.__new__(SplitSpec)
+    vars(fresh).update(network=spec.network, a_edges=spec.a_edges, x=0, y=1)
+    assert pickle.dumps(spec) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
+    assert split_resistances(copy) == split_resistances(spec) and len(built) == 4
 
 
 def test_split_rejections():

@@ -26,8 +26,9 @@ once, and hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials
 to the fused loop, which goes on from the step each reached.  Rules
 without lane tables, and walks that stop before their first step, run
 every trial on ``run``.  All three walkers give the same bits; the
-measurements behind the gate, the grid, the group sizes and the hand-off
-are with the constants below.  A block's samples are three arrays: stop
+measurements behind the gate, the group sizes and the hand-off are with
+the constants below, and those behind the grid's bound with
+``walker.GRID_ENTRIES_MAX``.  A block's samples are three arrays: stop
 times, steps and commutes.  The sampling tables, the lanes and the fused
 loop's rows are built once per estimate in the calling process, and once
 more in each forked worker.
@@ -66,6 +67,8 @@ from .walker import (
     RefinedCommute,
     TimingModel,
     VertexCover,
+    _grid,
+    _grid_slots,
     _slot_columns,
     build_tables,
     checked_tracker,
@@ -253,8 +256,8 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # walker's refill schedule.  Each lane adds its charges in step order, so its
 # clock is the scalar walker's float sum.
 #
-# A step finds each lane's slot on a grid of its draw (:func:`_grid`): the
-# group's draws are binned once, ``bin = u * 2**g``, and a lane's slot is
+# A step finds each lane's slot on a grid of its draw (``walker._grid``):
+# the group's draws are binned once, ``bin = u * 2**g``, and a lane's slot is
 # ``lo`` at (vertex, bin) plus the count of that bin's thresholds at or
 # below ``u``, so one lookup serves every row width.  The rule then moves
 # by slot, not by arc: the lanes' ``lockstep`` gives one step over flat
@@ -292,8 +295,8 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # any ``workers`` (see the fork table), so a 600-trial ``verify`` walks in
 # lockstep at any ``--workers``.
 #
-# A lockstep step costs the same at any row width (see :func:`_grid`), so a
-# hub walks in lockstep like any other network.  Measured as above, on
+# A lockstep step costs the same at any row width (see ``walker._grid``),
+# so a hub walks in lockstep like any other network.  Measured as above, on
 # stars, whose centre is the widest row, with commutes between two leaves
 # and edge covers from the centre (edge covers of more than 64 arms need
 # wider masks, so they walk the fused loop):
@@ -340,27 +343,6 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # off, against 661,706 from their first step), and 48 stays the best.
 LOCKSTEP_MIN_LANES = 400
 LOCKSTEP_MIN_LIVE = 48
-
-# Most entries of the lockstep walker's grid (vertices x 2**g).  A finer
-# grid means fewer thresholds a bin, so fewer numpy passes a step, but a
-# larger table to build and to read at random.  Measured as lockstep block
-# time in ms, grid build included, by the bound (best of 3 interleaved
-# rounds of CPU time), with g and the thresholds a bin, k:
-#
-#   bound                          2^14          2^16          2^18          2^20
-#   commute, star:200, 400      59.6 g6 k4    30.2 g8 k1    47.4 g8 k1    29.4 g8 k1
-#   commute, star:800, 400     897.4 g4 k51  328.3 g6 k13  189.5 g8 k4   176.6 g10 k1
-#   commute, star:800, 2000   2793.4 g4 k51 1137.2 g6 k13  639.2 g8 k4   512.3 g10 k1
-#   first passage, 400          90.7 g8 k6    76.2 g10 k4   85.3 g12 k4   93.5 g14 k3
-#   first passage, 2000        278.6 g8 k6   309.2 g10 k4  368.5 g12 k4  383.0 g14 k3
-#
-# The first passage is to the last vertex of a random 40-vertex network
-# with 120 edges of lengths 10**U(-6, 0), whose breakpoints no bound parts.
-# Commutes on star:80 and random:60,400 and an edge cover on star:56 need
-# at most 2^14 entries and read the same at every bound.  Finer grids win
-# on the widest hubs but lose on rows that no grid parts, whose larger
-# tables are read at random, so the bound sits at 2^16, 0.5 MB a column.
-GRID_ENTRIES_MAX = 2**16
 
 # Draw-group size by live lanes: groups of ``size`` while at most ``lanes``
 # lanes are live, the first row that fits, else one draw a step.
@@ -414,60 +396,10 @@ def _uniforms(state_hi, state_lo) -> np.ndarray:
     return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
-def _grid(slots) -> tuple[int, np.ndarray, np.ndarray]:
-    """A grid of ``2**g`` bins over [0, 1) per vertex, from
-    ``walker._slot_columns``' ``slots``: ``(g, lo, thr)``, indexed by
-    ``(vertex << g) + bin``.
-
-    ``lo`` is the vertex's first slot plus the count of its ``cum`` entries
-    below the bin, and the ``k`` rows of ``thr`` hold the entries inside it,
-    padded with 2.0, above every uniform.  A uniform ``u`` in bin ``(u *
-    2**g)`` has every entry below the bin at or below it and every entry
-    above the bin over it, so its slot is ``lo`` plus the count of ``thr``
-    entries ``<= u``: the slot ``bisect_right`` finds in a rising row.  Both
-    products are exact, as ``2**g`` is a power of two.  ``g`` is the
-    smallest at which no bin holds two entries of one row, so ``k`` is at
-    most 1, unless the grid would pass ``GRID_ENTRIES_MAX`` entries; then it
-    is the largest within that, and ``k`` the most entries a bin holds.
-    The last entry of each ``cum`` (1.0) is left out, as no uniform reaches
-    it.
-    """
-    n = len(slots)
-    widths = [z - a - 1 if cum else 0 for cum, a, z in slots]
-    vertex = np.repeat(np.arange(n), widths)
-    entries = np.array([c for cum, _, _ in slots if cum for c in cum[:-1]])
-    g = 0
-    while True:
-        key = (vertex << g) + (entries * 2.0**g).astype(np.intp)
-        shared = key[1:] == key[:-1]
-        if not shared.any() or n << g + 1 > GRID_ENTRIES_MAX:
-            break
-        g += 1
-    # An entry's place in its bin: its index less that of its bin's first,
-    # the last entry at or before it that shares no bin with the one before.
-    index = np.arange(len(key))
-    starts = np.where(np.append(False, shared)[: len(key)], 0, index)
-    place = index - np.maximum.accumulate(starts)
-    thr = np.full((place.max(initial=-1) + 1, n << g), 2.0)
-    thr[place, key] = entries
-    counts = np.bincount(key, minlength=n << g).reshape(n, -1)
-    first = np.array([a for _, a, _ in slots], np.intp)
-    lo = first[:, None] + counts.cumsum(axis=1) - counts
-    return g, lo.ravel(), thr
-
-
-def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The slots of uniforms ``u`` at grid positions ``at`` (:func:`_grid`)."""
-    slot = lo.take(at)
-    for column in thr:
-        slot += column.take(at) <= u
-    return slot
-
-
 def _lane_table(tables, lanes):
     """The lockstep walker's tables: ``g``, ``lo`` and ``thr`` of
-    :func:`_grid`, each slot's head shifted to its grid row and its charge,
-    and the lanes' ``lockstep`` step and hand-off over the slots."""
+    ``walker._grid``, each slot's head shifted to its grid row and its
+    charge, and the lanes' ``lockstep`` step and hand-off over the slots."""
     slots, arcs, heads, charges = _slot_columns(tables)
     g, lo, thr = _grid(slots)
     arcs, heads = np.array(arcs, np.intp), np.array(heads, np.intp)

@@ -50,10 +50,14 @@ trial walked on its own runs a fused loop over rows that fold the rule's
 state into the vertex, with no per-step method call.  A row's entries hold
 the step's charge, the row it leads to and what the step does to the rule.
 While the rows hold at most ``RANK_ENTRIES_MAX`` entries, a row has an
-entry per rank of a draw among the sampling rows' breakpoints, found by one
-``searchsorted`` per refill block, so a step bisects nothing; above it, a
-slot row has the vertex's ``cum`` list and the same entries, one per slot,
-and a step bisects ``cum``.  A block of at least
+entry per rank of a draw among the sampling rows' breakpoints, so a step
+bisects nothing.  The ranks are found a refill block at a time: a trial's
+first block by one ``searchsorted``, and every later block by the
+lockstep walker's lookup (:func:`_grid`) on a one-row grid over the
+breakpoints, built once per walker.  The two cross between blocks of 128
+and 256 draws (the table is beside ``REFILL_MAX``).  Above the gate, a
+slot row has the vertex's ``cum`` list and the same entries, one per
+slot, and a step bisects ``cum``.  A block of at least
 ``estimate.LOCKSTEP_MIN_LANES`` trials walks in lockstep, one numpy step
 over all its trials at a time, while its masks fit in 64 bits, on uniforms
 it draws in groups by PCG64 jump-ahead.  A step finds every trial's slot
@@ -65,10 +69,10 @@ which the exact solver steps through too.  It hands its last
 which goes on from each trial's vertex, progress, clock, step count and
 generator state, so no step is walked twice.  Every step draws exactly
 one uniform, so a trial's k-th draw is its k-th step in all three walkers.
-The gate's value and the measured tables behind it, the grid, the draw
-groups and the hand-off are in :mod:`walkcover.estimate`.  The walkers and
-the exact solver read the sampling rows through one layout,
-:func:`_slot_columns`.
+The gate's value and the measured tables behind it, the draw groups and
+the hand-off are in :mod:`walkcover.estimate`; the grid and its bound,
+``GRID_ENTRIES_MAX``, are here.  The walkers and the exact solver read
+the sampling rows through one layout, :func:`_slot_columns`.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import length_hint
 from typing import Iterable, Sequence
 
@@ -514,13 +518,31 @@ def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
 # 64.  A draw's value does not depend on the blocks: PCG64's ``random(a)``
 # then ``random(b)`` gives the doubles of ``random(a + b)``, and a walk's
 # steps are the draws it read, so the schedule changes no result.  Each
-# unread uniform still costs its draw (about 2.6 ns), its rank (5-34 ns of
-# ``searchsorted`` at 3-60 breakpoints) and its ``tolist`` (about 15 ns);
-# each block costs its calls, a few microseconds.  Measured on a 2-CPU host
-# (Xeon, Python 3.11, numpy 2.4) in one process, on every check of one
-# seed-1 pass of perfbench's ``long_walks``, by rule kind (checks x trials),
-# for blocks that grow 4x up to 16384 (the earlier schedule) or double up
-# to each cap.  First the uniforms drawn over the steps walked:
+# unread uniform still costs its draw (about 2.6 ns) and, on rank rows, its
+# rank: in a trial's first block one ``searchsorted`` and a ``tolist``, and
+# in every later block a lookup on the one-row grid of :func:`_rankers`.
+# Each block costs its calls, a few microseconds.  Ranking one block, in
+# microseconds, by ``searchsorted`` and ``tolist`` / on the grid, draws
+# excluded (the lower of two runs of best of 15 rounds of 200 blocks, wall
+# time, in one process), on the networks of ``tools/draw_costs.py``:
+#
+#   network (breakpoints)      64       128       256       512      1024
+#   tree:4 (3)            1.4/2.8   2.5/3.0   4.6/3.4   8.9/4.3  18.1/5.8
+#   tree:3 (3)            1.5/3.0   2.7/3.2   5.0/3.7   9.4/4.5  17.6/5.8
+#   15-hop path (1)       1.3/2.9   2.3/3.1   4.1/3.4   7.3/4.2  14.2/5.5
+#   lollipop:14 (17)      2.5/2.8   4.6/3.0   8.7/3.4  16.9/4.3  32.7/5.4
+#
+# The two cross between 128 and 256 draws, and a block of 1024 ranks for
+# 14-33 ns a uniform by ``searchsorted`` against 5.4-5.8 ns on the grid.
+# So a trial's first block of 64, which every walk of at most 64 steps and
+# every lockstep tail reads, keeps its ``searchsorted``, and the blocks
+# after it, of 128 draws and up, rank on the grid.
+#
+# The cap was measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) in
+# one process, on every check of one seed-1 pass of perfbench's
+# ``long_walks``, by rule kind (checks x trials), for blocks that grow 4x up
+# to 16384 (the earlier schedule) or double up to each cap.  First the
+# uniforms drawn over the steps walked:
 #
 #   rule kind (checks x trials)          steps  4x:16384  2x:4096  2048  1024   512   256
 #   edge cover, tree:4 (14 x 24)         1.90M      2.26     1.31  1.18  1.09  1.04  1.02
@@ -531,42 +553,48 @@ def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
 #   path commute, 12-18 hops (24 x 100)  1.10M      2.16     1.50  1.50  1.50  1.43  1.27
 #   all of long_walks                    8.88M      2.17     1.38  1.30  1.23  1.15  1.08
 #
-# Then each kind's CPU time over that under 4x:16384 (median of 11
-# interleaved rounds; single rounds spread by about 20% either way), the
-# last row as the median of each round's total over the old schedule's:
+# With every block ranked by ``searchsorted``, 1024 read best in total: the
+# whole pass took 0.80 of the 4x:16384 schedule's CPU time, against 0.86
+# for 2x:4096, 0.90 for 2048 and 256 and 0.91 for 512 (median of 11
+# interleaved rounds).  With the blocks past the first on the grid, each
+# kind's CPU time over that of the same pass with every block ranked by
+# ``searchsorted`` at a cap of 1024 (the sum of per-check minima over 5
+# rounds in one process, 8 rounds of fresh processes alternating the four
+# in turn; median and quartiles of the 8):
 #
-#   rule kind                              2x:4096  2048  1024   512   256
-#   edge cover, tree:4                        0.96  1.03  0.85  0.99  0.96
-#   arc cover, tree:4                         0.88  0.84  0.77  1.00  0.90
-#   directed cover, tree:4                    0.72  0.79  0.72  0.97  1.02
-#   vertex cover, lollipop                    0.73  0.74  0.81  1.04  0.92
-#   directed epochs, tree:3                   0.81  0.83  0.84  1.00  1.01
-#   path commute, 12-18 hops                  0.85  0.79  0.82  0.93  0.84
-#   all of long_walks                         0.86  0.90  0.80  0.91  0.90
+#   rule kind                     512                  1024                 2048
+#   edge cover, tree:4        0.902 (0.889-0.917)  0.849 (0.844-0.860)  0.843 (0.839-0.851)
+#   arc cover, tree:4         0.915 (0.901-0.926)  0.867 (0.857-0.880)  0.861 (0.849-0.867)
+#   directed cover, tree:4    0.906 (0.886-0.914)  0.851 (0.841-0.866)  0.847 (0.839-0.854)
+#   vertex cover, lollipop    1.005 (0.978-1.019)  1.001 (0.992-1.023)  1.016 (1.001-1.048)
+#   directed epochs, tree:3   0.869 (0.859-0.883)  0.866 (0.862-0.875)  0.886 (0.871-0.897)
+#   path commute, 12-18 hops  0.907 (0.895-0.916)  0.912 (0.906-0.917)  0.921 (0.910-0.931)
+#   all of long_walks         0.897 (0.887-0.911)  0.870 (0.862-0.879)  0.875 (0.862-0.878)
 #
-# Caps of 512 and below pay for more blocks than they save in uniforms,
-# and 1024 reads best in total, so ``REFILL_MAX`` is 1024.  Short walks
-# keep their one block of 64: eight 600-trial commutes on ``triangle``,
-# walked in lockstep, hand 287 trials to the fused loop, which walk 630
-# steps on 287 blocks of 64 under every schedule, in the same time within
-# the rounds' spread.
+# Unread uniforms now cost less, which favours larger caps, but 2048 ties
+# 1024 within the rounds' spread and 512 still reads worst, so
+# ``REFILL_MAX`` stays 1024.  Short walks keep their one block of 64:
+# eight 600-trial commutes on ``triangle``, walked in lockstep, hand 287
+# trials to the fused loop, which walk 630 steps on 287 blocks of 64 under
+# every schedule, in the same time within the rounds' spread.
 REFILL_FIRST = 64
 REFILL_MAX = 1024
 
 
-def _refills(rand, budget: int, done: int = 0):
+def _refills(rand, budget: int, done: int = 0, first=np.ndarray.tolist, later=np.ndarray.tolist):
     """A trial's uniforms after its first ``done`` steps, in blocks of
     ``REFILL_FIRST``, then twice the last up to ``REFILL_MAX`` (64, 128,
     256, 512, then 1024 a block), each capped at the steps left in
     ``budget``: yields the steps taken by the end of each block and an
-    iterator over its draws, as ``rand(n)`` gives them (the uniforms, or
-    their ranks; see :func:`_ranks`)."""
-    block = REFILL_FIRST
+    iterator over ``first(rand(n))`` for the first block and
+    ``later(rand(n))`` for the rest: the uniforms as a list, or their ranks
+    (see :func:`_rankers`)."""
+    block, pick = REFILL_FIRST, first
     while done < budget:
         n = min(block, budget - done)
         done += n
-        yield done, iter(rand(n).tolist())
-        block = min(2 * block, REFILL_MAX)
+        yield done, iter(pick(rand(n)))
+        block, pick = min(2 * block, REFILL_MAX), later
 
 
 # Most entries for which the fused walkers run on rank rows; above it they
@@ -620,11 +648,13 @@ def _refills(rand, budget: int, done: int = 0):
 # turn, so a step reads one state's copy of the rows: rank rows keep them
 # 8-28% faster per step up to about 26000 entries, and the two tie from
 # 50000, so epochs of 2**13 to 26000 entries pay that on slot rows.  A
-# trial pays one searchsorted call per refill block, about a microsecond:
-# one for walks of up to 64 steps, five up to 1984 steps and one more per
-# 1024 steps beyond, so walks of under about 16 steps lose a few tenths of
-# a microsecond on rank rows.  Every workload of perfbench builds rows of
-# at most 1740 entries.
+# trial on rank rows pays one searchsorted call for its first refill block,
+# 1.3-2.5 us at 64 draws, which is all a walk of up to 64 steps pays, so
+# walks of under about 16 steps lose a few tenths of a microsecond there.
+# Each later block is ranked on a one-row grid instead, 3-6 us a block
+# (four more up to 1984 steps and one more per 1024 steps beyond; the
+# table is beside ``REFILL_MAX``).  Every workload of perfbench builds rows
+# of at most 1740 entries.
 RANK_ENTRIES_MAX = 2**13
 
 
@@ -718,10 +748,108 @@ def _unlink(rows: list[list]) -> None:
         row.clear()
 
 
-def _ranks(rng: np.random.Generator, breaks: np.ndarray):
-    """``n -> ranks of n uniforms``: one ``searchsorted`` per refill block."""
-    rand, search = rng.random, breaks.searchsorted
-    return lambda n: search(rand(n), "right")
+# Most entries of a grid (:func:`_grid`: vertices x 2**g), the lockstep
+# walker's and the fused walkers' one-row grid alike.  A finer grid means
+# fewer thresholds a bin, so fewer numpy passes a step, but a larger table
+# to build and to read at random.  Measured as lockstep block time in ms,
+# grid build included, by the bound (best of 3 interleaved rounds of CPU
+# time), with g and the thresholds a bin, k:
+#
+#   bound                          2^14          2^16          2^18          2^20
+#   commute, star:200, 400      59.6 g6 k4    30.2 g8 k1    47.4 g8 k1    29.4 g8 k1
+#   commute, star:800, 400     897.4 g4 k51  328.3 g6 k13  189.5 g8 k4   176.6 g10 k1
+#   commute, star:800, 2000   2793.4 g4 k51 1137.2 g6 k13  639.2 g8 k4   512.3 g10 k1
+#   first passage, 400          90.7 g8 k6    76.2 g10 k4   85.3 g12 k4   93.5 g14 k3
+#   first passage, 2000        278.6 g8 k6   309.2 g10 k4  368.5 g12 k4  383.0 g14 k3
+#
+# The first passage is to the last vertex of a random 40-vertex network
+# with 120 edges of lengths 10**U(-6, 0), whose breakpoints no bound parts.
+# Commutes on star:80 and random:60,400 and an edge cover on star:56 need
+# at most 2^14 entries and read the same at every bound.  Finer grids win
+# on the widest hubs but lose on rows that no grid parts, whose larger
+# tables are read at random, so the bound sits at 2^16, 0.5 MB a column.
+GRID_ENTRIES_MAX = 2**16
+
+
+def _grid(slots) -> tuple[int, np.ndarray, np.ndarray]:
+    """A grid of ``2**g`` bins over [0, 1) per vertex, from
+    :func:`_slot_columns`' ``slots``: ``(g, lo, thr)``, indexed by
+    ``(vertex << g) + bin``.
+
+    ``lo`` is the vertex's first slot plus the count of its ``cum`` entries
+    below the bin, and the ``k`` rows of ``thr`` hold the entries inside it,
+    padded with 2.0, above every uniform.  A uniform ``u`` in bin ``(u *
+    2**g)`` has every entry below the bin at or below it and every entry
+    above the bin over it, so its slot is ``lo`` plus the count of ``thr``
+    entries ``<= u``: the slot ``bisect_right`` finds in a rising row.  Both
+    products are exact, as ``2**g`` is a power of two.  ``g`` is the
+    smallest at which no bin holds two entries of one row, so ``k`` is at
+    most 1, unless the grid would pass ``GRID_ENTRIES_MAX`` entries; then it
+    is the largest within that, and ``k`` the most entries a bin holds.
+    The last entry of each ``cum`` (1.0) is left out, as no uniform reaches
+    it.
+    """
+    n = len(slots)
+    widths = [z - a - 1 if cum else 0 for cum, a, z in slots]
+    vertex = np.repeat(np.arange(n), widths)
+    entries = np.array([c for cum, _, _ in slots if cum for c in cum[:-1]])
+    # The keys on the finest grid within the bound, shifted right, are the
+    # keys on every coarser one.  So two neighbours whose finest keys' XOR
+    # has bit length b share a bin up to g = finest - b and are parted from
+    # one more on; neighbours in two rows differ in the vertex's bits, and
+    # need no g.  Both products are exact, and so is the XOR's float.
+    finest = max((GRID_ENTRIES_MAX // n).bit_length() - 1, 0)
+    fine = (vertex << finest) + (entries * 2.0**finest).astype(np.intp)
+    bits = np.frexp(fine[1:] ^ fine[:-1])[1]
+    g = min(finest + 1 - int(bits.min(initial=finest + 1)), finest)
+    key = fine >> finest - g
+    shared = key[1:] == key[:-1]
+    # An entry's place in its bin: its index less that of its bin's first,
+    # the last entry at or before it that shares no bin with the one before.
+    index = np.arange(len(key))
+    starts = np.where(np.append(False, shared)[: len(key)], 0, index)
+    place = index - np.maximum.accumulate(starts)
+    thr = np.full((place.max(initial=-1) + 1, n << g), 2.0)
+    thr[place, key] = entries
+    counts = np.bincount(key, minlength=n << g).reshape(n, -1)
+    first = np.array([a for _, a, _ in slots], np.intp)
+    lo = first[:, None] + counts.cumsum(axis=1) - counts
+    return g, lo.ravel(), thr
+
+
+def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The slots of uniforms ``u`` at grid positions ``at`` (:func:`_grid`)."""
+    slot = lo.take(at)
+    for column in thr:
+        slot += column.take(at) <= u
+    return slot
+
+
+def _rankers(breaks: np.ndarray):
+    """A rank-row walker's ``(first, later)``, each ``u -> the ranks of the
+    uniforms u`` among ``breaks`` (``np.searchsorted(breaks, u, "right")``),
+    for :func:`_refills`.  ``first`` ranks a trial's first refill block by
+    one ``searchsorted`` and a ``tolist``.  ``later`` ranks every block
+    after it on a one-row :func:`_grid` over the breakpoints, built at its
+    first call; it gives the ranks as bytes while there are at most 256 of
+    them, and as a list above."""
+    search = breaks.searchsorted
+
+    @cache
+    def grid():
+        g, lo, thr = _grid([([*breaks.tolist(), 1.0], 0, len(breaks) + 1)])
+        if len(breaks) < 256:
+            return 2.0**g, lo.astype(np.uint8), list(thr), np.ndarray.tobytes
+        return 2.0**g, lo, list(thr), np.ndarray.tolist
+
+    def first(u: np.ndarray) -> list[int]:
+        return search(u, "right").tolist()
+
+    def later(u: np.ndarray) -> bytes | list[int]:
+        scale, lo, thr, out = grid()
+        return out(_grid_slots(lo, thr, (u * scale).astype(np.intp), u))
+
+    return first, later
 
 
 class _TableLanes:
@@ -797,11 +925,12 @@ class _TableLanes:
                 raise _no_stop(budget, label)
 
         else:
+            first, later = _rankers(breaks)
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
                      t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
                 row = rows[state * n + vertex]
-                for end, ranks in _refills(_ranks(rng, breaks), budget, steps):
+                for end, ranks in _refills(rng.random, budget, steps, first, later):
                     for r in ranks:
                         c, row, k = row[r]
                         t += c
@@ -886,12 +1015,13 @@ class _MaskLanes:
                 raise _no_stop(budget, label)
 
         else:
+            first, later = _rankers(breaks)
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start,
                      mask: int = initial, t: float = 0.0, steps: int = 0,
                      commutes: int = -1) -> tuple[float, int, int]:
                 row = rows[vertex]
-                for end, ranks in _refills(_ranks(rng, breaks), budget, steps):
+                for end, ranks in _refills(rng.random, budget, steps, first, later):
                     for r in ranks:
                         c, b, row, home = row[r]
                         t += c

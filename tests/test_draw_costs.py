@@ -10,12 +10,13 @@ _TOOL = Path(__file__).parents[1] / "tools" / "draw_costs.py"
 def test_lollipop_draws_are_printed():
     out = subprocess.run([sys.executable, str(_TOOL), "lollipop"],
                          capture_output=True, text=True, check=True).stdout
-    name, steps, fused, drawn, blocks, *times = out.split()
-    steps, fused, drawn, blocks = int(steps), int(fused), int(drawn), int(blocks)
+    name, steps, fused, drawn, blocks, grid, *times = out.split()
+    steps, fused, drawn, blocks, grid = map(int, (steps, fused, drawn, blocks, grid))
     # Six trials, all on the fused loop: each draws at least one block, and
-    # fewer than 1024 uniforms past its last step.
+    # fewer than 1024 uniforms past its last step.  They walk on rank rows,
+    # so every block past a trial's first is ranked on the grid.
     assert name == "lollipop" and 0 < steps == fused <= drawn < fused + 6 * 1024
-    assert blocks >= 6
+    assert blocks >= 6 and grid == blocks - 6
     assert len(times) == 2 and all(float(t) > 0 for t in times)
 
 

@@ -358,7 +358,7 @@ def test_grid_lookup_equals_bisect_right(tables, picks):
     every few bins besides), at 0 and at ``1 - 2**-53``, for single-slot
     rows and vertices without arcs, and where breakpoints share a bin."""
     slots = walker_module._slot_columns(tables)[0]
-    g, lo, thr = estimate_module._grid(slots)
+    g, lo, thr = walker_module._grid(slots)
     scale = 2.0**g
     for v, (cum, a, _) in enumerate(slots):
         row = cum or []
@@ -369,8 +369,18 @@ def test_grid_lookup_equals_bisect_right(tables, picks):
         draws += [j / scale for j in sorted(edges) if j < 2**g]
         u = np.array(draws)
         at = (v << g) + (u * scale).astype(np.intp)
-        slot = estimate_module._grid_slots(lo, thr, at, u)
+        slot = walker_module._grid_slots(lo, thr, at, u)
         assert slot.tolist() == [a + bisect_right(row, x) for x in draws], (v, g)
+    # g is the smallest that parts every row's neighbouring entries, unless
+    # a finer grid would pass ``GRID_ENTRIES_MAX``.
+    entries = [(v, c) for v, (cum, _, _) in enumerate(slots) for c in (cum or [])[:-1]]
+
+    def parted(h):
+        return all(int(a * 2**h) != int(b * 2**h)
+                   for (v, a), (w, b) in zip(entries, entries[1:]) if v == w)
+
+    finest = len(slots) << g + 1 > walker_module.GRID_ENTRIES_MAX
+    assert (parted(g) or finest) and (g == 0 or not parted(g - 1)), g
 
 
 def test_grid_keeps_columns_past_its_bound():
@@ -379,11 +389,11 @@ def test_grid_keeps_columns_past_its_bound():
     on a narrow network it is the coarsest that parts every row's
     breakpoints, with one threshold a bin."""
     tables = build_tables(_CLOSE_ROW, TimingModel.L_SQUARED)
-    g, lo, thr = estimate_module._grid(walker_module._slot_columns(tables)[0])
-    assert 4 << g <= estimate_module.GRID_ENTRIES_MAX < 4 << g + 1
+    g, lo, thr = walker_module._grid(walker_module._slot_columns(tables)[0])
+    assert 4 << g <= walker_module.GRID_ENTRIES_MAX < 4 << g + 1
     assert len(thr) == 2 and len(lo) == 4 << g
     tables = build_tables(star(5), TimingModel.L_SQUARED)
-    g, lo, thr = estimate_module._grid(walker_module._slot_columns(tables)[0])
+    g, lo, thr = walker_module._grid(walker_module._slot_columns(tables)[0])
     assert (g, len(thr)) == (2, 1)
 
 
@@ -629,7 +639,8 @@ class _CountedDraws:
 @pytest.fixture
 def walks(monkeypatch):
     """Trials the estimator walks, per walker: ``run``, and ``fused`` for the
-    fused loop on the rule's lane tables.  ``walks.lockstep`` counts the
+    fused loop on the rule's lane tables; and ``grid``, the refill blocks
+    the fused loop ranked on the grid.  ``walks.lockstep`` counts the
     lockstep walker's steps, as calls of the step its lanes give it, and
     ``walks.handed`` holds, per fused walk, the arguments after ``(rng,
     budget)``, its result and the steps it walked, counted as the draws it
@@ -647,9 +658,19 @@ def walks(monkeypatch):
         for end, draws in refills(*args):
             yield end, _CountedDraws(draws, drawn)
 
-    refills = walker_module._refills
+    def counted_rankers(breaks):
+        first, later = rankers(breaks)
+
+        def counted(u):
+            counts["grid"] += 1
+            return later(u)
+
+        return first, counted
+
+    refills, rankers = walker_module._refills, walker_module._rankers
     monkeypatch.setattr(estimate_module, "run", counted_run)
     monkeypatch.setattr(walker_module, "_refills", counted_refills)
+    monkeypatch.setattr(walker_module, "_rankers", counted_rankers)
     for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
 
         def counted_walker(self, *args, make=lanes.walker):
@@ -788,9 +809,12 @@ def test_fused_block_equals_per_trial_runs(walks, case, model):
 
 
 def test_fused_budget_failures_match_run(walks):
-    """At budgets of one draw, one refill block of 64 and one draw into the
-    second block, the fused loop, on rank rows and by bisection, names the
-    lowest failing trial and raises the message ``run`` raises."""
+    """At budgets of one draw, one refill block of 64, one draw into the
+    second block and five into the third (64 + 128 + 5), the fused loop, on
+    rank rows and by bisection, names the lowest failing trial and raises
+    the message ``run`` raises.  Rank rows rank every block past a trial's
+    first on the grid, so some trial fails at the end of a grid-ranked block
+    of five."""
     net, rules = _table_rules()
     trials, seed = 60, 5
     cases = [(net, 1, rule) for rule in rules.values()]
@@ -798,11 +822,12 @@ def test_fused_budget_failures_match_run(walks):
     # Above the rank gate, so walked by bisection.
     wide = random_network(85, 170, (0.8, 1.25), seed=4)
     cases += [(wide, 0, Commute(0, 84)), (wide, 0, EdgeCoverReturn(0))]
-    failed = collections.Counter()
+    # Blocks ranked on the grid, by budget and whether the estimate fails.
+    failed, grid_blocks = collections.Counter(), collections.Counter()
     for net, start, rule in cases:
         for model in TimingModel:
             tables = build_tables(net, model)
-            for budget in (1, 64, 65):
+            for budget in (1, 64, 65, 197):
                 expected = None
                 for i in range(trials):
                     try:
@@ -820,7 +845,10 @@ def test_fused_budget_failures_match_run(walks):
                         estimate(net, start, rule, model, trials, seed, step_budget=budget)
                     assert str(exc.value) == expected, (rule, model, budget)
                 assert walks["run"] == 0 and walks["fused"] > 0
-    assert failed[1] == 2 * len(cases) and failed[64] and failed[65], failed
+                grid_blocks[budget, expected is not None] += walks["grid"]
+    assert failed[1] == 2 * len(cases) and failed[64] and failed[65] and failed[197], failed
+    assert grid_blocks[65, True] and grid_blocks[197, True], grid_blocks
+    assert not any(grid_blocks[budget, fails] for budget in (1, 64) for fails in (True, False))
 
 
 def _schedule_outcomes(cases, budget):
@@ -848,25 +876,28 @@ def _schedule_outcomes(cases, budget):
     return results
 
 
-def test_refill_schedule_changes_no_value(monkeypatch):
+def test_refill_schedule_changes_no_value(walks, monkeypatch):
     """Refill blocks of 1 and of 3 uniforms give every trial the values the
     default schedule gives, on ``run``, on fused rank and slot rows and on a
     lockstep block whose tail the fused loop walks on, and the same budget
     failures; and the default schedule draws fewer than ``REFILL_MAX``
     uniforms past the steps a walk reads, and at most 64 for walks of at
-    most 64 steps."""
+    most 64 steps.  On rank rows the default schedule ranks blocks past a
+    trial's first on the grid, and on slot rows none."""
     cases = [(from_spec("tree:3"), 0, ArcCoverReturn(0)),
              (path([0.7, 1.3, 2.1, 0.9, 1.1]), 0, Commute(0, 5))]
     first_block, cap = walker_module.REFILL_FIRST, walker_module.REFILL_MAX
     assert first_block == 64
     # Per fused walk: (steps before it, uniforms drawn, steps walked), on
-    # the default schedule in ``default``.
-    draws, default = [], []
+    # the default schedule in ``default``; and the blocks that rank-row
+    # walks drew past their first.
+    draws, default, later_blocks = [], [], [0]
 
-    def measured(rand, budget, done=0):
+    def measured(rand, budget, done=0, *ranks):
         first, end, block = done, done, iter(())
         try:
-            for end, block in refills(rand, budget, done):
+            for k, (end, block) in enumerate(refills(rand, budget, done, *ranks)):
+                later_blocks[0] += bool(ranks and k)
                 yield end, block
         finally:
             draws.append((first, end - first, end - first - operator.length_hint(block)))
@@ -881,8 +912,11 @@ def test_refill_schedule_changes_no_value(monkeypatch):
             monkeypatch.setattr(walker_module, "REFILL_FIRST", first_block)
             monkeypatch.setattr(walker_module, "REFILL_MAX", cap)
             draws.clear()
+            walks.clear()
+            later_blocks[0] = 0
             expected = _schedule_outcomes(cases, budget)
             default += draws
+            assert walks["grid"] == later_blocks[0] and bool(later_blocks[0]) == bool(rank_max)
             if budget < 10**9:
                 # Tree arc covers pass the budget on every walker.
                 assert all(isinstance(result, str) for result in (

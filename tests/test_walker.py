@@ -430,6 +430,43 @@ def test_rank_rows_pick_the_bisect_slot(case, monkeypatch):
         assert (at[1] - 3).tolist() == [0, 0, 2, 2, 2]
 
 
+def _grid_rank_cases():
+    """Rank-row tables whose breakpoints the grid ranks: those of
+    :func:`_rank_slot_cases`; a centre whose two lower breakpoints are
+    6.7e-7 apart, closer than any one-row grid within ``GRID_ENTRIES_MAX``
+    parts; a single edge, with no breakpoints; and 300 parallel edges of
+    distinct lengths, with 300 ranks."""
+    close = build_network(4, [(0, 1, 1e-6), (0, 2, 1.0), (0, 3, 2e-6)])
+    parallel = build_network(2, [(0, 1, 1.0 + k / 1000) for k in range(300)])
+    return _rank_slot_cases() + [build_tables(net, TimingModel.L_SQUARED)
+                                 for net in (close, path([1.0]), parallel)]
+
+
+@pytest.mark.parametrize("case", range(len(_grid_rank_cases())))
+def test_grid_ranks_equal_searchsorted(case, monkeypatch):
+    """Both rankers of a rank-row walker, ``searchsorted`` for a trial's
+    first refill block and the one-row grid for the rest, give every draw
+    the rank ``np.searchsorted(breaks, u, "right")`` gives: at 0, at each
+    breakpoint and the doubles on either side of it, and on 10^5 seeded
+    draws.  The grid gives bytes while there are at most 256 ranks."""
+    monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", 10**6)
+    breaks = walker_module._rank_rows(_grid_rank_cases()[case])[0]
+    near = [math.nextafter(c, to) for c in breaks.tolist() for to in (0, 1)]
+    draws = np.concatenate([[0.0], breaks, near, np.random.default_rng(case).random(10**5)])
+    first, later = walker_module._rankers(breaks)
+    expected = np.searchsorted(breaks, draws, "right").tolist()
+    ranks = later(draws)
+    assert isinstance(ranks, bytes) == (len(breaks) < 256)
+    assert list(ranks) == first(draws) == expected
+    g, _, thr = walker_module._grid([([*breaks.tolist(), 1.0], 0, len(breaks) + 1)])
+    if case == len(_grid_rank_cases()) - 3:
+        assert 1 << g == walker_module.GRID_ENTRIES_MAX and len(thr) >= 2
+    if case == len(_grid_rank_cases()) - 2:
+        assert len(breaks) == 0 and set(ranks) == {0}
+    if case == len(_grid_rank_cases()) - 1:
+        assert len(breaks) == 299 and isinstance(ranks, list)
+
+
 def test_rank_rows_gate(monkeypatch):
     """The gate counts one entry per row and rank, for every state's copy
     of the rows."""

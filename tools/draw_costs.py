@@ -2,16 +2,19 @@
 
 Each estimate runs in a child Python process of its own.  The child first
 runs it once with the fused walkers' refill schedule (``walker._refills``)
-wrapped to count what it draws, untimed, then ``repeat`` more times as it
-is, and prints the median wall and process CPU time of the timed runs.
-One line per estimate:
+and rank-row rankers (``walker._rankers``) wrapped to count what they
+draw and rank, untimed, then ``repeat`` more times as it is, and prints
+the median wall and process CPU time of the timed runs.  One line per
+estimate:
 
-    name  steps  fused  drawn  blocks  median_ms  cpu_median_ms
+    name  steps  fused  drawn  blocks  grid  median_ms  cpu_median_ms
 
 ``steps`` is every trial's steps, ``fused`` those the fused loop walked on
 the schedule's uniforms (a lockstep block draws one uniform a step itself,
-so its tails are the rest), ``drawn`` the uniforms the schedule drew and
-``blocks`` the refill blocks it drew them in.
+so its tails are the rest), ``drawn`` the uniforms the schedule drew,
+``blocks`` the refill blocks it drew them in and ``grid`` those of the
+blocks ranked on the one-row grid (every block past a trial's first, on
+rank rows).
 
     python tools/draw_costs.py [NAME ...]
 
@@ -72,27 +75,36 @@ def measure(name: str) -> dict:
     spec, rule_name, args, trials, repeat = ESTIMATES[name]
     net = from_spec(spec)
     rule = _rule(net, rule_name, args)
-    counts = {"fused": 0, "drawn": 0, "blocks": 0}
-    refills = walker._refills
+    counts = {"fused": 0, "drawn": 0, "blocks": 0, "grid": 0}
+    refills, rankers = walker._refills, walker._rankers
 
-    def counted(rand, budget, done=0):
+    def counted(rand, budget, done=0, *ranks):
         first, end, draws = done, done, iter(())
         try:
-            for end, draws in refills(rand, budget, done):
+            for end, draws in refills(rand, budget, done, *ranks):
                 counts["blocks"] += 1
                 yield end, draws
         finally:
             counts["drawn"] += end - first
             counts["fused"] += end - first - length_hint(draws)
 
+    def counted_rankers(breaks):
+        first, later = rankers(breaks)
+
+        def on_grid(u):
+            counts["grid"] += 1
+            return later(u)
+
+        return first, on_grid
+
     def once():
         return estimate(net, 0, rule, walker.TimingModel.L_SQUARED, trials, 1)
 
-    walker._refills = counted
+    walker._refills, walker._rankers = counted, counted_rankers
     try:
         report = once()
     finally:
-        walker._refills = refills
+        walker._refills, walker._rankers = refills, rankers
     walls, cpus = [], []
     for _ in range(repeat):
         wall, cpu = time.perf_counter(), time.process_time()
@@ -129,7 +141,7 @@ def main(argv: list[str]) -> int:
     for name in names:
         row = run(name)
         print(f"{name:12} {row['steps']:9} {row['fused']:9} {row['drawn']:9} {row['blocks']:7} "
-              f"{row['median_ms']:10.3f} {row['cpu_median_ms']:10.3f}")
+              f"{row['grid']:7} {row['median_ms']:10.3f} {row['cpu_median_ms']:10.3f}")
     return 0
 
 

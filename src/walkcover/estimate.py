@@ -19,19 +19,23 @@ against, trial by trial.  A block of fewer than ``LOCKSTEP_MIN_LANES``
 (400) trials loads each state into one reused generator and walks each
 trial in the lanes' fused loop, with no per-step method call.  A larger
 block walks all its trials in lockstep on the same streams, with draw k
-being step k, while its masks fit in 64 bits, at any row width: each step
-finds every lane's slot with one lookup on a grid of its draw.  It draws
+being step k, while its masks fit in 64 bits, at any row width.  It draws
 each trial's uniforms in groups, by PCG64 jump-ahead on the whole block at
-once, and hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials
-to the fused loop, which goes on from the step each reached.  Rules
-without lane tables, and walks that stop before their first step, run
-every trial on ``run``.  All three walkers give the same bits; the
-measurements behind the gate, the group sizes and the hand-off are with
-the constants below, and those behind the grid's bound with
-``walker.GRID_ENTRIES_MAX``.  A block's samples are three arrays: stop
-times, steps and commutes.  The sampling tables, the lanes and the fused
-loop's rows are built once per estimate in the calling process, and once
-more in each forked worker.
+once.  While the fused loop's rows are rank rows, it ranks each group
+once, on the fused loop's one-row grid, and steps on flat arrays of the
+same rows' entries; above ``walker.RANK_ENTRIES_MAX`` each step finds
+every lane's slot with one lookup on a per-vertex grid of its draw.  It
+hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the
+fused loop, which goes on from the step each reached, reading first a
+block of its next ``TAIL_BLOCK`` (32) draws that the lockstep walker
+derived and ranked in numpy.  Rules without lane tables, and walks that
+stop before their first step, run every trial on ``run``.  All three
+walkers give the same bits; the measurements behind the gate, the group
+sizes, the hand-off and the tails' block are with the constants below,
+and those behind the grid's bound with ``walker.GRID_ENTRIES_MAX``.  A
+block's samples are three arrays: stop times, steps and commutes.  The
+sampling tables, the lanes and both walkers' rows are built once per
+estimate in the calling process, and once more in each forked worker.
 
 ``workers`` is an upper bound.  An estimate that walks in lockstep (at
 least ``LOCKSTEP_MIN_LANES`` trials, lanes whose progress fits in 64 bits)
@@ -68,6 +72,7 @@ from .walker import (
     TimingModel,
     VertexCover,
     _grid,
+    _Steps,
     _grid_slots,
     _slot_columns,
     build_tables,
@@ -256,93 +261,125 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # walker's refill schedule.  Each lane adds its charges in step order, so its
 # clock is the scalar walker's float sum.
 #
-# A step finds each lane's slot on a grid of its draw (``walker._grid``):
-# the group's draws are binned once, ``bin = u * 2**g``, and a lane's slot is
-# ``lo`` at (vertex, bin) plus the count of that bin's thresholds at or
-# below ``u``, so one lookup serves every row width.  The rule then moves
-# by slot, not by arc: the lanes' ``lockstep`` gives one step over flat
-# per-slot tables, so no step maps a slot to its arc.  The walker owns
-# every per-lane array: grid row (vertex << g), progress (of the lanes'
-# ``dtype``), commute count and clock.  It drops stopped lanes from all of
-# them at once, after writing their samples into the block's arrays, so
-# the lanes stay read-only.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes
+# How a step moves a lane is a ``walker._Steps``, built once per estimate
+# (:func:`_lane_table`).  While the fused loop's rows are rank rows, the
+# lanes' ``walkers`` build it from the same entries: a lane's position is
+# its row (a table rule's state folded in) times the ranks, each group's
+# draws are ranked once on the fused loop's one-row grid, and a step's key
+# is position + rank, with flat per-(row, rank) arrays giving the charge,
+# the next position and the stop (and commute, or the coverage bit).
+# Above ``walker.RANK_ENTRIES_MAX`` a step finds each lane's slot on a
+# per-vertex grid of its draw (``walker._grid``): the group's draws are
+# binned once, ``bin = u * 2**g``, and a lane's slot is ``lo`` at (vertex,
+# bin) plus the count of that bin's thresholds at or below ``u``, so one
+# lookup serves every row width.  The rule then moves by slot, not by arc:
+# the lanes' ``lockstep`` gives one step over flat per-slot tables, so no
+# step maps a slot to its arc.  The walker owns every per-lane array:
+# position, progress, commute count and clock.  It drops stopped lanes from
+# all of them at once, after writing their samples into the block's arrays,
+# so the lanes stay read-only.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes
 # are left, or the live lanes reach the step budget, the rest go on, in
 # trial order, on the fused scalar loop from the step they reached: their
 # vertex, progress, clock, step count, commute count and PCG64 state carry
 # over, so they give the same results (or raise the same
-# ``StepBudgetExceeded``).
+# ``StepBudgetExceeded``).  Each first reads its next ``TAIL_BLOCK`` draws
+# within the budget, derived for every tail at once by one more jump-ahead
+# pass and ranked on the same grid, and a tail sets its generator to the
+# state after them only if it walks past them (``_Deferred``).
 # ---------------------------------------------------------------------------
 
 # Block size from which the lockstep walker runs, and the live lanes below
 # which it hands the rest to the fused scalar loop.  Measured on a 2-CPU
 # host (Xeon, Python 3.11, numpy 2.4) in one process, as the fused block
-# time over the lockstep block time, with the fused loop on rank rows and
-# the lockstep walker on the grid and the draw groups below (best of 7
-# interleaved rounds, CPU time):
+# time over the lockstep block time, both on rank rows, with the draw
+# groups, hand-off and tails' block below (best of 7 interleaved rounds,
+# CPU time; ``random:8,10`` and ``random:12,14`` are seed 1):
 #
 #   lanes                       100   200   300   400   500   700  1000  2000
-#   commute, path:1,1,1, 0-3   1.06  1.69  2.14  2.62  3.01  3.64  4.05  5.78
-#   arc cover, triangle        1.11  1.86  2.51  3.10  3.54  4.21  4.86  7.43
-#   edge cover, random:8,10    0.97  1.40  1.69  1.68  3.48  2.73  2.86  4.03
-#   arc cover, tree:3          0.69  0.90  1.10  1.28  1.42  1.69  1.72  2.32
-#   12-hop path commute        0.65  0.85  1.03  1.22  1.36  1.55  1.59  2.11
-#   vcover+ret, random:12,14   1.00  1.22  1.63  1.84  2.15  2.99  2.57  3.56
+#   commute, path:1,1,1, 0-3   1.40  1.93  2.53  2.92  3.32  4.03  4.17  6.31
+#   arc cover, triangle        1.42  2.27  2.76  3.24  3.84  4.65  4.83  7.62
+#   edge cover, random:8,10    1.14  1.57  1.86  2.28  2.54  2.98  2.98  4.05
+#   arc cover, tree:3          0.74  1.00  1.24  1.37  1.45  1.70  1.65  2.15
+#   12-hop path commute        0.81  1.11  1.26  1.66  1.62  1.86  1.90  2.36
+#   vcover+ret, random:12,14   0.97  1.39  1.71  2.12  2.29  2.49  2.58  3.34
 #
-# Short walks gain from 100-200 lanes and walks of hundreds of steps (687 a
-# trial on tree:3) from 200-300.  At 300 the 12-hop commute reads 1.03,
-# within the rounds' spread, so the gate stays at 400, where every row
-# gains at least 1.22x.  An estimate that walks in lockstep is one block at
-# any ``workers`` (see the fork table), so a 600-trial ``verify`` walks in
-# lockstep at any ``--workers``.
+# Short walks gain from 100 lanes and walks of hundreds of steps (687 a
+# trial on tree:3) from 200-300.  Every row now gains at least 1.24x at
+# 300, but the gate stays at 400: an estimate that walks in lockstep is one
+# block at any ``workers`` and never forks (see the fork table), while a
+# fused tree:4 edge cover of 300 trials gains 1.46x from a fork at 2
+# workers, more than tree:3's 1.24 in lockstep.  Moving the gate waits for
+# one cost model for both choices.  So a 600-trial ``verify``
+# walks in lockstep at any ``--workers``, and every row gains at least
+# 1.37x at the gate.
 #
-# A lockstep step costs the same at any row width (see ``walker._grid``),
-# so a hub walks in lockstep like any other network.  Measured as above, on
-# stars, whose centre is the widest row, with commutes between two leaves
-# and edge covers from the centre (edge covers of more than 64 arms need
-# wider masks, so they walk the fused loop):
+# A lockstep step costs the same at any row width, on rank rows and on the
+# per-vertex grid (see ``walker._grid``), so a hub walks in lockstep like
+# any other network.  Measured as above (best of 5), on stars, whose centre
+# is the widest row, with commutes between two leaves and edge covers from
+# the centre (edge covers of more than 64 arms need wider masks, so they
+# walk the fused loop); star:28 to star:80 walk on rank rows, star:200 and
+# star:800 on the grid:
 #
 #   lanes                      400   2000
-#   commute, star:28          2.01   3.96
-#   commute, star:80          2.08   3.78
-#   commute, star:200         2.12   3.50
-#   commute, star:800         1.10   1.99
-#   edge cover, star:28       2.42   4.58
-#   edge cover, star:56       3.39   5.95
-#   edge cover, star:64       3.21   5.58
+#   commute, star:28          1.91   3.34
+#   commute, star:80          2.00   3.54
+#   commute, star:200         1.97   3.57
+#   commute, star:800         0.92   1.82
+#   edge cover, star:28       1.65   3.70
+#   edge cover, star:56       2.21   3.62
+#   edge cover, star:64       2.18   3.55
 #
-# Before the grid, a step compared each lane with every ``cum`` column of
-# the widest row, and commutes lost to the fused loop from about 19 columns
-# at 400 lanes (star:28 read 0.72, star:80 0.24), so such blocks walked the
-# fused loop.  Only star:800's grid is held to ``GRID_ENTRIES_MAX``; its
-# bins keep 13 thresholds.
+# Before the grid, a step compared each lane
+# with every ``cum`` column of the widest row, and commutes lost to the
+# fused loop from about 19 columns at 400 lanes (star:28 read 0.72, star:80
+# 0.24), so such blocks walked the fused loop.  Only star:800's grid is
+# held to ``GRID_ENTRIES_MAX``; its bins keep 13 thresholds, and it loses
+# at 400 lanes.
 #
-# Draw groups and the hand-off were measured on every lockstep block of one
-# seed-1 pass of perfbench's ``verify_exact`` (112 blocks of 568
-# trials) and ``short_trials`` (128 of 2000), replayed in one process, as
-# block time over that of one draw a step with the tail rerun from its
-# first step (median of 11 interleaved rounds, CPU time):
+# Draw groups, the hand-off and the tails' block were measured on every
+# estimate of one seed-1 pass of perfbench's ``verify_exact`` (108
+# lockstep blocks of 600 trials) and ``short_trials`` (128 of 2000),
+# replayed in one process, as the sum over estimates of each one's best
+# CPU time of 9 interleaved rounds, over that of the constants chosen here
+# (in brackets):
 #
 #   draw groups                           verify_exact  short_trials
-#   1 at any width                            1.05          1.01
-#   8 at any width                            0.64          1.14
-#   8 at <= 700 lanes, else 1                 0.66          0.96
-#   8 at <= 700, 2 at <= 2000, else 1         0.61          0.93
+#   1 at any width                            1.74          1.08
+#   8 at any width                            1.00          1.40
+#   8 at <= 700 lanes, else 1                 1.00          1.06
+#   4 at <= 700, 2 at <= 2000, else 1         1.06          0.98
+#   16 at <= 700, 2 at <= 2000, else 1        1.05          1.16
+#   8 at <= 700, 4 at <= 2000, else 1         0.98          1.10
+#   [8 at <= 700, 2 at <= 2000, else 1]       1.00          1.00
 #
-#   hand-off at live lanes       16     48    128    256
-#   verify_exact               0.61   0.58   0.61   0.71
-#   short_trials               0.91   0.92   1.04   1.29
+#   hand-off at live lanes       16     32   [48]     64    128
+#   verify_exact               1.04   0.99   1.00   1.00   1.05
+#   short_trials               1.00   0.98   1.00   1.00   1.07
 #
-# Wide groups lose on wide blocks, where a step's arithmetic on every lane
-# costs more than its numpy calls.  On ``verify_exact``, groups of 4 or 16
-# at <= 700 lanes, or 16 or 32 below 200 lanes and 8 up to 700, read
-# 0.61-0.68 against 0.63 for 8 (5 rounds).  A group of one is 6-17% slower
-# than the plain one-step advance it generalises, but only blocks of more
-# than 2000 live lanes draw that way, and at 20,000 lanes the two tied.
-# The hand-off walks only the steps the lockstep did not (in the
-# ``verify_exact`` pass, 117,808 fused steps for the 5,082 trials handed
-# off, against 661,706 from their first step), and 48 stays the best.
+#   tails' block (draws)       none     16   [32]     48     64
+#   verify_exact               1.03   1.02   1.00   0.99   0.99
+#   short_trials               1.08   1.01   1.00   1.02   1.04
+#
+# Every ``verify_exact`` block has 600 lanes, so the rows that agree up to
+# 700 lanes walk it alike; their 0.98-1.00 is the rounds' spread, about
+# 2%.  Wide groups lose on wide blocks, where a step's arithmetic on every
+# lane costs more than its numpy calls, and groups of 4 gain on
+# ``short_trials`` what they lose on ``verify_exact``, so the groups stay.
+# A group of one is 6-17% slower than the plain one-step advance it
+# generalises, but only blocks of more than 2000 live lanes draw that way,
+# and at 20,000 lanes the two tied.  The hand-off walks only the steps the
+# lockstep did not, and 32 to 64 read alike, so it stays at 48.  A tail
+# with no numpy block sets its generator and draws a block of 64; one of
+# 32 draws spares that for the three quarters of ``verify_exact``'s 4,918
+# tails that stop within it, and larger blocks draw more that short tails
+# never read, so it stays at 32.
 LOCKSTEP_MIN_LANES = 400
 LOCKSTEP_MIN_LIVE = 48
+
+# Draws each trial handed to the fused loop gets from the lockstep walker's
+# numpy pass, as the head of its first refill block (table above).
+TAIL_BLOCK = 32
 
 # Draw-group size by live lanes: groups of ``size`` while at most ``lanes``
 # lanes are live, the first row that fits, else one draw a step.
@@ -356,6 +393,7 @@ def _group_size(live: int) -> int:
     return 1
 
 
+@functools.cache
 def _jumps(size: int) -> tuple[np.ndarray, ...]:
     """PCG64's jump-ahead words for 1 to ``size`` steps: ``A_k`` and
     ``G_k`` as hi, lo, hi, lo uint64 arrays of shape (size, 1)."""
@@ -368,15 +406,12 @@ def _jumps(size: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(column, np.uint64)[:, None] for column in zip(*words))
 
 
-_JUMPS = {size: _jumps(size) for size in {1, *(size for _, size in LOCKSTEP_GROUPS)}}
-
-
 def _group_states(state_hi, state_lo, inc_hi, inc_lo, size: int):
     """Each lane's PCG64 states after 1 to ``size`` more steps, as (size,
     lanes) hi/lo arrays, and the jump that advances them by ``size`` steps
     more (:func:`_next_group`): ``A_size`` as two ints, and each lane's
     ``G_size inc`` as (1, lanes) hi/lo arrays."""
-    a_hi, a_lo, g_hi, g_lo = _JUMPS[size]
+    a_hi, a_lo, g_hi, g_lo = _jumps(size)
     g_inc_hi, g_inc_lo = _mul128(inc_hi, inc_lo, g_hi, g_lo)
     group = _add128(*_mul128(state_hi, state_lo, a_hi, a_lo), g_inc_hi, g_inc_lo)
     return group, (int(a_hi[-1, 0]), int(a_lo[-1, 0]), g_inc_hi[-1:], g_inc_lo[-1:])
@@ -396,14 +431,33 @@ def _uniforms(state_hi, state_lo) -> np.ndarray:
     return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
-def _lane_table(tables, lanes):
-    """The lockstep walker's tables: ``g``, ``lo`` and ``thr`` of
-    ``walker._grid``, each slot's head shifted to its grid row and its
-    charge, and the lanes' ``lockstep`` step and hand-off over the slots."""
+def _lane_table(tables, lanes, start, ranked):
+    """The lockstep walker's moves, a ``walker._Steps``: ``ranked()`` on the
+    fused walker's rank rows, or, above ``walker.RANK_ENTRIES_MAX``
+    (``ranked`` None), the lanes' ``lockstep`` step over slots found on a
+    per-vertex grid (``walker._grid``).  There a lane's position is its
+    vertex shifted to its grid row, a group's draws are binned once, and a
+    step's slot is ``lo`` at (position + bin) plus the count of that bin's
+    thresholds at or below its draw."""
+    if ranked is not None:
+        return ranked()
     slots, arcs, heads, charges = _slot_columns(tables)
     g, lo, thr = _grid(slots)
     arcs, heads = np.array(arcs, np.intp), np.array(heads, np.intp)
-    return (g, lo, list(thr), heads << g, np.array(charges), *lanes.lockstep(arcs, heads))
+    lane_step, resumed = lanes.lockstep(arcs, heads)
+    moved, charge_of, thr, scale = heads << g, np.array(charges), list(thr), 2.0**g
+
+    def prepare(draws):
+        return (draws * scale).astype(np.intp)
+
+    def step(at, progress, draws, bins, k):
+        slot = _grid_slots(lo, thr, at + bins[k], draws[k])
+        return charge_of.take(slot), moved.take(slot), *lane_step(progress, slot)
+
+    def where(at, progress):
+        return (at >> g).tolist(), resumed(progress)
+
+    return _Steps(start << g, lanes.initial, lanes.dtype, prepare, step, where, lambda d: d)
 
 
 def _lanes(net, start, rule, tables, budget):
@@ -419,43 +473,47 @@ def _lanes(net, start, rule, tables, budget):
     return make_lanes(net)
 
 
-def _walker(net, start, rule, model, tables, lanes):
-    """``walk(rng, budget) -> (stop time, steps, commutes)`` for one trial:
-    the fused walk on the rule's lane tables, or ``run`` without them."""
+def _walkers(net, start, rule, model, tables, lanes):
+    """``(walk, ranked)``: ``walk(rng, budget) -> (stop time, steps,
+    commutes)`` for one trial, the fused walk on the rule's lane tables or
+    ``run`` without them, and the lanes' rank-row lockstep moves (see
+    ``walkers`` of the lanes; None without rank rows)."""
     if lanes is not None:
-        return lanes.walker(tables, start, rule.label())
+        return lanes.walkers(tables, start, rule.label())
 
     def walk(rng, budget):
         res = run(net, start, rule, model, rng, step_budget=budget, tables=tables)
         return res.stop_time, res.step_count, (res.auxiliary or {}).get("commute_count", -1)
 
-    return walk
+    return walk, None
 
 
-def _lockstep(lanes, table, start, streams, budget, samples):
-    """Walk a block's trials in lockstep on :func:`_lane_table`'s ``table``
-    and write the stop time, steps and commutes of those that stop while
-    the walker runs into ``samples``' three arrays.  Return the others'
-    indices, in trial order, their PCG64 state and increment words as
-    ``streams`` gives them, and per trial the arguments that continue its
-    fused walk: its vertex, progress, clock, step count and commutes.
+def _lockstep(table, streams, budget, samples):
+    """Walk a block's trials in lockstep on ``table``'s moves
+    (:func:`_lane_table`) and write the stop time, steps and commutes of
+    those that stop while the walker runs into ``samples``' three arrays.
+    Return the others' indices, in trial order, their PCG64 state and
+    increment words after their numpy-drawn block, and per trial the
+    arguments that continue its fused walk: its vertex, progress, clock,
+    step count, commutes and that block, the next ``TAIL_BLOCK`` draws
+    within the budget as the fused walk reads them.
 
     Stopped lanes stay in the arrays, masked out of ``live``, until they are
     a quarter of them; then every array drops them at once.
     """
-    g, lo, thr, heads_at, charge_of, step, resumed = table
     times, step_counts, commute_counts = samples
     state_hi, state_lo, inc_hi, inc_lo = streams
     lane = np.arange(len(state_hi))
     live = np.ones(len(lane), bool)
-    at = np.full(len(lane), start << g, np.intp)
-    progress = np.full(len(lane), lanes.initial, lanes.dtype)
+    at = np.full(len(lane), table.start, np.intp)
+    progress = np.full(len(lane), table.initial, table.dtype)
     commutes = np.zeros(len(lane), np.int64)
     clock = np.zeros(len(lane))
     left = len(lane)
     steps = 0
-    # Row k of the group holds each lane's state after, and uniform and grid
-    # bin of, the group's (k + 1)-th step; before the first group, row -1
+    prepare, step = table.prepare, table.step
+    # Row k of the group holds each lane's state after, and uniform and
+    # marks of, the group's (k + 1)-th step; before the first group, row -1
     # holds the lanes' states before their first step.
     group_hi, group_lo = state_hi[None], state_lo[None]
     size = k = 0
@@ -470,14 +528,12 @@ def _lockstep(lanes, table, start, streams, budget, samples):
                 )
                 size = fit
             draws = _uniforms(group_hi, group_lo)
-            bins = (draws * 2.0**g).astype(np.intp)
+            marks = prepare(draws)
             k = 0
-        slot = _grid_slots(lo, thr, at + bins[k], draws[k])
+        charge, at, progress, stop, back = step(at, progress, draws, marks, k)
         k += 1
         steps += 1
-        clock += charge_of.take(slot)
-        at = heads_at.take(slot)
-        progress, stop, back = step(progress, slot)
+        clock += charge
         if back is not None:
             commutes += back
         stop &= live
@@ -496,15 +552,21 @@ def _lockstep(lanes, table, start, streams, budget, samples):
             lane, at, progress, commutes, clock, inc_hi, inc_lo = (
                 a.take(keep) for a in (lane, at, progress, commutes, clock, inc_hi, inc_lo)
             )
-            group_hi, group_lo, draws, bins, g_inc_hi, g_inc_lo = (
-                a.take(keep, axis=1) for a in (group_hi, group_lo, draws, bins, *jump[2:])
+            group_hi, group_lo, draws, marks, g_inc_hi, g_inc_lo = (
+                a.take(keep, axis=1) for a in (group_hi, group_lo, draws, marks, *jump[2:])
             )
             jump = *jump[:2], g_inc_hi, g_inc_lo
             live = np.ones(left, bool)
-    rest = group_hi[k - 1][live], group_lo[k - 1][live], inc_hi[live], inc_lo[live]
-    resume = zip((at[live] >> g).tolist(), resumed(progress[live]), clock[live].tolist(),
-                 repeat(steps), commutes[live].tolist())
-    return lane[live], rest, resume
+    state_hi, state_lo = group_hi[k - 1][live], group_lo[k - 1][live]
+    inc_hi, inc_lo = inc_hi[live], inc_lo[live]
+    ahead, blocks = min(TAIL_BLOCK, budget - steps), repeat(())
+    if ahead and left:
+        (block_hi, block_lo), _ = _group_states(state_hi, state_lo, inc_hi, inc_lo, ahead)
+        blocks = table.reads(_uniforms(block_hi, block_lo)).T.tolist()
+        state_hi, state_lo = block_hi[-1], block_lo[-1]
+    resume = zip(*table.where(at[live], progress[live]), clock[live].tolist(), repeat(steps),
+                 commutes[live].tolist(), blocks)
+    return lane[live], (state_hi, state_lo, inc_hi, inc_lo), resume
 
 
 @dataclass(frozen=True)
@@ -540,6 +602,25 @@ class ComparisonVerdict:
     passed: bool
 
 
+class _Deferred:
+    """The generator a lockstep tail walks on past its numpy-drawn block:
+    ``aim`` takes the tail's PCG64 state and increment words, and
+    ``random`` sets the reused generator to them (``seek``) at the tail's
+    first draw, so a tail that stops inside the block never sets it."""
+
+    def __init__(self, seek, rng: np.random.Generator):
+        self.seek, self.draw, self.words = seek, rng.random, None
+
+    def aim(self, s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> None:
+        self.words = s_hi, s_lo, i_hi, i_lo
+
+    def random(self, n: int) -> np.ndarray:
+        if self.words is not None:
+            self.seek(*self.words)
+            self.words = None
+        return self.draw(n)
+
+
 def _block_walker(net, start, rule, model, seed, budget):
     """``(block, lockstep)``.  ``block(lo, hi, streams=None)`` gives trials
     ``[lo, hi)`` as three arrays, of stop times, steps and commutes, on
@@ -548,14 +629,24 @@ def _block_walker(net, start, rule, model, seed, budget):
     ``n`` trials walks in lockstep: it does when it has at least
     ``LOCKSTEP_MIN_LANES`` trials and the rule's lanes serve it.  The
     tables, lanes and fused rows are built here, once per estimate, and the
-    lockstep tables when a block first needs them; every block of the
-    estimate reuses them."""
+    lockstep walker's moves when a block first needs them; every block of
+    the estimate reuses them.  A fused trial's generator is set to its
+    state before its walk, and a lockstep tail's at its first draw past its
+    numpy-drawn block, if it has one."""
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
-    walk = _walker(net, start, rule, model, tables, lanes)
-    lane_table = functools.cache(lambda: _lane_table(tables, lanes))
+    walk, ranked = _walkers(net, start, rule, model, tables, lanes)
+    lane_table = functools.cache(lambda: _lane_table(tables, lanes, start, ranked))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
+
+    def seek(s_hi, s_lo, i_hi, i_lo):
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def lockstep(n: int) -> bool:
         return lanes is not None and lanes.dtype is not None and n >= LOCKSTEP_MIN_LANES
@@ -565,21 +656,17 @@ def _block_walker(net, start, rule, model, seed, budget):
             streams = _trial_states(seed, lo, hi)
         samples = np.empty(hi - lo), np.empty(hi - lo, np.int64), np.full(hi - lo, -1, np.int64)
         times, steps, commutes = samples
-        rest, resume = np.arange(hi - lo), repeat(())
+        rest, resume, gen, aim = np.arange(hi - lo), repeat(()), rng, seek
         if lockstep(hi - lo):
-            rest, streams, resume = _lockstep(lanes, lane_table(), start, streams, budget, samples)
-        state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
+            rest, streams, resume = _lockstep(lane_table(), streams, budget, samples)
+            gen = _Deferred(seek, rng)
+            aim = gen.aim
         for j, s_hi, s_lo, i_hi, i_lo, at in zip(
-            rest.tolist(), state_hi, state_lo, inc_hi, inc_lo, resume
+            rest.tolist(), *(a.tolist() for a in streams), resume
         ):
-            bit_gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            aim(s_hi, s_lo, i_hi, i_lo)
             try:
-                times[j], steps[j], commutes[j] = walk(rng, budget, *at)
+                times[j], steps[j], commutes[j] = walk(gen, budget, *at)
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(f"trial {lo + j}: {exc}") from None
         return samples

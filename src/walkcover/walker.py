@@ -52,25 +52,36 @@ the step's charge, the row it leads to and what the step does to the rule.
 While the rows hold at most ``RANK_ENTRIES_MAX`` entries, a row has an
 entry per rank of a draw among the sampling rows' breakpoints, so a step
 bisects nothing.  The ranks are found a refill block at a time: a trial's
-first block by one ``searchsorted``, and every later block by the
-lockstep walker's lookup (:func:`_grid`) on a one-row grid over the
-breakpoints, built once per walker.  The two cross between blocks of 128
-and 256 draws (the table is beside ``REFILL_MAX``).  Above the gate, a
-slot row has the vertex's ``cum`` list and the same entries, one per
-slot, and a step bisects ``cum``.  A block of at least
-``estimate.LOCKSTEP_MIN_LANES`` trials walks in lockstep, one numpy step
-over all its trials at a time, while its masks fit in 64 bits, on uniforms
-it draws in groups by PCG64 jump-ahead.  A step finds every trial's slot
-with one lookup on a grid of its draw, at any row width.  That walker keeps
-every trial's progress and commute count itself and moves them through the
-lanes' ``lockstep`` step, one pure, vectorised update over per-slot tables,
-which the exact solver steps through too.  It hands its last
+first block by one ``searchsorted``, and every later block by a lookup
+(:func:`_grid`) on a one-row grid over the breakpoints, built once per
+estimate.  The two cross between blocks of 128 and 256 draws (the table
+is beside ``REFILL_MAX``).  Above the gate, a slot row has the vertex's
+``cum`` list and the same entries, one per slot, and a step bisects
+``cum``.
+
+A block of at least ``estimate.LOCKSTEP_MIN_LANES`` trials walks in
+lockstep, one numpy step over all its trials at a time, while its masks
+fit in 64 bits, on uniforms it draws in groups by PCG64 jump-ahead.  On
+rank rows it reads the fused walker's layout: the lanes' ``walkers``
+build both walkers from the same entries, and the lockstep walker's are
+flat arrays with one entry per row and rank.  It ranks each draw group
+once, on the same one-row grid, and a step is a key, ``position + rank``,
+and a few ``take``s from those arrays; a table rule's state is folded
+into the row, as in the fused loop.  Above the gate, a step finds every
+trial's slot with one lookup on a per-vertex grid of its draw, at any row
+width, and moves the trial's progress through the lanes' ``lockstep``
+step, one pure, vectorised update over per-slot tables, which the exact
+solver steps through too.  Either way the lockstep walker keeps every
+trial's progress and commute count itself.  It hands its last
 ``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to the fused loop,
 which goes on from each trial's vertex, progress, clock, step count and
-generator state, so no step is walked twice.  Every step draws exactly
-one uniform, so a trial's k-th draw is its k-th step in all three walkers.
-The gate's value and the measured tables behind it, the draw groups and
-the hand-off are in :mod:`walkcover.estimate`; the grid and its bound,
+generator state, so no step is walked twice; each such tail first reads a
+block of its next ``estimate.TAIL_BLOCK`` draws that the lockstep walker
+drew and ranked in numpy, and sets its generator only if it walks past
+them.  Every step draws exactly one uniform, so a trial's k-th draw is
+its k-th step in all three walkers.  The gate's value and the measured
+tables behind it, the draw groups, the hand-off and the tails' block are
+in :mod:`walkcover.estimate`; the grid and its bound,
 ``GRID_ENTRIES_MAX``, are here.  The walkers and the exact solver read
 the sampling rows through one layout, :func:`_slot_columns`.
 """
@@ -82,9 +93,9 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import length_hint
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -472,15 +483,19 @@ class _MaskTracker:
 # and the exact solver keep all per-trial state themselves.  The estimator
 # (:mod:`walkcover.estimate`) walks on them in two ways, and the exact solver
 # (:mod:`walkcover.exact`) steps a breadth-first level of states at a time
-# through the same vectorised step as the lockstep walker.  Lanes expose:
-#   walker(tables, start, label) -> walk(rng, budget, *resumed)
-#       one trial at a time in a fused loop: (stop time, steps, commutes),
-#       with commutes -1 for rules that do not count them, and the same
-#       StepBudgetExceeded as ``run``, naming the full budget.  From
-#       ``start`` without ``resumed``; with ``resumed = (vertex, progress,
-#       clock, steps, commutes)``, on from that step, with ``rng`` at the
-#       trial's generator state (rules that count no commutes ignore the
-#       last).  Build it once per estimate and walk every trial on it
+# through the vectorised step the lockstep walker takes above the rank gate.
+# Lanes expose:
+#   walkers(tables, start, label) -> (walk, ranked)
+#       ``walk(rng, budget, *resumed)`` walks one trial at a time in a fused
+#       loop: (stop time, steps, commutes), with commutes -1 for rules that
+#       do not count them, and the same StepBudgetExceeded as ``run``,
+#       naming the full budget.  From ``start`` without ``resumed``; with
+#       ``resumed = (vertex, progress, clock, steps, commutes, ahead)``, on
+#       from that step, reading the draws ``ahead`` first and then ``rng``
+#       (rules that count no commutes ignore the commutes).  ``ranked()``
+#       builds the lockstep walker's moves on the same rank rows (a
+#       :class:`_Steps`), or ``ranked`` is None on slot rows.  Build them
+#       once per estimate and walk every trial on them
 #   lockstep(arcs, heads) -> (step, resumed)
 #       the one vectorised step, over slots with these arcs and heads (int
 #       arrays, one entry per slot): ``step(progress, slot) -> (progress,
@@ -534,9 +549,11 @@ def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
 #
 # The two cross between 128 and 256 draws, and a block of 1024 ranks for
 # 14-33 ns a uniform by ``searchsorted`` against 5.4-5.8 ns on the grid.
-# So a trial's first block of 64, which every walk of at most 64 steps and
-# every lockstep tail reads, keeps its ``searchsorted``, and the blocks
-# after it, of 128 draws and up, rank on the grid.
+# So a trial's first block of 64, which every walk of at most 64 steps
+# reads, keeps its ``searchsorted`` (a lockstep tail's first block starts
+# with its numpy-drawn ``estimate.TAIL_BLOCK`` draws, ranked on the grid
+# with the lockstep's), and the blocks after it, of 128 draws and up, rank
+# on the grid.
 #
 # The cap was measured on a 2-CPU host (Xeon, Python 3.11, numpy 2.4) in
 # one process, on every check of one seed-1 pass of perfbench's
@@ -573,28 +590,35 @@ def _no_stop(step_budget: int, label: str) -> StepBudgetExceeded:
 #
 # Unread uniforms now cost less, which favours larger caps, but 2048 ties
 # 1024 within the rounds' spread and 512 still reads worst, so
-# ``REFILL_MAX`` stays 1024.  Short walks keep their one block of 64:
-# eight 600-trial commutes on ``triangle``, walked in lockstep, hand 287
-# trials to the fused loop, which walk 630 steps on 287 blocks of 64 under
-# every schedule, in the same time within the rounds' spread.
+# ``REFILL_MAX`` stays 1024.  Short walks keep their one block of 64, and
+# lockstep tails the 32 draws their block adds to the numpy-drawn ones.
 REFILL_FIRST = 64
 REFILL_MAX = 1024
 
 
-def _refills(rand, budget: int, done: int = 0, first=np.ndarray.tolist, later=np.ndarray.tolist):
+def _refills(rand, budget: int, done: int = 0, first=np.ndarray.tolist, later=np.ndarray.tolist,
+             *, ahead=()):
     """A trial's uniforms after its first ``done`` steps, in blocks of
     ``REFILL_FIRST``, then twice the last up to ``REFILL_MAX`` (64, 128,
     256, 512, then 1024 a block), each capped at the steps left in
     ``budget``: yields the steps taken by the end of each block and an
     iterator over ``first(rand(n))`` for the first block and
     ``later(rand(n))`` for the rest: the uniforms as a list, or their ranks
-    (see :func:`_rankers`)."""
-    block, pick = REFILL_FIRST, first
+    (see :func:`_rankers`).
+
+    ``ahead`` is the head of the first block, drawn already and read as it
+    is (a lockstep tail's numpy-drawn block, within the budget): it comes
+    first, and the first block draws only the rest of its 64."""
+    end, block, pick = done, REFILL_FIRST, first
+    if ahead:
+        done += len(ahead)
+        yield done, iter(ahead)
     while done < budget:
-        n = min(block, budget - done)
-        done += n
-        yield done, iter(pick(rand(n)))
-        block, pick = min(2 * block, REFILL_MAX), later
+        end = min(end + block, budget)
+        block = min(2 * block, REFILL_MAX)
+        if end > done:
+            yield end, iter(pick(rand(end - done)))
+            done, pick = end, later
 
 
 # Most entries for which the fused walkers run on rank rows; above it they
@@ -654,7 +678,10 @@ def _refills(rand, budget: int, done: int = 0, first=np.ndarray.tolist, later=np
 # Each later block is ranked on a one-row grid instead, 3-6 us a block
 # (four more up to 1984 steps and one more per 1024 steps beyond; the
 # table is beside ``REFILL_MAX``).  Every workload of perfbench builds rows
-# of at most 1740 entries.
+# of at most 1740 entries.  The gate also sets how a lockstep block steps:
+# on flat arrays of the rank rows' entries below it, and on the per-vertex
+# grid above.  The table times the fused walkers only; the lockstep side of
+# the gate has not been timed.
 RANK_ENTRIES_MAX = 2**13
 
 
@@ -825,31 +852,71 @@ def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) 
     return slot
 
 
-def _rankers(breaks: np.ndarray):
-    """A rank-row walker's ``(first, later)``, each ``u -> the ranks of the
-    uniforms u`` among ``breaks`` (``np.searchsorted(breaks, u, "right")``),
-    for :func:`_refills`.  ``first`` ranks a trial's first refill block by
-    one ``searchsorted`` and a ``tolist``.  ``later`` ranks every block
-    after it on a one-row :func:`_grid` over the breakpoints, built at its
-    first call; it gives the ranks as bytes while there are at most 256 of
-    them, and as a list above."""
-    search = breaks.searchsorted
+def _row_grid(breaks: np.ndarray):
+    """A one-row :func:`_grid` over the breakpoints, built at the first call
+    of the function returned: ``(2**g, lo, thr, small)``, where ``small``
+    is ``lo`` as uint8 while there are at most 256 ranks (``lo`` above)."""
 
     @cache
     def grid():
         g, lo, thr = _grid([([*breaks.tolist(), 1.0], 0, len(breaks) + 1)])
-        if len(breaks) < 256:
-            return 2.0**g, lo.astype(np.uint8), list(thr), np.ndarray.tobytes
-        return 2.0**g, lo, list(thr), np.ndarray.tolist
+        return 2.0**g, lo, list(thr), lo.astype(np.uint8) if len(breaks) < 256 else lo
+
+    return grid
+
+
+def _grid_ranks(grid, u: np.ndarray) -> np.ndarray:
+    """The ranks of the uniforms ``u`` (any shape) among the breakpoints of
+    the one-row ``grid`` (:func:`_row_grid`), as intp."""
+    scale, lo, thr, _ = grid()
+    return _grid_slots(lo, thr, (u * scale).astype(np.intp), u)
+
+
+def _rankers(breaks: np.ndarray, grid=None):
+    """A rank-row walker's ``(first, later)``, each ``u -> the ranks of the
+    uniforms u`` among ``breaks`` (``np.searchsorted(breaks, u, "right")``),
+    for :func:`_refills`.  ``first`` ranks a trial's first refill block by
+    one ``searchsorted`` and a ``tolist``.  ``later`` ranks every block
+    after it on the one-row ``grid`` (a :func:`_row_grid` of ``breaks``,
+    made here when None), as bytes while there are at most 256 ranks, and
+    as a list above."""
+    search = breaks.searchsorted
+    grid = grid or _row_grid(breaks)
+    out = np.ndarray.tobytes if len(breaks) < 256 else np.ndarray.tolist
 
     def first(u: np.ndarray) -> list[int]:
         return search(u, "right").tolist()
 
     def later(u: np.ndarray) -> bytes | list[int]:
-        scale, lo, thr, out = grid()
-        return out(_grid_slots(lo, thr, (u * scale).astype(np.intp), u))
+        scale, _, thr, small = grid()
+        return out(_grid_slots(small, thr, (u * scale).astype(np.intp), u))
 
     return first, later
+
+
+class _Steps(NamedTuple):
+    """The lockstep walker's moves (:func:`walkcover.estimate._lockstep`),
+    built once per estimate.  Each lane has a position and a progress.
+
+    ``start`` is every lane's first position, and ``initial`` and ``dtype``
+    its first progress.  ``prepare(draws)`` turns a draw group's (size,
+    lanes) uniforms into what its steps look up, once per group.
+    ``step(at, progress, draws, marks, k)`` takes the group's k-th step,
+    ``marks`` being ``prepare(draws)``: ``(charges, positions, progress,
+    stop, back)``, ``back`` 1 where a lane completes a commute, or None for
+    rules that count none.  ``where(at, progress)`` gives the vertices and
+    progress values the fused walk goes on from, as lists, and
+    ``reads(draws)`` what the fused walk reads of uniforms: their ranks on
+    rank rows, the uniforms themselves on slot rows.
+    """
+
+    start: int
+    initial: int
+    dtype: type
+    prepare: Callable
+    step: Callable
+    where: Callable
+    reads: Callable
 
 
 class _TableLanes:
@@ -888,32 +955,44 @@ class _TableLanes:
 
         return step, lambda state: (state // size).tolist()
 
-    def walker(self, tables, start: int, label: str):
-        """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,
-        budget)`` from ``start``, or ``walk(rng, budget, vertex, state, t,
-        steps, commutes)`` on from a lockstep lane.
+    def walkers(self, tables, start: int, label: str):
+        """Both walkers of an estimate on one layout: ``(walk, ranked)``.
 
-        An entry holds the step's charge, the row it leads to and a code: 0
-        to go on, 1 where the step completes a commute, and ``-1`` less its
-        commute where it stops.  A step is then one index (after a bisection
-        on slot rows), one add and one test of the code.
+        ``walk`` is fused walks on the rows of :func:`_fused_rows`:
+        ``walk(rng, budget)`` from ``start``, or ``walk(rng, budget, vertex,
+        state, t, steps, commutes, ahead)`` on from a lockstep lane (see
+        :func:`_refills` for ``ahead``).  An entry holds the step's charge,
+        the row it leads to and a code: 0 to go on, 1 where the step
+        completes a commute, and ``-1`` less its commute where it stops.  A
+        step is then one index (after a bisection on slot rows), one add and
+        one test of the code.
+
+        ``ranked()``, on rank rows (None on slot rows), builds the lockstep
+        walker's :class:`_Steps` from the same entries, one per row and
+        rank, with the state folded into the row: a lane's position is its
+        row times the ranks, so a step's key is its position plus its
+        draw's rank, and flat tables give per key the charge, the next
+        position, the stop and the commute.  Ranks come from the one-row
+        grid that ranks the fused walk's later blocks.
         """
         slots, arcs, heads, charges = _slot_columns(tables)
         nxt, stop, b = self._by_slot(arcs)
         n, states = len(tables), len(nxt)
-        to = (nxt * n + heads).ravel().tolist()
+        to = (nxt * n + heads).ravel()
         codes = np.where(stop, -1 - b, b).ravel().tolist()
         counted = self.back is not None
         breaks, rows, fill = _fused_rows(tables, slots, states)
-        entries = [(c, rows[x], k) for c, x, k in zip(charges * states, to, codes)]
+        entries = [(c, rows[x], k) for c, x, k in zip(charges * states, to.tolist(), codes)]
+        ranked = None
 
         if breaks is None:
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
-                     t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
+                     t: float = 0.0, steps: int = 0, commutes: int = 0,
+                     ahead=()) -> tuple[float, int, int]:
                 cum, row = rows[state * n + vertex]
                 bisect = bisect_right
-                for end, draws in _refills(rng.random, budget, steps):
+                for end, draws in _refills(rng.random, budget, steps, ahead=ahead):
                     for u in draws:
                         c, (cum, row), k = row[bisect(cum, u)]
                         t += c
@@ -925,12 +1004,15 @@ class _TableLanes:
                 raise _no_stop(budget, label)
 
         else:
-            first, later = _rankers(breaks)
+            grid = _row_grid(breaks)
+            first, later = _rankers(breaks, grid)
+            width, picks = len(breaks) + 1, fill[1]
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
-                     t: float = 0.0, steps: int = 0, commutes: int = 0) -> tuple[float, int, int]:
+                     t: float = 0.0, steps: int = 0, commutes: int = 0,
+                     ahead=()) -> tuple[float, int, int]:
                 row = rows[state * n + vertex]
-                for end, ranks in _refills(rng.random, budget, steps, first, later):
+                for end, ranks in _refills(rng.random, budget, steps, first, later, ahead=ahead):
                     for r in ranks:
                         c, row, k = row[r]
                         t += c
@@ -941,8 +1023,26 @@ class _TableLanes:
                             commutes += 1
                 raise _no_stop(budget, label)
 
+            @cache
+            def ranked() -> _Steps:
+                charge = np.tile(charges, states)[picks]
+                moved, stops = (to * width)[picks], stop.ravel()[picks]
+                backs = b.ravel()[picks] if counted else None
+
+                def step(at, state, draws, ranks, k):
+                    key = at + ranks[k]
+                    return (charge.take(key), moved.take(key), state, stops.take(key),
+                            None if backs is None else backs.take(key))
+
+                def where(at, state):
+                    row = at // width
+                    return (row % n).tolist(), (row // n).tolist()
+
+                rank = partial(_grid_ranks, grid)
+                return _Steps(start * width, 0, np.intp, rank, step, where, rank)
+
         _link(walk, fill, entries)
-        return walk
+        return walk, ranked
 
 
 class _MaskLanes:
@@ -983,29 +1083,40 @@ class _MaskLanes:
 
         return step, np.ndarray.tolist
 
-    def walker(self, tables, start: int, label: str):
-        """Fused walks on the rows of :func:`_fused_rows`: ``walk(rng,
-        budget)`` from ``start``, or ``walk(rng, budget, vertex, mask, t,
-        steps, commutes)`` on from a lockstep lane.
+    def walkers(self, tables, start: int, label: str):
+        """Both walkers of an estimate on one layout: ``(walk, ranked)``.
 
-        An entry holds the step's charge, its bit, the row of the vertex it
-        leads to and whether the walk may stop there (at the root, or
-        anywhere without a return).
+        ``walk`` is fused walks on the rows of :func:`_fused_rows`:
+        ``walk(rng, budget)`` from ``start``, or ``walk(rng, budget, vertex,
+        mask, t, steps, commutes, ahead)`` on from a lockstep lane (see
+        :func:`_refills` for ``ahead``).  An entry holds the step's charge,
+        its bit, the row of the vertex it leads to and whether the walk may
+        stop there (at the root, or anywhere without a return).
+
+        ``ranked()``, on rank rows (None on slot rows), builds the lockstep
+        walker's :class:`_Steps` from the same entries, one per vertex and
+        rank: a lane's position is its vertex times the ranks, so a step's
+        key is its position plus its draw's rank, and flat tables give per
+        key the charge, the next position, the bit and whether the walk may
+        stop there.  Ranks come from the one-row grid that ranks the fused
+        walk's later blocks.  Masks wider than 64 bits never walk in
+        lockstep.
         """
         full, initial, root = self.full, self.initial, self.root
         slots, arcs, heads, charges = _slot_columns(tables)
         breaks, rows, fill = _fused_rows(tables, slots)
         entries = [(c, self.bits[arc], rows[h], root is None or h == root)
                    for c, arc, h in zip(charges, arcs, heads)]
+        ranked = None
 
         if breaks is None:
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start,
                      mask: int = initial, t: float = 0.0, steps: int = 0,
-                     commutes: int = -1) -> tuple[float, int, int]:
+                     commutes: int = -1, ahead=()) -> tuple[float, int, int]:
                 cum, row = rows[vertex]
                 bisect = bisect_right
-                for end, draws in _refills(rng.random, budget, steps):
+                for end, draws in _refills(rng.random, budget, steps, ahead=ahead):
                     for u in draws:
                         c, b, (cum, row), home = row[bisect(cum, u)]
                         t += c
@@ -1015,13 +1126,15 @@ class _MaskLanes:
                 raise _no_stop(budget, label)
 
         else:
-            first, later = _rankers(breaks)
+            grid = _row_grid(breaks)
+            first, later = _rankers(breaks, grid)
+            width, picks = len(breaks) + 1, fill[1]
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start,
                      mask: int = initial, t: float = 0.0, steps: int = 0,
-                     commutes: int = -1) -> tuple[float, int, int]:
+                     commutes: int = -1, ahead=()) -> tuple[float, int, int]:
                 row = rows[vertex]
-                for end, ranks in _refills(rng.random, budget, steps, first, later):
+                for end, ranks in _refills(rng.random, budget, steps, first, later, ahead=ahead):
                     for r in ranks:
                         c, b, row, home = row[r]
                         t += c
@@ -1030,8 +1143,29 @@ class _MaskLanes:
                             return t, end - length_hint(ranks), -1
                 raise _no_stop(budget, label)
 
+            @cache
+            def ranked() -> _Steps:
+                lands = np.array(heads, np.intp)[picks]
+                charge, moved = np.array(charges)[picks], lands * width
+                bits = np.array(self.bits, np.uint64)[np.array(arcs, np.intp)[picks]]
+                home, top = None if root is None else lands == root, np.uint64(full)
+
+                def step(at, mask, draws, ranks, k):
+                    key = at + ranks[k]
+                    mask = mask | bits.take(key)
+                    stop = mask == top
+                    if home is not None:
+                        stop &= home.take(key)
+                    return charge.take(key), moved.take(key), mask, stop, None
+
+                def where(at, mask):
+                    return (at // width).tolist(), mask.tolist()
+
+                rank = partial(_grid_ranks, grid)
+                return _Steps(start * width, initial, np.uint64, rank, step, where, rank)
+
         _link(walk, fill, entries)
-        return walk
+        return walk, ranked
 
 
 # Any object with anchor()/label()/make_tracker(); the concrete rule set also

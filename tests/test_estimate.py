@@ -408,7 +408,7 @@ def test_negative_seed_fails_before_any_trial(monkeypatch):
 
     monkeypatch.setattr(estimate_module, "run", no_trials)
     for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
-        monkeypatch.setattr(lanes, "walker", no_trials)
+        monkeypatch.setattr(lanes, "walkers", no_trials)
     with pytest.raises(ValueError):
         estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, 10, -1)
 
@@ -639,14 +639,15 @@ class _CountedDraws:
 @pytest.fixture
 def walks(monkeypatch):
     """Trials the estimator walks, per walker: ``run``, and ``fused`` for the
-    fused loop on the rule's lane tables; and ``grid``, the refill blocks
-    the fused loop ranked on the grid.  ``walks.lockstep`` counts the
-    lockstep walker's steps, as calls of the step its lanes give it, and
-    ``walks.handed`` holds, per fused walk, the arguments after ``(rng,
-    budget)``, its result and the steps it walked, counted as the draws it
-    read.  It wraps the lanes classes' ``lockstep``, which the exact solver
-    steps through too, so the tests that use it make no exact solves, which
-    would count as lockstep steps."""
+    fused loop on the rule's lane tables; ``grid``, the refill blocks the
+    fused loop ranked on the grid; and ``vertex_grid``, the per-vertex grids
+    the lockstep walker built, which it steps on only above the rank gate.
+    ``walks.lockstep`` counts the lockstep walker's steps, as calls of the
+    step of the moves the estimator builds for it (``_lane_table``), on
+    rank rows or on the grid, and ``walks.handed`` holds, per fused walk,
+    the arguments after ``(rng, budget)``, its result and the steps it
+    walked, counted as the draws it read, those of a lockstep tail's
+    numpy-drawn block among them."""
     counts = collections.Counter()
     counts.lockstep, counts.handed, drawn = [0], [], [0]
 
@@ -654,12 +655,12 @@ def walks(monkeypatch):
         counts["run"] += 1
         return run(*args, **kwargs)
 
-    def counted_refills(*args):
-        for end, draws in refills(*args):
+    def counted_refills(*args, **kwargs):
+        for end, draws in refills(*args, **kwargs):
             yield end, _CountedDraws(draws, drawn)
 
-    def counted_rankers(breaks):
-        first, later = rankers(breaks)
+    def counted_rankers(*args):
+        first, later = rankers(*args)
 
         def counted(u):
             counts["grid"] += 1
@@ -667,14 +668,30 @@ def walks(monkeypatch):
 
         return first, counted
 
+    def counted_grid(*args):
+        counts["vertex_grid"] += 1
+        return grid(*args)
+
+    def counted_lane_table(*args):
+        table = lane_table(*args)
+
+        def counted(*arrays):
+            counts.lockstep[0] += 1
+            return table.step(*arrays)
+
+        return table._replace(step=counted)
+
     refills, rankers = walker_module._refills, walker_module._rankers
+    grid, lane_table = estimate_module._grid, estimate_module._lane_table
     monkeypatch.setattr(estimate_module, "run", counted_run)
     monkeypatch.setattr(walker_module, "_refills", counted_refills)
     monkeypatch.setattr(walker_module, "_rankers", counted_rankers)
+    monkeypatch.setattr(estimate_module, "_grid", counted_grid)
+    monkeypatch.setattr(estimate_module, "_lane_table", counted_lane_table)
     for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
 
-        def counted_walker(self, *args, make=lanes.walker):
-            walk = make(self, *args)
+        def counted_walkers(self, *args, make=lanes.walkers):
+            walk, ranked = make(self, *args)
 
             def counted(*trial):
                 counts["fused"] += 1
@@ -683,19 +700,9 @@ def walks(monkeypatch):
                 counts.handed.append((trial[2:], result, drawn[0]))
                 return result
 
-            return counted
+            return counted, ranked
 
-        def counted_lockstep(self, *args, make=lanes.lockstep):
-            step, resumed = make(self, *args)
-
-            def counted(*arrays):
-                counts.lockstep[0] += 1
-                return step(*arrays)
-
-            return counted, resumed
-
-        monkeypatch.setattr(lanes, "walker", counted_walker)
-        monkeypatch.setattr(lanes, "lockstep", counted_lockstep)
+        monkeypatch.setattr(lanes, "walkers", counted_walkers)
     return counts
 
 
@@ -771,11 +778,113 @@ def test_lockstep_leaves_lanes_unchanged(case):
     before = snapshot()
     tables = build_tables(net, TimingModel.L_SQUARED)
     samples = np.empty(500), np.empty(500, np.int64), np.empty(500, np.int64)
-    estimate_module._lockstep(lanes, estimate_module._lane_table(tables, lanes), start,
-                              estimate_module._trial_states(3, 0, 500), 10**9, samples)
+    ranked = lanes.walkers(tables, start, rule.label())[1]
+    # On the rank rows where the rows fit under the gate, and on the grid.
+    for moves in {ranked, None}:
+        table = estimate_module._lane_table(tables, lanes, start, moves)
+        estimate_module._lockstep(table, estimate_module._trial_states(3, 0, 500), 10**9, samples)
     assert snapshot() == before
     if isinstance(rule, tours.EpochSequence):
         assert rule.make_lanes(net) is lanes
+
+
+def _rank_gated(net, rule):
+    """Whether the fused walker's rows for ``rule`` on ``net`` are rank rows:
+    table lanes hold a copy of the rows per state."""
+    states = len(getattr(rule.make_lanes(net), "next", [0]))
+    return walker_module._rank_rows(build_tables(net, TimingModel.L_SQUARED), states) is not None
+
+
+@pytest.mark.parametrize("case", range(len(_lockstep_cases())))
+def test_lockstep_steps_on_rank_rows_below_the_gate(walks, monkeypatch, case):
+    """The lockstep walker steps on the fused walker's rank rows while they
+    fit under ``walker.RANK_ENTRIES_MAX``, and builds no per-vertex grid;
+    only the two ``wide`` cases, above the gate, step on that grid.  On rank
+    rows the estimate builds one one-row grid, which ranks the lockstep
+    walker's draw groups and its tails' later refill blocks alike."""
+    net, start, rule = _lockstep_cases()[case]
+    wide = case >= len(_lockstep_cases()) - 2
+    assert _rank_gated(net, rule) != wide
+    one_row = [0]
+
+    def counted_grid(slots):
+        one_row[0] += 1
+        return grid(slots)
+
+    grid = walker_module._grid
+    monkeypatch.setattr(walker_module, "_grid", counted_grid)
+    walks.lockstep[0] = 0
+    estimate_module._trial_block((net, start, rule, TimingModel.L_SQUARED, 5, 0, 400, 10**9))
+    assert walks.lockstep[0] > 0 and walks["vertex_grid"] == wide
+    assert one_row[0] == (not wide), walks["grid"]
+
+
+def _tail_cases():
+    """(network, start, rule) whose lockstep tails the tail-block test walks:
+    table rules, mask rules and refined commutes on ``_table_rules()``'s
+    network, and a commute and a vertex cover on slot rows, above the rank
+    gate, whose tails read uniforms rather than ranks."""
+    net, rules = _table_rules()
+    cases = [(net, 1, rules[name]) for name in (
+        "commute", "first_passage", "epochs(directed)", "cover(arc)", "vcover(return)",
+        "refined(either)", "refined(both)")]
+    return cases + _lockstep_cases()[-2:]
+
+
+@pytest.mark.parametrize("case", range(len(_tail_cases())))
+def test_tails_stop_inside_at_the_end_of_and_past_their_numpy_block(walks, monkeypatch, case):
+    """Each tail the lockstep walker hands off reads its numpy-drawn block
+    of the next ``TAIL_BLOCK`` draws first, and sets a generator state only
+    if it walks past that block.  At the default size, and at a size that
+    one tail's stop falls on the block's last draw, tails stop inside the
+    block, on its last draw and past it, and every trial equals ``run``.
+    Budgets that end inside the block, on its last draw and past it fail on
+    the trial ``run`` fails first, with ``run``'s text, at 1 and 2
+    workers."""
+    net, start, rule = _tail_cases()[case]
+    model, trials, seed = TimingModel.L_SQUARED, 400, 17 + case
+    tables = build_tables(net, model)
+    steps = [_expected_sample(net, start, rule, model, tables, trial_rng(seed, i))[1]
+             for i in range(trials)]
+    seeks = [0]
+
+    def counted_random(self, n):
+        seeks[0] += self.words is not None
+        return random(self, n)
+
+    random = estimate_module._Deferred.random
+    monkeypatch.setattr(estimate_module._Deferred, "random", counted_random)
+    where = collections.Counter()
+    default = estimate_module.TAIL_BLOCK
+    sizes = [default]
+    for size in sizes:
+        monkeypatch.setattr(estimate_module, "TAIL_BLOCK", size)
+        seeks[0] = 0
+        _block_against_runs(walks, net, start, rule, model, seed, 0, trials)
+        handed = [(at[3], len(at[5]), result[1]) for at, result, _ in walks.handed]
+        assert handed and all(block == size for _, block, _ in handed)
+        past = [n - done for done, _, n in handed if n - done > size]
+        assert seeks[0] == len(past)
+        where.update("inside" if n - done < size else "last" if n - done == size else "past"
+                     for done, _, n in handed)
+        if size == default:
+            # A size at which one tail stops on the block's last draw, with
+            # tails on either side of it.
+            sizes.append(sorted(n - done for done, _, n in handed)[len(handed) // 2])
+    assert where["inside"] and where["last"] and where["past"], where
+    monkeypatch.setattr(estimate_module, "TAIL_BLOCK", default)
+    handoff = handed[0][0]
+    for budget in (handoff + 1, handoff + default - 1, handoff + default, handoff + default + 1):
+        failing = [i for i, n in enumerate(steps) if n > budget]
+        assert failing, budget
+        with pytest.raises(StepBudgetExceeded) as expected:
+            run(net, start, rule, model, trial_rng(seed, failing[0]), step_budget=budget,
+                tables=tables)
+        for workers in (1, 2):
+            with pytest.raises(StepBudgetExceeded) as exc:
+                estimate(net, start, rule, model, trials, seed, workers=workers,
+                         step_budget=budget)
+            assert str(exc.value) == f"trial {failing[0]}: {expected.value}", (budget, workers)
 
 
 def _fused_cases():
@@ -893,11 +1002,13 @@ def test_refill_schedule_changes_no_value(walks, monkeypatch):
     # walks drew past their first.
     draws, default, later_blocks = [], [], [0]
 
-    def measured(rand, budget, done=0, *ranks):
+    def measured(rand, budget, done=0, *ranks, ahead=()):
+        # A lockstep tail's numpy-drawn block, when it has one, is block -1.
         first, end, block = done, done, iter(())
         try:
-            for k, (end, block) in enumerate(refills(rand, budget, done, *ranks)):
-                later_blocks[0] += bool(ranks and k)
+            blocks = refills(rand, budget, done, *ranks, ahead=ahead)
+            for k, (end, block) in enumerate(blocks, -bool(ahead)):
+                later_blocks[0] += bool(ranks) and k > 0
                 yield end, block
         finally:
             draws.append((first, end - first, end - first - operator.length_hint(block)))

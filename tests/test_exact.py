@@ -165,7 +165,7 @@ class _WalkerLanes:
     """A rule's lanes showing only what the estimator's walkers read."""
 
     def __init__(self, lanes):
-        self.walker, self.lockstep = lanes.walker, lanes.lockstep
+        self.walkers, self.lockstep = lanes.walkers, lanes.lockstep
         self.dtype, self.initial, self.rank = lanes.dtype, lanes.initial, lanes.rank
 
 

@@ -494,7 +494,7 @@ def test_rank_rows_are_freed_with_their_walk(rule, monkeypatch):
         gc.collect()
         gc.disable()
         try:
-            walk = lanes.walker(tables, 0, rule.label())
+            walk = lanes.walkers(tables, 0, rule.label())[0]
             walk(trial_rng(1, 0), 10**6)
             del walk
             assert gc.collect() == 0, gate

@@ -7,14 +7,16 @@ draw and rank, untimed, then ``repeat`` more times as it is, and prints
 the median wall and process CPU time of the timed runs.  One line per
 estimate:
 
-    name  steps  fused  drawn  blocks  grid  median_ms  cpu_median_ms
+    name  steps  fused  drawn  ahead  blocks  grid  median_ms  cpu_median_ms
 
 ``steps`` is every trial's steps, ``fused`` those the fused loop walked on
 the schedule's uniforms (a lockstep block draws one uniform a step itself,
-so its tails are the rest), ``drawn`` the uniforms the schedule drew,
-``blocks`` the refill blocks it drew them in and ``grid`` those of the
-blocks ranked on the one-row grid (every block past a trial's first, on
-rank rows).
+so its tails are the rest), ``drawn`` the uniforms the schedule drew from
+generators, ``ahead`` those the lockstep block drew in numpy for its tails
+(each tail's first ``estimate.TAIL_BLOCK`` draws past the step it was
+handed off at, within the budget), ``blocks`` the refill blocks the
+schedule drew from generators and ``grid`` those of the blocks ranked on
+the one-row grid (every block past a trial's first, on rank rows).
 
     python tools/draw_costs.py [NAME ...]
 
@@ -75,21 +77,24 @@ def measure(name: str) -> dict:
     spec, rule_name, args, trials, repeat = ESTIMATES[name]
     net = from_spec(spec)
     rule = _rule(net, rule_name, args)
-    counts = {"fused": 0, "drawn": 0, "blocks": 0, "grid": 0}
+    counts = {"fused": 0, "drawn": 0, "ahead": 0, "blocks": 0, "grid": 0}
     refills, rankers = walker._refills, walker._rankers
 
-    def counted(rand, budget, done=0, *ranks):
+    def counted(rand, budget, done=0, *ranks, ahead=()):
+        # A tail's numpy-drawn block, when it has one, is block -1.
         first, end, draws = done, done, iter(())
+        counts["ahead"] += len(ahead)
         try:
-            for end, draws in refills(rand, budget, done, *ranks):
-                counts["blocks"] += 1
+            for k, (end, draws) in enumerate(refills(rand, budget, done, *ranks, ahead=ahead),
+                                             -bool(ahead)):
+                counts["blocks"] += k >= 0
                 yield end, draws
         finally:
-            counts["drawn"] += end - first
+            counts["drawn"] += end - first - len(ahead)
             counts["fused"] += end - first - length_hint(draws)
 
-    def counted_rankers(breaks):
-        first, later = rankers(breaks)
+    def counted_rankers(*args):
+        first, later = rankers(*args)
 
         def on_grid(u):
             counts["grid"] += 1
@@ -140,8 +145,9 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         row = run(name)
-        print(f"{name:12} {row['steps']:9} {row['fused']:9} {row['drawn']:9} {row['blocks']:7} "
-              f"{row['grid']:7} {row['median_ms']:10.3f} {row['cpu_median_ms']:10.3f}")
+        print(f"{name:12} {row['steps']:9} {row['fused']:9} {row['drawn']:9} {row['ahead']:7} "
+              f"{row['blocks']:7} {row['grid']:7} {row['median_ms']:10.3f} "
+              f"{row['cpu_median_ms']:10.3f}")
     return 0
 
 

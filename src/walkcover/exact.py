@@ -20,10 +20,11 @@ checks its residual ``|Ax - b|_inf <= 1e-9 max(1, |b|_inf)`` and raises
 :class:`ExactSolveFailed` when it does not hold.
 
 The states are enumerated breadth first, one level at a time: one call of
-the lanes' vectorised step, the one the lockstep walker takes (their
-``lockstep``, built once per solve over the sampling slots), steps every
-slot of the level's states, so each transition is stepped once, and a dict
-numbers the states in the order the search first reaches them.  A level's
+the lanes' vectorised step, the one the lockstep walker takes above the
+rank gate (their ``lockstep``, built once per solve over the sampling
+slots), steps every slot of the level's states, so each transition is
+stepped once, and a dict numbers the states in the order the search first
+reaches them.  A level's
 keys are built in numpy when its widest key fits in 64 bits.  Progress is
 held as that step holds it, and masks wider than 64 bits travel in object
 arrays.  One stable sort of the progress values gives the blocks, and the

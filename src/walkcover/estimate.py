@@ -21,15 +21,20 @@ trial in the lanes' fused loop, with no per-step method call.  A larger
 block walks all its trials in lockstep on the same streams, with draw k
 being step k, while its masks fit in 64 bits, at any row width.  It draws
 each trial's uniforms in groups, by PCG64 jump-ahead on the whole block at
-once.  While the fused loop's rows are rank rows, it ranks each group
-once, on the fused loop's one-row grid, and steps on flat arrays of the
-same rows' entries; above ``walker.RANK_ENTRIES_MAX`` each step finds
-every lane's slot with one lookup on a per-vertex grid of its draw.  It
-hands the last ``LOCKSTEP_MIN_LIVE`` (48) or fewer live trials to the
-fused loop, which goes on from the step each reached, reading first a
-block of its next ``TAIL_BLOCK`` (32) draws that the lockstep walker
-derived and ranked in numpy.  Rules without lane tables, and walks that
-stop before their first step, run every trial on ``run``.  All three
+once, and walks a group as a chase and a settle: the chase takes the
+group's steps in turn and moves only what the next step looks up, and the
+settle reads every step's charge, progress, stop and commute at once.
+While the fused loop's rows are rank rows, it ranks each group once, on
+the fused loop's one-row grid, and a step of the chase is a key,
+position + rank, and the next position at that key, in flat arrays of
+the same rows' entries; above ``walker.RANK_ENTRIES_MAX`` a step of the
+chase finds every lane's slot with one lookup on a per-vertex grid of its
+draw.  At each group's end it records the trials that stopped in it,
+and once fewer than ``LOCKSTEP_MIN_LIVE`` (48) are live, it hands the
+rest to the fused loop, which goes on from the step each reached, reading
+first a block of its next ``TAIL_BLOCK`` (32) draws that the lockstep
+walker derived and ranked in numpy.  Rules without lane tables, and walks
+that stop before their first step, run every trial on ``run``.  All three
 walkers give the same bits; the measurements behind the gate, the group
 sizes, the hand-off and the tails' block are with the constants below,
 and those behind the grid's bound with ``walker.GRID_ENTRIES_MAX``.  A
@@ -74,6 +79,7 @@ from .walker import (
     _grid,
     _Steps,
     _grid_slots,
+    _running,
     _slot_columns,
     build_tables,
     checked_tracker,
@@ -186,38 +192,74 @@ def _seed_pool(entropy: list, n: int) -> np.ndarray:
     return pool
 
 
-def _mulhi64(a: np.ndarray, b) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b`` (uint64 array by int
-    or by uint64 array, broadcast)."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    low = a0 * b1 + (mid & _MASK32)
-    return a1 * b1 + (mid >> 32) + (low >> 32)
+# uint64 constants for the 128-bit arithmetic below, so that no operation
+# converts a Python int.
+_M32, _U1, _U11, _U32, _U58, _U63 = (np.uint64(c) for c in (_MASK32, 1, 11, 32, 58, 63))
 
 
-def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
-    """Low 128 bits of ``x * c`` as (hi, lo) words, for uint64 arrays ``x``
-    and ints or uint64 arrays ``c``, broadcast."""
-    return _mulhi64(x_lo, c_lo) + x_lo * c_hi + x_hi * c_lo, x_lo * c_lo
+def _limbs(hi, lo) -> tuple:
+    """A 128-bit multiplier's uint64 limbs, as the products below take it:
+    ``(hi, lo, lo & 0xFFFFFFFF, lo >> 32)``, of uint64 scalars or arrays."""
+    return hi, lo, lo & _M32, lo >> _U32
+
+
+_PCG_LIMBS = _limbs(np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO))
+
+
+def _mulhi64(a: np.ndarray, b: tuple) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``: a uint64 array by the
+    low word of the multiplier limbs ``b`` (:func:`_limbs`), broadcast."""
+    _, _, b0, b1 = b
+    a0, a1 = a & _M32, a >> _U32
+    mid = a1 * b0
+    low = a0 * b0
+    low >>= _U32
+    mid += low
+    np.multiply(a0, b1, out=low)
+    low += mid & _M32
+    low >>= _U32
+    mid >>= _U32
+    high = a1 * b1
+    high += mid
+    high += low
+    return high
+
+
+def _mul128(x_hi, x_lo, c: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Low 128 bits of ``x * c`` as new (hi, lo) words, for uint64 arrays
+    ``x`` and multiplier limbs ``c`` (:func:`_limbs`), broadcast."""
+    c_hi, c_lo = c[:2]
+    hi = _mulhi64(x_lo, c)
+    part = x_lo * c_hi
+    hi += part
+    np.multiply(x_hi, c_lo, out=part)
+    hi += part
+    return hi, x_lo * c_lo
 
 
 def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
-    """``x + y`` modulo 2**128 as (hi, lo) words."""
-    lo = x_lo + y_lo
-    return x_hi + y_hi + (lo < x_lo), lo
+    """``x += y`` modulo 2**128, in place on the (hi, lo) words of ``x``,
+    which hold the broadcast shape; returns them."""
+    x_lo += y_lo
+    x_hi += y_hi
+    x_hi += x_lo < y_lo
+    return x_hi, x_lo
 
 
 def _pcg64_seed(pool: np.ndarray) -> tuple[np.ndarray, ...]:
     """``generate_state(4, uint64)`` from a (4, n) pool, then
     ``pcg64_set_seed``."""
     out = _hashmix(np.concatenate([pool, pool]), 0, 8, _INIT_B, _MULT_B).astype(np.uint64)
-    init_hi, init_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
-    inc_hi = seq_hi << 1 | seq_lo >> 63
-    inc_lo = seq_lo << 1 | 1
+    words = out[1::2] << _U32
+    words |= out[0::2]
+    init_hi, init_lo, seq_hi, seq_lo = words
+    inc_hi = seq_hi << _U1
+    inc_hi |= seq_lo >> _U63
+    inc_lo = seq_lo << _U1
+    inc_lo |= _U1
     # state = 0; step (state = inc); state += initstate; step again.
-    s_hi, s_lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
-    state_hi, state_lo = _add128(*_mul128(s_hi, s_lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
+    _add128(init_hi, init_lo, inc_hi, inc_lo)
+    state_hi, state_lo = _add128(*_mul128(init_hi, init_lo, _PCG_LIMBS), inc_hi, inc_lo)
     return state_hi, state_lo, inc_hi, inc_lo
 
 
@@ -245,47 +287,63 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 # Lockstep walker.  A block of at least ``LOCKSTEP_MIN_LANES`` trials whose
 # rule's lanes serve it (``lockstep``) walks all its trials together, one
-# numpy step over every live lane at a time, on the same streams.  It draws
-# each lane's uniforms in groups: with ``a`` PCG64's multiplier, the state
-# k steps after state s is ``A_k s + G_k inc`` modulo 2**128, where ``A_k =
-# a**k`` and ``G_k`` is the sum of ``a**j`` for j < k.  So one pass of
-# 128-bit multiply-adds on hi/lo uint64 arrays gives a (group, lanes)
-# matrix of states, and the next group of the same size is the last one
-# advanced by ``A_k`` plus each lane's ``G_k inc``; a group of one is the
-# plain one-step advance.  The group size follows the live lanes
-# (``LOCKSTEP_GROUPS``), and the groups' rows drop stopped lanes with the
-# other arrays.  Each state's output is XSL-RR and its uniform the top 53
-# bits, as ``Generator.random`` computes them, and row k of the group feeds
-# the group's k-th step.  Every step draws exactly one
-# uniform, so a lane's k-th draw is its k-th step whatever the scalar
-# walker's refill schedule.  Each lane adds its charges in step order, so its
-# clock is the scalar walker's float sum.
+# draw group of steps over every live lane at a time, on the same streams.
+# It draws each lane's uniforms in groups: with ``a`` PCG64's multiplier,
+# the state k steps after state s is ``A_k s + G_k inc`` modulo 2**128,
+# where ``A_k = a**k`` and ``G_k`` is the sum of ``a**j`` for j < k.  So
+# one pass of 128-bit multiply-adds on hi/lo uint64 arrays gives a (group,
+# lanes) matrix of states, and the next group of the same size is the last
+# one advanced by ``A_k`` plus each lane's ``G_k inc``; a group of one is
+# the plain one-step advance.  The multipliers are held as uint64 limbs
+# (``_limbs``), cached with the jumps, and the products update their
+# temporaries in place (``out=``, ``+=``) rather than making an array per
+# operation: a 128-bit multiply makes 8 arrays where it made about 20.
+# The group size follows the live lanes
+# (``LOCKSTEP_GROUPS``), cut at the step budget, and the groups' rows drop
+# stopped lanes with the other arrays.  Each state's output is XSL-RR and
+# its uniform the top 53 bits, as ``Generator.random`` computes them, and
+# row k of the group feeds the group's k-th step.  Every step draws
+# exactly one uniform, so a lane's k-th draw is its k-th step whatever the
+# scalar walker's refill schedule.
 #
 # How a step moves a lane is a ``walker._Steps``, built once per estimate
-# (:func:`_lane_table`).  While the fused loop's rows are rank rows, the
-# lanes' ``walkers`` build it from the same entries: a lane's position is
-# its row (a table rule's state folded in) times the ranks, each group's
-# draws are ranked once on the fused loop's one-row grid, and a step's key
-# is position + rank, with flat per-(row, rank) arrays giving the charge,
-# the next position and the stop (and commute, or the coverage bit).
-# Above ``walker.RANK_ENTRIES_MAX`` a step finds each lane's slot on a
-# per-vertex grid of its draw (``walker._grid``): the group's draws are
-# binned once, ``bin = u * 2**g``, and a lane's slot is ``lo`` at (vertex,
-# bin) plus the count of that bin's thresholds at or below ``u``, so one
-# lookup serves every row width.  The rule then moves by slot, not by arc:
-# the lanes' ``lockstep`` gives one step over flat per-slot tables, so no
-# step maps a slot to its arc.  The walker owns every per-lane array:
-# position, progress, commute count and clock.  It drops stopped lanes from
-# all of them at once, after writing their samples into the block's arrays,
-# so the lanes stay read-only.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes
-# are left, or the live lanes reach the step budget, the rest go on, in
-# trial order, on the fused scalar loop from the step they reached: their
-# vertex, progress, clock, step count, commute count and PCG64 state carry
-# over, so they give the same results (or raise the same
-# ``StepBudgetExceeded``).  Each first reads its next ``TAIL_BLOCK`` draws
-# within the budget, derived for every tail at once by one more jump-ahead
-# pass and ranked on the same grid, and a tail sets its generator to the
-# state after them only if it walks past them (``_Deferred``).
+# (:func:`_lane_table`).  A group is a chase, then a settle.  The chase
+# takes the group's steps in turn and moves only what the next step's
+# lookup needs, and keeps each step's keys; the settle then reads every
+# step from its keys at once and gives each lane's running values after
+# each row: its clock, by adding the charges down the rows from the lane's
+# clock, one row at a time (so each lane adds its charges in step order,
+# and its clock is the scalar walker's float sum), its coverage mask by
+# or-ing the bits down the rows, its stops and its commute count.  While
+# the fused loop's rows are rank rows, the lanes' ``walkers`` build the
+# moves from the same entries: a lane's position is its row (a table
+# rule's state folded in) times the ranks, each group's draws are ranked
+# once on the fused loop's one-row grid, and a step of the chase is two
+# numpy calls, ``key = position + rank`` and ``position = moved[key]``;
+# flat per-(row, rank) arrays give the settle the charge, the stop and the
+# commute, or the coverage bit.  Above ``walker.RANK_ENTRIES_MAX`` a step
+# of the chase finds each lane's slot on a per-vertex grid of its draw
+# (``walker._grid``): the group's draws are binned once, ``bin = u *
+# 2**g``, and a lane's slot is ``lo`` at (vertex, bin) plus the count of
+# that bin's thresholds at or below ``u``, so one lookup serves every row
+# width.  The rule then moves by slot, not by arc: the lanes' ``lockstep``
+# gives one step over flat per-slot tables (a table rule's state is
+# carried in its key, state + slot), so no step maps a slot to its arc;
+# the chase keeps its slots, stops and commutes for the settle.  The
+# walker owns every per-lane array: position, progress, commute count and
+# clock.  At each group's end, lanes that stopped in it write the samples
+# of their first stop row into the block's arrays, and once a quarter of
+# the lanes have stopped, every array drops them at once, so the lanes
+# stay read-only.  When fewer than
+# ``LOCKSTEP_MIN_LIVE`` lanes are left at a group's end, or the live lanes
+# reach the step budget, the rest go on, in trial order, on the fused
+# scalar loop from the step they reached: their vertex, progress, clock,
+# step count, commute count and PCG64 state carry over, so they give the
+# same results (or raise the same ``StepBudgetExceeded``).  Each first
+# reads its next ``TAIL_BLOCK`` draws within the budget, derived for every
+# tail at once by one more jump-ahead pass and ranked on the same grid,
+# and a tail sets its generator to the state after them only if it walks
+# past them (``_Deferred``).
 # ---------------------------------------------------------------------------
 
 # Block size from which the lockstep walker runs, and the live lanes below
@@ -296,22 +354,23 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # CPU time; ``random:8,10`` and ``random:12,14`` are seed 1):
 #
 #   lanes                       100   200   300   400   500   700  1000  2000
-#   commute, path:1,1,1, 0-3   1.40  1.93  2.53  2.92  3.32  4.03  4.17  6.31
-#   arc cover, triangle        1.42  2.27  2.76  3.24  3.84  4.65  4.83  7.62
-#   edge cover, random:8,10    1.14  1.57  1.86  2.28  2.54  2.98  2.98  4.05
-#   arc cover, tree:3          0.74  1.00  1.24  1.37  1.45  1.70  1.65  2.15
-#   12-hop path commute        0.81  1.11  1.26  1.66  1.62  1.86  1.90  2.36
-#   vcover+ret, random:12,14   0.97  1.39  1.71  2.12  2.29  2.49  2.58  3.34
+#   commute, path:1,1,1, 0-3   1.48  2.21  2.82  3.33  3.86  4.53  4.62  6.42
+#   arc cover, triangle        1.73  2.59  3.57  4.20  4.72  5.52  5.78  8.39
+#   edge cover, random:8,10    1.34  2.02  2.47  2.90  3.03  3.68  3.45  4.40
+#   arc cover, tree:3          0.92  1.17  1.46  1.63  1.83  2.10  1.99  2.39
+#   12-hop path commute        0.88  1.28  1.47  1.69  1.80  2.12  1.97  2.46
+#   vcover+ret, random:12,14   1.12  1.72  2.09  2.49  2.69  3.07  3.01  3.85
 #
 # Short walks gain from 100 lanes and walks of hundreds of steps (687 a
-# trial on tree:3) from 200-300.  Every row now gains at least 1.24x at
+# trial on tree:3) from 100-200.  Every row now gains at least 1.46x at
 # 300, but the gate stays at 400: an estimate that walks in lockstep is one
 # block at any ``workers`` and never forks (see the fork table), while a
 # fused tree:4 edge cover of 300 trials gains 1.46x from a fork at 2
-# workers, more than tree:3's 1.24 in lockstep.  Moving the gate waits for
+# workers, about what tree:3 gains in lockstep.  Moving the gate waits for
 # one cost model for both choices.  So a 600-trial ``verify``
 # walks in lockstep at any ``--workers``, and every row gains at least
-# 1.37x at the gate.
+# 1.63x at the gate.  Past 700 lanes groups hold 2 rows, and rows of
+# hundreds of steps gain less at 1000 lanes than at 700.
 #
 # A lockstep step costs the same at any row width, on rank rows and on the
 # per-vertex grid (see ``walker._grid``), so a hub walks in lockstep like
@@ -322,13 +381,13 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # star:800 on the grid:
 #
 #   lanes                      400   2000
-#   commute, star:28          1.91   3.34
-#   commute, star:80          2.00   3.54
-#   commute, star:200         1.97   3.57
-#   commute, star:800         0.92   1.82
-#   edge cover, star:28       1.65   3.70
-#   edge cover, star:56       2.21   3.62
-#   edge cover, star:64       2.18   3.55
+#   commute, star:28          2.28   3.49
+#   commute, star:80          1.90   3.38
+#   commute, star:200         1.97   3.53
+#   commute, star:800         0.95   1.71
+#   edge cover, star:28       2.52   3.79
+#   edge cover, star:56       2.66   3.51
+#   edge cover, star:64       2.62   3.54
 #
 # Before the grid, a step compared each lane
 # with every ``cum`` column of the widest row, and commutes lost to the
@@ -337,7 +396,8 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # held to ``GRID_ENTRIES_MAX``; its bins keep 13 thresholds, and it loses
 # at 400 lanes.
 #
-# Draw groups, the hand-off and the tails' block were measured on every
+# Draw groups, the hand-off, the tails' block and the share of stopped
+# lanes at which the arrays drop them were measured on every
 # estimate of one seed-1 pass of perfbench's ``verify_exact`` (108
 # lockstep blocks of 600 trials) and ``short_trials`` (128 of 2000),
 # replayed in one process, as the sum over estimates of each one's best
@@ -345,35 +405,43 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # (in brackets):
 #
 #   draw groups                           verify_exact  short_trials
-#   1 at any width                            1.74          1.08
-#   8 at any width                            1.00          1.40
-#   8 at <= 700 lanes, else 1                 1.00          1.06
-#   4 at <= 700, 2 at <= 2000, else 1         1.06          0.98
-#   16 at <= 700, 2 at <= 2000, else 1        1.05          1.16
-#   8 at <= 700, 4 at <= 2000, else 1         0.98          1.10
+#   1 at any width                            2.11          1.20
+#   8 at any width                            1.02          1.23
+#   8 at <= 700 lanes, else 1                 1.02          1.09
+#   4 at <= 700, 2 at <= 2000, else 1         1.15          1.07
+#   16 at <= 700, 2 at <= 2000, else 1        1.02          1.11
+#   8 at <= 700, 4 at <= 2000, else 1         1.03          1.10
+#   16 at <= 300, 4 at <= 2000, else 1        1.05          1.09
 #   [8 at <= 700, 2 at <= 2000, else 1]       1.00          1.00
 #
 #   hand-off at live lanes       16     32   [48]     64    128
-#   verify_exact               1.04   0.99   1.00   1.00   1.05
-#   short_trials               1.00   0.98   1.00   1.00   1.07
+#   verify_exact               1.02   1.01   1.00   1.01   1.09
+#   short_trials               0.99   0.98   1.00   1.00   1.03
 #
 #   tails' block (draws)       none     16   [32]     48     64
-#   verify_exact               1.03   1.02   1.00   0.99   0.99
-#   short_trials               1.08   1.01   1.00   1.02   1.04
+#   verify_exact               1.03   1.01   1.00   0.99   0.99
+#   short_trials               1.04   1.00   1.00   1.01   1.01
+#
+#   drop stopped lanes at     1/16    1/8  [1/4]    1/2   any
+#   verify_exact               1.01   1.01   1.00   1.00   1.03
+#   short_trials               1.01   0.98   1.00   1.05   1.01
 #
 # Every ``verify_exact`` block has 600 lanes, so the rows that agree up to
-# 700 lanes walk it alike; their 0.98-1.00 is the rounds' spread, about
+# 700 lanes walk it alike; their 1.01-1.03 is the rounds' spread, about
 # 2%.  Wide groups lose on wide blocks, where a step's arithmetic on every
-# lane costs more than its numpy calls, and groups of 4 gain on
-# ``short_trials`` what they lose on ``verify_exact``, so the groups stay.
+# lane costs more than its numpy calls, and no other row gains on both
+# workloads, so the groups stay.
 # A group of one is 6-17% slower than the plain one-step advance it
 # generalises, but only blocks of more than 2000 live lanes draw that way,
 # and at 20,000 lanes the two tied.  The hand-off walks only the steps the
 # lockstep did not, and 32 to 64 read alike, so it stays at 48.  A tail
 # with no numpy block sets its generator and draws a block of 64; one of
-# 32 draws spares that for the three quarters of ``verify_exact``'s 4,918
+# 32 draws spares that for the three quarters of ``verify_exact``'s 4,169
 # tails that stop within it, and larger blocks draw more that short tails
-# never read, so it stays at 32.
+# never read, so it stays at 32.  Dropping stopped lanes takes 13 numpy
+# calls; at a quarter of the lanes it happens at 602 of a ``short_trials``
+# pass's 837 group ends, and no other share (``any``: every group end
+# with a stop) gains on both workloads.
 LOCKSTEP_MIN_LANES = 400
 LOCKSTEP_MIN_LIVE = 48
 
@@ -394,41 +462,51 @@ def _group_size(live: int) -> int:
 
 
 @functools.cache
-def _jumps(size: int) -> tuple[np.ndarray, ...]:
-    """PCG64's jump-ahead words for 1 to ``size`` steps: ``A_k`` and
-    ``G_k`` as hi, lo, hi, lo uint64 arrays of shape (size, 1)."""
+def _jumps(size: int) -> tuple[tuple, ...]:
+    """PCG64's jump-ahead multipliers for 1 to ``size`` steps, as limbs
+    (:func:`_limbs`): ``A_k`` and ``G_k`` as uint64 columns of shape
+    (size, 1), and ``A_size`` as uint64 scalars."""
     mask = (1 << 128) - 1
     mult = _PCG_MULT_HI << 64 | _PCG_MULT_LO
     a, g, words = 1, 0, []
     for _ in range(size):
         a, g = a * mult & mask, g + a & mask
         words.append((a >> 64, a & _MASK64, g >> 64, g & _MASK64))
-    return tuple(np.array(column, np.uint64)[:, None] for column in zip(*words))
+    a_hi, a_lo, g_hi, g_lo = (np.array(column, np.uint64)[:, None] for column in zip(*words))
+    return _limbs(a_hi, a_lo), _limbs(g_hi, g_lo), _limbs(a_hi[-1, 0], a_lo[-1, 0])
 
 
 def _group_states(state_hi, state_lo, inc_hi, inc_lo, size: int):
     """Each lane's PCG64 states after 1 to ``size`` more steps, as (size,
     lanes) hi/lo arrays, and the jump that advances them by ``size`` steps
-    more (:func:`_next_group`): ``A_size`` as two ints, and each lane's
+    more (:func:`_next_group`): ``A_size``'s limbs, and each lane's
     ``G_size inc`` as (1, lanes) hi/lo arrays."""
-    a_hi, a_lo, g_hi, g_lo = _jumps(size)
-    g_inc_hi, g_inc_lo = _mul128(inc_hi, inc_lo, g_hi, g_lo)
-    group = _add128(*_mul128(state_hi, state_lo, a_hi, a_lo), g_inc_hi, g_inc_lo)
-    return group, (int(a_hi[-1, 0]), int(a_lo[-1, 0]), g_inc_hi[-1:], g_inc_lo[-1:])
+    a, g, a_size = _jumps(size)
+    g_inc_hi, g_inc_lo = _mul128(inc_hi, inc_lo, g)
+    group = _add128(*_mul128(state_hi, state_lo, a), g_inc_hi, g_inc_lo)
+    return group, (a_size, g_inc_hi[-1:], g_inc_lo[-1:])
 
 
 def _next_group(group_hi, group_lo, jump):
-    """The states a group's size of steps after each of ``group``'s."""
-    a_hi, a_lo, g_inc_hi, g_inc_lo = jump
-    return _add128(*_mul128(group_hi, group_lo, a_hi, a_lo), g_inc_hi, g_inc_lo)
+    """The states a group's size of steps after each of ``group``'s, as new
+    arrays."""
+    a, g_inc_hi, g_inc_lo = jump
+    return _add128(*_mul128(group_hi, group_lo, a), g_inc_hi, g_inc_lo)
 
 
 def _uniforms(state_hi, state_lo) -> np.ndarray:
     """``Generator.random``'s uniform from each PCG64 state: the top 53 bits
     of its XSL-RR output."""
     x = state_hi ^ state_lo
-    rot = state_hi >> 58
-    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+    rot = state_hi >> _U58
+    right = x >> rot
+    # (64 - rot) & 63, the left shift of the rotation.
+    np.negative(rot, out=rot)
+    rot &= _U63
+    x <<= rot
+    x |= right
+    x >>= _U11
+    return x * 2.0**-53
 
 
 def _lane_table(tables, lanes, start, ranked):
@@ -438,7 +516,9 @@ def _lane_table(tables, lanes, start, ranked):
     per-vertex grid (``walker._grid``).  There a lane's position is its
     vertex shifted to its grid row, a group's draws are binned once, and a
     step's slot is ``lo`` at (position + bin) plus the count of that bin's
-    thresholds at or below its draw."""
+    thresholds at or below its draw.  The chase moves each lane's position
+    and progress by slot and keeps the slots, stops and commutes, from
+    which the settle reads the charges and running values."""
     if ranked is not None:
         return ranked()
     slots, arcs, heads, charges = _slot_columns(tables)
@@ -450,14 +530,25 @@ def _lane_table(tables, lanes, start, ranked):
     def prepare(draws):
         return (draws * scale).astype(np.intp)
 
-    def step(at, progress, draws, bins, k):
-        slot = _grid_slots(lo, thr, at + bins[k], draws[k])
-        return charge_of.take(slot), moved.take(slot), *lane_step(progress, slot)
+    def chase(at, progress, draws, bins):
+        keys = []
+        for b, u in zip(bins, draws):
+            slot = _grid_slots(lo, thr, at + b, u)
+            at = moved.take(slot)
+            progress, stop, back = lane_step(progress, slot)
+            keys.append((slot, stop, back))
+        return keys, at, progress
+
+    def settle(keys, progress, clock, commutes):
+        slots, stops, backs = zip(*keys)
+        counts = None if backs[0] is None else _running(np.array(backs), commutes)
+        return _running(charge_of.take(slots), clock), np.array(stops), counts, progress
 
     def where(at, progress):
         return (at >> g).tolist(), resumed(progress)
 
-    return _Steps(start << g, lanes.initial, lanes.dtype, prepare, step, where, lambda d: d)
+    return _Steps(start << g, lanes.initial, lanes.dtype, prepare, chase, settle, where,
+                  lambda d: d)
 
 
 def _lanes(net, start, rule, tables, budget):
@@ -498,8 +589,13 @@ def _lockstep(table, streams, budget, samples):
     step count, commutes and that block, the next ``TAIL_BLOCK`` draws
     within the budget as the fused walk reads them.
 
-    Stopped lanes stay in the arrays, masked out of ``live``, until they are
-    a quarter of them; then every array drops them at once.
+    A draw group of ``rows`` steps is a chase and a settle
+    (``walker._Steps``), then the group's end: lanes that stopped in it
+    record their samples from their first stop row and leave ``live``.
+    Stopped lanes stay in the arrays, walking on unread, until they are a
+    quarter of them; then, at that group's end, every array drops them at
+    once.  Groups are cut at the budget, and the hand-off is at a group's
+    end.
     """
     times, step_counts, commute_counts = samples
     state_hi, state_lo, inc_hi, inc_lo = streams
@@ -510,63 +606,63 @@ def _lockstep(table, streams, budget, samples):
     commutes = np.zeros(len(lane), np.int64)
     clock = np.zeros(len(lane))
     left = len(lane)
-    steps = 0
-    prepare, step = table.prepare, table.step
-    # Row k of the group holds each lane's state after, and uniform and
-    # marks of, the group's (k + 1)-th step; before the first group, row -1
-    # holds the lanes' states before their first step.
+    steps = size = 0
+    prepare, chase, settle = table.prepare, table.chase, table.settle
+    # Row k of the group holds each lane's state after the group's (k + 1)-th
+    # step; before the first group, its one row holds the seeded states.
     group_hi, group_lo = state_hi[None], state_lo[None]
-    size = k = 0
     while left >= LOCKSTEP_MIN_LIVE and steps < budget:
-        if k == size:
-            fit = _group_size(left)
-            if fit == size:
-                group_hi, group_lo = _next_group(group_hi, group_lo, jump)
-            else:
-                (group_hi, group_lo), jump = _group_states(
-                    group_hi[k - 1], group_lo[k - 1], inc_hi, inc_lo, fit
-                )
-                size = fit
-            draws = _uniforms(group_hi, group_lo)
-            marks = prepare(draws)
-            k = 0
-        charge, at, progress, stop, back = step(at, progress, draws, marks, k)
-        k += 1
-        steps += 1
-        clock += charge
-        if back is not None:
-            commutes += back
-        stop &= live
-        idx = stop.nonzero()[0]
+        rows = min(_group_size(left), budget - steps)
+        if rows == size:
+            group_hi, group_lo = _next_group(group_hi, group_lo, jump)
+        else:
+            (group_hi, group_lo), jump = _group_states(
+                group_hi[-1], group_lo[-1], inc_hi, inc_lo, rows
+            )
+            size = rows
+        draws = _uniforms(group_hi, group_lo)
+        keys, at, progress = chase(at, progress, draws, prepare(draws))
+        clocks, stops, counts, progress = settle(keys, progress, clock, commutes)
+        clock = clocks[-1]
+        if counts is not None:
+            commutes = counts[-1]
+        stopped = stops.any(0)
+        stopped &= live
+        idx = stopped.nonzero()[0]
+        steps += rows
         if not len(idx):
             continue
+        row = stops[:, idx].argmax(0)
         done = lane.take(idx)
-        times[done] = clock.take(idx)
-        step_counts[done] = steps
-        if back is not None:
-            commute_counts[done] = commutes.take(idx)
+        times[done] = clocks[row, idx]
+        step_counts[done] = row + (steps - rows + 1)
+        if counts is not None:
+            commute_counts[done] = counts[row, idx]
         live[idx] = False
         left -= len(idx)
         if 4 * left < 3 * len(lane):
-            keep = np.flatnonzero(live)
+            keep = live.nonzero()[0]
             lane, at, progress, commutes, clock, inc_hi, inc_lo = (
                 a.take(keep) for a in (lane, at, progress, commutes, clock, inc_hi, inc_lo)
             )
-            group_hi, group_lo, draws, marks, g_inc_hi, g_inc_lo = (
-                a.take(keep, axis=1) for a in (group_hi, group_lo, draws, marks, *jump[2:])
+            group_hi, group_lo, g_inc_hi, g_inc_lo = (
+                a.take(keep, axis=1) for a in (group_hi, group_lo, *jump[1:])
             )
-            jump = *jump[:2], g_inc_hi, g_inc_lo
+            jump = jump[0], g_inc_hi, g_inc_lo
             live = np.ones(left, bool)
-    state_hi, state_lo = group_hi[k - 1][live], group_lo[k - 1][live]
-    inc_hi, inc_lo = inc_hi[live], inc_lo[live]
+    keep = live.nonzero()[0]
+    lane, at, progress, commutes, clock, inc_hi, inc_lo = (
+        a.take(keep) for a in (lane, at, progress, commutes, clock, inc_hi, inc_lo)
+    )
+    state_hi, state_lo = group_hi[-1].take(keep), group_lo[-1].take(keep)
     ahead, blocks = min(TAIL_BLOCK, budget - steps), repeat(())
-    if ahead and left:
+    if ahead and len(lane):
         (block_hi, block_lo), _ = _group_states(state_hi, state_lo, inc_hi, inc_lo, ahead)
         blocks = table.reads(_uniforms(block_hi, block_lo)).T.tolist()
         state_hi, state_lo = block_hi[-1], block_lo[-1]
-    resume = zip(*table.where(at[live], progress[live]), clock[live].tolist(), repeat(steps),
-                 commutes[live].tolist(), blocks)
-    return lane[live], (state_hi, state_lo, inc_hi, inc_lo), resume
+    resume = zip(*table.where(at, progress), clock.tolist(), repeat(steps),
+                 commutes.tolist(), blocks)
+    return lane, (state_hi, state_lo, inc_hi, inc_lo), resume
 
 
 @dataclass(frozen=True)

@@ -53,37 +53,43 @@ While the rows hold at most ``RANK_ENTRIES_MAX`` entries, a row has an
 entry per rank of a draw among the sampling rows' breakpoints, so a step
 bisects nothing.  The ranks are found a refill block at a time: a trial's
 first block by one ``searchsorted``, and every later block by a lookup
-(:func:`_grid`) on a one-row grid over the breakpoints, built once per
-estimate.  The two cross between blocks of 128 and 256 draws (the table
-is beside ``REFILL_MAX``).  Above the gate, a slot row has the vertex's
+(:func:`_grid`) on a one-row grid over the breakpoints, built directly
+from them once per estimate (:func:`_breaks_grid`).  The two cross
+between blocks of 128 and 256 draws (the table is beside
+``REFILL_MAX``).  Above the gate, a slot row has the vertex's
 ``cum`` list and the same entries, one per slot, and a step bisects
 ``cum``.
 
 A block of at least ``estimate.LOCKSTEP_MIN_LANES`` trials walks in
-lockstep, one numpy step over all its trials at a time, while its masks
-fit in 64 bits, on uniforms it draws in groups by PCG64 jump-ahead.  On
-rank rows it reads the fused walker's layout: the lanes' ``walkers``
-build both walkers from the same entries, and the lockstep walker's are
-flat arrays with one entry per row and rank.  It ranks each draw group
-once, on the same one-row grid, and a step is a key, ``position + rank``,
-and a few ``take``s from those arrays; a table rule's state is folded
-into the row, as in the fused loop.  Above the gate, a step finds every
-trial's slot with one lookup on a per-vertex grid of its draw, at any row
-width, and moves the trial's progress through the lanes' ``lockstep``
-step, one pure, vectorised update over per-slot tables, which the exact
-solver steps through too.  Either way the lockstep walker keeps every
-trial's progress and commute count itself.  It hands its last
-``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to the fused loop,
-which goes on from each trial's vertex, progress, clock, step count and
-generator state, so no step is walked twice; each such tail first reads a
-block of its next ``estimate.TAIL_BLOCK`` draws that the lockstep walker
-drew and ranked in numpy, and sets its generator only if it walks past
-them.  Every step draws exactly one uniform, so a trial's k-th draw is
-its k-th step in all three walkers.  The gate's value and the measured
-tables behind it, the draw groups, the hand-off and the tails' block are
-in :mod:`walkcover.estimate`; the grid and its bound,
-``GRID_ENTRIES_MAX``, are here.  The walkers and the exact solver read
-the sampling rows through one layout, :func:`_slot_columns`.
+lockstep, one draw group of steps over all its trials at a time, while its
+masks fit in 64 bits, on uniforms it draws in groups by PCG64 jump-ahead.
+It walks a group as a chase and a settle (:class:`_Steps`): the chase
+takes the group's steps in turn and moves only what the next step looks
+up, and the settle reads every step's charge, stop and commute, or
+coverage bit, from the chase's keys at once, as running values down the
+group's rows.  On rank rows it reads the fused walker's layout: the lanes'
+``walkers`` build both walkers from the same entries, and the lockstep
+walker's are flat arrays with one entry per row and rank.  It ranks each
+draw group once, on the same one-row grid, and a step of the chase is a
+key, ``position + rank``, and the next position at that key; a table
+rule's state is folded into the row, as in the fused loop.  Above the
+gate, a step of the chase finds every trial's slot with one lookup on a
+per-vertex grid of its draw, at any row width, and moves the trial's
+progress through the lanes' ``lockstep`` step, one pure, vectorised
+update over per-slot tables, which the exact solver steps through too.
+Either way the lockstep walker keeps every trial's progress and commute
+count itself, and records the trials that stopped at each group's end.
+At a group's end it hands its last ``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to
+the fused loop, which goes on from each trial's vertex, progress, clock,
+step count and generator state, so no step is walked twice; each such tail
+first reads a block of its next ``estimate.TAIL_BLOCK`` draws that the
+lockstep walker drew and ranked in numpy, and sets its generator only if
+it walks past them.  Every step draws exactly one uniform, so a trial's
+k-th draw is its k-th step in all three walkers.  The gate's value and the
+measured tables behind it, the draw groups, the hand-off and the tails'
+block are in :mod:`walkcover.estimate`; the grid and its bound,
+``GRID_ENTRIES_MAX``, are here.  The walkers and the exact solver read the
+sampling rows through one layout, :func:`_slot_columns`.
 """
 
 from __future__ import annotations
@@ -852,14 +858,39 @@ def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) 
     return slot
 
 
+def _breaks_grid(breaks: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """:func:`_grid` of one row whose ``cum`` is the sorted breakpoints and
+    1.0, built directly: ``g`` from the XOR of neighbouring keys on the
+    finest grid, as :func:`_grid` finds it, ``lo`` as the count of
+    breakpoints below each bin's lower edge, and each breakpoint's
+    threshold at its place in its bin.  Bins are counted out by
+    ``repeat``: at 2**16 bins it takes about 23 us, against 230-580 us for
+    a ``searchsorted`` of the bin edges."""
+    finest = GRID_ENTRIES_MAX.bit_length() - 1
+    fine = (breaks * 2.0**finest).astype(np.intp)
+    bits = np.frexp(fine[1:] ^ fine[:-1])[1]
+    g = min(finest + 1 - int(bits.min(initial=finest + 1)), finest)
+    key = fine >> finest - g
+    # lo steps up by one at each key: bins up to the first key hold lo 0,
+    # and the bins after key i up to key i + 1 hold lo i + 1.
+    bounds = np.empty(len(key) + 2, np.intp)
+    bounds[0], bounds[1:-1], bounds[-1] = -1, key, (1 << g) - 1
+    lo = np.arange(len(key) + 1).repeat(bounds[1:] - bounds[:-1])
+    place = np.arange(len(key)) - lo.take(key)
+    thr = np.full((place.max(initial=-1) + 1, 1 << g), 2.0)
+    thr[place, key] = breaks
+    return g, lo, thr
+
+
 def _row_grid(breaks: np.ndarray):
-    """A one-row :func:`_grid` over the breakpoints, built at the first call
-    of the function returned: ``(2**g, lo, thr, small)``, where ``small``
-    is ``lo`` as uint8 while there are at most 256 ranks (``lo`` above)."""
+    """A one-row :func:`_grid` over the breakpoints (:func:`_breaks_grid`),
+    built at the first call of the function returned: ``(2**g, lo, thr,
+    small)``, where ``small`` is ``lo`` as uint8 while there are at most
+    256 ranks (``lo`` above)."""
 
     @cache
     def grid():
-        g, lo, thr = _grid([([*breaks.tolist(), 1.0], 0, len(breaks) + 1)])
+        g, lo, thr = _breaks_grid(breaks)
         return 2.0**g, lo, list(thr), lo.astype(np.uint8) if len(breaks) < 256 else lo
 
     return grid
@@ -899,24 +930,60 @@ class _Steps(NamedTuple):
     built once per estimate.  Each lane has a position and a progress.
 
     ``start`` is every lane's first position, and ``initial`` and ``dtype``
-    its first progress.  ``prepare(draws)`` turns a draw group's (size,
-    lanes) uniforms into what its steps look up, once per group.
-    ``step(at, progress, draws, marks, k)`` takes the group's k-th step,
-    ``marks`` being ``prepare(draws)``: ``(charges, positions, progress,
-    stop, back)``, ``back`` 1 where a lane completes a commute, or None for
-    rules that count none.  ``where(at, progress)`` gives the vertices and
-    progress values the fused walk goes on from, as lists, and
-    ``reads(draws)`` what the fused walk reads of uniforms: their ranks on
-    rank rows, the uniforms themselves on slot rows.
+    its first progress.  A draw group's (rows, lanes) uniforms ``draws``
+    walk as a chase, then a settle.  ``prepare(draws)`` gives what the
+    chase looks up, once per group.  ``chase(at, progress, draws, marks)``
+    takes the group's steps in row order, ``marks`` being
+    ``prepare(draws)``, and moves only what the next step's lookup needs:
+    it returns ``(keys, at, progress)``, the keys of every row and the
+    positions and progress after the group.  ``settle(keys, progress,
+    clock, commutes)`` reads every row's step from its keys at once, and
+    returns each lane's running values after every row, of shape (rows,
+    lanes): ``(clocks, stops, counts, progress)``, with ``stops`` True
+    where the lane stops, ``counts`` its commutes, or None for rules that
+    count none, and ``progress`` after the group.  ``where(at, progress)``
+    gives the vertices and progress values the fused walk goes on from, as
+    lists, and ``reads(draws)`` what the fused walk reads of uniforms:
+    their ranks on rank rows, the uniforms themselves on slot rows.
     """
 
     start: int
     initial: int
     dtype: type
     prepare: Callable
-    step: Callable
+    chase: Callable
+    settle: Callable
     where: Callable
     reads: Callable
+
+
+def _running(rows: np.ndarray, first: np.ndarray, ufunc=np.add) -> np.ndarray:
+    """The running ``ufunc`` (a sum, or a bitwise or) of each lane's column
+    of ``rows`` down the rows, from the lane's ``first`` value, in place:
+    row k holds ``first`` with rows 0 to k folded in, one row at a time, so
+    a running sum of charges adds them in step order, as the fused walk
+    does.  A call a row: ``ufunc.accumulate`` down the rows of an (8, 600)
+    array takes about four times as long (21 against 5 us), as it loops
+    over the columns."""
+    before = first
+    for row in rows:
+        ufunc(row, before, out=row)
+        before = row
+    return rows
+
+
+def _rank_chase(moved: np.ndarray) -> Callable:
+    """The chase on rank rows: a step's key is its position plus its draw's
+    rank, written over the ranks, and its next position ``moved`` at the
+    key."""
+
+    def chase(at, progress, draws, ranks):
+        for key in ranks:
+            key += at
+            at = moved.take(key)
+        return ranks, at, progress
+
+    return chase
 
 
 class _TableLanes:
@@ -971,9 +1038,9 @@ class _TableLanes:
         walker's :class:`_Steps` from the same entries, one per row and
         rank, with the state folded into the row: a lane's position is its
         row times the ranks, so a step's key is its position plus its
-        draw's rank, and flat tables give per key the charge, the next
-        position, the stop and the commute.  Ranks come from the one-row
-        grid that ranks the fused walk's later blocks.
+        draw's rank.  The chase reads the next position per key, and the
+        settle the charge, the stop and the commute.  Ranks come from the
+        one-row grid that ranks the fused walk's later blocks.
         """
         slots, arcs, heads, charges = _slot_columns(tables)
         nxt, stop, b = self._by_slot(arcs)
@@ -1026,20 +1093,18 @@ class _TableLanes:
             @cache
             def ranked() -> _Steps:
                 charge = np.tile(charges, states)[picks]
-                moved, stops = (to * width)[picks], stop.ravel()[picks]
-                backs = b.ravel()[picks] if counted else None
+                stops, backs = stop.ravel()[picks], b.ravel()[picks] if counted else None
 
-                def step(at, state, draws, ranks, k):
-                    key = at + ranks[k]
-                    return (charge.take(key), moved.take(key), state, stops.take(key),
-                            None if backs is None else backs.take(key))
+                def settle(keys, state, clock, commutes):
+                    counts = None if backs is None else _running(backs.take(keys), commutes)
+                    return _running(charge.take(keys), clock), stops.take(keys), counts, state
 
                 def where(at, state):
                     row = at // width
                     return (row % n).tolist(), (row // n).tolist()
 
-                rank = partial(_grid_ranks, grid)
-                return _Steps(start * width, 0, np.intp, rank, step, where, rank)
+                rank, chase = partial(_grid_ranks, grid), _rank_chase((to * width)[picks])
+                return _Steps(start * width, 0, np.intp, rank, chase, settle, where, rank)
 
         _link(walk, fill, entries)
         return walk, ranked
@@ -1096,11 +1161,11 @@ class _MaskLanes:
         ``ranked()``, on rank rows (None on slot rows), builds the lockstep
         walker's :class:`_Steps` from the same entries, one per vertex and
         rank: a lane's position is its vertex times the ranks, so a step's
-        key is its position plus its draw's rank, and flat tables give per
-        key the charge, the next position, the bit and whether the walk may
-        stop there.  Ranks come from the one-row grid that ranks the fused
-        walk's later blocks.  Masks wider than 64 bits never walk in
-        lockstep.
+        key is its position plus its draw's rank.  The chase reads the next
+        position per key, and the settle the charge, the bit and whether
+        the walk may stop there.  Ranks come from the one-row grid that
+        ranks the fused walk's later blocks.  Masks wider than 64 bits
+        never walk in lockstep.
         """
         full, initial, root = self.full, self.initial, self.root
         slots, arcs, heads, charges = _slot_columns(tables)
@@ -1150,19 +1215,18 @@ class _MaskLanes:
                 bits = np.array(self.bits, np.uint64)[np.array(arcs, np.intp)[picks]]
                 home, top = None if root is None else lands == root, np.uint64(full)
 
-                def step(at, mask, draws, ranks, k):
-                    key = at + ranks[k]
-                    mask = mask | bits.take(key)
-                    stop = mask == top
+                def settle(keys, mask, clock, commutes):
+                    masks = _running(bits.take(keys), mask, np.bitwise_or)
+                    stops = masks == top
                     if home is not None:
-                        stop &= home.take(key)
-                    return charge.take(key), moved.take(key), mask, stop, None
+                        stops &= home.take(keys)
+                    return _running(charge.take(keys), clock), stops, None, masks[-1]
 
                 def where(at, mask):
                     return (at // width).tolist(), mask.tolist()
 
-                rank = partial(_grid_ranks, grid)
-                return _Steps(start * width, initial, np.uint64, rank, step, where, rank)
+                rank, chase = partial(_grid_ranks, grid), _rank_chase(moved)
+                return _Steps(start * width, initial, np.uint64, rank, chase, settle, where, rank)
 
         _link(walk, fill, entries)
         return walk, ranked

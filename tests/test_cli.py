@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,10 +292,14 @@ def test_gen_requires_spec(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the package these tests import, whether or not
+    # PYTHONPATH names its source directory.
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "walkcover", "resist", "--gen", "triangle",
          "--pair", "0", "1", "--format", "text"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "0.666667\n"

@@ -22,14 +22,15 @@ def test_lollipop_draws_are_printed():
 
 def test_tails_read_their_numpy_drawn_blocks():
     """600 commutes on ``triangle`` walk in lockstep and hand fewer than
-    ``LOCKSTEP_MIN_LIVE`` (48) tails to the fused loop.  Each gets a
-    numpy-drawn block of 32 draws; the tails walk 51 steps, none past its
-    block, so they draw no uniform from a generator."""
+    ``LOCKSTEP_MIN_LIVE`` (48) tails to the fused loop, at the end of a
+    draw group: 14 of them.  Each gets a numpy-drawn block of 32 draws; the
+    tails walk 23 steps, none past its block, so they draw no uniform from
+    a generator."""
     out = subprocess.run([sys.executable, str(_TOOL), "tails"],
                          capture_output=True, text=True, check=True).stdout
     name, steps, fused, drawn, ahead, blocks, grid, *times = out.split()
-    assert name == "tails" and int(steps) == 2309 and int(fused) == 51
-    assert int(ahead) == 28 * 32 and int(drawn) == int(blocks) == int(grid) == 0
+    assert name == "tails" and int(steps) == 2309 and int(fused) == 23
+    assert int(ahead) == 14 * 32 and int(drawn) == int(blocks) == int(grid) == 0
 
 
 def test_unknown_estimate_is_refused():

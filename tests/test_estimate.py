@@ -383,6 +383,29 @@ def test_grid_lookup_equals_bisect_right(tables, picks):
     assert (parted(g) or finest) and (g == 0 or not parted(g - 1)), g
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_row_grid_equals_the_general_grid(seed):
+    """The one-row grid built directly from sorted breakpoints is the
+    general grid of the row they and 1.0 make: the same g, ``lo`` (values
+    and type) and threshold columns.  Sets of 0 to 40 breakpoints, some on
+    a coarse lattice, and from seed 4 on with two breakpoints closer than
+    2**-16, which no grid within ``GRID_ENTRIES_MAX`` parts."""
+    rng = np.random.default_rng(seed)
+    for size in (0, 1, 2, 5, 17, 40):
+        breaks = rng.random(size)
+        if seed % 4 == 1:
+            breaks = np.round(breaks * 64) / 64
+        if seed >= 4 and size:
+            breaks = np.append(breaks, breaks[0] + rng.random() * 2.0**-(17 + seed))
+        breaks = np.unique(breaks[(breaks > 0) & (breaks < 1)])
+        g, lo, thr = walker_module._breaks_grid(breaks)
+        expected = walker_module._grid([([*breaks.tolist(), 1.0], 0, len(breaks) + 1)])
+        assert g == expected[0] and lo.dtype == expected[1].dtype, (seed, size)
+        assert lo.tolist() == expected[1].tolist() and thr.tolist() == expected[2].tolist()
+        if seed >= 4 and size > 1:
+            assert g == 16 and len(thr) > 1, (seed, size)
+
+
 def test_grid_keeps_columns_past_its_bound():
     """Where no grid within ``GRID_ENTRIES_MAX`` parts two breakpoints of a
     row, the grid is the finest within it and a bin keeps two thresholds;
@@ -642,9 +665,9 @@ def walks(monkeypatch):
     fused loop on the rule's lane tables; ``grid``, the refill blocks the
     fused loop ranked on the grid; and ``vertex_grid``, the per-vertex grids
     the lockstep walker built, which it steps on only above the rank gate.
-    ``walks.lockstep`` counts the lockstep walker's steps, as calls of the
-    step of the moves the estimator builds for it (``_lane_table``), on
-    rank rows or on the grid, and ``walks.handed`` holds, per fused walk,
+    ``walks.lockstep`` counts the lockstep walker's steps, as the rows that
+    the settles of the moves the estimator builds for it (``_lane_table``)
+    take, on rank rows or on the grid, and ``walks.handed`` holds, per fused walk,
     the arguments after ``(rng, budget)``, its result and the steps it
     walked, counted as the draws it read, those of a lockstep tail's
     numpy-drawn block among them."""
@@ -676,10 +699,11 @@ def walks(monkeypatch):
         table = lane_table(*args)
 
         def counted(*arrays):
-            counts.lockstep[0] += 1
-            return table.step(*arrays)
+            settled = table.settle(*arrays)
+            counts.lockstep[0] += len(settled[0])
+            return settled
 
-        return table._replace(step=counted)
+        return table._replace(settle=counted)
 
     refills, rankers = walker_module._refills, walker_module._rankers
     grid, lane_table = estimate_module._grid, estimate_module._lane_table
@@ -807,16 +831,59 @@ def test_lockstep_steps_on_rank_rows_below_the_gate(walks, monkeypatch, case):
     assert _rank_gated(net, rule) != wide
     one_row = [0]
 
-    def counted_grid(slots):
+    def counted_grid(breaks):
         one_row[0] += 1
-        return grid(slots)
+        return grid(breaks)
 
-    grid = walker_module._grid
-    monkeypatch.setattr(walker_module, "_grid", counted_grid)
+    grid = walker_module._breaks_grid
+    monkeypatch.setattr(walker_module, "_breaks_grid", counted_grid)
     walks.lockstep[0] = 0
     estimate_module._trial_block((net, start, rule, TimingModel.L_SQUARED, 5, 0, 400, 10**9))
     assert walks.lockstep[0] > 0 and walks["vertex_grid"] == wide
     assert one_row[0] == (not wide), walks["grid"]
+
+
+# Budgets around the second draw group of ``rows`` rows: one draw into it,
+# ``rows - 1`` draws, on its last row and one past.
+def _group_budgets(rows):
+    return sorted({rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1} - {rows})
+
+
+@pytest.mark.parametrize("case", range(len(_lockstep_cases())))
+@pytest.mark.parametrize("model", list(TimingModel))
+def test_group_settle_equals_per_trial_runs(monkeypatch, case, model):
+    """Draw groups of 1, 2, 8 and 64 rows at every width settle every trial
+    as ``run`` walks it: a block of ``LOCKSTEP_MIN_LANES`` trials equals
+    ``run`` trial by trial, and at budgets that end one draw into the second
+    group, ``rows - 1`` draws into it, on its last row and one past, it
+    still does, or ``StepBudgetExceeded`` names the trial ``run`` fails
+    first, with ``run``'s text, at 1 and 2 workers."""
+    net, start, rule = _lockstep_cases()[case]
+    trials, seed = estimate_module.LOCKSTEP_MIN_LANES, 61 + case
+    tables = build_tables(net, model)
+    expected = [_expected_sample(net, start, rule, model, tables, trial_rng(seed, i))
+                for i in range(trials)]
+    failed = 0
+    for rows in (1, 2, 8, 64):
+        monkeypatch.setattr(estimate_module, "LOCKSTEP_GROUPS", ((trials, rows),))
+        for budget in (10**9, *_group_budgets(rows)):
+            failing = [i for i, (_, n, _) in enumerate(expected) if n > budget]
+            if not failing:
+                job = (net, start, rule, model, seed, 0, trials, budget)
+                samples = estimate_module._trial_block(job)[1]
+                assert list(zip(*(c.tolist() for c in samples))) == expected, (rows, budget)
+                continue
+            failed += 1
+            with pytest.raises(StepBudgetExceeded) as exc:
+                run(net, start, rule, model, trial_rng(seed, failing[0]), step_budget=budget,
+                    tables=tables)
+            text = f"trial {failing[0]}: {exc.value}"
+            for workers in (1, 2):
+                with pytest.raises(StepBudgetExceeded) as exc:
+                    estimate(net, start, rule, model, trials, seed, workers=workers,
+                             step_budget=budget)
+                assert str(exc.value) == text, (rows, budget, workers)
+    assert failed, "no budget failed"
 
 
 def _tail_cases():
@@ -838,9 +905,9 @@ def test_tails_stop_inside_at_the_end_of_and_past_their_numpy_block(walks, monke
     if it walks past that block.  At the default size, and at a size that
     one tail's stop falls on the block's last draw, tails stop inside the
     block, on its last draw and past it, and every trial equals ``run``.
-    Budgets that end inside the block, on its last draw and past it fail on
-    the trial ``run`` fails first, with ``run``'s text, at 1 and 2
-    workers."""
+    Budgets that end inside the smaller of the two blocks, on its last draw
+    and past it fail on the trial ``run`` fails first, with ``run``'s text,
+    at 1 and 2 workers."""
     net, start, rule = _tail_cases()[case]
     model, trials, seed = TimingModel.L_SQUARED, 400, 17 + case
     tables = build_tables(net, model)
@@ -872,9 +939,13 @@ def test_tails_stop_inside_at_the_end_of_and_past_their_numpy_block(walks, monke
             # tails on either side of it.
             sizes.append(sorted(n - done for done, _, n in handed)[len(handed) // 2])
     assert where["inside"] and where["last"] and where["past"], where
-    monkeypatch.setattr(estimate_module, "TAIL_BLOCK", default)
+    # The budgets end around the smaller block, so that some tail walks past
+    # the last of them: short tails handed off at a group's end may all stop
+    # within the default block.
+    size = min(sizes)
+    monkeypatch.setattr(estimate_module, "TAIL_BLOCK", size)
     handoff = handed[0][0]
-    for budget in (handoff + 1, handoff + default - 1, handoff + default, handoff + default + 1):
+    for budget in (handoff + 1, handoff + size - 1, handoff + size, handoff + size + 1):
         failing = [i for i, n in enumerate(steps) if n > budget]
         assert failing, budget
         with pytest.raises(StepBudgetExceeded) as expected:

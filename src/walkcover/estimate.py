@@ -76,11 +76,6 @@ from .walker import (
     RefinedCommute,
     TimingModel,
     VertexCover,
-    _grid,
-    _Steps,
-    _grid_slots,
-    _running,
-    _slot_columns,
     build_tables,
     checked_tracker,
     run,
@@ -306,8 +301,9 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # exactly one uniform, so a lane's k-th draw is its k-th step whatever the
 # scalar walker's refill schedule.
 #
-# How a step moves a lane is a ``walker._Steps``, built once per estimate
-# (:func:`_lane_table`).  A group is a chase, then a settle.  The chase
+# How a step moves a lane is a ``walker._Steps``, which the lanes'
+# ``walkers`` build once per estimate, on either side of the rank gate,
+# beside the fused walk.  A group is a chase, then a settle.  The chase
 # takes the group's steps in turn and moves only what the next step's
 # lookup needs, and keeps each step's keys; the settle then reads every
 # step from its keys at once and gives each lane's running values after
@@ -315,10 +311,10 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # clock, one row at a time (so each lane adds its charges in step order,
 # and its clock is the scalar walker's float sum), its coverage mask by
 # or-ing the bits down the rows, its stops and its commute count.  While
-# the fused loop's rows are rank rows, the lanes' ``walkers`` build the
-# moves from the same entries: a lane's position is its row (a table
-# rule's state folded in) times the ranks, each group's draws are ranked
-# once on the fused loop's one-row grid, and a step of the chase is two
+# the fused loop's rows are rank rows, the moves come from the same
+# entries: a lane's position is its row (a table rule's state folded in)
+# times the ranks, each group's draws are ranked once on the fused loop's
+# one-row grid, and a step of the chase is two
 # numpy calls, ``key = position + rank`` and ``position = moved[key]``;
 # flat per-(row, rank) arrays give the settle the charge, the stop and the
 # commute, or the coverage bit.  Above ``walker.RANK_ENTRIES_MAX`` a step
@@ -509,48 +505,6 @@ def _uniforms(state_hi, state_lo) -> np.ndarray:
     return x * 2.0**-53
 
 
-def _lane_table(tables, lanes, start, ranked):
-    """The lockstep walker's moves, a ``walker._Steps``: ``ranked()`` on the
-    fused walker's rank rows, or, above ``walker.RANK_ENTRIES_MAX``
-    (``ranked`` None), the lanes' ``lockstep`` step over slots found on a
-    per-vertex grid (``walker._grid``).  There a lane's position is its
-    vertex shifted to its grid row, a group's draws are binned once, and a
-    step's slot is ``lo`` at (position + bin) plus the count of that bin's
-    thresholds at or below its draw.  The chase moves each lane's position
-    and progress by slot and keeps the slots, stops and commutes, from
-    which the settle reads the charges and running values."""
-    if ranked is not None:
-        return ranked()
-    slots, arcs, heads, charges = _slot_columns(tables)
-    g, lo, thr = _grid(slots)
-    arcs, heads = np.array(arcs, np.intp), np.array(heads, np.intp)
-    lane_step, resumed = lanes.lockstep(arcs, heads)
-    moved, charge_of, thr, scale = heads << g, np.array(charges), list(thr), 2.0**g
-
-    def prepare(draws):
-        return (draws * scale).astype(np.intp)
-
-    def chase(at, progress, draws, bins):
-        keys = []
-        for b, u in zip(bins, draws):
-            slot = _grid_slots(lo, thr, at + b, u)
-            at = moved.take(slot)
-            progress, stop, back = lane_step(progress, slot)
-            keys.append((slot, stop, back))
-        return keys, at, progress
-
-    def settle(keys, progress, clock, commutes):
-        slots, stops, backs = zip(*keys)
-        counts = None if backs[0] is None else _running(np.array(backs), commutes)
-        return _running(charge_of.take(slots), clock), np.array(stops), counts, progress
-
-    def where(at, progress):
-        return (at >> g).tolist(), resumed(progress)
-
-    return _Steps(start << g, lanes.initial, lanes.dtype, prepare, chase, settle, where,
-                  lambda d: d)
-
-
 def _lanes(net, start, rule, tables, budget):
     """The rule's lane tables, checked as ``run`` checks a trial, or None to
     walk every trial on ``run``: the rule has no table form, or ``run``
@@ -565,10 +519,11 @@ def _lanes(net, start, rule, tables, budget):
 
 
 def _walkers(net, start, rule, model, tables, lanes):
-    """``(walk, ranked)``: ``walk(rng, budget) -> (stop time, steps,
+    """``(walk, moves)``: ``walk(rng, budget) -> (stop time, steps,
     commutes)`` for one trial, the fused walk on the rule's lane tables or
-    ``run`` without them, and the lanes' rank-row lockstep moves (see
-    ``walkers`` of the lanes; None without rank rows)."""
+    ``run`` without them, and ``moves()``, the lanes' lockstep moves (see
+    ``walkers`` of the lanes), or None where the estimate never walks in
+    lockstep."""
     if lanes is not None:
         return lanes.walkers(tables, start, rule.label())
 
@@ -580,8 +535,8 @@ def _walkers(net, start, rule, model, tables, lanes):
 
 
 def _lockstep(table, streams, budget, samples):
-    """Walk a block's trials in lockstep on ``table``'s moves
-    (:func:`_lane_table`) and write the stop time, steps and commutes of
+    """Walk a block's trials in lockstep on ``table``'s moves (a
+    ``walker._Steps``) and write the stop time, steps and commutes of
     those that stop while the walker runs into ``samples``' three arrays.
     Return the others' indices, in trial order, their PCG64 state and
     increment words after their numpy-drawn block, and per trial the
@@ -723,16 +678,15 @@ def _block_walker(net, start, rule, model, seed, budget):
     ``streams`` as :func:`_trial_states` derives them for those trials
     (derived here when None).  ``lockstep(n)`` says whether a block of
     ``n`` trials walks in lockstep: it does when it has at least
-    ``LOCKSTEP_MIN_LANES`` trials and the rule's lanes serve it.  The
-    tables, lanes and fused rows are built here, once per estimate, and the
-    lockstep walker's moves when a block first needs them; every block of
-    the estimate reuses them.  A fused trial's generator is set to its
-    state before its walk, and a lockstep tail's at its first draw past its
-    numpy-drawn block, if it has one."""
+    ``LOCKSTEP_MIN_LANES`` trials and the rule's lanes give lockstep
+    moves.  The tables, lanes and fused rows are built here, once per
+    estimate, and the lockstep walker's moves when a block first needs
+    them; every block of the estimate reuses them.  A fused trial's
+    generator is set to its state before its walk, and a lockstep tail's
+    at its first draw past its numpy-drawn block, if it has one."""
     tables = build_tables(net, model)
     lanes = _lanes(net, start, rule, tables, budget)
-    walk, ranked = _walkers(net, start, rule, model, tables, lanes)
-    lane_table = functools.cache(lambda: _lane_table(tables, lanes, start, ranked))
+    walk, moves = _walkers(net, start, rule, model, tables, lanes)
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
 
@@ -745,7 +699,7 @@ def _block_walker(net, start, rule, model, seed, budget):
         }
 
     def lockstep(n: int) -> bool:
-        return lanes is not None and lanes.dtype is not None and n >= LOCKSTEP_MIN_LANES
+        return moves is not None and n >= LOCKSTEP_MIN_LANES
 
     def block(lo, hi, streams=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if streams is None:
@@ -754,7 +708,7 @@ def _block_walker(net, start, rule, model, seed, budget):
         times, steps, commutes = samples
         rest, resume, gen, aim = np.arange(hi - lo), repeat(()), rng, seek
         if lockstep(hi - lo):
-            rest, streams, resume = _lockstep(lane_table(), streams, budget, samples)
+            rest, streams, resume = _lockstep(moves(), streams, budget, samples)
             gen = _Deferred(seek, rng)
             aim = gen.aim
         for j, s_hi, s_lo, i_hi, i_lo, at in zip(

@@ -67,11 +67,14 @@ It walks a group as a chase and a settle (:class:`_Steps`): the chase
 takes the group's steps in turn and moves only what the next step looks
 up, and the settle reads every step's charge, stop and commute, or
 coverage bit, from the chase's keys at once, as running values down the
-group's rows.  On rank rows it reads the fused walker's layout: the lanes'
-``walkers`` build both walkers from the same entries, and the lockstep
-walker's are flat arrays with one entry per row and rank.  It ranks each
-draw group once, on the same one-row grid, and a step of the chase is a
-key, ``position + rank``, and the next position at that key; a table
+group's rows.  One builder, the lanes' ``walkers``, gives an estimate both
+walkers, ``(walk, moves)``: the fused walk, and ``moves()``, the lockstep
+walker's moves on either side of the rank gate.  Each lane kind gives it
+only its entries' columns, its two fused loops and its settle fold.  On
+rank rows the moves read the fused walker's layout, as flat arrays of the
+same entries with one entry per row and rank.  The lockstep walker ranks
+each draw group once, on the same one-row grid, and a step of the chase
+is a key, ``position + rank``, and the next position at that key; a table
 rule's state is folded into the row, as in the fused loop.  Above the
 gate, a step of the chase finds every trial's slot with one lookup on a
 per-vertex grid of its draw, at any row width, and moves the trial's
@@ -491,17 +494,23 @@ class _MaskTracker:
 # (:mod:`walkcover.exact`) steps a breadth-first level of states at a time
 # through the vectorised step the lockstep walker takes above the rank gate.
 # Lanes expose:
-#   walkers(tables, start, label) -> (walk, ranked)
+#   walkers(tables, start, label) -> (walk, moves)
 #       ``walk(rng, budget, *resumed)`` walks one trial at a time in a fused
 #       loop: (stop time, steps, commutes), with commutes -1 for rules that
 #       do not count them, and the same StepBudgetExceeded as ``run``,
 #       naming the full budget.  From ``start`` without ``resumed``; with
 #       ``resumed = (vertex, progress, clock, steps, commutes, ahead)``, on
 #       from that step, reading the draws ``ahead`` first and then ``rng``
-#       (rules that count no commutes ignore the commutes).  ``ranked()``
-#       builds the lockstep walker's moves on the same rank rows (a
-#       :class:`_Steps`), or ``ranked`` is None on slot rows.  Build them
-#       once per estimate and walk every trial on them
+#       (rules that count no commutes ignore the commutes).  ``moves()``
+#       builds the lockstep walker's moves (a :class:`_Steps`) at its first
+#       call: on the same rank rows below ``RANK_ENTRIES_MAX``, and on the
+#       per-vertex grid above it; ``moves`` is None where ``dtype`` is.
+#       Build them once per estimate and walk every trial on them.  Both
+#       kinds take it from :class:`_Lanes`, the one builder, and give it
+#       three pieces: their entries' columns (the row each (state, slot)
+#       leads to, and a code, or a bit and a home flag), their fused loops
+#       on slot rows and on rank rows, and their settle fold and ``where``
+#       on rank rows
 #   lockstep(arcs, heads) -> (step, resumed)
 #       the one vectorised step, over slots with these arcs and heads (int
 #       arrays, one entry per slot): ``step(progress, slot) -> (progress,
@@ -514,7 +523,8 @@ class _MaskTracker:
 #   dtype                             (numpy type of the step's progress, or
 #                                      None for object arrays, as masks wider
 #                                      than 64 bits need; the lockstep walker
-#                                      takes only a numpy type)
+#                                      takes only a numpy type, so ``walkers``
+#                                      gives no moves for None)
 #   initial                           (the progress before the first step)
 #   rank(progress) -> int             (of the step's progress: grows whenever
 #                                      progress changes, for every rule the
@@ -820,34 +830,48 @@ def _grid(slots) -> tuple[int, np.ndarray, np.ndarray]:
     most 1, unless the grid would pass ``GRID_ENTRIES_MAX`` entries; then it
     is the largest within that, and ``k`` the most entries a bin holds.
     The last entry of each ``cum`` (1.0) is left out, as no uniform reaches
-    it.
+    it.  The grid is :func:`_binned`'s over every row's entries, with each
+    row's ``lo`` moved on by its first slot less the entries before it.
     """
     n = len(slots)
-    widths = [z - a - 1 if cum else 0 for cum, a, z in slots]
-    vertex = np.repeat(np.arange(n), widths)
+    widths = np.array([z - a - 1 if cum else 0 for cum, a, z in slots])
     entries = np.array([c for cum, _, _ in slots if cum for c in cum[:-1]])
+    g, lo, thr = _binned(entries, n, np.arange(n).repeat(widths))
+    first = np.array([a for _, a, _ in slots])
+    rows = lo.reshape(n, -1)
+    rows += (first + widths - widths.cumsum())[:, None]
+    return g, lo, thr
+
+
+def _binned(entries: np.ndarray, n: int, rows=None) -> tuple[int, np.ndarray, np.ndarray]:
+    """The grid of ``n`` rows over sorted ``entries``, each in its row of
+    ``rows`` (an int array, or None for one row): ``(g, lo, thr)`` as
+    :func:`_grid` gives them, but with ``lo`` the count of all entries below
+    each bin.  ``lo`` is counted out by ``repeat`` from the entries' keys:
+    at 2**16 bins it takes about 23 us, against 230-580 us for a
+    ``searchsorted`` of the bin edges and about 3 ns a bin for a running
+    sum of each bin's count."""
     # The keys on the finest grid within the bound, shifted right, are the
     # keys on every coarser one.  So two neighbours whose finest keys' XOR
     # has bit length b share a bin up to g = finest - b and are parted from
-    # one more on; neighbours in two rows differ in the vertex's bits, and
+    # one more on; neighbours in two rows differ in the row's bits, and
     # need no g.  Both products are exact, and so is the XOR's float.
     finest = max((GRID_ENTRIES_MAX // n).bit_length() - 1, 0)
-    fine = (vertex << finest) + (entries * 2.0**finest).astype(np.intp)
+    fine = (entries * 2.0**finest).astype(np.intp)
+    if rows is not None:
+        fine += rows << finest
     bits = np.frexp(fine[1:] ^ fine[:-1])[1]
     g = min(finest + 1 - int(bits.min(initial=finest + 1)), finest)
     key = fine >> finest - g
-    shared = key[1:] == key[:-1]
-    # An entry's place in its bin: its index less that of its bin's first,
-    # the last entry at or before it that shares no bin with the one before.
-    index = np.arange(len(key))
-    starts = np.where(np.append(False, shared)[: len(key)], 0, index)
-    place = index - np.maximum.accumulate(starts)
+    # lo steps up by one at each key: bins up to the first key hold lo 0,
+    # and the bins after key i up to key i + 1 hold lo i + 1.
+    bounds = np.empty(len(key) + 2, np.intp)
+    bounds[0], bounds[1:-1], bounds[-1] = -1, key, (n << g) - 1
+    lo = np.arange(len(key) + 1).repeat(bounds[1:] - bounds[:-1])
+    place = np.arange(len(key)) - lo.take(key)
     thr = np.full((place.max(initial=-1) + 1, n << g), 2.0)
     thr[place, key] = entries
-    counts = np.bincount(key, minlength=n << g).reshape(n, -1)
-    first = np.array([a for _, a, _ in slots], np.intp)
-    lo = first[:, None] + counts.cumsum(axis=1) - counts
-    return g, lo.ravel(), thr
+    return g, lo, thr
 
 
 def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -860,26 +884,8 @@ def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) 
 
 def _breaks_grid(breaks: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """:func:`_grid` of one row whose ``cum`` is the sorted breakpoints and
-    1.0, built directly: ``g`` from the XOR of neighbouring keys on the
-    finest grid, as :func:`_grid` finds it, ``lo`` as the count of
-    breakpoints below each bin's lower edge, and each breakpoint's
-    threshold at its place in its bin.  Bins are counted out by
-    ``repeat``: at 2**16 bins it takes about 23 us, against 230-580 us for
-    a ``searchsorted`` of the bin edges."""
-    finest = GRID_ENTRIES_MAX.bit_length() - 1
-    fine = (breaks * 2.0**finest).astype(np.intp)
-    bits = np.frexp(fine[1:] ^ fine[:-1])[1]
-    g = min(finest + 1 - int(bits.min(initial=finest + 1)), finest)
-    key = fine >> finest - g
-    # lo steps up by one at each key: bins up to the first key hold lo 0,
-    # and the bins after key i up to key i + 1 hold lo i + 1.
-    bounds = np.empty(len(key) + 2, np.intp)
-    bounds[0], bounds[1:-1], bounds[-1] = -1, key, (1 << g) - 1
-    lo = np.arange(len(key) + 1).repeat(bounds[1:] - bounds[:-1])
-    place = np.arange(len(key)) - lo.take(key)
-    thr = np.full((place.max(initial=-1) + 1, 1 << g), 2.0)
-    thr[place, key] = breaks
-    return g, lo, thr
+    1.0, built directly from them (:func:`_binned`)."""
+    return _binned(breaks, 1)
 
 
 def _row_grid(breaks: np.ndarray):
@@ -903,16 +909,14 @@ def _grid_ranks(grid, u: np.ndarray) -> np.ndarray:
     return _grid_slots(lo, thr, (u * scale).astype(np.intp), u)
 
 
-def _rankers(breaks: np.ndarray, grid=None):
+def _rankers(breaks: np.ndarray, grid):
     """A rank-row walker's ``(first, later)``, each ``u -> the ranks of the
     uniforms u`` among ``breaks`` (``np.searchsorted(breaks, u, "right")``),
     for :func:`_refills`.  ``first`` ranks a trial's first refill block by
     one ``searchsorted`` and a ``tolist``.  ``later`` ranks every block
-    after it on the one-row ``grid`` (a :func:`_row_grid` of ``breaks``,
-    made here when None), as bytes while there are at most 256 ranks, and
-    as a list above."""
+    after it on the one-row ``grid`` (a :func:`_row_grid` of ``breaks``),
+    as bytes while there are at most 256 ranks, and as a list above."""
     search = breaks.searchsorted
-    grid = grid or _row_grid(breaks)
     out = np.ndarray.tobytes if len(breaks) < 256 else np.ndarray.tolist
 
     def first(u: np.ndarray) -> list[int]:
@@ -986,7 +990,105 @@ def _rank_chase(moved: np.ndarray) -> Callable:
     return chase
 
 
-class _TableLanes:
+class _Lanes:
+    """What both lane kinds share: :meth:`walkers`, the one builder of an
+    estimate's walkers.  Each kind gives it three pieces: ``_columns``, its
+    entries' columns; ``_fused``, its two fused loops, written out by hand
+    because a call per step would cost more than the loop body; and
+    ``_fold``, its settle fold and ``where`` on rank rows."""
+
+    def walkers(self, tables, start: int, label: str):
+        """Both walkers of an estimate on one layout: ``(walk, moves)``.
+
+        ``walk`` is fused walks on the rows of :func:`_fused_rows`:
+        ``walk(rng, budget)`` from ``start``, or ``walk(rng, budget, vertex,
+        progress, t, steps, commutes, ahead)`` on from a lockstep lane (see
+        :func:`_refills` for ``ahead``).  An entry holds the step's charge,
+        the row it leads to and the kind's columns, one entry per (state,
+        slot) from ``_columns(arcs, heads, vertices)``: the row each leads
+        to, ``state * vertices + head``, and the columns.
+
+        ``moves()`` builds the lockstep walker's :class:`_Steps` at its first
+        call.  On rank rows they come from the same entries, one per row and
+        rank, with a table rule's state folded into the row: a lane's
+        position is its row times the ranks, so a step's key is its position
+        plus its draw's rank, and the draws are ranked on the one-row grid
+        that ranks the fused walk's later blocks.  The chase reads the next
+        position per key, and the settle the charge and the kind's fold.  On
+        slot rows they are :meth:`_grid_moves`.  ``moves`` is None where the
+        progress has no numpy type (masks wider than 64 bits), which never
+        walk in lockstep.
+        """
+        slots, arcs, heads, charges = _slot_columns(tables)
+        arcs, heads = np.array(arcs, np.intp), np.array(heads, np.intp)
+        n = len(tables)
+        to, columns = self._columns(arcs, heads, n)
+        states = len(to) // len(arcs)
+        breaks, rows, fill = _fused_rows(tables, slots, states)
+        tiled = charges * states
+        entries = list(zip(tiled, map(rows.__getitem__, to.tolist()),
+                           *[column.tolist() for column in columns]))
+        if breaks is None:
+            walk = self._fused(rows, n, start, label)
+            moves = partial(self._grid_moves, slots, arcs, heads, charges, start)
+        else:
+            grid = _row_grid(breaks)
+            width, picks = len(breaks) + 1, fill[1]
+            walk = self._fused(rows, n, start, label, _rankers(breaks, grid))
+
+            def moves() -> _Steps:
+                fold, where = self._fold(n, *[column[picks] for column in columns])
+                charge, moved = np.array(tiled)[picks], (to * width)[picks]
+
+                def settle(keys, progress, clock, commutes):
+                    stops, counts, progress = fold(keys, progress, commutes)
+                    return _running(charge.take(keys), clock), stops, counts, progress
+
+                rank = partial(_grid_ranks, grid)
+                return _Steps(start * width, self.initial, self.dtype, rank, _rank_chase(moved),
+                              settle, lambda at, progress: where(at // width, progress), rank)
+
+        _link(walk, fill, entries)
+        return walk, None if self.dtype is None else cache(moves)
+
+    def _grid_moves(self, slots, arcs, heads, charges, start: int) -> _Steps:
+        """The lockstep walker's moves on slot rows: the lanes' ``lockstep``
+        step over slots found on a per-vertex grid (:func:`_grid`).  A
+        lane's position is its vertex shifted to its grid row, a group's
+        draws are binned once, and a step's slot is ``lo`` at (position +
+        bin) plus the count of that bin's thresholds at or below its draw.
+        The chase moves each lane's position and progress by slot and keeps
+        the slots, stops and commutes, from which the settle reads the
+        charges and running values."""
+        g, lo, thr = _grid(slots)
+        lane_step, resumed = self.lockstep(arcs, heads)
+        moved, charge_of, thr, scale = heads << g, np.array(charges), list(thr), 2.0**g
+
+        def prepare(draws):
+            return (draws * scale).astype(np.intp)
+
+        def chase(at, progress, draws, bins):
+            keys = []
+            for b, u in zip(bins, draws):
+                slot = _grid_slots(lo, thr, at + b, u)
+                at = moved.take(slot)
+                progress, stop, back = lane_step(progress, slot)
+                keys.append((slot, stop, back))
+            return keys, at, progress
+
+        def settle(keys, progress, clock, commutes):
+            slots, stops, backs = zip(*keys)
+            counts = None if backs[0] is None else _running(np.array(backs), commutes)
+            return _running(charge_of.take(slots), clock), np.array(stops), counts, progress
+
+        def where(at, progress):
+            return (at >> g).tolist(), resumed(progress)
+
+        return _Steps(start << g, self.initial, self.dtype, prepare, chase, settle, where,
+                      lambda d: d)
+
+
+class _TableLanes(_Lanes):
     """Progress as a small state number, advanced by per-(state, arc) tables.
 
     ``next``, ``stop`` and ``back`` are 2-D over (state, arc); ``back``
@@ -1022,37 +1124,19 @@ class _TableLanes:
 
         return step, lambda state: (state // size).tolist()
 
-    def walkers(self, tables, start: int, label: str):
-        """Both walkers of an estimate on one layout: ``(walk, ranked)``.
+    def _columns(self, arcs: np.ndarray, heads: np.ndarray, n: int):
+        """Per (state, slot), the row its step leads to and its code: 0 to
+        go on, 1 where the step completes a commute, and ``-1`` less its
+        commute where it stops."""
+        nxt, stop, back = self._by_slot(arcs)
+        return (nxt * n + heads).ravel(), [np.where(stop, -1 - back, back).ravel()]
 
-        ``walk`` is fused walks on the rows of :func:`_fused_rows`:
-        ``walk(rng, budget)`` from ``start``, or ``walk(rng, budget, vertex,
-        state, t, steps, commutes, ahead)`` on from a lockstep lane (see
-        :func:`_refills` for ``ahead``).  An entry holds the step's charge,
-        the row it leads to and a code: 0 to go on, 1 where the step
-        completes a commute, and ``-1`` less its commute where it stops.  A
-        step is then one index (after a bisection on slot rows), one add and
-        one test of the code.
-
-        ``ranked()``, on rank rows (None on slot rows), builds the lockstep
-        walker's :class:`_Steps` from the same entries, one per row and
-        rank, with the state folded into the row: a lane's position is its
-        row times the ranks, so a step's key is its position plus its
-        draw's rank.  The chase reads the next position per key, and the
-        settle the charge, the stop and the commute.  Ranks come from the
-        one-row grid that ranks the fused walk's later blocks.
-        """
-        slots, arcs, heads, charges = _slot_columns(tables)
-        nxt, stop, b = self._by_slot(arcs)
-        n, states = len(tables), len(nxt)
-        to = (nxt * n + heads).ravel()
-        codes = np.where(stop, -1 - b, b).ravel().tolist()
+    def _fused(self, rows, n: int, start: int, label: str, rankers=None):
+        """The fused walk on slot rows, or on rank rows with ``rankers``
+        (:func:`_rankers`).  A step is one index (after a bisection on slot
+        rows), one add and one test of the code."""
         counted = self.back is not None
-        breaks, rows, fill = _fused_rows(tables, slots, states)
-        entries = [(c, rows[x], k) for c, x, k in zip(charges * states, to.tolist(), codes)]
-        ranked = None
-
-        if breaks is None:
+        if rankers is None:
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
                      t: float = 0.0, steps: int = 0, commutes: int = 0,
@@ -1070,47 +1154,45 @@ class _TableLanes:
                             commutes += 1
                 raise _no_stop(budget, label)
 
-        else:
-            grid = _row_grid(breaks)
-            first, later = _rankers(breaks, grid)
-            width, picks = len(breaks) + 1, fill[1]
+            return walk
+        first, later = rankers
 
-            def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
-                     t: float = 0.0, steps: int = 0, commutes: int = 0,
-                     ahead=()) -> tuple[float, int, int]:
-                row = rows[state * n + vertex]
-                for end, ranks in _refills(rng.random, budget, steps, first, later, ahead=ahead):
-                    for r in ranks:
-                        c, row, k = row[r]
-                        t += c
-                        if k:
-                            if k < 0:
-                                commutes -= 1 + k
-                                return t, end - length_hint(ranks), commutes if counted else -1
-                            commutes += 1
-                raise _no_stop(budget, label)
+        def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
+                 t: float = 0.0, steps: int = 0, commutes: int = 0,
+                 ahead=()) -> tuple[float, int, int]:
+            row = rows[state * n + vertex]
+            for end, ranks in _refills(rng.random, budget, steps, first, later, ahead=ahead):
+                for r in ranks:
+                    c, row, k = row[r]
+                    t += c
+                    if k:
+                        if k < 0:
+                            commutes -= 1 + k
+                            return t, end - length_hint(ranks), commutes if counted else -1
+                        commutes += 1
+            raise _no_stop(budget, label)
 
-            @cache
-            def ranked() -> _Steps:
-                charge = np.tile(charges, states)[picks]
-                stops, backs = stop.ravel()[picks], b.ravel()[picks] if counted else None
+        return walk
 
-                def settle(keys, state, clock, commutes):
-                    counts = None if backs is None else _running(backs.take(keys), commutes)
-                    return _running(charge.take(keys), clock), stops.take(keys), counts, state
+    def _fold(self, n: int, codes: np.ndarray):
+        """The settle's fold on rank rows, ``(keys, state, commutes) ->
+        (stops, counts, state)``, from the codes per (row, rank): the state
+        is in the row, so it passes through.  ``where(row, state)`` splits
+        the rows into vertices and states."""
+        stops = codes < 0
+        backs = None if self.back is None else np.where(stops, ~codes, codes)
 
-                def where(at, state):
-                    row = at // width
-                    return (row % n).tolist(), (row // n).tolist()
+        def fold(keys, state, commutes):
+            counts = None if backs is None else _running(backs.take(keys), commutes)
+            return stops.take(keys), counts, state
 
-                rank, chase = partial(_grid_ranks, grid), _rank_chase((to * width)[picks])
-                return _Steps(start * width, 0, np.intp, rank, chase, settle, where, rank)
+        def where(row, state):
+            return (row % n).tolist(), (row // n).tolist()
 
-        _link(walk, fill, entries)
-        return walk, ranked
+        return fold, where
 
 
-class _MaskLanes:
+class _MaskLanes(_Lanes):
     """A coverage mask per lane, plus a return to ``root`` unless it is None.
 
     ``bits[arc]`` is the bit that arc sets.  The masks are Python ints on the
@@ -1148,33 +1230,18 @@ class _MaskLanes:
 
         return step, np.ndarray.tolist
 
-    def walkers(self, tables, start: int, label: str):
-        """Both walkers of an estimate on one layout: ``(walk, ranked)``.
+    def _columns(self, arcs: np.ndarray, heads: np.ndarray, n: int):
+        """Per slot, the row of its head, its bit and whether the walk may
+        stop there: at the root, or anywhere without a return."""
+        home = np.full(len(heads), True) if self.root is None else heads == self.root
+        return heads, [np.array(self.bits, self.dtype or object)[arcs], home]
 
-        ``walk`` is fused walks on the rows of :func:`_fused_rows`:
-        ``walk(rng, budget)`` from ``start``, or ``walk(rng, budget, vertex,
-        mask, t, steps, commutes, ahead)`` on from a lockstep lane (see
-        :func:`_refills` for ``ahead``).  An entry holds the step's charge,
-        its bit, the row of the vertex it leads to and whether the walk may
-        stop there (at the root, or anywhere without a return).
-
-        ``ranked()``, on rank rows (None on slot rows), builds the lockstep
-        walker's :class:`_Steps` from the same entries, one per vertex and
-        rank: a lane's position is its vertex times the ranks, so a step's
-        key is its position plus its draw's rank.  The chase reads the next
-        position per key, and the settle the charge, the bit and whether
-        the walk may stop there.  Ranks come from the one-row grid that
-        ranks the fused walk's later blocks.  Masks wider than 64 bits
-        never walk in lockstep.
-        """
-        full, initial, root = self.full, self.initial, self.root
-        slots, arcs, heads, charges = _slot_columns(tables)
-        breaks, rows, fill = _fused_rows(tables, slots)
-        entries = [(c, self.bits[arc], rows[h], root is None or h == root)
-                   for c, arc, h in zip(charges, arcs, heads)]
-        ranked = None
-
-        if breaks is None:
+    def _fused(self, rows, n: int, start: int, label: str, rankers=None):
+        """The fused walk on slot rows, or on rank rows with ``rankers``
+        (:func:`_rankers`): a step ORs its bit into the mask and tests for
+        a full mask where the walk may stop."""
+        full, initial = self.full, self.initial
+        if rankers is None:
 
             def walk(rng: np.random.Generator, budget: int, vertex: int = start,
                      mask: int = initial, t: float = 0.0, steps: int = 0,
@@ -1183,53 +1250,50 @@ class _MaskLanes:
                 bisect = bisect_right
                 for end, draws in _refills(rng.random, budget, steps, ahead=ahead):
                     for u in draws:
-                        c, b, (cum, row), home = row[bisect(cum, u)]
+                        c, (cum, row), b, home = row[bisect(cum, u)]
                         t += c
                         mask |= b
                         if home and mask == full:
                             return t, end - length_hint(draws), -1
                 raise _no_stop(budget, label)
 
-        else:
-            grid = _row_grid(breaks)
-            first, later = _rankers(breaks, grid)
-            width, picks = len(breaks) + 1, fill[1]
+            return walk
+        first, later = rankers
 
-            def walk(rng: np.random.Generator, budget: int, vertex: int = start,
-                     mask: int = initial, t: float = 0.0, steps: int = 0,
-                     commutes: int = -1, ahead=()) -> tuple[float, int, int]:
-                row = rows[vertex]
-                for end, ranks in _refills(rng.random, budget, steps, first, later, ahead=ahead):
-                    for r in ranks:
-                        c, b, row, home = row[r]
-                        t += c
-                        mask |= b
-                        if home and mask == full:
-                            return t, end - length_hint(ranks), -1
-                raise _no_stop(budget, label)
+        def walk(rng: np.random.Generator, budget: int, vertex: int = start,
+                 mask: int = initial, t: float = 0.0, steps: int = 0,
+                 commutes: int = -1, ahead=()) -> tuple[float, int, int]:
+            row = rows[vertex]
+            for end, ranks in _refills(rng.random, budget, steps, first, later, ahead=ahead):
+                for r in ranks:
+                    c, row, b, home = row[r]
+                    t += c
+                    mask |= b
+                    if home and mask == full:
+                        return t, end - length_hint(ranks), -1
+            raise _no_stop(budget, label)
 
-            @cache
-            def ranked() -> _Steps:
-                lands = np.array(heads, np.intp)[picks]
-                charge, moved = np.array(charges)[picks], lands * width
-                bits = np.array(self.bits, np.uint64)[np.array(arcs, np.intp)[picks]]
-                home, top = None if root is None else lands == root, np.uint64(full)
+        return walk
 
-                def settle(keys, mask, clock, commutes):
-                    masks = _running(bits.take(keys), mask, np.bitwise_or)
-                    stops = masks == top
-                    if home is not None:
-                        stops &= home.take(keys)
-                    return _running(charge.take(keys), clock), stops, None, masks[-1]
+    def _fold(self, n: int, bits: np.ndarray, home: np.ndarray):
+        """The settle's fold on rank rows, ``(keys, mask, commutes) ->
+        (stops, None, mask)``, from the bits and home flags per (vertex,
+        rank): the running OR of the masks down the rows, stopping where a
+        full mask may stop.  ``where(row, mask)`` gives the vertices and
+        masks as lists."""
+        full, home = np.uint64(self.full), None if self.root is None else home
 
-                def where(at, mask):
-                    return (at // width).tolist(), mask.tolist()
+        def fold(keys, mask, commutes):
+            masks = _running(bits.take(keys), mask, np.bitwise_or)
+            stops = masks == full
+            if home is not None:
+                stops &= home.take(keys)
+            return stops, None, masks[-1]
 
-                rank, chase = partial(_grid_ranks, grid), _rank_chase(moved)
-                return _Steps(start * width, initial, np.uint64, rank, chase, settle, where, rank)
+        def where(row, mask):
+            return row.tolist(), mask.tolist()
 
-        _link(walk, fill, entries)
-        return walk, ranked
+        return fold, where
 
 
 # Any object with anchor()/label()/make_tracker(); the concrete rule set also

@@ -1,3 +1,4 @@
+import ast
 import collections
 import importlib
 import importlib.util
@@ -351,6 +352,7 @@ _CLOSE_ROW = build_network(4, [(0, 1, 1e-6), (0, 2, 1.0), (0, 3, 2e-6)])
 @settings(max_examples=40, deadline=None)
 @given(tables=_sampling_rows(), picks=st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
 @example(tables=build_tables(_CLOSE_ROW, TimingModel.L_SQUARED) + [None], picks=[])
+@example(tables=build_tables(star(200), TimingModel.L_SQUARED), picks=[])
 def test_grid_lookup_equals_bisect_right(tables, picks):
     """The lockstep walker's slot lookup on its grid of the draw finds the
     slot ``bisect_right`` finds in each sampling row: on every breakpoint
@@ -666,8 +668,8 @@ def walks(monkeypatch):
     fused loop ranked on the grid; and ``vertex_grid``, the per-vertex grids
     the lockstep walker built, which it steps on only above the rank gate.
     ``walks.lockstep`` counts the lockstep walker's steps, as the rows that
-    the settles of the moves the estimator builds for it (``_lane_table``)
-    take, on rank rows or on the grid, and ``walks.handed`` holds, per fused walk,
+    the settles of the moves the lanes' ``walkers`` build for it take, on
+    rank rows or on the grid, and ``walks.handed`` holds, per fused walk,
     the arguments after ``(rng, budget)``, its result and the steps it
     walked, counted as the draws it read, those of a lockstep tail's
     numpy-drawn block among them."""
@@ -695,8 +697,8 @@ def walks(monkeypatch):
         counts["vertex_grid"] += 1
         return grid(*args)
 
-    def counted_lane_table(*args):
-        table = lane_table(*args)
+    def counted_moves(moves):
+        table = moves()
 
         def counted(*arrays):
             settled = table.settle(*arrays)
@@ -705,17 +707,15 @@ def walks(monkeypatch):
 
         return table._replace(settle=counted)
 
-    refills, rankers = walker_module._refills, walker_module._rankers
-    grid, lane_table = estimate_module._grid, estimate_module._lane_table
+    refills, rankers, grid = walker_module._refills, walker_module._rankers, walker_module._grid
     monkeypatch.setattr(estimate_module, "run", counted_run)
     monkeypatch.setattr(walker_module, "_refills", counted_refills)
     monkeypatch.setattr(walker_module, "_rankers", counted_rankers)
-    monkeypatch.setattr(estimate_module, "_grid", counted_grid)
-    monkeypatch.setattr(estimate_module, "_lane_table", counted_lane_table)
+    monkeypatch.setattr(walker_module, "_grid", counted_grid)
     for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
 
         def counted_walkers(self, *args, make=lanes.walkers):
-            walk, ranked = make(self, *args)
+            walk, moves = make(self, *args)
 
             def counted(*trial):
                 counts["fused"] += 1
@@ -724,7 +724,7 @@ def walks(monkeypatch):
                 counts.handed.append((trial[2:], result, drawn[0]))
                 return result
 
-            return counted, ranked
+            return counted, moves and (lambda: counted_moves(moves))
 
         monkeypatch.setattr(lanes, "walkers", counted_walkers)
     return counts
@@ -787,7 +787,7 @@ def test_lockstep_block_equals_per_trial_runs(walks, case, model):
 
 
 @pytest.mark.parametrize("case", range(len(_lockstep_cases())))
-def test_lockstep_leaves_lanes_unchanged(case):
+def test_lockstep_leaves_lanes_unchanged(case, monkeypatch):
     """The lockstep walker keeps every lane's progress and commute count
     itself: walking a block changes no attribute of the rule's lanes, so a
     rule may hand out one lanes object for every block, as the epoch
@@ -802,14 +802,25 @@ def test_lockstep_leaves_lanes_unchanged(case):
     before = snapshot()
     tables = build_tables(net, TimingModel.L_SQUARED)
     samples = np.empty(500), np.empty(500, np.int64), np.empty(500, np.int64)
-    ranked = lanes.walkers(tables, start, rule.label())[1]
     # On the rank rows where the rows fit under the gate, and on the grid.
-    for moves in {ranked, None}:
-        table = estimate_module._lane_table(tables, lanes, start, moves)
-        estimate_module._lockstep(table, estimate_module._trial_states(3, 0, 500), 10**9, samples)
+    for gate in (walker_module.RANK_ENTRIES_MAX, 0):
+        monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", gate)
+        moves = lanes.walkers(tables, start, rule.label())[1]
+        estimate_module._lockstep(moves(), estimate_module._trial_states(3, 0, 500), 10**9,
+                                  samples)
     assert snapshot() == before
     if isinstance(rule, tours.EpochSequence):
         assert rule.make_lanes(net) is lanes
+
+
+def test_estimate_imports_no_private_walker_name():
+    """The estimator builds its walkers through the lanes' ``walkers`` alone:
+    ``estimate.py`` imports no ``_``-prefixed name from the walker module."""
+    tree = ast.parse(Path(estimate_module.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level, node.module) in {(1, "walker"), (0, "walkcover.walker")}
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def _rank_gated(net, rule):

@@ -453,7 +453,7 @@ def test_grid_ranks_equal_searchsorted(case, monkeypatch):
     breaks = walker_module._rank_rows(_grid_rank_cases()[case])[0]
     near = [math.nextafter(c, to) for c in breaks.tolist() for to in (0, 1)]
     draws = np.concatenate([[0.0], breaks, near, np.random.default_rng(case).random(10**5)])
-    first, later = walker_module._rankers(breaks)
+    first, later = walker_module._rankers(breaks, walker_module._row_grid(breaks))
     expected = np.searchsorted(breaks, draws, "right").tolist()
     ranks = later(draws)
     assert isinstance(ranks, bytes) == (len(breaks) < 256)

@@ -317,20 +317,20 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # one-row grid, and a step of the chase is two
 # numpy calls, ``key = position + rank`` and ``position = moved[key]``;
 # flat per-(row, rank) arrays give the settle the charge, the stop and the
-# commute, or the coverage bit.  Above ``walker.RANK_ENTRIES_MAX`` a step
-# of the chase finds each lane's slot on a per-vertex grid of its draw
-# (``walker._grid``): the group's draws are binned once, ``bin = u *
-# 2**g``, and a lane's slot is ``lo`` at (vertex, bin) plus the count of
-# that bin's thresholds at or below ``u``, so one lookup serves every row
-# width.  The rule then moves by slot, not by arc: the lanes' ``lockstep``
-# gives one step over flat per-slot tables (a table rule's state is
-# carried in its key, state + slot), so no step maps a slot to its arc;
-# the chase keeps its slots, stops and commutes for the settle.  The
-# walker owns every per-lane array: position, progress, commute count and
-# clock.  At each group's end, lanes that stopped in it write the samples
-# of their first stop row into the block's arrays, and once a quarter of
-# the lanes have stopped, every array drops them at once, so the lanes
-# stay read-only.  When fewer than
+# commute, or the coverage bit.  Above ``walker.RANK_ENTRIES_MAX`` a lane's
+# position is its row of the same entries, and a step of the chase finds
+# each lane's slot on a per-vertex grid of its draw (``walker._grid``):
+# the group's draws are binned once, ``bin = u * 2**g``, and a lane's slot
+# is ``lo`` at (vertex, bin) plus the count of that bin's thresholds at or
+# below ``u``, so one lookup serves every row width.  The step's key is
+# the row's first entry plus that slot, and its next row the entry's
+# (the lanes' ``entries``), so no step maps a slot to its arc; the settle
+# reads the charges and the rule's fold at the keys, as on rank rows.
+# The walker owns every per-lane array: position, progress, commute count
+# and clock.  At each group's end, lanes that stopped in it write the
+# samples of their first stop row into the block's arrays, and once a
+# quarter of the lanes have stopped, or at the hand-off, every array
+# drops them at once, so the lanes stay read-only.  When fewer than
 # ``LOCKSTEP_MIN_LIVE`` lanes are left at a group's end, or the live lanes
 # reach the step budget, the rest go on, in trial order, on the fused
 # scalar loop from the step they reached: their vertex, progress, clock,
@@ -548,9 +548,9 @@ def _lockstep(table, streams, budget, samples):
     (``walker._Steps``), then the group's end: lanes that stopped in it
     record their samples from their first stop row and leave ``live``.
     Stopped lanes stay in the arrays, walking on unread, until they are a
-    quarter of them; then, at that group's end, every array drops them at
-    once.  Groups are cut at the budget, and the hand-off is at a group's
-    end.
+    quarter of them or the hand-off comes; then, at that group's end, every
+    array drops them at once.  Groups are cut at the budget, and the
+    hand-off is at a group's end.
     """
     times, step_counts, commute_counts = samples
     state_hi, state_lo, inc_hi, inc_lo = streams
@@ -585,17 +585,16 @@ def _lockstep(table, streams, budget, samples):
         stopped &= live
         idx = stopped.nonzero()[0]
         steps += rows
-        if not len(idx):
-            continue
-        row = stops[:, idx].argmax(0)
-        done = lane.take(idx)
-        times[done] = clocks[row, idx]
-        step_counts[done] = row + (steps - rows + 1)
-        if counts is not None:
-            commute_counts[done] = counts[row, idx]
-        live[idx] = False
-        left -= len(idx)
-        if 4 * left < 3 * len(lane):
+        if len(idx):
+            row = stops[:, idx].argmax(0)
+            done = lane.take(idx)
+            times[done] = clocks[row, idx]
+            step_counts[done] = row + (steps - rows + 1)
+            if counts is not None:
+                commute_counts[done] = counts[row, idx]
+            live[idx] = False
+            left -= len(idx)
+        if 4 * left < 3 * len(lane) or left < LOCKSTEP_MIN_LIVE or steps >= budget:
             keep = live.nonzero()[0]
             lane, at, progress, commutes, clock, inc_hi, inc_lo = (
                 a.take(keep) for a in (lane, at, progress, commutes, clock, inc_hi, inc_lo)
@@ -605,17 +604,14 @@ def _lockstep(table, streams, budget, samples):
             )
             jump = jump[0], g_inc_hi, g_inc_lo
             live = np.ones(left, bool)
-    keep = live.nonzero()[0]
-    lane, at, progress, commutes, clock, inc_hi, inc_lo = (
-        a.take(keep) for a in (lane, at, progress, commutes, clock, inc_hi, inc_lo)
-    )
-    state_hi, state_lo = group_hi[-1].take(keep), group_lo[-1].take(keep)
+    state_hi, state_lo = group_hi[-1], group_lo[-1]
     ahead, blocks = min(TAIL_BLOCK, budget - steps), repeat(())
     if ahead and len(lane):
         (block_hi, block_lo), _ = _group_states(state_hi, state_lo, inc_hi, inc_lo, ahead)
         blocks = table.reads(_uniforms(block_hi, block_lo)).T.tolist()
         state_hi, state_lo = block_hi[-1], block_lo[-1]
-    resume = zip(*table.where(at, progress), clock.tolist(), repeat(steps),
+    vertex, progress = table.where(at, progress)
+    resume = zip(vertex.tolist(), progress.tolist(), clock.tolist(), repeat(steps),
                  commutes.tolist(), blocks)
     return lane, (state_hi, state_lo, inc_hi, inc_lo), resume
 

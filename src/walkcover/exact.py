@@ -19,18 +19,21 @@ commute's does) raises, rather than giving a wrong answer.  Every block
 checks its residual ``|Ax - b|_inf <= 1e-9 max(1, |b|_inf)`` and raises
 :class:`ExactSolveFailed` when it does not hold.
 
-The states are enumerated breadth first, one level at a time: one call of
-the lanes' vectorised step, the one the lockstep walker takes above the
-rank gate (their ``lockstep``, built once per solve over the sampling
-slots), steps every slot of the level's states, so each transition is
-stepped once, and a dict numbers the states in the order the search first
-reaches them.  A level's
-keys are built in numpy when its widest key fits in 64 bits.  Progress is
-held as that step holds it, and masks wider than 64 bits travel in object
-arrays.  One stable sort of the progress values gives the blocks, and the
-states are then laid out block after block in solve order (descending
-rank, then ascending size, then first reached), each block's states in the
-order they were reached, at int32 positions.  Every block's ``I - P_pp``
+The states are enumerated breadth first, one level at a time.  A state is
+a row of the lanes' entries and a progress, as the lockstep walker holds a
+lane: the lanes' ``entries`` (built once per solve over the sampling
+slots) give the row each entry leads to and the fold the walker settles
+on, and one call of the fold steps every entry of the level's rows, so
+each transition is stepped once.  A dict numbers the states in the order
+the search first reaches them.  A level's keys are built in numpy when its
+widest key fits in 64 bits.  Progress is held as the fold holds it, and
+masks wider than 64 bits travel in object arrays.  The lanes' ``where``
+gives each state its vertex and its block value, the progress the fused
+walk takes: a table rule's state number, or the mask.  One stable sort of
+the block values gives the blocks, and the states are then laid out block
+after block in solve order (descending rank, then ascending size, then
+first reached), each block's states in the order they were reached, at
+int32 positions.  Every block's ``I - P_pp``
 is assembled in a flat array, a contiguous slice per block, its entries
 summed per state in slot order.  Each batch of equal rank and size sums
 its right-hand sides in one accumulate over the slots, the mean charge
@@ -66,7 +69,7 @@ import numpy as np
 
 from .errors import ExactSolveFailed, StateSpaceTooLarge, VertexOutOfRange
 from .netmodel import Network
-from .walker import TimingModel, _slot_columns, build_tables, checked_tracker
+from .walker import TimingModel, build_tables, checked_tracker, slot_columns
 
 __all__ = ["exact_stop_time", "MAX_STATES"]
 
@@ -106,28 +109,29 @@ def exact_stop_time(
     make_lanes = getattr(rule, "make_lanes", None)
     if make_lanes is None:
         raise TypeError(f"no exact solver for rule type {type(rule).__name__}")
-    slots, arcs, heads, charges = _slot_columns(build_tables(net, model))
-    moves, weights = _slot_rows(slots, heads, charges)
+    slots, arcs, heads, charges = slot_columns(build_tables(net, model))
+    moves, weights = _slot_rows(slots, charges)
     if tracker.start(start):
         return 0.0
-    if not moves[start, 2, 0]:
+    if not moves[start, 1, 0]:
         raise VertexOutOfRange(f"vertex {start} has no incident arcs")
     lanes = make_lanes(net)
-    step, resumed = lanes.lockstep(np.array(arcs, np.intp), np.array(heads, np.intp))
-    reached = _reachable(moves, step, lanes, start, max_states)
-    return _solve(*reached, weights, lanes, resumed)
+    to, fold, where = lanes.entries(arcs, heads, len(slots))
+    progress, row, live, reached = _reachable(_row_entries(moves, to, len(arcs)), fold, lanes,
+                                              start, max_states)
+    vertex, value = where(row, progress)
+    return _solve(value, vertex, live, reached, weights, lanes)
 
 
-def _slot_rows(slots, heads, charges):
+def _slot_rows(slots, charges):
     """The sampling slots per vertex, padded to the widest row: ``(moves,
-    weights)``, from :func:`_slot_columns`' columns.
+    weights)``, from :func:`slot_columns`' columns.
 
-    ``moves[v]`` holds, per slot of ``v``, its number, its head and 1 (0 in
-    padding), shape (3, width); padding repeats the first slot (or slot 0
-    into vertex 0 where ``v`` has no arcs), so that every entry is a slot
-    the lanes' step can read.  ``weights[v]`` holds ``v``'s mean one-step
-    charge, summed in slot order, then each slot's step probability (0.0
-    in padding).
+    ``moves[v]`` holds, per slot of ``v``, its number and 1 (0 in padding),
+    shape (2, width); padding repeats the first slot (or slot 0 where ``v``
+    has no arcs), so that every entry is one the lanes' fold can read.
+    ``weights[v]`` holds ``v``'s mean one-step charge, summed in slot order,
+    then each slot's step probability (0.0 in padding).
     """
     width = max(1, max(z - a for _, a, z in slots))
     moves, weights = [], []
@@ -138,35 +142,49 @@ def _slot_rows(slots, heads, charges):
             mean = 0.0
             for term in map(mul, prob, charges[a:z]):
                 mean += term
-            moves += (*range(a, z), *(a,) * pad, *heads[a:z], *(heads[a],) * pad,
-                      *(1,) * (z - a), *(0,) * pad)
+            moves += (*range(a, z), *(a,) * pad, *(1,) * (z - a), *(0,) * pad)
             weights += (mean, *prob, *(0.0,) * pad)
         else:
-            moves += (0,) * (3 * width)
+            moves += (0,) * (2 * width)
             weights += (0.0,) * (width + 1)
     n = len(slots)
-    return np.array(moves).reshape(n, 3, width), np.array(weights, float).reshape(n, width + 1)
+    return np.array(moves).reshape(n, 2, width), np.array(weights, float).reshape(n, width + 1)
 
 
-def _reachable(moves, step, lanes, start, max_states):
+def _row_entries(moves, to, size):
+    """Per row of the lanes' entries, ``state * vertices + vertex``, its
+    vertex's ``moves`` as entries, shape (rows, 3, width): the keys
+    ``state * size + slot``, the rows ``to`` that they lead to, and 1 (0 in
+    padding)."""
+    n, _, width = moves.shape
+    entries = np.empty((len(to) // size, n, 3, width), np.intp)
+    keys = entries[:, :, 0]
+    np.add(np.arange(0, len(to), size)[:, None, None], moves[:, 0], out=keys)
+    entries[:, :, 1] = to[keys]
+    entries[:, :, 2] = moves[:, 1]
+    return entries.reshape(-1, 3, width)
+
+
+def _reachable(entries, fold, lanes, start, max_states):
     """Reachable non-stopped states in breadth-first order: their progress
-    and vertex; per state and slot, whether the step goes on, flattened
-    from shape (states, width); and for each step that goes on, in that
-    order, the number of the state it reaches (int32).
+    and row; per state and entry of its row, whether the step goes on,
+    flattened from shape (states, width); and for each step that goes on,
+    in that order, the number of the state it reaches (int32).
 
     States are expanded in the order they are first reached, a level (or
-    ``_CHUNK`` states of one) at a time, each in one call of ``step``, the
-    lanes' per-slot step, over all their slots.  A state's key is its
-    progress, as ``step`` holds it, shifted left past every vertex number,
-    or its vertex.  Where a level's widest key fits in 64 bits, its keys
-    are built in one uint64 array; wider ones (and object progress) as
-    Python ints.  Either way the dict sees the same ints.  One
-    ``dict.setdefault`` per step, mapped in C, gives each key the first of
-    the numbers offered to it, one per step taken so far; a step that gets
-    its own number found a new state.  A table indexed by offered number
-    then maps every step's number to its state's.
+    ``_CHUNK`` states of one) at a time, each in one call of ``fold``, the
+    lanes' fold, over all the entries of their rows (``entries``, of
+    :func:`_row_entries`).  A state's key is its progress, as ``fold``
+    holds it, shifted left past every row number, or its row.  Where a
+    level's widest key fits in 64 bits, its keys are built in one uint64
+    array; wider ones (and object progress) as Python ints.  Either way the
+    dict sees the same ints.  One ``dict.setdefault`` per step, mapped in
+    C, gives each key the first of the numbers offered to it, one per step
+    taken so far; a step that gets its own number found a new state.  A
+    table indexed by offered number then maps every step's number to its
+    state's.
     """
-    shift = len(moves).bit_length()
+    shift, width = len(entries).bit_length(), entries.shape[2]
     wide, top = np.uint64(shift), np.maximum.reduce
     offer = {lanes.initial << shift | start: 0}.setdefault
     offered = count = 1
@@ -179,42 +197,42 @@ def _reachable(moves, step, lanes, start, max_states):
     while pending:
         if count > max_states:
             raise StateSpaceTooLarge(f"more than {max_states} reachable states")
-        progress, vertex = pending.popleft()
-        if len(vertex) > _CHUNK:
-            pending.appendleft((progress[_CHUNK:], vertex[_CHUNK:]))
-            progress, vertex = progress[:_CHUNK], vertex[:_CHUNK]
-        move = moves[vertex]
-        heads = move[:, 1]
-        after, stops, _ = step(progress[:, None], move[:, 0])
-        live = move[:, 2] > stops
-        after, heads = after[live], heads[live]
-        steps = len(heads)
+        progress, row = pending.popleft()
+        if len(row) > _CHUNK:
+            pending.appendleft((progress[_CHUNK:], row[_CHUNK:]))
+            progress, row = progress[:_CHUNK], row[:_CHUNK]
+        entry = entries[row]
+        stops, _, after = fold(entry[None, :, 0], progress[:, None].repeat(width, 1), 0)
+        live = entry[:, 2] > stops[0]
+        after, row = after[live], entry[:, 1][live]
+        steps = len(row)
         if dtype is not object and steps and int(top(after)).bit_length() <= 64 - shift:
-            keys = (after.view(np.uint64) << wide | heads.view(np.uint64)).tolist()
+            keys = (after.view(np.uint64) << wide | row.view(np.uint64)).tolist()
         else:
-            keys = map(or_, map(lshift, after.tolist(), repeat(shift)), heads.tolist())
+            keys = map(or_, map(lshift, after.tolist(), repeat(shift)), row.tolist())
         got = np.fromiter(map(offer, keys, range(offered, offered + steps)), np.intp, steps)
         new = got == np.arange(offered, offered + steps)
         offered += steps
         lives.append(live)
         gots.append(got)
-        level = after[new], heads[new]
+        level = after[new], row[new]
         if len(level[1]):
             count += len(level[1])
             found.append(level)
             pending.append(level)
     del offer  # the dict, before the arrays are joined
-    progress, vertex = (np.concatenate(column) for column in zip(*found))
+    progress, row = (np.concatenate(column) for column in zip(*found))
     got = np.concatenate(gots)
     state = np.empty(offered, np.int32)  # by offered number: the state that got it
     state[got == np.arange(offered)] = np.arange(count, dtype=np.int32)
-    return progress, vertex, np.concatenate(lives, axis=None), state[got[1:]]
+    return progress, row, np.concatenate(lives, axis=None), state[got[1:]]
 
 
-def _solve(progress, vertex, live, reached, weights, lanes, resumed) -> float:
+def _solve(progress, vertex, live, reached, weights, lanes) -> float:
     """Solve the blocks of the states in descending rank and return the
-    value at the first state (the start).  ``resumed`` is the lanes' step's
-    hand-off, which names progress in an error as the lanes number it.
+    value at the first state (the start).  ``progress`` is each state's
+    block value, as the lanes' ``where`` gives it, which is also how an
+    error names it.
 
     One stable sort of the progress values gives the blocks: each value's
     states, in the order the search reached them, are a run of the sort,
@@ -270,7 +288,7 @@ def _solve(progress, vertex, live, reached, weights, lanes, resumed) -> float:
     late ^= inside
     if late.any():
         s, j = divmod(int(late.argmax()), width)
-        before, after = resumed(progress[perm[[s, target[s, j]]]])
+        before, after = progress[perm[[s, target[s, j]]]].tolist()
         raise AssertionError(
             f"progress {before:#x} -> {after:#x} is not monotone; the block solve needs every "
             "step that changes progress to reach a higher rank"

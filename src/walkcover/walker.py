@@ -70,18 +70,20 @@ coverage bit, from the chase's keys at once, as running values down the
 group's rows.  One builder, the lanes' ``walkers``, gives an estimate both
 walkers, ``(walk, moves)``: the fused walk, and ``moves()``, the lockstep
 walker's moves on either side of the rank gate.  Each lane kind gives it
-only its entries' columns, its two fused loops and its settle fold.  On
-rank rows the moves read the fused walker's layout, as flat arrays of the
-same entries with one entry per row and rank.  The lockstep walker ranks
-each draw group once, on the same one-row grid, and a step of the chase
-is a key, ``position + rank``, and the next position at that key; a table
-rule's state is folded into the row, as in the fused loop.  Above the
-gate, a step of the chase finds every trial's slot with one lookup on a
-per-vertex grid of its draw, at any row width, and moves the trial's
-progress through the lanes' ``lockstep`` step, one pure, vectorised
-update over per-slot tables, which the exact solver steps through too.
-Either way the lockstep walker keeps every trial's progress and commute
-count itself, and records the trials that stopped at each group's end.
+only its entries' columns, its two fused loops and its settle fold, and
+its numpy step is that fold alone.  On rank rows the moves read the fused
+walker's layout, as flat arrays of the same entries with one entry per
+row and rank.  The lockstep walker ranks each draw group once, on the
+same one-row grid, and a step of the chase is a key, ``position + rank``,
+and the next position at that key; a table rule's state is folded into
+the row, as in the fused loop.  Above the gate, a lane's position is its
+row, a step of the chase finds every trial's slot with one lookup on a
+per-vertex grid of its draw, at any row width, and its key is the row's
+first entry plus that slot.  Either way the settle reads the charges and
+the kind's fold at the keys.  The exact solver reads the same entries and
+fold, through the lanes' ``entries``.  The lockstep walker keeps every
+trial's progress and commute count itself, and records the trials that
+stopped at each group's end.
 At a group's end it hands its last ``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to
 the fused loop, which goes on from each trial's vertex, progress, clock,
 step count and generator state, so no step is walked twice; each such tail
@@ -92,7 +94,7 @@ k-th draw is its k-th step in all three walkers.  The gate's value and the
 measured tables behind it, the draw groups, the hand-off and the tails'
 block are in :mod:`walkcover.estimate`; the grid and its bound,
 ``GRID_ENTRIES_MAX``, are here.  The walkers and the exact solver read the
-sampling rows through one layout, :func:`_slot_columns`.
+sampling rows through one layout, :func:`slot_columns`.
 """
 
 from __future__ import annotations
@@ -492,7 +494,7 @@ class _MaskTracker:
 # and the exact solver keep all per-trial state themselves.  The estimator
 # (:mod:`walkcover.estimate`) walks on them in two ways, and the exact solver
 # (:mod:`walkcover.exact`) steps a breadth-first level of states at a time
-# through the vectorised step the lockstep walker takes above the rank gate.
+# through the entries and fold the lockstep walker settles on.
 # Lanes expose:
 #   walkers(tables, start, label) -> (walk, moves)
 #       ``walk(rng, budget, *resumed)`` walks one trial at a time in a fused
@@ -510,23 +512,20 @@ class _MaskTracker:
 #       three pieces: their entries' columns (the row each (state, slot)
 #       leads to, and a code, or a bit and a home flag), their fused loops
 #       on slot rows and on rank rows, and their settle fold and ``where``
-#       on rank rows
-#   lockstep(arcs, heads) -> (step, resumed)
-#       the one vectorised step, over slots with these arcs and heads (int
-#       arrays, one entry per slot): ``step(progress, slot) -> (progress,
-#       stop, back)`` over arrays of lanes, which broadcast together, from
-#       ``initial``: the new progress, True where the lane stops, and 1
-#       where it completes a commute, or None for rules that count none.
-#       ``resumed(progress)`` gives the progress values the fused walker
-#       resumes from, as a list.  Built once per estimate or solve; it
-#       holds its own per-slot tables
-#   dtype                             (numpy type of the step's progress, or
+#   entries(arcs, heads, n) -> (to, fold, where)
+#       the numpy step over entry keys ``state * slots + slot``, for slots
+#       with these arcs and heads (int arrays from :func:`slot_columns`):
+#       the row each entry leads to, and the kind's fold and ``where`` on
+#       those keys.  The lockstep walker's moves on slot rows and the exact
+#       solver read each kind through it alone.  Built once per estimate
+#       or solve
+#   dtype                             (numpy type of the fold's progress, or
 #                                      None for object arrays, as masks wider
 #                                      than 64 bits need; the lockstep walker
 #                                      takes only a numpy type, so ``walkers``
 #                                      gives no moves for None)
 #   initial                           (the progress before the first step)
-#   rank(progress) -> int             (of the step's progress: grows whenever
+#   rank(progress) -> int             (of ``where``'s progress: grows whenever
 #                                      progress changes, for every rule the
 #                                      exact solver supports)
 # The epoch sequences in :mod:`walkcover.tours` build :class:`_TableLanes`
@@ -701,10 +700,11 @@ def _refills(rand, budget: int, done: int = 0, first=np.ndarray.tolist, later=np
 RANK_ENTRIES_MAX = 2**13
 
 
-def _slot_columns(tables):
+def slot_columns(tables):
     """The sampling rows' slots in one run of columns: per vertex its
     ``cum`` list (None without arcs) and the range ``[a, z)`` of its slots,
-    then per slot its arc ``2 * edge + direction``, head and charge."""
+    then per slot its arc ``2 * edge + direction`` and head (int arrays)
+    and its charge (a list)."""
     slots, arcs, heads, charges = [], [], [], []
     for row in tables:
         cum, meta = row or (None, ())
@@ -712,7 +712,7 @@ def _slot_columns(tables):
         arcs += [2 * e + d for e, d, _, _ in meta]
         heads += [h for _, _, h, _ in meta]
         charges += [c for _, _, _, c in meta]
-    return slots, arcs, heads, charges
+    return slots, np.array(arcs, np.intp), np.array(heads, np.intp), charges
 
 
 def _rank_rows(tables, states: int = 1):
@@ -727,7 +727,7 @@ def _rank_rows(tables, states: int = 1):
     the same slot, for all of them: that of the rank's lowest breakpoint,
     or slot 0 below every breakpoint.  Returns the breakpoints as an array
     and an int array of shape (vertices, ranks) of positions in
-    :func:`_slot_columns`' slots (0 for a vertex without arcs, which no
+    :func:`slot_columns`' slots (0 for a vertex without arcs, which no
     step reaches).
     """
     breaks = sorted({c for row in tables if row is not None for c in row[0][:-1]})
@@ -752,7 +752,7 @@ def _fused_rows(tables, slots, states: int = 1):
     it, ``breaks`` is None and a row is a slot row ``(cum, entries)``: the
     vertex's ``cum`` list and one entry per slot, and a step bisects
     ``cum``.  Either way the entries come from one list, numbered ``state *
-    slots + slot`` over ``slots`` (:func:`_slot_columns`), and each holds
+    slots + slot`` over ``slots`` (:func:`slot_columns`), and each holds
     the row it leads to, so the walker makes them once the rows exist.
     ``fill`` is what :func:`_link` fills the rows from: their lists, the
     numbers of the entries those hold, in row order, and where each row's
@@ -816,7 +816,7 @@ GRID_ENTRIES_MAX = 2**16
 
 def _grid(slots) -> tuple[int, np.ndarray, np.ndarray]:
     """A grid of ``2**g`` bins over [0, 1) per vertex, from
-    :func:`_slot_columns`' ``slots``: ``(g, lo, thr)``, indexed by
+    :func:`slot_columns`' ``slots``: ``(g, lo, thr)``, indexed by
     ``(vertex << g) + bin``.
 
     ``lo`` is the vertex's first slot plus the count of its ``cum`` entries
@@ -946,9 +946,9 @@ class _Steps(NamedTuple):
     lanes): ``(clocks, stops, counts, progress)``, with ``stops`` True
     where the lane stops, ``counts`` its commutes, or None for rules that
     count none, and ``progress`` after the group.  ``where(at, progress)``
-    gives the vertices and progress values the fused walk goes on from, as
-    lists, and ``reads(draws)`` what the fused walk reads of uniforms:
-    their ranks on rank rows, the uniforms themselves on slot rows.
+    gives the vertices and progress values the fused walk goes on from,
+    and ``reads(draws)`` what the fused walk reads of uniforms: their ranks
+    on rank rows, the uniforms themselves on slot rows.
     """
 
     start: int
@@ -990,12 +990,25 @@ def _rank_chase(moved: np.ndarray) -> Callable:
     return chase
 
 
+def _settle(charge: np.ndarray, fold) -> Callable:
+    """The settle on either side of the rank gate: the running sum of the
+    ``charge`` at the keys, from each lane's clock, and the kind's fold."""
+
+    def settle(keys, progress, clock, commutes):
+        stops, counts, progress = fold(keys, progress, commutes)
+        return _running(charge.take(keys), clock), stops, counts, progress
+
+    return settle
+
+
 class _Lanes:
     """What both lane kinds share: :meth:`walkers`, the one builder of an
-    estimate's walkers.  Each kind gives it three pieces: ``_columns``, its
-    entries' columns; ``_fused``, its two fused loops, written out by hand
-    because a call per step would cost more than the loop body; and
-    ``_fold``, its settle fold and ``where`` on rank rows."""
+    estimate's walkers, and :meth:`entries`, the numpy step that the
+    lockstep walker's moves on slot rows and the exact solver read.  Each
+    kind gives them three pieces: ``_columns``, its entries' columns;
+    ``_fused``, its two fused loops, written out by hand because a call per
+    step would cost more than the loop body; and ``_fold``, its settle fold
+    and ``where``."""
 
     def walkers(self, tables, start: int, label: str):
         """Both walkers of an estimate on one layout: ``(walk, moves)``.
@@ -1019,8 +1032,7 @@ class _Lanes:
         progress has no numpy type (masks wider than 64 bits), which never
         walk in lockstep.
         """
-        slots, arcs, heads, charges = _slot_columns(tables)
-        arcs, heads = np.array(arcs, np.intp), np.array(heads, np.intp)
+        slots, arcs, heads, charges = slot_columns(tables)
         n = len(tables)
         to, columns = self._columns(arcs, heads, n)
         states = len(to) // len(arcs)
@@ -1030,7 +1042,7 @@ class _Lanes:
                            *[column.tolist() for column in columns]))
         if breaks is None:
             walk = self._fused(rows, n, start, label)
-            moves = partial(self._grid_moves, slots, arcs, heads, charges, start)
+            moves = partial(self._grid_moves, slots, arcs, heads, tiled, start)
         else:
             grid = _row_grid(breaks)
             width, picks = len(breaks) + 1, fill[1]
@@ -1038,54 +1050,62 @@ class _Lanes:
 
             def moves() -> _Steps:
                 fold, where = self._fold(n, *[column[picks] for column in columns])
-                charge, moved = np.array(tiled)[picks], (to * width)[picks]
-
-                def settle(keys, progress, clock, commutes):
-                    stops, counts, progress = fold(keys, progress, commutes)
-                    return _running(charge.take(keys), clock), stops, counts, progress
-
                 rank = partial(_grid_ranks, grid)
-                return _Steps(start * width, self.initial, self.dtype, rank, _rank_chase(moved),
-                              settle, lambda at, progress: where(at // width, progress), rank)
+                return _Steps(start * width, self.initial, self.dtype, rank,
+                              _rank_chase((to * width)[picks]),
+                              _settle(np.array(tiled)[picks], fold),
+                              lambda at, progress: where(at // width, progress), rank)
 
         _link(walk, fill, entries)
         return walk, None if self.dtype is None else cache(moves)
 
+    def entries(self, arcs: np.ndarray, heads: np.ndarray, n: int):
+        """The lanes' numpy step over entry keys ``state * slots + slot``,
+        for slots with these ``arcs`` and ``heads`` (:func:`slot_columns`)
+        on ``n`` vertices: ``(to, fold, where)``.  ``to`` is the row each
+        entry leads to, ``state * n + head``.  ``fold(keys, progress,
+        commutes) -> (stops, counts, progress)`` reads the steps at keys of
+        shape (rows, lanes) as running values down the rows, from each
+        lane's progress and commutes: True where the lane stops, its
+        commutes, or None for rules that count none, and its progress after
+        the last row.  ``where(row, progress)`` gives, as int arrays, the
+        vertices and the progress the fused walk takes (a table rule's
+        state number, or the mask) of lanes at these rows with this
+        progress."""
+        to, columns = self._columns(arcs, heads, n)
+        return (to, *self._fold(n, *columns))
+
     def _grid_moves(self, slots, arcs, heads, charges, start: int) -> _Steps:
-        """The lockstep walker's moves on slot rows: the lanes' ``lockstep``
-        step over slots found on a per-vertex grid (:func:`_grid`).  A
-        lane's position is its vertex shifted to its grid row, a group's
-        draws are binned once, and a step's slot is ``lo`` at (position +
-        bin) plus the count of that bin's thresholds at or below its draw.
-        The chase moves each lane's position and progress by slot and keeps
-        the slots, stops and commutes, from which the settle reads the
-        charges and running values."""
+        """The lockstep walker's moves on slot rows, from :meth:`entries`
+        and ``charges`` per entry.  A lane's position is its row, ``state *
+        vertices + vertex``, and a step's key is the row's first entry plus
+        the slot its draw finds on a per-vertex grid (:func:`_grid`): ``lo``
+        at (the vertex's grid row + bin) plus the count of that bin's
+        thresholds at or below the draw.  A group's draws are binned once;
+        the chase reads each lane's grid row and first entry at the row it
+        starts from and then at each key, writes the keys over the bins,
+        and ends each lane at ``to`` of its last key.  The settle reads the
+        charges and the fold at the keys, as on rank rows."""
         g, lo, thr = _grid(slots)
-        lane_step, resumed = self.lockstep(arcs, heads)
-        moved, charge_of, thr, scale = heads << g, np.array(charges), list(thr), 2.0**g
+        n, size = len(slots), len(arcs)
+        to, fold, where = self.entries(arcs, heads, n)
+        every = np.arange(len(to) // size * n)
+        cell, first = every % n << g, every // n * size  # per row: grid row, first entry
+        cell_to, first_to, thr, scale = cell[to], first[to], list(thr), 2.0**g
 
         def prepare(draws):
             return (draws * scale).astype(np.intp)
 
-        def chase(at, progress, draws, bins):
-            keys = []
-            for b, u in zip(bins, draws):
-                slot = _grid_slots(lo, thr, at + b, u)
-                at = moved.take(slot)
-                progress, stop, back = lane_step(progress, slot)
-                keys.append((slot, stop, back))
-            return keys, at, progress
+        def chase(row, progress, draws, bins):
+            at, base = cell.take(row), first.take(row)
+            for key, u in zip(bins, draws):
+                key += at
+                np.add(_grid_slots(lo, thr, key, u), base, out=key)
+                at, base = cell_to.take(key), first_to.take(key)
+            return bins, to.take(key), progress
 
-        def settle(keys, progress, clock, commutes):
-            slots, stops, backs = zip(*keys)
-            counts = None if backs[0] is None else _running(np.array(backs), commutes)
-            return _running(charge_of.take(slots), clock), np.array(stops), counts, progress
-
-        def where(at, progress):
-            return (at >> g).tolist(), resumed(progress)
-
-        return _Steps(start << g, self.initial, self.dtype, prepare, chase, settle, where,
-                      lambda d: d)
+        return _Steps(start, self.initial, self.dtype, prepare, chase,
+                      _settle(np.array(charges), fold), where, lambda d: d)
 
 
 class _TableLanes(_Lanes):
@@ -1102,34 +1122,13 @@ class _TableLanes(_Lanes):
     def __init__(self, nxt: np.ndarray, stop: np.ndarray, back: np.ndarray | None):
         self.next, self.stop, self.back = nxt, stop, back
 
-    def _by_slot(self, arcs: Sequence[int] | np.ndarray):
-        """``next``, ``stop`` and ``back`` (zeros where that is None) per
-        (state, slot), for slots with these ``arcs``."""
-        back = np.zeros_like(self.next) if self.back is None else self.back
-        return self.next[:, arcs], self.stop[:, arcs], back[:, arcs]
-
-    def lockstep(self, arcs: np.ndarray, heads: np.ndarray):
-        """The vectorised step over slots with these ``arcs``: ``(step,
-        resumed)``.  ``step(state, slot)`` reads flat (state, slot) tables
-        whose states are premultiplied by the slot count, so a key is one
-        add; ``resumed`` gives the state numbers the fused walker takes."""
-        nxt, stop, back = self._by_slot(arcs)
-        size = nxt.shape[1]
-        nxt, stop = (nxt * size).ravel(), stop.ravel()
-        back = None if self.back is None else back.ravel()
-
-        def step(state: np.ndarray, slot: np.ndarray):
-            key = state + slot
-            return nxt.take(key), stop.take(key), None if back is None else back.take(key)
-
-        return step, lambda state: (state // size).tolist()
-
     def _columns(self, arcs: np.ndarray, heads: np.ndarray, n: int):
         """Per (state, slot), the row its step leads to and its code: 0 to
         go on, 1 where the step completes a commute, and ``-1`` less its
         commute where it stops."""
-        nxt, stop, back = self._by_slot(arcs)
-        return (nxt * n + heads).ravel(), [np.where(stop, -1 - back, back).ravel()]
+        back = 0 if self.back is None else self.back[:, arcs]
+        to = self.next[:, arcs] * n + heads
+        return to.ravel(), [np.where(self.stop[:, arcs], -1 - back, back).ravel()]
 
     def _fused(self, rows, n: int, start: int, label: str, rankers=None):
         """The fused walk on slot rows, or on rank rows with ``rankers``
@@ -1175,10 +1174,10 @@ class _TableLanes(_Lanes):
         return walk
 
     def _fold(self, n: int, codes: np.ndarray):
-        """The settle's fold on rank rows, ``(keys, state, commutes) ->
-        (stops, counts, state)``, from the codes per (row, rank): the state
-        is in the row, so it passes through.  ``where(row, state)`` splits
-        the rows into vertices and states."""
+        """The settle's fold, ``(keys, state, commutes) -> (stops, counts,
+        state)``, from the codes per key: the state is in the row, so it
+        passes through.  ``where(row, state)`` splits the rows into
+        vertices and states."""
         stops = codes < 0
         backs = None if self.back is None else np.where(stops, ~codes, codes)
 
@@ -1187,7 +1186,7 @@ class _TableLanes(_Lanes):
             return stops.take(keys), counts, state
 
         def where(row, state):
-            return (row % n).tolist(), (row // n).tolist()
+            return row % n, row // n
 
         return fold, where
 
@@ -1196,10 +1195,10 @@ class _MaskLanes(_Lanes):
     """A coverage mask per lane, plus a return to ``root`` unless it is None.
 
     ``bits[arc]`` is the bit that arc sets.  The masks are Python ints on the
-    fused walker, so any width works there.  The vectorised step holds them
-    in uint64 arrays up to 64 bits and in object arrays above; the exact
-    solver steps masks of any width through it, and the lockstep walker
-    takes masks of at most 64 bits.
+    fused walker, so any width works there.  The fold holds them in uint64
+    arrays up to 64 bits and in object arrays above; the exact solver folds
+    masks of any width, and the lockstep walker takes masks of at most 64
+    bits.
     """
 
     rank = staticmethod(int.bit_count)
@@ -1210,25 +1209,6 @@ class _MaskLanes(_Lanes):
         self.root = root
         self.initial = initial
         self.dtype = np.uint64 if full.bit_length() <= 64 else None
-
-    def lockstep(self, arcs: np.ndarray, heads: np.ndarray):
-        """The vectorised step over slots with these ``arcs`` and ``heads``:
-        ``(step, resumed)``, where ``step(mask, slot)`` reads each slot's bit
-        and whether it ends at the root, and ``resumed`` gives the masks as
-        the fused walker takes them.  Masks wider than 64 bits are Python
-        ints in object arrays."""
-        bits = np.array(self.bits, self.dtype or object)[arcs]
-        full = self.full if self.dtype is None else np.uint64(self.full)
-        home = None if self.root is None else heads == self.root
-
-        def step(mask: np.ndarray, slot: np.ndarray):
-            mask = mask | bits.take(slot)
-            stop = mask == full
-            if home is not None:
-                stop &= home.take(slot)
-            return mask, stop, None
-
-        return step, np.ndarray.tolist
 
     def _columns(self, arcs: np.ndarray, heads: np.ndarray, n: int):
         """Per slot, the row of its head, its bit and whether the walk may
@@ -1276,12 +1256,12 @@ class _MaskLanes(_Lanes):
         return walk
 
     def _fold(self, n: int, bits: np.ndarray, home: np.ndarray):
-        """The settle's fold on rank rows, ``(keys, mask, commutes) ->
-        (stops, None, mask)``, from the bits and home flags per (vertex,
-        rank): the running OR of the masks down the rows, stopping where a
-        full mask may stop.  ``where(row, mask)`` gives the vertices and
-        masks as lists."""
-        full, home = np.uint64(self.full), None if self.root is None else home
+        """The settle's fold, ``(keys, mask, commutes) -> (stops, None,
+        mask)``, from the bits and home flags per key: the running OR of
+        the masks down the rows, stopping where a full mask may stop.  A
+        row is a vertex, so ``where(row, mask)`` passes both through."""
+        full = self.full if self.dtype is None else np.uint64(self.full)
+        home = None if self.root is None else home
 
         def fold(keys, mask, commutes):
             masks = _running(bits.take(keys), mask, np.bitwise_or)
@@ -1291,7 +1271,7 @@ class _MaskLanes(_Lanes):
             return stops, None, masks[-1]
 
         def where(row, mask):
-            return row.tolist(), mask.tolist()
+            return row, mask
 
         return fold, where
 

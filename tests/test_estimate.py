@@ -281,6 +281,7 @@ def test_trial_rng_streams_are_stable_and_distinct():
 # the same name.
 estimate_module = importlib.import_module("walkcover.estimate")
 walker_module = importlib.import_module("walkcover.walker")
+exact_module = importlib.import_module("walkcover.exact")
 
 # Seeds of one to seven 32-bit words; the last two give SeedSequence more
 # entropy words than its pool of four.
@@ -359,7 +360,7 @@ def test_grid_lookup_equals_bisect_right(tables, picks):
     and just below it, on bin edges (those around every breakpoint and
     every few bins besides), at 0 and at ``1 - 2**-53``, for single-slot
     rows and vertices without arcs, and where breakpoints share a bin."""
-    slots = walker_module._slot_columns(tables)[0]
+    slots = walker_module.slot_columns(tables)[0]
     g, lo, thr = walker_module._grid(slots)
     scale = 2.0**g
     for v, (cum, a, _) in enumerate(slots):
@@ -414,11 +415,11 @@ def test_grid_keeps_columns_past_its_bound():
     on a narrow network it is the coarsest that parts every row's
     breakpoints, with one threshold a bin."""
     tables = build_tables(_CLOSE_ROW, TimingModel.L_SQUARED)
-    g, lo, thr = walker_module._grid(walker_module._slot_columns(tables)[0])
+    g, lo, thr = walker_module._grid(walker_module.slot_columns(tables)[0])
     assert 4 << g <= walker_module.GRID_ENTRIES_MAX < 4 << g + 1
     assert len(thr) == 2 and len(lo) == 4 << g
     tables = build_tables(star(5), TimingModel.L_SQUARED)
-    g, lo, thr = walker_module._grid(walker_module._slot_columns(tables)[0])
+    g, lo, thr = walker_module._grid(walker_module.slot_columns(tables)[0])
     assert (g, len(thr)) == (2, 1)
 
 
@@ -766,24 +767,30 @@ def _block_against_runs(walks, net, start, rule, model, seed, lo, hi):
 
 @pytest.mark.parametrize("case", range(len(_lockstep_cases())))
 @pytest.mark.parametrize("model", list(TimingModel))
-def test_lockstep_block_equals_per_trial_runs(walks, case, model):
+def test_lockstep_block_equals_per_trial_runs(walks, monkeypatch, case, model):
     """Below the gate every trial walks on the fused loop; at and above it
     the lockstep walker takes all but a tail of fewer than
     ``LOCKSTEP_MIN_LIVE`` trials, which the fused loop walks.  No trial runs
     on ``run``, and each trial's (stop time, steps, commutes) is
     bit-identical to it.  Each block straddles 2**32, where trial indices
-    gain a second word."""
+    gain a second word.  The blocks walk at ``walker.RANK_ENTRIES_MAX`` as
+    it is, and then at 0, where every rule walks on slot rows and the
+    lockstep walker on the per-vertex grid; a block at the gate is enough
+    there."""
     net, start, rule = _lockstep_cases()[case]
     gate = estimate_module.LOCKSTEP_MIN_LANES
-    for count in (gate - 1, gate, 2 * gate + 37):
-        lo = 2**32 - count // 2
-        fused, scalar = _block_against_runs(walks, net, start, rule, model, 41 + case,
-                                            lo, lo + count)
-        assert scalar == 0
-        if count < gate:
-            assert fused == count
-        else:
-            assert fused < estimate_module.LOCKSTEP_MIN_LIVE
+    for rank_gate, counts in ((walker_module.RANK_ENTRIES_MAX, (gate - 1, gate, 2 * gate + 37)),
+                              (0, (gate,))):
+        monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", rank_gate)
+        for count in counts:
+            lo = 2**32 - count // 2
+            fused, scalar = _block_against_runs(walks, net, start, rule, model, 41 + case,
+                                                lo, lo + count)
+            assert scalar == 0
+            if count < gate:
+                assert fused == count
+            else:
+                assert fused < estimate_module.LOCKSTEP_MIN_LIVE, rank_gate
 
 
 @pytest.mark.parametrize("case", range(len(_lockstep_cases())))
@@ -814,13 +821,16 @@ def test_lockstep_leaves_lanes_unchanged(case, monkeypatch):
 
 
 def test_estimate_imports_no_private_walker_name():
-    """The estimator builds its walkers through the lanes' ``walkers`` alone:
-    ``estimate.py`` imports no ``_``-prefixed name from the walker module."""
-    tree = ast.parse(Path(estimate_module.__file__).read_text())
-    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and (node.level, node.module) in {(1, "walker"), (0, "walkcover.walker")}
-               for alias in node.names if alias.name.startswith("_")]
-    assert private == []
+    """The estimator builds its walkers through the lanes' ``walkers`` alone,
+    and the exact solver reads the lanes through their ``entries`` alone:
+    neither ``estimate.py`` nor ``exact.py`` imports a ``_``-prefixed name
+    from the walker module."""
+    for module in (estimate_module, exact_module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level, node.module) in {(1, "walker"), (0, "walkcover.walker")}
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == [], module.__name__
 
 
 def _rank_gated(net, rule):

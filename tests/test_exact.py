@@ -162,10 +162,12 @@ def test_non_monotone_progress_fails_loudly():
 
 
 class _WalkerLanes:
-    """A rule's lanes showing only what the estimator's walkers read."""
+    """A rule's lanes showing only ``entries``, ``walkers``, ``dtype``,
+    ``initial`` and ``rank``, so a solve fails if it reads any other lanes
+    attribute."""
 
     def __init__(self, lanes):
-        self.walkers, self.lockstep = lanes.walkers, lanes.lockstep
+        self.entries, self.walkers = lanes.entries, lanes.walkers
         self.dtype, self.initial, self.rank = lanes.dtype, lanes.initial, lanes.rank
 
 

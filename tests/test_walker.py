@@ -413,7 +413,7 @@ def test_rank_rows_pick_the_bisect_slot(case, monkeypatch):
     monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", 10**6)
     tables = _rank_slot_cases()[case]
     breaks, at = walker_module._rank_rows(tables)
-    slots = walker_module._slot_columns(tables)[0]
+    slots = walker_module.slot_columns(tables)[0]
     ends = [0.0, *breaks.tolist(), 1.0]
     assert at.shape == (len(tables), len(ends) - 1)
     for r in range(len(ends) - 1):

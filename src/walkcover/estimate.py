@@ -550,7 +550,9 @@ def _lockstep(table, streams, budget, samples):
     Stopped lanes stay in the arrays, walking on unread, until they are a
     quarter of them or the hand-off comes; then, at that group's end, every
     array drops them at once.  Groups are cut at the budget, and the
-    hand-off is at a group's end.
+    hand-off is at a group's end.  A block has at least
+    ``LOCKSTEP_MIN_LANES`` trials and a budget of at least one step, so it
+    walks at least one group.
     """
     times, step_counts, commute_counts = samples
     state_hi, state_lo, inc_hi, inc_lo = streams
@@ -566,7 +568,7 @@ def _lockstep(table, streams, budget, samples):
     # Row k of the group holds each lane's state after the group's (k + 1)-th
     # step; before the first group, its one row holds the seeded states.
     group_hi, group_lo = state_hi[None], state_lo[None]
-    while left >= LOCKSTEP_MIN_LIVE and steps < budget:
+    while True:
         rows = min(_group_size(left), budget - steps)
         if rows == size:
             group_hi, group_lo = _next_group(group_hi, group_lo, jump)
@@ -594,17 +596,20 @@ def _lockstep(table, streams, budget, samples):
                 commute_counts[done] = counts[row, idx]
             live[idx] = False
             left -= len(idx)
-        if 4 * left < 3 * len(lane) or left < LOCKSTEP_MIN_LIVE or steps >= budget:
+        handoff = left < LOCKSTEP_MIN_LIVE or steps >= budget
+        if handoff or 4 * left < 3 * len(lane):
             keep = live.nonzero()[0]
             lane, at, progress, commutes, clock, inc_hi, inc_lo = (
                 a.take(keep) for a in (lane, at, progress, commutes, clock, inc_hi, inc_lo)
             )
+            if handoff:
+                break
             group_hi, group_lo, g_inc_hi, g_inc_lo = (
                 a.take(keep, axis=1) for a in (group_hi, group_lo, *jump[1:])
             )
             jump = jump[0], g_inc_hi, g_inc_lo
             live = np.ones(left, bool)
-    state_hi, state_lo = group_hi[-1], group_lo[-1]
+    state_hi, state_lo = group_hi[-1].take(keep), group_lo[-1].take(keep)
     ahead, blocks = min(TAIL_BLOCK, budget - steps), repeat(())
     if ahead and len(lane):
         (block_hi, block_lo), _ = _group_states(state_hi, state_lo, inc_hi, inc_lo, ahead)

@@ -22,18 +22,21 @@ checks its residual ``|Ax - b|_inf <= 1e-9 max(1, |b|_inf)`` and raises
 The states are enumerated breadth first, one level at a time.  A state is
 a row of the lanes' entries and a progress, as the lockstep walker holds a
 lane: the lanes' ``entries`` (built once per solve over the sampling
-slots) give the row each entry leads to and the fold the walker settles
-on, and one call of the fold steps every entry of the level's rows, so
-each transition is stepped once.  A dict numbers the states in the order
-the search first reaches them.  A level's keys are built in numpy when its
-widest key fits in 64 bits.  Progress is held as the fold holds it, and
-masks wider than 64 bits travel in object arrays.  The lanes' ``where``
-gives each state its vertex and its block value, the progress the fused
-walk takes: a table rule's state number, or the mask.  One stable sort of
-the block values gives the blocks, and the states are then laid out block
-after block in solve order (descending rank, then ascending size, then
-first reached), each block's states in the order they were reached, at
-int32 positions.  Every block's ``I - P_pp``
+slots) give the row each entry leads to, each row's vertex and first
+entry, and the fold the walker settles on.  A row's entries are its first
+entry plus its vertex's slots, padded per vertex to the widest, so the
+search's tables grow with the entries and the vertices, not with the rows
+times the widest vertex.  One call of the fold steps every entry of the
+level's rows, so each transition is stepped once.  A dict numbers the
+states in the order the search first reaches them.  A level's keys are
+built in numpy when its widest key fits in 64 bits.  Progress is held as
+the fold holds it, and masks wider than 64 bits travel in object arrays.
+The lanes' ``where`` gives each state its vertex and its block value, the
+progress the fused walk takes: a table rule's state number, or the mask.
+One stable sort of the block values gives the blocks, and the states are
+then laid out block after block in solve order (descending rank, then
+ascending size, then first reached), each block's states in the order they
+were reached, at int32 positions.  Every block's ``I - P_pp``
 is assembled in a flat array, a contiguous slice per block, its entries
 summed per state in slot order.  Each batch of equal rank and size sums
 its right-hand sides in one accumulate over the slots, the mean charge
@@ -110,31 +113,31 @@ def exact_stop_time(
     if make_lanes is None:
         raise TypeError(f"no exact solver for rule type {type(rule).__name__}")
     slots, arcs, heads, charges = slot_columns(build_tables(net, model))
-    moves, weights = _slot_rows(slots, charges)
+    slot, weights = _slot_rows(slots, charges)
+    valid = weights[:, 1:] > 0.0  # not padding: every slot has a positive probability
     if tracker.start(start):
         return 0.0
-    if not moves[start, 1, 0]:
+    if not valid[start, 0]:
         raise VertexOutOfRange(f"vertex {start} has no incident arcs")
     lanes = make_lanes(net)
-    to, fold, where = lanes.entries(arcs, heads, len(slots))
-    progress, row, live, reached = _reachable(_row_entries(moves, to, len(arcs)), fold, lanes,
-                                              start, max_states)
+    *entries, where = lanes.entries(arcs, heads, len(slots))
+    progress, row, live, reached = _reachable(slot, valid, entries, lanes, start, max_states)
     vertex, value = where(row, progress)
     return _solve(value, vertex, live, reached, weights, lanes)
 
 
 def _slot_rows(slots, charges):
-    """The sampling slots per vertex, padded to the widest row: ``(moves,
+    """The sampling slots per vertex, padded to the widest row: ``(slot,
     weights)``, from :func:`slot_columns`' columns.
 
-    ``moves[v]`` holds, per slot of ``v``, its number and 1 (0 in padding),
-    shape (2, width); padding repeats the first slot (or slot 0 where ``v``
-    has no arcs), so that every entry is one the lanes' fold can read.
-    ``weights[v]`` holds ``v``'s mean one-step charge, summed in slot order,
-    then each slot's step probability (0.0 in padding).
+    ``slot[v]`` holds the numbers of ``v``'s slots; padding repeats the
+    first slot (or slot 0 where ``v`` has no arcs), so that every entry is
+    one the lanes' fold can read.  ``weights[v]`` holds ``v``'s mean
+    one-step charge, summed in slot order, then each slot's step
+    probability (0.0 in padding).
     """
     width = max(1, max(z - a for _, a, z in slots))
-    moves, weights = [], []
+    slot, weights = [], []
     for cum, a, z in slots:
         pad = width - (z - a)
         if cum:
@@ -142,49 +145,40 @@ def _slot_rows(slots, charges):
             mean = 0.0
             for term in map(mul, prob, charges[a:z]):
                 mean += term
-            moves += (*range(a, z), *(a,) * pad, *(1,) * (z - a), *(0,) * pad)
+            slot += (*range(a, z), *(a,) * pad)
             weights += (mean, *prob, *(0.0,) * pad)
         else:
-            moves += (0,) * (2 * width)
+            slot += (0,) * width
             weights += (0.0,) * (width + 1)
     n = len(slots)
-    return np.array(moves).reshape(n, 2, width), np.array(weights, float).reshape(n, width + 1)
+    return np.array(slot).reshape(n, width), np.array(weights, float).reshape(n, width + 1)
 
 
-def _row_entries(moves, to, size):
-    """Per row of the lanes' entries, ``state * vertices + vertex``, its
-    vertex's ``moves`` as entries, shape (rows, 3, width): the keys
-    ``state * size + slot``, the rows ``to`` that they lead to, and 1 (0 in
-    padding)."""
-    n, _, width = moves.shape
-    entries = np.empty((len(to) // size, n, 3, width), np.intp)
-    keys = entries[:, :, 0]
-    np.add(np.arange(0, len(to), size)[:, None, None], moves[:, 0], out=keys)
-    entries[:, :, 1] = to[keys]
-    entries[:, :, 2] = moves[:, 1]
-    return entries.reshape(-1, 3, width)
-
-
-def _reachable(entries, fold, lanes, start, max_states):
+def _reachable(slot, valid, entries, lanes, start, max_states):
     """Reachable non-stopped states in breadth-first order: their progress
-    and row; per state and entry of its row, whether the step goes on,
+    and row; per state and slot of its vertex, whether the step goes on,
     flattened from shape (states, width); and for each step that goes on,
     in that order, the number of the state it reaches (int32).
 
     States are expanded in the order they are first reached, a level (or
-    ``_CHUNK`` states of one) at a time, each in one call of ``fold``, the
-    lanes' fold, over all the entries of their rows (``entries``, of
-    :func:`_row_entries`).  A state's key is its progress, as ``fold``
-    holds it, shifted left past every row number, or its row.  Where a
-    level's widest key fits in 64 bits, its keys are built in one uint64
-    array; wider ones (and object progress) as Python ints.  Either way the
-    dict sees the same ints.  One ``dict.setdefault`` per step, mapped in
-    C, gives each key the first of the numbers offered to it, one per step
+    ``_CHUNK`` states of one) at a time, each in one call of the lanes'
+    fold over all the entries of their rows, counting no commutes.
+    ``entries`` is the lanes' ``(to, vertex, first, fold)``: a row's
+    entries are its first entry plus its vertex's ``slot`` row, of which
+    ``valid`` marks the slots that are not padding, and ``to`` gives the
+    rows they lead to.  A state's key is its progress, as the fold holds
+    it, shifted left past every row number, or its row.  Where a level's
+    widest key fits in 64 bits, its keys are built in one uint64 array;
+    wider ones (and object progress) as Python ints.  Either way the dict
+    sees the same ints.  One ``dict.setdefault`` per step, mapped in C,
+    gives each key the first of the numbers offered to it, one per step
     taken so far; a step that gets its own number found a new state.  A
     table indexed by offered number then maps every step's number to its
     state's.
     """
-    shift, width = len(entries).bit_length(), entries.shape[2]
+    to, vertex, first, fold = entries
+    stated = first.any()  # False for lanes of one state, whose rows begin at entry 0
+    shift, width = len(vertex).bit_length(), slot.shape[1]
     wide, top = np.uint64(shift), np.maximum.reduce
     offer = {lanes.initial << shift | start: 0}.setdefault
     offered = count = 1
@@ -201,10 +195,13 @@ def _reachable(entries, fold, lanes, start, max_states):
         if len(row) > _CHUNK:
             pending.appendleft((progress[_CHUNK:], row[_CHUNK:]))
             progress, row = progress[:_CHUNK], row[:_CHUNK]
-        entry = entries[row]
-        stops, _, after = fold(entry[None, :, 0], progress[:, None].repeat(width, 1), 0)
-        live = entry[:, 2] > stops[0]
-        after, row = after[live], entry[:, 1][live]
+        at = vertex.take(row)
+        keys = slot.take(at, 0)
+        if stated:
+            keys += first.take(row)[:, None]
+        stops, _, after = fold(keys[None], progress[:, None].repeat(width, 1), None)
+        live = valid.take(at, 0) > stops[0]
+        after, row = after[live], to.take(keys)[live]
         steps = len(row)
         if dtype is not object and steps and int(top(after)).bit_length() <= 64 - shift:
             keys = (after.view(np.uint64) << wide | row.view(np.uint64)).tolist()

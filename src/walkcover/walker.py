@@ -512,13 +512,14 @@ class _MaskTracker:
 #       three pieces: their entries' columns (the row each (state, slot)
 #       leads to, and a code, or a bit and a home flag), their fused loops
 #       on slot rows and on rank rows, and their settle fold and ``where``
-#   entries(arcs, heads, n) -> (to, fold, where)
+#   entries(arcs, heads, n) -> (to, vertex, first, fold, where)
 #       the numpy step over entry keys ``state * slots + slot``, for slots
 #       with these arcs and heads (int arrays from :func:`slot_columns`):
-#       the row each entry leads to, and the kind's fold and ``where`` on
-#       those keys.  The lockstep walker's moves on slot rows and the exact
-#       solver read each kind through it alone.  Built once per estimate
-#       or solve
+#       the row each entry leads to, each row's vertex and first entry (a
+#       row's entries are its first entry plus its vertex's slots), and
+#       the kind's fold and ``where`` on those keys.  The lockstep walker's
+#       moves on slot rows and the exact solver read each kind and the
+#       rows' layout through it alone.  Built once per estimate or solve
 #   dtype                             (numpy type of the fold's progress, or
 #                                      None for object arrays, as masks wider
 #                                      than 64 bits need; the lockstep walker
@@ -1062,35 +1063,37 @@ class _Lanes:
     def entries(self, arcs: np.ndarray, heads: np.ndarray, n: int):
         """The lanes' numpy step over entry keys ``state * slots + slot``,
         for slots with these ``arcs`` and ``heads`` (:func:`slot_columns`)
-        on ``n`` vertices: ``(to, fold, where)``.  ``to`` is the row each
-        entry leads to, ``state * n + head``.  ``fold(keys, progress,
-        commutes) -> (stops, counts, progress)`` reads the steps at keys of
-        shape (rows, lanes) as running values down the rows, from each
-        lane's progress and commutes: True where the lane stops, its
-        commutes, or None for rules that count none, and its progress after
-        the last row.  ``where(row, progress)`` gives, as int arrays, the
-        vertices and the progress the fused walk takes (a table rule's
+        on ``n`` vertices: ``(to, vertex, first, fold, where)``.  ``to`` is
+        the row each entry leads to, ``state * n + head``; ``vertex`` and
+        ``first`` give each row's vertex and first entry, ``state *
+        slots``, so a row's entries are its first entry plus its vertex's
+        slots.  ``fold(keys, progress, commutes) -> (stops, counts,
+        progress)`` reads the steps at keys of shape (rows, lanes) as
+        running values down the rows, from each lane's progress and
+        commutes: True where the lane stops, its commutes, or None for
+        rules that count none or for ``commutes`` None, and its progress
+        after the last row.  ``where(row, progress)`` gives, as int arrays,
+        the vertices and the progress the fused walk takes (a table rule's
         state number, or the mask) of lanes at these rows with this
         progress."""
         to, columns = self._columns(arcs, heads, n)
-        return (to, *self._fold(n, *columns))
+        state, vertex = np.divmod(np.arange(len(to) // len(arcs) * n), n)
+        return (to, vertex, state * len(arcs), *self._fold(n, *columns))
 
     def _grid_moves(self, slots, arcs, heads, charges, start: int) -> _Steps:
         """The lockstep walker's moves on slot rows, from :meth:`entries`
-        and ``charges`` per entry.  A lane's position is its row, ``state *
-        vertices + vertex``, and a step's key is the row's first entry plus
-        the slot its draw finds on a per-vertex grid (:func:`_grid`): ``lo``
-        at (the vertex's grid row + bin) plus the count of that bin's
-        thresholds at or below the draw.  A group's draws are binned once;
-        the chase reads each lane's grid row and first entry at the row it
-        starts from and then at each key, writes the keys over the bins,
-        and ends each lane at ``to`` of its last key.  The settle reads the
-        charges and the fold at the keys, as on rank rows."""
+        and ``charges`` per entry.  A lane's position is its row, and a
+        step's key is the row's first entry plus the slot its draw finds
+        on a per-vertex grid (:func:`_grid`): ``lo`` at (the vertex's grid
+        row + bin) plus the count of that bin's thresholds at or below the
+        draw.  A group's draws are binned once; the chase reads each lane's
+        grid row and first entry at the row it starts from and then at each
+        key, writes the keys over the bins, and ends each lane at ``to`` of
+        its last key.  The settle reads the charges and the fold at the
+        keys, as on rank rows."""
         g, lo, thr = _grid(slots)
-        n, size = len(slots), len(arcs)
-        to, fold, where = self.entries(arcs, heads, n)
-        every = np.arange(len(to) // size * n)
-        cell, first = every % n << g, every // n * size  # per row: grid row, first entry
+        to, vertex, first, fold, where = self.entries(arcs, heads, len(slots))
+        cell = vertex << g  # per row: its vertex's grid row
         cell_to, first_to, thr, scale = cell[to], first[to], list(thr), 2.0**g
 
         def prepare(draws):
@@ -1126,9 +1129,9 @@ class _TableLanes(_Lanes):
         """Per (state, slot), the row its step leads to and its code: 0 to
         go on, 1 where the step completes a commute, and ``-1`` less its
         commute where it stops."""
-        back = 0 if self.back is None else self.back[:, arcs]
-        to = self.next[:, arcs] * n + heads
-        return to.ravel(), [np.where(self.stop[:, arcs], -1 - back, back).ravel()]
+        back = 0 if self.back is None else self.back.take(arcs, 1)
+        to = self.next.take(arcs, 1) * n + heads
+        return to.ravel(), [np.where(self.stop.take(arcs, 1), ~back, back).ravel()]
 
     def _fused(self, rows, n: int, start: int, label: str, rankers=None):
         """The fused walk on slot rows, or on rank rows with ``rankers``
@@ -1179,14 +1182,18 @@ class _TableLanes(_Lanes):
         passes through.  ``where(row, state)`` splits the rows into
         vertices and states."""
         stops = codes < 0
-        backs = None if self.back is None else np.where(stops, ~codes, codes)
+        # ``~code`` is ``-1 - code``: below the code where it is 0 or more,
+        # and the commute where the step stops.
+        backs = None if self.back is None else np.maximum(codes, ~codes)
 
         def fold(keys, state, commutes):
-            counts = None if backs is None else _running(backs.take(keys), commutes)
-            return stops.take(keys), counts, state
+            if backs is None or commutes is None:
+                return stops.take(keys), None, state
+            return stops.take(keys), _running(backs.take(keys), commutes), state
 
         def where(row, state):
-            return row % n, row // n
+            state, vertex = np.divmod(row, n)
+            return vertex, state
 
         return fold, where
 
@@ -1214,7 +1221,7 @@ class _MaskLanes(_Lanes):
         """Per slot, the row of its head, its bit and whether the walk may
         stop there: at the root, or anywhere without a return."""
         home = np.full(len(heads), True) if self.root is None else heads == self.root
-        return heads, [np.array(self.bits, self.dtype or object)[arcs], home]
+        return heads, [np.array(self.bits, self.dtype or object).take(arcs), home]
 
     def _fused(self, rows, n: int, start: int, label: str, rankers=None):
         """The fused walk on slot rows, or on rank rows with ``rankers``

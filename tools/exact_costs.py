@@ -20,6 +20,9 @@ Names (all of them by default):
                    about 600k states
     cap            arc cover-and-return on tree:5, which passes the
                    2**20-state cap
+    hub            directed epochs on star:200, forward orientation: a
+                   table rule of 401 states at a hub of 200 edges, 40,200
+                   states
 
 The package is imported from this checkout's ``src`` unless
 ``PYTHONPATH`` names another.
@@ -44,18 +47,32 @@ SOLVES = {
     "band": ("random:n=8,m=10,seed=4,lmin=0.8,lmax=1.25", "EdgeCoverReturn", 0, 20),
     "large": ("random:n=9,m=11,seed=3", "ArcCoverReturn", 0, 0),
     "cap": ("tree:5", "ArcCoverReturn", 0, 0),
+    "hub": ("star:200", "DirectedEpochs", 0, 0),
 }
+
+
+def _rule(net, name: str, arg: int):
+    """``name(arg)`` from :mod:`walkcover.walker`, or, for ``DirectedEpochs``,
+    the epochs of the double-cover walk from ``arg`` in the forward
+    orientation, as ``walkcover epochs --mode directed`` builds them."""
+    from walkcover import tours, walker
+    from walkcover.netmodel import Orientation
+
+    if name == "DirectedEpochs":
+        walk = tours.construct_double_cover_walk(net, arg)
+        return tours.EpochSequence(walk, "directed", Orientation((0,) * len(net.edges)))
+    return getattr(walker, name)(arg)
 
 
 def measure(name: str) -> dict:
     """Solve ``name`` in this process and return its timings and peak RSS."""
-    from walkcover import walker
     from walkcover.errors import StateSpaceTooLarge
     from walkcover.exact import exact_stop_time
     from walkcover.generators import from_spec
 
     spec, rule_name, arg, repeat = SOLVES[name]
-    net, rule = from_spec(spec), getattr(walker, rule_name)(arg)
+    net = from_spec(spec)
+    rule = _rule(net, rule_name, arg)
     walls, cpus = [], []
     result = ""
     for _ in range(repeat + 1):

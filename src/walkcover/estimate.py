@@ -19,28 +19,17 @@ against, trial by trial.  A block of fewer than ``LOCKSTEP_MIN_LANES``
 (400) trials loads each state into one reused generator and walks each
 trial in the lanes' fused loop, with no per-step method call.  A larger
 block walks all its trials in lockstep on the same streams, with draw k
-being step k, while its masks fit in 64 bits, at any row width.  It draws
-each trial's uniforms in groups, by PCG64 jump-ahead on the whole block at
-once, and walks a group as a chase and a settle: the chase takes the
-group's steps in turn and moves only what the next step looks up, and the
-settle reads every step's charge, progress, stop and commute at once.
-While the fused loop's rows are rank rows, it ranks each group once, on
-the fused loop's one-row grid, and a step of the chase is a key,
-position + rank, and the next position at that key, in flat arrays of
-the same rows' entries; above ``walker.RANK_ENTRIES_MAX`` a step of the
-chase finds every lane's slot with one lookup on a per-vertex grid of its
-draw.  At each group's end it records the trials that stopped in it,
-and once fewer than ``LOCKSTEP_MIN_LIVE`` (48) are live, it hands the
-rest to the fused loop, which goes on from the step each reached, reading
-first a block of its next ``TAIL_BLOCK`` (32) draws that the lockstep
-walker derived and ranked in numpy.  Rules without lane tables, and walks
-that stop before their first step, run every trial on ``run``.  All three
-walkers give the same bits; the measurements behind the gate, the group
-sizes, the hand-off and the tails' block are with the constants below,
-and those behind the grid's bound with ``walker.GRID_ENTRIES_MAX``.  A
-block's samples are three arrays: stop times, steps and commutes.  The
-sampling tables, the lanes and both walkers' rows are built once per
-estimate in the calling process, and once more in each forked worker.
+being step k, while its masks fit in 64 bits, and hands its last live
+trials to the fused loop: the lockstep walker's section below tells how,
+and :mod:`walkcover.walker` how a step moves a lane.  Rules without lane
+tables, and walks that stop before their first step, run every trial on
+``run``.  All three walkers give the same bits; the measurements behind
+the gate, the group sizes, the hand-off and the tails' block are with the
+constants below, and those behind the grid's bound with
+``walker.GRID_ENTRIES_MAX``.  A block's samples are three arrays: stop
+times, steps and commutes.  The sampling tables, the lanes and both
+walkers' rows are built once per estimate in the calling process, and
+once more in each forked worker.
 
 ``workers`` is an upper bound.  An estimate that walks in lockstep (at
 least ``LOCKSTEP_MIN_LANES`` trials, lanes whose progress fits in 64 bits)
@@ -302,44 +291,25 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 # scalar walker's refill schedule.
 #
 # How a step moves a lane is a ``walker._Steps``, which the lanes'
-# ``walkers`` build once per estimate, on either side of the rank gate,
-# beside the fused walk.  A group is a chase, then a settle.  The chase
-# takes the group's steps in turn and moves only what the next step's
-# lookup needs, and keeps each step's keys; the settle then reads every
-# step from its keys at once and gives each lane's running values after
-# each row: its clock, by adding the charges down the rows from the lane's
-# clock, one row at a time (so each lane adds its charges in step order,
-# and its clock is the scalar walker's float sum), its coverage mask by
-# or-ing the bits down the rows, its stops and its commute count.  While
-# the fused loop's rows are rank rows, the moves come from the same
-# entries: a lane's position is its row (a table rule's state folded in)
-# times the ranks, each group's draws are ranked once on the fused loop's
-# one-row grid, and a step of the chase is two
-# numpy calls, ``key = position + rank`` and ``position = moved[key]``;
-# flat per-(row, rank) arrays give the settle the charge, the stop and the
-# commute, or the coverage bit.  Above ``walker.RANK_ENTRIES_MAX`` a lane's
-# position is its row of the same entries, and a step of the chase finds
-# each lane's slot on a per-vertex grid of its draw (``walker._grid``):
-# the group's draws are binned once, ``bin = u * 2**g``, and a lane's slot
-# is ``lo`` at (vertex, bin) plus the count of that bin's thresholds at or
-# below ``u``, so one lookup serves every row width.  The step's key is
-# the row's first entry plus that slot, and its next row the entry's
-# (the lanes' ``entries``), so no step maps a slot to its arc; the settle
-# reads the charges and the rule's fold at the keys, as on rank rows.
-# The walker owns every per-lane array: position, progress, commute count
-# and clock.  At each group's end, lanes that stopped in it write the
-# samples of their first stop row into the block's arrays, and once a
-# quarter of the lanes have stopped, or at the hand-off, every array
-# drops them at once, so the lanes stay read-only.  When fewer than
-# ``LOCKSTEP_MIN_LIVE`` lanes are left at a group's end, or the live lanes
-# reach the step budget, the rest go on, in trial order, on the fused
-# scalar loop from the step they reached: their vertex, progress, clock,
-# step count, commute count and PCG64 state carry over, so they give the
-# same results (or raise the same ``StepBudgetExceeded``).  Each first
-# reads its next ``TAIL_BLOCK`` draws within the budget, derived for every
-# tail at once by one more jump-ahead pass and ranked on the same grid,
-# and a tail sets its generator to the state after them only if it walks
-# past them (``_Deferred``).
+# ``walkers`` build once per estimate, on either side of the rank gate; the
+# walker's module docstring tells how a group's chase and settle step.  The
+# settle adds each lane's charges down the group's rows one row at a time,
+# from the lane's clock, so each lane adds its charges in step order, and
+# its clock is the scalar walker's float sum.  The walker owns every
+# per-lane array: position, progress, commute count and clock.  At each
+# group's end, lanes that stopped in it write the samples of their first
+# stop row into the block's arrays, and once a quarter of the lanes have
+# stopped, or at the hand-off, every array drops them at once, so the lanes
+# stay read-only.  When fewer than ``LOCKSTEP_MIN_LIVE`` lanes are left at a
+# group's end, or the live lanes reach the step budget, the rest go on, in
+# trial order, on the fused scalar loop from the step they reached: their
+# vertex, progress, clock, step count, commute count and PCG64 state carry
+# over, so they give the same results (or raise the same
+# ``StepBudgetExceeded``).  Each first reads its next ``TAIL_BLOCK`` draws
+# within the budget, derived for every tail at once by one more jump-ahead
+# pass and, on rank rows, ranked on the one-row grid, and a tail sets its
+# generator to the state after them only if it walks past them
+# (``_Deferred``).
 # ---------------------------------------------------------------------------
 
 # Block size from which the lockstep walker runs, and the live lanes below
@@ -385,12 +355,8 @@ def _trial_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 #   edge cover, star:56       2.66   3.51
 #   edge cover, star:64       2.62   3.54
 #
-# Before the grid, a step compared each lane
-# with every ``cum`` column of the widest row, and commutes lost to the
-# fused loop from about 19 columns at 400 lanes (star:28 read 0.72, star:80
-# 0.24), so such blocks walked the fused loop.  Only star:800's grid is
-# held to ``GRID_ENTRIES_MAX``; its bins keep 13 thresholds, and it loses
-# at 400 lanes.
+# Only star:800's grid is held to ``GRID_ENTRIES_MAX``; its bins keep 13
+# thresholds, and it loses at 400 lanes.
 #
 # Draw groups, the hand-off, the tails' block and the share of stopped
 # lanes at which the arrays drop them were measured on every
@@ -505,27 +471,19 @@ def _uniforms(state_hi, state_lo) -> np.ndarray:
     return x * 2.0**-53
 
 
-def _lanes(net, start, rule, tables, budget):
-    """The rule's lane tables, checked as ``run`` checks a trial, or None to
-    walk every trial on ``run``: the rule has no table form, or ``run``
-    stops before the first step or raises there."""
-    make_lanes = getattr(rule, "make_lanes", None)
-    if make_lanes is None:
-        return None
-    tracker = checked_tracker(net, start, rule, budget)
-    if tracker.start(start) or tables[start] is None:
-        return None
-    return make_lanes(net)
-
-
-def _walkers(net, start, rule, model, tables, lanes):
+def _walkers(net, start, rule, model, tables, budget):
     """``(walk, moves)``: ``walk(rng, budget) -> (stop time, steps,
-    commutes)`` for one trial, the fused walk on the rule's lane tables or
-    ``run`` without them, and ``moves()``, the lanes' lockstep moves (see
-    ``walkers`` of the lanes), or None where the estimate never walks in
-    lockstep."""
-    if lanes is not None:
-        return lanes.walkers(tables, start, rule.label())
+    commutes)`` for one trial, and ``moves()``, the lanes' lockstep moves
+    (see ``walkers`` of the lanes), or None where the estimate never walks
+    in lockstep.  ``walk`` is the fused walk on the rule's lane tables,
+    checked as ``run`` checks a trial, or ``run`` itself where the rule has
+    no table form, or ``run`` stops before the first step or raises
+    there."""
+    make_lanes = getattr(rule, "make_lanes", None)
+    if make_lanes is not None:
+        tracker = checked_tracker(net, start, rule, budget)
+        if not tracker.start(start) and tables[start] is not None:
+            return make_lanes(net).walkers(tables, start, rule.label())
 
     def walk(rng, budget):
         res = run(net, start, rule, model, rng, step_budget=budget, tables=tables)
@@ -564,7 +522,7 @@ def _lockstep(table, streams, budget, samples):
     clock = np.zeros(len(lane))
     left = len(lane)
     steps = size = 0
-    prepare, chase, settle = table.prepare, table.chase, table.settle
+    chase, settle = table.chase, table.settle
     # Row k of the group holds each lane's state after the group's (k + 1)-th
     # step; before the first group, its one row holds the seeded states.
     group_hi, group_lo = state_hi[None], state_lo[None]
@@ -578,7 +536,7 @@ def _lockstep(table, streams, budget, samples):
             )
             size = rows
         draws = _uniforms(group_hi, group_lo)
-        keys, at, progress = chase(at, progress, draws, prepare(draws))
+        keys, at = chase(at, draws)
         clocks, stops, counts, progress = settle(keys, progress, clock, commutes)
         clock = clocks[-1]
         if counts is not None:
@@ -673,21 +631,20 @@ class _Deferred:
         return self.draw(n)
 
 
-def _block_walker(net, start, rule, model, seed, budget):
-    """``(block, lockstep)``.  ``block(lo, hi, streams=None)`` gives trials
+def _block_walker(net, start, rule, model, budget):
+    """``(block, lockstep)``.  ``block(lo, hi, streams)`` gives trials
     ``[lo, hi)`` as three arrays, of stop times, steps and commutes, on
-    ``streams`` as :func:`_trial_states` derives them for those trials
-    (derived here when None).  ``lockstep(n)`` says whether a block of
-    ``n`` trials walks in lockstep: it does when it has at least
-    ``LOCKSTEP_MIN_LANES`` trials and the rule's lanes give lockstep
-    moves.  The tables, lanes and fused rows are built here, once per
-    estimate, and the lockstep walker's moves when a block first needs
-    them; every block of the estimate reuses them.  A fused trial's
-    generator is set to its state before its walk, and a lockstep tail's
-    at its first draw past its numpy-drawn block, if it has one."""
+    ``streams`` as :func:`_trial_states` derives them for those trials.
+    ``lockstep(n)`` says whether a block of ``n`` trials walks in
+    lockstep: it does when it has at least ``LOCKSTEP_MIN_LANES`` trials
+    and the rule's lanes give lockstep moves.  The tables, lanes and
+    fused rows are built here, once per estimate, and the lockstep
+    walker's moves when a block first needs them; every block of the
+    estimate reuses them.  A fused trial's generator is set to its state
+    before its walk, and a lockstep tail's at its first draw past its
+    numpy-drawn block, if it has one."""
     tables = build_tables(net, model)
-    lanes = _lanes(net, start, rule, tables, budget)
-    walk, moves = _walkers(net, start, rule, model, tables, lanes)
+    walk, moves = _walkers(net, start, rule, model, tables, budget)
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
 
@@ -702,9 +659,7 @@ def _block_walker(net, start, rule, model, seed, budget):
     def lockstep(n: int) -> bool:
         return moves is not None and n >= LOCKSTEP_MIN_LANES
 
-    def block(lo, hi, streams=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if streams is None:
-            streams = _trial_states(seed, lo, hi)
+    def block(lo, hi, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         samples = np.empty(hi - lo), np.empty(hi - lo, np.int64), np.full(hi - lo, -1, np.int64)
         times, steps, commutes = samples
         rest, resume, gen, aim = np.arange(hi - lo), repeat(()), rng, seek
@@ -730,7 +685,8 @@ def _trial_block(args) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     ``(lo, samples)`` for ``args = (net, start, rule, model, seed, lo, hi,
     budget)``."""
     net, start, rule, model, seed, lo, hi, budget = args
-    return lo, _block_walker(net, start, rule, model, seed, budget)[0](lo, hi)
+    block = _block_walker(net, start, rule, model, budget)[0]
+    return lo, block(lo, hi, _trial_states(seed, lo, hi))
 
 
 def _joined(parts):
@@ -810,7 +766,7 @@ def _collect(net, start, rule, model, trials, seed, budget, workers):
     def job(lo, hi):
         return (net, start, rule, model, seed, lo, hi, budget)
 
-    block, lockstep = _block_walker(net, start, rule, model, seed, budget)
+    block, lockstep = _block_walker(net, start, rule, model, budget)
     workers = min(workers, _usable_cpus())
     # The streams of every trial, derived in one bulk call; the pilot, the
     # rest and the parent's block of a fan-out walk slices of them.

@@ -52,11 +52,11 @@ solve, and a failure names the first failing block in solve order.
 
 The state count still grows exponentially in the edge count, so the
 enumeration stops at ``MAX_STATES`` (2**20).  On a 2-CPU x86-64 host with
-Python 3.11 and numpy 2.4, each in a fresh process (median of three runs
-of ``tools/exact_costs.py``), a search that reaches the cap
-(binary_tree(5) arc cover, 124-bit masks) fails after 1.1 s at a 228 MB
-peak, and a full solve of 600k states (``random:n=9,m=11,seed=3`` arc
-cover) takes 1.04 s at a 138 MB peak.
+Python 3.11 and numpy 2.4, each in a fresh process
+(``tools/exact_costs.py``), a search that reaches the cap (binary_tree(5)
+arc cover, 124-bit masks) fails after 902 ms at a 227 MB peak, and a full
+solve of 600k states (``random:n=9,m=11,seed=3`` arc cover) takes 865 ms
+at a 142.5 MB peak.
 
 This is the runtime source for equality targets that have no closed form
 (for example cover-and-return means on named small networks).
@@ -82,12 +82,11 @@ MAX_STATES = 2**20
 # Relative bound on each block's residual |Ax - b|_inf, scaled by max(1, |b|_inf).
 RESIDUAL_TOLERANCE = 1e-9
 
-# Blocks per stacked solve; bounds the stack at _BATCH * n * n floats.
-_BATCH = 1024
-
 # Most states stepped at once; bounds the search's arrays at _CHUNK * width
 # entries, and its overshoot past ``max_states``.  The solve builds its
-# matrices and per-slot weights for about as many states at a time.
+# matrices and per-slot weights for about as many states at a time, and
+# stacks at most ``max(1, _CHUNK // k)`` blocks of k states in one solve,
+# so a stack holds at most _CHUNK * k floats, or one k x k block.
 _CHUNK = 2**14
 
 
@@ -252,12 +251,13 @@ def _solve(progress, vertex, live, reached, weights, lanes) -> float:
     del ordered
     # Blocks in solve order: descending rank, then ascending size (``kind``
     # rises along it), then first reached.  Batches are runs of one kind in
-    # that order, split every _BATCH blocks.
+    # that order, split every ``_CHUNK // size`` blocks (at least one).
     kind = size - rank * (n + 1)
     order = np.lexsort((by[run], kind))
     kind, sizes = kind[order], size[order]
     runs = [0, *((kind[1:] != kind[:-1]).nonzero()[0] + 1).tolist(), len(order)]
-    cuts = [c for a, z in zip(runs, runs[1:]) for c in range(a, z, _BATCH)] + runs[-1:]
+    cuts = [c for a, z in zip(runs, runs[1:])
+            for c in range(a, z, max(1, _CHUNK // int(sizes[a])))] + runs[-1:]
     first = np.zeros(len(order) + 1, np.int32)  # each block's first position
     sizes.cumsum(out=first[1:])
     begin = first[:-1].repeat(sizes)  # by position: its block's first position

@@ -31,10 +31,10 @@ from .errors import EmptyInput
 from .netmodel import Arc, Network, Orientation
 from .walker import (
     DEFAULT_STEP_BUDGET,
+    TableLanes,
     TimingModel,
     WalkOutcome,
-    _arc_heads,
-    _TableLanes,
+    arc_heads,
     coverage_bits,
     run,
 )
@@ -233,20 +233,20 @@ class _EpochPlan:
         self.first = self._weak_run(0, walk.root)
 
     @cached_property
-    def lanes(self) -> _TableLanes:
+    def lanes(self) -> TableLanes:
         """The rule's lane tables: ``next`` and ``stop`` over (state, arc).
 
         State s is the epoch index ``first + s``; the last state, index 2E,
         is where a lane stops, and stays put after that.
         """
         first, final = self.first, len(self.heads)
-        arc_heads = _arc_heads(self.net)
-        arc_ids = np.arange(len(arc_heads))
+        heads = arc_heads(self.net)
+        arc_ids = np.arange(len(heads))
         nxt = np.repeat(np.arange(final - first + 1, dtype=np.intp)[:, None], len(arc_ids), 1)
         for s, i in enumerate(range(first, final)):
-            fires = arc_ids == self.arcs[i] if self.strong[i] else arc_heads == self.heads[i]
+            fires = arc_ids == self.arcs[i] if self.strong[i] else heads == self.heads[i]
             nxt[s, fires] = self.after[i] - first
-        return _TableLanes(nxt, nxt == final - first, None)
+        return TableLanes(nxt, nxt == final - first, None)
 
     def _weak_run(self, i: int, v: int) -> int:
         """The index after the weak epochs from ``i`` on that ``v`` satisfies."""

@@ -51,49 +51,43 @@ state into the vertex, with no per-step method call.  A row's entries hold
 the step's charge, the row it leads to and what the step does to the rule.
 While the rows hold at most ``RANK_ENTRIES_MAX`` entries, a row has an
 entry per rank of a draw among the sampling rows' breakpoints, so a step
-bisects nothing.  The ranks are found a refill block at a time: a trial's
-first block by one ``searchsorted``, and every later block by a lookup
-(:func:`_grid`) on a one-row grid over the breakpoints, built directly
-from them once per estimate (:func:`_breaks_grid`).  The two cross
-between blocks of 128 and 256 draws (the table is beside
-``REFILL_MAX``).  Above the gate, a slot row has the vertex's
-``cum`` list and the same entries, one per slot, and a step bisects
-``cum``.
+bisects nothing.  One :func:`_rankers` per estimate ranks every draw on
+rank rows: a fused trial's first refill block by one ``searchsorted``, and
+its later blocks, the lockstep walker's draw groups and its tails' block
+on one one-row grid over the breakpoints, built at its first use.  The two
+cross between blocks of 128 and 256 draws (the table is beside
+``REFILL_MAX``).  Above the gate, a slot row has the vertex's ``cum`` list
+and the same entries, one per slot, and a step bisects ``cum``.
 
 A block of at least ``estimate.LOCKSTEP_MIN_LANES`` trials walks in
 lockstep, one draw group of steps over all its trials at a time, while its
-masks fit in 64 bits, on uniforms it draws in groups by PCG64 jump-ahead.
-It walks a group as a chase and a settle (:class:`_Steps`): the chase
-takes the group's steps in turn and moves only what the next step looks
-up, and the settle reads every step's charge, stop and commute, or
-coverage bit, from the chase's keys at once, as running values down the
-group's rows.  One builder, the lanes' ``walkers``, gives an estimate both
-walkers, ``(walk, moves)``: the fused walk, and ``moves()``, the lockstep
-walker's moves on either side of the rank gate.  Each lane kind gives it
-only its entries' columns, its two fused loops and its settle fold, and
-its numpy step is that fold alone.  On rank rows the moves read the fused
-walker's layout, as flat arrays of the same entries with one entry per
-row and rank.  The lockstep walker ranks each draw group once, on the
-same one-row grid, and a step of the chase is a key, ``position + rank``,
-and the next position at that key; a table rule's state is folded into
-the row, as in the fused loop.  Above the gate, a lane's position is its
-row, a step of the chase finds every trial's slot with one lookup on a
-per-vertex grid of its draw, at any row width, and its key is the row's
+masks fit in 64 bits.  It walks a group as a chase and a settle
+(:class:`_Steps`).  The chase ranks or bins the group's draws once, then
+takes its steps in turn and moves only what the next step looks up; the
+settle reads every step's charge, stop and commute, or coverage bit, from
+the chase's keys at once, as running values down the group's rows.  On
+rank rows a lane's position is its row (a table rule's state folded in,
+as in the fused loop) times the ranks, a step of the chase is a key,
+``position + rank``, and the next position at that key, and flat arrays
+of the fused walker's entries, one per row and rank, give the settle each
+key's step.  Above the gate, a lane's position is its row, a step of the
+chase finds every lane's slot with one lookup on a per-vertex grid
+(:func:`_grid`) of its draw, at any row width, and its key is the row's
 first entry plus that slot.  Either way the settle reads the charges and
-the kind's fold at the keys.  The exact solver reads the same entries and
-fold, through the lanes' ``entries``.  The lockstep walker keeps every
-trial's progress and commute count itself, and records the trials that
-stopped at each group's end.
-At a group's end it hands its last ``estimate.LOCKSTEP_MIN_LIVE`` or fewer live trials to
-the fused loop, which goes on from each trial's vertex, progress, clock,
-step count and generator state, so no step is walked twice; each such tail
-first reads a block of its next ``estimate.TAIL_BLOCK`` draws that the
-lockstep walker drew and ranked in numpy, and sets its generator only if
-it walks past them.  Every step draws exactly one uniform, so a trial's
-k-th draw is its k-th step in all three walkers.  The gate's value and the
-measured tables behind it, the draw groups, the hand-off and the tails'
-block are in :mod:`walkcover.estimate`; the grid and its bound,
-``GRID_ENTRIES_MAX``, are here.  The walkers and the exact solver read the
+the kind's fold at the keys.  The lockstep walker keeps every trial's
+progress and commute count itself, so the lanes stay read-only.  Its
+draw groups, the hand-off of its last live trials to the fused loop and
+the tails' block are in :mod:`walkcover.estimate`, with the lockstep
+gate's value and the measured tables behind them; the grid and its bound,
+``GRID_ENTRIES_MAX``, are here.  Every step draws exactly one uniform, so
+a trial's k-th draw is its k-th step in all three walkers.
+
+One builder, the lanes' ``walkers``, gives an estimate both walkers,
+``(walk, moves)``: the fused walk, and ``moves()``, the lockstep walker's
+moves on either side of the rank gate.  Each lane kind gives it only its
+entries' columns, its two fused loops and its settle fold, and its numpy
+step is that fold alone; the exact solver reads the same entries and fold,
+through the lanes' ``entries``.  The walkers and the exact solver read the
 sampling rows through one layout, :func:`slot_columns`.
 """
 
@@ -186,8 +180,8 @@ class FirstPassage:
         return _FirstPassageTracker(self.target)
 
     def make_lanes(self, net: Network):
-        heads = _arc_heads(net)
-        return _TableLanes(np.zeros((1, len(heads)), np.intp), heads[None] == self.target, None)
+        heads = arc_heads(net)
+        return TableLanes(np.zeros((1, len(heads)), np.intp), heads[None] == self.target, None)
 
 
 class _FirstPassageTracker:
@@ -244,7 +238,7 @@ class _CommuteRule:
                 cls[2 * e + 1 - d] = k = c | 4 * (e in a_edges)
                 present.add(k)
         nxt, stop, back = _commute_table(stops, tuple(sorted(present))).take(cls, axis=2)
-        return _TableLanes(nxt, stop == 1, back)
+        return TableLanes(nxt, stop == 1, back)
 
 
 @dataclass(frozen=True)
@@ -393,7 +387,7 @@ class _MaskRule:
         return _MaskTracker(*self._spec(net))
 
     def make_lanes(self, net: Network):
-        return _MaskLanes(*self._spec(net))
+        return MaskLanes(*self._spec(net))
 
 
 @dataclass(frozen=True)
@@ -508,10 +502,7 @@ class _MaskTracker:
 #       call: on the same rank rows below ``RANK_ENTRIES_MAX``, and on the
 #       per-vertex grid above it; ``moves`` is None where ``dtype`` is.
 #       Build them once per estimate and walk every trial on them.  Both
-#       kinds take it from :class:`_Lanes`, the one builder, and give it
-#       three pieces: their entries' columns (the row each (state, slot)
-#       leads to, and a code, or a bit and a home flag), their fused loops
-#       on slot rows and on rank rows, and their settle fold and ``where``
+#       kinds take it from :class:`_Lanes`, the one builder
 #   entries(arcs, heads, n) -> (to, vertex, first, fold, where)
 #       the numpy step over entry keys ``state * slots + slot``, for slots
 #       with these arcs and heads (int arrays from :func:`slot_columns`):
@@ -529,12 +520,12 @@ class _MaskTracker:
 #   rank(progress) -> int             (of ``where``'s progress: grows whenever
 #                                      progress changes, for every rule the
 #                                      exact solver supports)
-# The epoch sequences in :mod:`walkcover.tours` build :class:`_TableLanes`
+# The epoch sequences in :mod:`walkcover.tours` build :class:`TableLanes`
 # too, with the epoch index as the state.
 # ---------------------------------------------------------------------------
 
 
-def _arc_heads(net: Network) -> np.ndarray:
+def arc_heads(net: Network) -> np.ndarray:
     """Each arc's head, in ``net.arcs()`` order (edge ``u -> v`` first)."""
     return np.array([head for e in net.edges for head in (e.v, e.u)], np.intp)
 
@@ -883,51 +874,38 @@ def _grid_slots(lo: np.ndarray, thr: np.ndarray, at: np.ndarray, u: np.ndarray) 
     return slot
 
 
-def _breaks_grid(breaks: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """:func:`_grid` of one row whose ``cum`` is the sorted breakpoints and
-    1.0, built directly from them (:func:`_binned`)."""
-    return _binned(breaks, 1)
-
-
-def _row_grid(breaks: np.ndarray):
-    """A one-row :func:`_grid` over the breakpoints (:func:`_breaks_grid`),
-    built at the first call of the function returned: ``(2**g, lo, thr,
-    small)``, where ``small`` is ``lo`` as uint8 while there are at most
-    256 ranks (``lo`` above)."""
+def _rankers(breaks: np.ndarray):
+    """A rank-row estimate's ``(first, later, rank)``, each ``u -> the
+    ranks of the uniforms u`` among ``breaks`` (``np.searchsorted(breaks,
+    u, "right")``).  ``first`` and ``later`` are a fused walk's, for
+    :func:`_refills`: ``first`` ranks a trial's first refill block by one
+    ``searchsorted`` and a ``tolist``, and ``later`` every block after it
+    on a one-row grid over ``breaks`` (:func:`_binned`), as bytes while
+    there are at most 256 ranks, and as a list above.  ``rank`` ranks the
+    lockstep walker's draw groups and its tails' block on the same grid,
+    as an intp array of ``u``'s shape.  The grid is built at the first
+    call of ``later`` or ``rank``."""
+    search = breaks.searchsorted
+    small = len(breaks) < 256
+    out = np.ndarray.tobytes if small else np.ndarray.tolist
 
     @cache
     def grid():
-        g, lo, thr = _breaks_grid(breaks)
-        return 2.0**g, lo, list(thr), lo.astype(np.uint8) if len(breaks) < 256 else lo
-
-    return grid
-
-
-def _grid_ranks(grid, u: np.ndarray) -> np.ndarray:
-    """The ranks of the uniforms ``u`` (any shape) among the breakpoints of
-    the one-row ``grid`` (:func:`_row_grid`), as intp."""
-    scale, lo, thr, _ = grid()
-    return _grid_slots(lo, thr, (u * scale).astype(np.intp), u)
-
-
-def _rankers(breaks: np.ndarray, grid):
-    """A rank-row walker's ``(first, later)``, each ``u -> the ranks of the
-    uniforms u`` among ``breaks`` (``np.searchsorted(breaks, u, "right")``),
-    for :func:`_refills`.  ``first`` ranks a trial's first refill block by
-    one ``searchsorted`` and a ``tolist``.  ``later`` ranks every block
-    after it on the one-row ``grid`` (a :func:`_row_grid` of ``breaks``),
-    as bytes while there are at most 256 ranks, and as a list above."""
-    search = breaks.searchsorted
-    out = np.ndarray.tobytes if len(breaks) < 256 else np.ndarray.tolist
+        g, lo, thr = _binned(breaks, 1)
+        return 2.0**g, lo, list(thr), lo.astype(np.uint8) if small else lo
 
     def first(u: np.ndarray) -> list[int]:
         return search(u, "right").tolist()
 
     def later(u: np.ndarray) -> bytes | list[int]:
-        scale, _, thr, small = grid()
-        return out(_grid_slots(small, thr, (u * scale).astype(np.intp), u))
+        scale, _, thr, lo = grid()
+        return out(_grid_slots(lo, thr, (u * scale).astype(np.intp), u))
 
-    return first, later
+    def rank(u: np.ndarray) -> np.ndarray:
+        scale, lo, thr, _ = grid()
+        return _grid_slots(lo, thr, (u * scale).astype(np.intp), u)
+
+    return first, later, rank
 
 
 class _Steps(NamedTuple):
@@ -936,26 +914,24 @@ class _Steps(NamedTuple):
 
     ``start`` is every lane's first position, and ``initial`` and ``dtype``
     its first progress.  A draw group's (rows, lanes) uniforms ``draws``
-    walk as a chase, then a settle.  ``prepare(draws)`` gives what the
-    chase looks up, once per group.  ``chase(at, progress, draws, marks)``
-    takes the group's steps in row order, ``marks`` being
-    ``prepare(draws)``, and moves only what the next step's lookup needs:
-    it returns ``(keys, at, progress)``, the keys of every row and the
-    positions and progress after the group.  ``settle(keys, progress,
-    clock, commutes)`` reads every row's step from its keys at once, and
-    returns each lane's running values after every row, of shape (rows,
-    lanes): ``(clocks, stops, counts, progress)``, with ``stops`` True
-    where the lane stops, ``counts`` its commutes, or None for rules that
-    count none, and ``progress`` after the group.  ``where(at, progress)``
-    gives the vertices and progress values the fused walk goes on from,
-    and ``reads(draws)`` what the fused walk reads of uniforms: their ranks
-    on rank rows, the uniforms themselves on slot rows.
+    walk as a chase, then a settle.  ``chase(at, draws)`` ranks or bins
+    the group's draws once, then takes its steps in row order and moves
+    only what the next step's lookup needs: it returns ``(keys, at)``, the
+    keys of every row and the positions after the group.  ``settle(keys,
+    progress, clock, commutes)`` reads every row's step from its keys at
+    once, and returns each lane's running values after every row, of
+    shape (rows, lanes): ``(clocks, stops, counts, progress)``, with
+    ``stops`` True where the lane stops, ``counts`` its commutes, or None
+    for rules that count none, and ``progress`` after the group.
+    ``where(at, progress)`` gives the vertices and progress values the
+    fused walk goes on from, and ``reads(draws)`` what the fused walk reads
+    of uniforms: their ranks on rank rows, the uniforms themselves on slot
+    rows.
     """
 
     start: int
     initial: int
     dtype: type
-    prepare: Callable
     chase: Callable
     settle: Callable
     where: Callable
@@ -977,16 +953,18 @@ def _running(rows: np.ndarray, first: np.ndarray, ufunc=np.add) -> np.ndarray:
     return rows
 
 
-def _rank_chase(moved: np.ndarray) -> Callable:
-    """The chase on rank rows: a step's key is its position plus its draw's
-    rank, written over the ranks, and its next position ``moved`` at the
-    key."""
+def _rank_chase(rank, moved: np.ndarray) -> Callable:
+    """The chase on rank rows: the group's draws are ranked once
+    (``rank``, of :func:`_rankers`), a step's key is its position plus its
+    draw's rank, written over the ranks, and its next position ``moved`` at
+    the key."""
 
-    def chase(at, progress, draws, ranks):
-        for key in ranks:
+    def chase(at, draws):
+        keys = rank(draws)
+        for key in keys:
             key += at
             at = moved.take(key)
-        return ranks, at, progress
+        return keys, at
 
     return chase
 
@@ -1023,15 +1001,12 @@ class _Lanes:
         to, ``state * vertices + head``, and the columns.
 
         ``moves()`` builds the lockstep walker's :class:`_Steps` at its first
-        call.  On rank rows they come from the same entries, one per row and
-        rank, with a table rule's state folded into the row: a lane's
-        position is its row times the ranks, so a step's key is its position
-        plus its draw's rank, and the draws are ranked on the one-row grid
-        that ranks the fused walk's later blocks.  The chase reads the next
-        position per key, and the settle the charge and the kind's fold.  On
-        slot rows they are :meth:`_grid_moves`.  ``moves`` is None where the
-        progress has no numpy type (masks wider than 64 bits), which never
-        walk in lockstep.
+        call, from the same entries (the module docstring tells how they
+        step): on rank rows here, ranking the draws with the ``rank`` of the
+        fused walk's :func:`_rankers`, and on slot rows by
+        :meth:`_grid_moves`.  ``moves`` is None where the progress has no
+        numpy type (masks wider than 64 bits), which never walk in
+        lockstep.
         """
         slots, arcs, heads, charges = slot_columns(tables)
         n = len(tables)
@@ -1045,15 +1020,14 @@ class _Lanes:
             walk = self._fused(rows, n, start, label)
             moves = partial(self._grid_moves, slots, arcs, heads, tiled, start)
         else:
-            grid = _row_grid(breaks)
-            width, picks = len(breaks) + 1, fill[1]
-            walk = self._fused(rows, n, start, label, _rankers(breaks, grid))
+            rankers = _rankers(breaks)
+            width, picks, rank = len(breaks) + 1, fill[1], rankers[2]
+            walk = self._fused(rows, n, start, label, rankers)
 
             def moves() -> _Steps:
                 fold, where = self._fold(n, *[column[picks] for column in columns])
-                rank = partial(_grid_ranks, grid)
-                return _Steps(start * width, self.initial, self.dtype, rank,
-                              _rank_chase((to * width)[picks]),
+                return _Steps(start * width, self.initial, self.dtype,
+                              _rank_chase(rank, (to * width)[picks]),
                               _settle(np.array(tiled)[picks], fold),
                               lambda at, progress: where(at // width, progress), rank)
 
@@ -1086,7 +1060,7 @@ class _Lanes:
         step's key is the row's first entry plus the slot its draw finds
         on a per-vertex grid (:func:`_grid`): ``lo`` at (the vertex's grid
         row + bin) plus the count of that bin's thresholds at or below the
-        draw.  A group's draws are binned once; the chase reads each lane's
+        draw.  The chase bins a group's draws once, reads each lane's
         grid row and first entry at the row it starts from and then at each
         key, writes the keys over the bins, and ends each lane at ``to`` of
         its last key.  The settle reads the charges and the fold at the
@@ -1096,22 +1070,20 @@ class _Lanes:
         cell = vertex << g  # per row: its vertex's grid row
         cell_to, first_to, thr, scale = cell[to], first[to], list(thr), 2.0**g
 
-        def prepare(draws):
-            return (draws * scale).astype(np.intp)
-
-        def chase(row, progress, draws, bins):
+        def chase(row, draws):
+            bins = (draws * scale).astype(np.intp)
             at, base = cell.take(row), first.take(row)
             for key, u in zip(bins, draws):
                 key += at
                 np.add(_grid_slots(lo, thr, key, u), base, out=key)
                 at, base = cell_to.take(key), first_to.take(key)
-            return bins, to.take(key), progress
+            return bins, to.take(key)
 
-        return _Steps(start, self.initial, self.dtype, prepare, chase,
+        return _Steps(start, self.initial, self.dtype, chase,
                       _settle(np.array(charges), fold), where, lambda d: d)
 
 
-class _TableLanes(_Lanes):
+class TableLanes(_Lanes):
     """Progress as a small state number, advanced by per-(state, arc) tables.
 
     ``next``, ``stop`` and ``back`` are 2-D over (state, arc); ``back``
@@ -1157,7 +1129,7 @@ class _TableLanes(_Lanes):
                 raise _no_stop(budget, label)
 
             return walk
-        first, later = rankers
+        first, later, _ = rankers
 
         def walk(rng: np.random.Generator, budget: int, vertex: int = start, state: int = 0,
                  t: float = 0.0, steps: int = 0, commutes: int = 0,
@@ -1198,7 +1170,7 @@ class _TableLanes(_Lanes):
         return fold, where
 
 
-class _MaskLanes(_Lanes):
+class MaskLanes(_Lanes):
     """A coverage mask per lane, plus a return to ``root`` unless it is None.
 
     ``bits[arc]`` is the bit that arc sets.  The masks are Python ints on the
@@ -1245,7 +1217,7 @@ class _MaskLanes(_Lanes):
                 raise _no_stop(budget, label)
 
             return walk
-        first, later = rankers
+        first, later, _ = rankers
 
         def walk(rng: np.random.Generator, budget: int, vertex: int = start,
                  mask: int = initial, t: float = 0.0, steps: int = 0,

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from walkcover import cli
+from walkcover import cli, tours
 from walkcover.cli import CHECKS, VERIFY_CHECKS, build_parser, main
 from walkcover.closedform import cover_bounds
-from walkcover.estimate import CSV_HEADER, format_number
+from walkcover.estimate import CSV_HEADER, estimate, format_number, render_csv, verify
 from walkcover.generators import from_spec
-from walkcover.netmodel import serialize_network
+from walkcover.netmodel import Orientation, parse_network_text, serialize_network
+from walkcover.walker import DirectedCoverReturn, TimingModel
 
 from support import unsamplable_networks
 
@@ -181,6 +182,32 @@ def test_verify_dcover_and_epochs_checks(capsys):
     assert code == 0
 
 
+def test_file_orientation_reaches_directed_checks(tmp_path, capsys):
+    """A network file's ``fwd``/``bwd`` tokens orient the directed checks:
+    ``verify --check dcover-bound``, ``cover --mode directed`` and ``epochs
+    --mode directed`` each report the API's estimate under the file's
+    orientation, and ``--orientation random`` does not override it."""
+    path = tmp_path / "oriented.net"
+    path.write_text("vertices 3\nedge 0 1 1.0 fwd\nedge 1 2 2.0 bwd\nedge 2 0 1.0 bwd\n")
+    net, orientation = parse_network_text(path.read_text())
+    assert orientation == Orientation((0, 1, 1))
+    walk = tours.construct_double_cover_walk(net, 0)
+    bound = cover_bounds(net)[0]
+    model = TimingModel.L_SQUARED
+    common = ["--network", str(path), "--trials", "600", "--seed", "3", "--workers", "1"]
+    for argv, rule, kind in (
+        (["verify", "--check", "dcover-bound"], DirectedCoverReturn(0, orientation),
+         "upper_bound"),
+        (["cover", "--mode", "directed"], DirectedCoverReturn(0, orientation), "upper_bound"),
+        (["epochs", "--mode", "directed"], tours.EpochSequence(walk, "directed", orientation),
+         "equality"),
+    ):
+        report = estimate(net, 0, rule, model, 600, 3)
+        expected = render_csv([(report, verify(report, bound, kind, 3.0))])
+        assert run_cli(capsys, argv + common) == (0, expected, ""), argv
+        assert run_cli(capsys, argv + common + ["--orientation", "random"])[1] == expected
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(
         capsys,
@@ -245,6 +272,20 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["commute", "--gen", "triangle", "--pair", "0", "1"])  # missing trials/seed
     assert exc.value.code == 2
+    capsys.readouterr()
+
+    for argv, message in (
+        (["refined", "--pair", "0", "1", "--a-edges", "0,x", "--kind", "both"],
+         "bad edge id list '0,x'"),
+        (["verify", "--check", "commute"], "check 'commute' needs --pair"),
+        (["verify", "--check", "refined", "--pair", "0", "1"],
+         "check 'refined' needs --pair and --a-edges"),
+        (["verify", "--check", ","], "--check got an empty list"),
+    ):
+        code, out, err = run_cli(
+            capsys, argv + ["--gen", "triangle", "--trials", "10", "--seed", "1"]
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_pair_outside_the_network_exits_two(capsys):

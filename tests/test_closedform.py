@@ -63,6 +63,8 @@ def test_weighted_cost_commute_errors():
     bad = {a: -1.0 for a in net.arcs()}
     with pytest.raises(MissingArcCost):
         weighted_cost_commute(net, bad, 0, 1)
+    with pytest.raises(SameVertex):
+        weighted_cost_commute(net, {a: 1.0 for a in net.arcs()}, 2, 2)
 
 
 def test_refined_commutes_triangle():

@@ -401,7 +401,7 @@ def test_row_grid_equals_the_general_grid(seed):
         if seed >= 4 and size:
             breaks = np.append(breaks, breaks[0] + rng.random() * 2.0**-(17 + seed))
         breaks = np.unique(breaks[(breaks > 0) & (breaks < 1)])
-        g, lo, thr = walker_module._breaks_grid(breaks)
+        g, lo, thr = walker_module._binned(breaks, 1)
         expected = walker_module._grid([([*breaks.tolist(), 1.0], 0, len(breaks) + 1)])
         assert g == expected[0] and lo.dtype == expected[1].dtype, (seed, size)
         assert lo.tolist() == expected[1].tolist() and thr.tolist() == expected[2].tolist()
@@ -433,7 +433,7 @@ def test_negative_seed_fails_before_any_trial(monkeypatch):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(estimate_module, "run", no_trials)
-    for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
+    for lanes in (walker_module.TableLanes, walker_module.MaskLanes):
         monkeypatch.setattr(lanes, "walkers", no_trials)
     with pytest.raises(ValueError):
         estimate(triangle(), 0, Commute(0, 1), TimingModel.L_SQUARED, 10, -1)
@@ -686,13 +686,13 @@ def walks(monkeypatch):
             yield end, _CountedDraws(draws, drawn)
 
     def counted_rankers(*args):
-        first, later = rankers(*args)
+        first, later, rank = rankers(*args)
 
         def counted(u):
             counts["grid"] += 1
             return later(u)
 
-        return first, counted
+        return first, counted, rank
 
     def counted_grid(*args):
         counts["vertex_grid"] += 1
@@ -713,7 +713,7 @@ def walks(monkeypatch):
     monkeypatch.setattr(walker_module, "_refills", counted_refills)
     monkeypatch.setattr(walker_module, "_rankers", counted_rankers)
     monkeypatch.setattr(walker_module, "_grid", counted_grid)
-    for lanes in (walker_module._TableLanes, walker_module._MaskLanes):
+    for lanes in (walker_module.TableLanes, walker_module.MaskLanes):
 
         def counted_walkers(self, *args, make=lanes.walkers):
             walk, moves = make(self, *args)
@@ -822,10 +822,11 @@ def test_lockstep_leaves_lanes_unchanged(case, monkeypatch):
 
 def test_estimate_imports_no_private_walker_name():
     """The estimator builds its walkers through the lanes' ``walkers`` alone,
-    and the exact solver reads the lanes through their ``entries`` alone:
-    neither ``estimate.py`` nor ``exact.py`` imports a ``_``-prefixed name
-    from the walker module."""
-    for module in (estimate_module, exact_module):
+    the exact solver reads the lanes through their ``entries`` alone, and
+    the epoch sequences build theirs from the walker's public lane kinds:
+    none of ``estimate.py``, ``exact.py`` and ``tours.py`` imports a
+    ``_``-prefixed name from the walker module."""
+    for module in (estimate_module, exact_module, tours):
         tree = ast.parse(Path(module.__file__).read_text())
         private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                    and (node.level, node.module) in {(1, "walker"), (0, "walkcover.walker")}
@@ -852,12 +853,12 @@ def test_lockstep_steps_on_rank_rows_below_the_gate(walks, monkeypatch, case):
     assert _rank_gated(net, rule) != wide
     one_row = [0]
 
-    def counted_grid(breaks):
-        one_row[0] += 1
-        return grid(breaks)
+    def counted_binned(entries, n, *rows):
+        one_row[0] += (n, rows) == (1, ())
+        return binned(entries, n, *rows)
 
-    grid = walker_module._breaks_grid
-    monkeypatch.setattr(walker_module, "_breaks_grid", counted_grid)
+    binned = walker_module._binned
+    monkeypatch.setattr(walker_module, "_binned", counted_binned)
     walks.lockstep[0] = 0
     estimate_module._trial_block((net, start, rule, TimingModel.L_SQUARED, 5, 0, 400, 10**9))
     assert walks.lockstep[0] > 0 and walks["vertex_grid"] == wide
@@ -1214,13 +1215,14 @@ def test_lockstep_path_is_taken(walks, monkeypatch):
 
 
 def test_traced_names_resolve():
-    """The benchmark's tracer patches these estimator names by name; each must
-    still be there, or a traced run fails with an ``AttributeError``."""
+    """The benchmark's tracer patches these names by name, the spans' and
+    the counters' alike; each must still be there, or a traced run fails
+    with an ``AttributeError``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    targets = [(mod, attr) for mod, attr, _ in spans.COUNTER_TARGETS]
+    targets = [(mod, attr) for mod, attr, _ in spans.SPAN_TARGETS + spans.COUNTER_TARGETS]
     targets.append(("walkcover.estimate", "_trial_block"))
     for mod, attr in targets:
         assert callable(getattr(importlib.import_module(mod), attr)), (mod, attr)

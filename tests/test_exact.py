@@ -246,6 +246,26 @@ def test_residual_check_fails_loudly(monkeypatch, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("failing, rank", [(0, 2), (1, 1), (2, 0)])
+def test_singular_block_fails_loudly(monkeypatch, failing, rank):
+    """A batch whose stacked solve raises ``LinAlgError`` raises
+    ``ExactSolveFailed`` naming its blocks' progress rank.  A parallel
+    pair's edge cover solves three batches, by descending rank: the full
+    mask's block, the two one-edge masks' blocks and the start's."""
+    solve, calls = np.linalg.solve, [0]
+
+    def singular(a, b):
+        calls[0] += 1
+        if calls[0] > failing:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ExactSolveFailed, match=f"a block of progress rank {rank} is singular"):
+        exact_stop_time(parallel_pair(), 0, EdgeCoverReturn(0))
+    assert calls[0] == failing + 1
+
+
 def test_exact_imports_no_stopping_rule():
     """Rules reach the solver only through their lane tables, so no rule's
     meaning can be written again inside it."""

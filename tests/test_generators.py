@@ -85,6 +85,10 @@ def test_random_network_examples():
         random_network(4, 10, (1.0, 1.0), seed=0)  # over simple-graph capacity
     with pytest.raises(NonPositiveLength):
         random_network(3, 3, (0.0, 1.0), seed=0)
+    with pytest.raises(InfeasibleParameters, match="at least one vertex"):
+        random_network(0, 0, (1.0, 1.0), seed=0)
+    with pytest.raises(InfeasibleParameters, match="only carry loops"):
+        random_network(1, 1, (1.0, 1.0), allow_parallel=True, seed=0)
 
 
 def test_random_network_thousand_seed_sweep():

@@ -164,6 +164,14 @@ def test_parse_errors_carry_line_numbers():
         parse_network_text("edge 0 1 1.0 sideways\n")
     with pytest.raises(NetworkFormatError):
         parse_network_text("# nothing\n")
+    for text, line, message in (
+        ("vertices x\nedge 0 1 1.0\n", 1, "expected 'vertices <n>'"),
+        ("vertices 2\nvertices 2\nedge 0 1 1.0\n", 2, "duplicate vertices header"),
+        ("vertices 2\n\nedge 0 1\n", 3, "expected 'edge <u> <v> <length> [fwd|bwd]'"),
+    ):
+        with pytest.raises(NetworkFormatError) as exc:
+            parse_network_text(text)
+        assert f"line {line}" in str(exc.value) and message in str(exc.value), text
 
 
 def test_parse_rejects_disconnected():

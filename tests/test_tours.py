@@ -98,6 +98,24 @@ def test_walk_serialization_round_trip():
     assert parse_walk(serialize_walk(walk)) == walk
 
 
+def test_malformed_walks_are_rejected():
+    """A walk whose arcs do not chain, that ends away from its root, or that
+    repeats an arc in place of another fails validation; an unknown visiting
+    order and an empty walk text are rejected too."""
+    for net, text, message in (
+        (build_network(2, [(0, 1, 1.0)]), "0 0:1 0:0", "arc 0 departs 1, walker is at 0"),
+        (triangle(), "0 0:0 1:0 2:0 0:0 0:1 0:0", "walk ends at 1, not at root 0"),
+        (parallel_pair(), "0 0:0 0:1 0:0 0:1", "walk does not use every arc exactly once"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            validate_closed_walk(net, parse_walk(text))
+    with pytest.raises(ValueError, match="unknown neighbor_order 'sideways'"):
+        construct_double_cover_walk(triangle(), 0, "sideways")
+    for text in ("", " \n"):
+        with pytest.raises(ValueError, match="empty walk text"):
+            parse_walk(text)
+
+
 def test_single_edge_epochs_forced():
     net = build_network(2, [(0, 1, 1.0)])
     walk = construct_double_cover_walk(net, 0)

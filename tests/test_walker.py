@@ -77,6 +77,20 @@ def test_step_brownian_charges():
         assert charge == pytest.approx(want, abs=1e-12)
 
 
+def test_step_builds_its_own_tables_and_rejects_an_isolated_vertex():
+    """``step`` without ``tables`` builds them and takes the step it takes
+    with them, under either model; from a vertex without arcs it raises
+    ``VertexOutOfRange``."""
+    net = parallel_pair()
+    for model in TimingModel:
+        tables = build_tables(net, model)
+        for i in range(20):
+            assert step(net, 0, model, trial_rng(5, i)) == step(
+                net, 0, model, trial_rng(5, i), tables=tables)
+    with pytest.raises(VertexOutOfRange, match="vertex 0 has no incident arcs"):
+        step(build_network(1, []), 0, TimingModel.L_SQUARED, trial_rng(0, 0))
+
+
 def test_fixed_seed_replays_identically():
     net = triangle()
     a = run(net, 0, Commute(0, 1), TimingModel.L_SQUARED, trial_rng(7, 3), record=True)
@@ -448,16 +462,20 @@ def test_grid_ranks_equal_searchsorted(case, monkeypatch):
     first refill block and the one-row grid for the rest, give every draw
     the rank ``np.searchsorted(breaks, u, "right")`` gives: at 0, at each
     breakpoint and the doubles on either side of it, and on 10^5 seeded
-    draws.  The grid gives bytes while there are at most 256 ranks."""
+    draws, and the lockstep walker's ranker gives them on the same grid as
+    an intp array.  The grid gives the fused walk bytes while there are at
+    most 256 ranks."""
     monkeypatch.setattr(walker_module, "RANK_ENTRIES_MAX", 10**6)
     breaks = walker_module._rank_rows(_grid_rank_cases()[case])[0]
     near = [math.nextafter(c, to) for c in breaks.tolist() for to in (0, 1)]
     draws = np.concatenate([[0.0], breaks, near, np.random.default_rng(case).random(10**5)])
-    first, later = walker_module._rankers(breaks, walker_module._row_grid(breaks))
+    first, later, rank = walker_module._rankers(breaks)
     expected = np.searchsorted(breaks, draws, "right").tolist()
     ranks = later(draws)
     assert isinstance(ranks, bytes) == (len(breaks) < 256)
     assert list(ranks) == first(draws) == expected
+    ranked = rank(draws)
+    assert ranked.dtype == np.intp and ranked.tolist() == expected
     g, _, thr = walker_module._grid([([*breaks.tolist(), 1.0], 0, len(breaks) + 1)])
     if case == len(_grid_rank_cases()) - 3:
         assert 1 << g == walker_module.GRID_ENTRIES_MAX and len(thr) >= 2

@@ -94,13 +94,13 @@ def measure(name: str) -> dict:
             counts["fused"] += end - first - length_hint(draws)
 
     def counted_rankers(*args):
-        first, later = rankers(*args)
+        first, later, rank = rankers(*args)
 
         def on_grid(u):
             counts["grid"] += 1
             return later(u)
 
-        return first, on_grid
+        return first, on_grid, rank
 
     def once():
         return estimate(net, 0, rule, walker.TimingModel.L_SQUARED, trials, 1)
